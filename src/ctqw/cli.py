@@ -18,6 +18,7 @@ import os
 import sys
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,10 +47,11 @@ JSON_DIGITS = 12
 
 
 class ParseError(ValueError):
-    """Graph-spec syntax error with the offending position."""
+    """Bad command-line input: a graph-spec syntax error with the offending
+    position, or an option value out of range (``pos`` None)."""
 
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"at position {pos}: {message}")
+    def __init__(self, message: str, pos: int | None = None):
+        super().__init__(message if pos is None else f"at position {pos}: {message}")
         self.pos = pos
 
 
@@ -257,6 +259,16 @@ def validate_report(payload: dict, graph: WeightedGraph | None = None) -> bool:
     return True
 
 
+@contextmanager
+def _health_capture():
+    """Collect the messages of NumericalHealthWarnings raised in the block."""
+    health: list[str] = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", NumericalHealthWarning)
+        yield health
+    health.extend(str(w.message) for w in caught if issubclass(w.category, NumericalHealthWarning))
+
+
 def run_analysis(
     graph: WeightedGraph,
     cfg: DetectionConfig = DetectionConfig(),
@@ -267,9 +279,7 @@ def run_analysis(
     predicates: dict[str, dict] = {}
     certificates: list[tuple] = []
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", NumericalHealthWarning)
-
+    with _health_capture() as health:
         t0 = time.perf_counter()
         dec = decompose(graph)
         timing["decompose"] = (time.perf_counter() - t0) * 1000.0
@@ -322,7 +332,6 @@ def run_analysis(
             timing["scan"] = (time.perf_counter() - t0) * 1000.0
 
     certificates.sort(key=lambda c: (c.a, c.b, c.tau, c.kind))
-    health = [str(w.message) for w in caught if issubclass(w.category, NumericalHealthWarning)]
     return RunReport(
         input_spec=graph.name,
         config=_jsonify(
@@ -355,14 +364,17 @@ def run_analysis(
 
 
 def _config_from_args(args) -> DetectionConfig:
-    base = DetectionConfig()
-    return DetectionConfig(
-        tol_walk=args.tol if getattr(args, "tol", None) else base.tol_walk,
-        beta_min=base.beta_min,
-        t_max=args.tmax if getattr(args, "tmax", None) else base.t_max,
-        grid_points=args.grid if getattr(args, "grid", None) else base.grid_points,
-        refine_iters=base.refine_iters,
-    )
+    given = {"tol_walk": args.tol, "t_max": args.tmax, "grid_points": args.grid}
+    try:
+        return DetectionConfig(**{k: v for k, v in given.items() if v is not None})
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
+
+def _health_exit(health: list[str]) -> int:
+    for msg in health:
+        print(f"numerical health: {msg}", file=sys.stderr)
+    return EXIT_HEALTH if health else EXIT_OK
 
 
 def _emit_report(report: RunReport, args) -> None:
@@ -380,21 +392,19 @@ def cmd_analyze(args) -> int:
     cfg = _config_from_args(args)
     report = run_analysis(graph, cfg, do_scan=args.scan)
     _emit_report(report, args)
-    if report.health_warnings:
-        for msg in report.health_warnings:
-            print(f"numerical health: {msg}", file=sys.stderr)
-        return EXIT_HEALTH
-    return EXIT_OK
+    return _health_exit(report.health_warnings)
 
 
 def cmd_scan(args) -> int:
     graph = parse_graph_spec(args.graph)
     cfg = _config_from_args(args)
+    for option, v in (("--source", args.source), ("--target", args.target)):
+        if v is not None and not 0 <= v < graph.order:
+            raise ParseError(f"{option} {v} is out of range for a graph of order {graph.order}")
     dec = decompose(graph)
     sources = [args.source] if args.source is not None else list(range(graph.order))
     certs = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", NumericalHealthWarning)
+    with _health_capture() as health:
         for a in sources:
             certs.extend(scan_fr(dec, a, args.target, cfg))
     payload = {
@@ -407,9 +417,7 @@ def cmd_scan(args) -> int:
             fh.write(text + "\n")
     else:
         print(text)
-    if caught:
-        return EXIT_HEALTH
-    return EXIT_OK
+    return _health_exit(health)
 
 
 def _resolve_vertex(graph: WeightedGraph, token: str) -> int:
@@ -418,9 +426,9 @@ def _resolve_vertex(graph: WeightedGraph, token: str) -> int:
     try:
         v = int(token)
     except ValueError:
-        raise ParseError(f"unknown vertex {token!r}", 0) from None
+        raise ParseError(f"unknown vertex {token!r}") from None
     if not (0 <= v < graph.order):
-        raise ParseError(f"vertex index {v} out of range", 0)
+        raise ParseError(f"vertex index {v} out of range")
     return v
 
 
@@ -429,7 +437,7 @@ def cmd_quotient(args) -> int:
     cfg = _config_from_args(args)
     pins = [_resolve_vertex(graph, p) for p in args.pin]
     if len(set(pins)) != len(pins):
-        raise ParseError("pinned vertices must be distinct", 0)
+        raise ParseError("pinned vertices must be distinct")
     rest = [v for v in range(graph.order) if v not in pins]
     seed = [[p] for p in pins] + ([rest] if rest else [])
     part = G.coarsest_equitable_refinement(graph, seed)
@@ -464,7 +472,7 @@ def cmd_quotient(args) -> int:
     report = run_analysis(q, cfg)
     report.predicates.update(_jsonify(predicates))
     _emit_report(report, args)
-    return EXIT_HEALTH if report.health_warnings else EXIT_OK
+    return _health_exit(report.health_warnings)
 
 
 def cmd_construct(args) -> int:

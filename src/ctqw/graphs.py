@@ -527,6 +527,8 @@ def parse_graph_text(text: str, name: str = "file") -> WeightedGraph:
             weight = float(parts[2])
         except ValueError:
             raise GraphFormatError(f"bad entry {s!r}", ln) from None
+        if not math.isfinite(weight):
+            raise GraphFormatError(f"weight {parts[2]!r} is not finite", ln)
         if not (0 <= i < n and 0 <= j < n):
             raise GraphFormatError(f"index out of range in {s!r}", ln)
         if i > j:

@@ -34,6 +34,8 @@ class SpectralDecomposition:
     theta[0] is the largest eigenvalue. ``ambiguous_clustering`` is set when
     some raw eigenvalue gap falls within a factor 10 of the grouping
     tolerance, i.e. the grouping could plausibly have gone the other way.
+    ``_time_memo`` holds work that depends only on the matrix and a time (see
+    :mod:`ctqw.walks`); it lives and dies with the decomposition.
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -43,6 +45,7 @@ class SpectralDecomposition:
     group_tolerance: float
     ambiguous_clustering: bool
     nonnegative: bool
+    _time_memo: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         for name in ("matrix", "eigenvalues", "projectors"):

@@ -4,7 +4,8 @@ Detects fractional revival, perfect state transfer, periodicity and uniform
 mixing; solves for revival times of strongly cospectral pairs on the
 gcd-derived candidate grid; verifies the product / overlay / rotation
 constructions and quotient transport. Every certificate is double-checked
-against an eigensolver-free matrix exponential before being reported.
+against an eigensolver-free matrix exponential before being reported; that
+exponential is computed once per decomposition and time.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ CERTIFY_GRID_K = 64
 _SCAN_CUT = 0.2
 #: cap on refined candidates per scan call
 _SCAN_MAX_CANDIDATES = 512
+#: byte budget of the oracle exponentials kept per decomposition; past it the
+#: oldest are dropped first
+_ORACLE_MEMO_BYTES = 64 * 2**20
 
 
 class NumericalHealthWarning(UserWarning):
@@ -61,8 +65,8 @@ class DetectionConfig:
     refine_iters: int = 60
 
     def __post_init__(self) -> None:
-        if min(self.tol_walk, self.beta_min, self.t_max) <= 0:
-            raise ValueError("tolerances and t_max must be positive")
+        if not all(0 < x < math.inf for x in (self.tol_walk, self.beta_min, self.t_max)):
+            raise ValueError("tolerances and t_max must be positive and finite")
         if self.grid_points < 100:
             raise ValueError("grid_points must be at least 100")
         if self.refine_iters < 1:
@@ -192,8 +196,23 @@ def _kind_of(alpha: complex, beta: complex, cfg: DetectionConfig) -> str:
     return KIND_FR
 
 
+def _oracle_exp(dec: SpectralDecomposition, tau: float) -> np.ndarray:
+    """exp(-i tau A) of dec.matrix, computed once per decomposition and exact tau."""
+    exps = dec._time_memo.setdefault("oracle", {})
+    u = exps.get(tau)
+    if u is None:
+        u = matrix_exp_oracle(dec.matrix, tau)
+        u.setflags(write=False)
+        # every entry of one decomposition has the shape of its matrix
+        while exps and (len(exps) + 1) * u.nbytes > _ORACLE_MEMO_BYTES:
+            del exps[next(iter(exps))]
+        if u.nbytes <= _ORACLE_MEMO_BYTES:
+            exps[tau] = u
+    return u
+
+
 def _oracle_agrees(dec: SpectralDecomposition, a: int, tau: float, col: np.ndarray, cfg: DetectionConfig) -> bool:
-    oracle_col = matrix_exp_oracle(dec.matrix, tau)[:, a]
+    oracle_col = _oracle_exp(dec, float(tau))[:, a]
     diff = float(np.abs(col - oracle_col).max())
     if diff > cfg.tol_walk:
         warnings.warn(
@@ -385,6 +404,22 @@ def _golden_min(f, lo: float, hi: float, iters: int) -> float:
     return (lo + hi) / 2.0
 
 
+def _scan_phases(dec: SpectralDecomposition, cfg: DetectionConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The scan's time grid over (0, t_max] and its (d, T) phase table.
+
+    Kept for one grid per decomposition, so the sources of a run share it.
+    """
+    key = (cfg.t_max, cfg.grid_points)
+    held = dec._time_memo.get("scan")
+    if held is None or held[0] != key:
+        ts = np.linspace(0.0, cfg.t_max, cfg.grid_points + 1)[1:]
+        phases = np.exp(-1j * np.outer(dec.eigenvalues, ts))
+        ts.setflags(write=False)
+        phases.setflags(write=False)
+        held = dec._time_memo["scan"] = (key, ts, phases)
+    return held[1], held[2]
+
+
 def scan_fr(
     dec: SpectralDecomposition,
     a: int,
@@ -399,10 +434,8 @@ def scan_fr(
     the residual gate. Periodic events are not reported: the scan looks for
     genuine two-vertex transport. Absence of hits is evidence, not proof.
     """
-    ts = np.linspace(0.0, cfg.t_max, cfg.grid_points + 1)[1:]
-    cols_a = dec.projected_columns(a)
-    phases = np.exp(-1j * np.outer(dec.eigenvalues, ts))
-    cols = cols_a.T @ phases  # (n, T)
+    ts, phases = _scan_phases(dec, cfg)
+    cols = dec.projected_columns(a).T @ phases  # (n, T)
     p = np.abs(cols) ** 2
     totals = p.sum(axis=0)
     pa = p[a].copy()

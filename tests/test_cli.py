@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from ctqw.cli import (
     run_analysis,
     validate_report,
 )
-from ctqw.walks import DetectionConfig
+from ctqw.walks import DetectionConfig, NumericalHealthWarning
 
 
 class TestSpecParsing:
@@ -180,6 +181,61 @@ class TestCommands:
         monkeypatch.setattr(cli_mod, "run_groups", lambda groups, cfg: [RowResult("g", "row", False, "boom")])
         assert main(["paper-suite", "--only", "cycles"]) == EXIT_SUITE
         assert "[FAIL]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("option", ["--source", "--target"])
+    @pytest.mark.parametrize("vertex", ["99", "6", "-1"])
+    def test_scan_vertex_out_of_range(self, capsys, option, vertex):
+        assert main(["scan", "cycle:6", option, vertex]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and "out of range" in err
+        assert err.count("\n") == 1
+
+    def test_scan_ignores_non_health_warnings(self, capsys, monkeypatch):
+        from ctqw import cli as cli_mod
+
+        def noisy_scan(dec, a, b, cfg):
+            warnings.warn("overflow in something", RuntimeWarning)
+            return []
+
+        monkeypatch.setattr(cli_mod, "scan_fr", noisy_scan)
+        assert main(["scan", "cycle:4", "--source", "0"]) == EXIT_OK
+
+    def test_scan_health_warning_exit(self, capsys, monkeypatch):
+        from ctqw import cli as cli_mod
+
+        def unhealthy_scan(dec, a, b, cfg):
+            warnings.warn("spectral/oracle disagreement", NumericalHealthWarning)
+            return []
+
+        monkeypatch.setattr(cli_mod, "scan_fr", unhealthy_scan)
+        assert main(["scan", "cycle:4", "--source", "0"]) == EXIT_HEALTH
+        assert "numerical health: spectral/oracle disagreement" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"),
+            ("--tmax", "0"), ("--tmax", "inf"),
+            ("--grid", "0"), ("--grid", "50"),
+        ],
+    )
+    def test_bad_numeric_options(self, capsys, option, value):
+        assert main(["analyze", "cycle:6", option, value]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and err.count("\n") == 1
+
+    def test_numeric_options_reach_config(self, capsys):
+        assert main(["analyze", "path:2", "--tol", "1e-7", "--tmax", "7", "--grid", "100"]) == EXIT_OK
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert (config["tol_walk"], config["t_max"], config["grid_points"]) == (1e-7, 7.0, 100)
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_file(self, tmp_path, capsys, weight):
+        target = tmp_path / "bad.graph"
+        target.write_text(f"n 2\n0 1 {weight}\n")
+        assert main(["analyze", str(target)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "line 2" in err and "not finite" in err
 
     def test_health_exit_code_contract(self):
         assert (EXIT_OK, EXIT_PARSE, EXIT_HEALTH, EXIT_SUITE) == (0, 2, 3, 4)

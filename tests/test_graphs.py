@@ -294,6 +294,12 @@ class TestFileFormat:
         with pytest.raises(G.GraphFormatError):
             G.parse_graph_text("n 3\n1 0 1.0\n")  # lower triangle
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(G.GraphFormatError) as err:
+            G.parse_graph_text(f"n 3\n0 1 1.0\n1 2 {weight}\n")
+        assert err.value.line == 3
+
     def test_diagonal_entries_allowed(self):
         g = G.parse_graph_text("n 2\n0 0 0.5\n0 1 2.0\n")
         assert g.weights[0, 0] == 0.5 and g.weights[0, 1] == 2.0

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ctqw import graphs as G
+from ctqw import walks as walks_mod
 from ctqw.spectral import SpectralDecomposition, decompose, pair_profile
 from ctqw.walks import (
     KIND_BALANCED,
@@ -308,23 +309,99 @@ class TestGammaConsequences:
             check_gamma_consequences(cert, dec, CFG)
 
 
+def _all_pair_certificates(dec):
+    certs = []
+    for a in range(dec.order):
+        for b in range(a + 1, dec.order):
+            certs.extend(certify_pair(dec, a, b, CFG).certificates)
+    return certs
+
+
+def _tampered_c6(good):
+    """good's projectors with a matrix the oracle walks as a different graph."""
+    return SpectralDecomposition(
+        matrix=G.cycle(6).weights * 1.001,
+        eigenvalues=good.eigenvalues,
+        projectors=good.projectors,
+        multiplicities=good.multiplicities,
+        group_tolerance=good.group_tolerance,
+        ambiguous_clustering=False,
+        nonnegative=True,
+    )
+
+
 class TestHealthGate:
     def test_mismatched_matrix_voids_certificate(self):
         good = decompose(G.cycle(6))
-        tampered = SpectralDecomposition(
-            matrix=G.cycle(6).weights * 1.001,  # oracle will walk a different graph
-            eigenvalues=good.eigenvalues,
-            projectors=good.projectors,
-            multiplicities=good.multiplicities,
-            group_tolerance=good.group_tolerance,
-            ambiguous_clustering=False,
-            nonnegative=True,
-        )
+        tampered = _tampered_c6(good)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             cert = detect_at(tampered, 0, 2 * math.pi / 3, CFG)
         assert cert is None
         assert any(issubclass(w.category, NumericalHealthWarning) for w in caught)
+
+
+class TestTimeMemo:
+    def test_perturbed_matrix_caught_with_memo_warm(self):
+        good = decompose(G.cycle(6))
+        tau = 2 * math.pi / 3
+        assert detect_at(good, 0, tau, CFG) is not None
+        tampered = _tampered_c6(good)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cert = detect_at(tampered, 0, tau, CFG)
+        assert cert is None
+        assert any(issubclass(w.category, NumericalHealthWarning) for w in caught)
+
+    def test_oracle_once_per_distinct_tau(self, monkeypatch):
+        seen = []
+
+        def counting(a, t):
+            seen.append(t)
+            return matrix_exp_oracle(a, t)
+
+        monkeypatch.setattr(walks_mod, "matrix_exp_oracle", counting)
+        certs = _all_pair_certificates(decompose(G.hypercube(4)))
+        assert len(certs) > len(set(seen))
+        assert len(seen) == len(set(seen))
+        assert set(seen) == {c.tau for c in certs}
+
+    @pytest.mark.parametrize("entries", [0.5, 2.5])
+    def test_byte_cap_bounds_memo(self, monkeypatch, entries):
+        g = G.cocktail_party(5)  # certificates at 5 distinct tau
+        expected = _all_pair_certificates(decompose(g))
+        cap = int(entries * g.order**2 * 16)  # one exponential is n x n complex
+        seen = []
+
+        def counting(a, t):
+            seen.append(t)
+            return matrix_exp_oracle(a, t)
+
+        monkeypatch.setattr(walks_mod, "_ORACLE_MEMO_BYTES", cap)
+        monkeypatch.setattr(walks_mod, "matrix_exp_oracle", counting)
+        dec = decompose(g)
+        assert _all_pair_certificates(dec) == expected
+        held = dec._time_memo.get("oracle", {})
+        assert sum(u.nbytes for u in held.values()) <= cap
+        assert list(held) == seen[len(seen) - int(entries):]  # the oldest went first
+
+    def test_memo_entries_read_only(self):
+        dec = decompose(G.cycle(6))
+        detect_at(dec, 0, 2 * math.pi / 3, CFG)
+        scan_fr(dec, 0, None, DetectionConfig(t_max=10.0, grid_points=2000))
+        _, ts, phases = dec._time_memo["scan"]
+        for arr in (*dec._time_memo["oracle"].values(), ts, phases):
+            assert not arr.flags.writeable
+
+    def test_scan_on_warm_decomposition(self):
+        small = DetectionConfig(t_max=10.0, grid_points=2000)
+        other = DetectionConfig(t_max=12.0, grid_points=3000)
+        warm = decompose(G.cycle(6))
+        for cfg in (small, other, small):
+            fresh = [scan_fr(decompose(G.cycle(6)), a, None, cfg) for a in range(6)]
+            assert [scan_fr(warm, a, None, cfg) for a in range(6)] == fresh
+            assert warm._time_memo["scan"][0] == (cfg.t_max, cfg.grid_points)
+        assert any(fresh)
 
 
 class TestCertificateInvariants:
