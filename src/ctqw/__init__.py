@@ -30,8 +30,6 @@ from ctqw.numtheory import (
     NotClassifiable,
     RationalApprox,
     classify,
-    cosine_independent,
-    n_of,
     ratio_condition,
     rationalize,
 )

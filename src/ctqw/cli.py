@@ -19,7 +19,7 @@ import sys
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from ctqw.walks import (
     DetectionConfig,
     FrCertificate,
     NumericalHealthWarning,
+    _residual,
     certify_pair,
     scan_fr,
     transition_column,
@@ -176,21 +177,7 @@ def _jsonify(value):
 
 
 def certificate_to_json(cert: FrCertificate, graph_name: str) -> dict:
-    return _jsonify(
-        {
-            "graph": graph_name,
-            "a": cert.a,
-            "b": cert.b,
-            "tau": cert.tau,
-            "alpha": complex(cert.alpha),
-            "beta": complex(cert.beta),
-            "gamma": cert.gamma,
-            "zeta": cert.zeta,
-            "kind": cert.kind,
-            "residual": cert.residual,
-            "method": cert.method,
-        }
-    )
+    return _jsonify({"graph": graph_name, **asdict(cert)})
 
 
 @dataclass
@@ -210,22 +197,10 @@ class RunReport:
     health_warnings: list = field(default_factory=list)
 
     def payload(self) -> dict:
-        return {
-            "input_spec": self.input_spec,
-            "config": self.config,
-            "graph": self.graph,
-            "certificates": self.certificates,
-            "predicates": self.predicates,
-            "timing_ms": self.timing_ms,
-            "health_warnings": self.health_warnings,
-        }
+        return dict(vars(self))
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.payload(), indent=indent)
-
-    @staticmethod
-    def from_json(text: str) -> dict:
-        return json.loads(text)
 
 
 def validate_report(payload: dict, graph: WeightedGraph | None = None) -> bool:
@@ -248,11 +223,9 @@ def validate_report(payload: dict, graph: WeightedGraph | None = None) -> bool:
     norm = float(np.abs(graph.weights).sum(axis=1).max())
     for c in payload["certificates"]:
         tau = float(c["tau"])
-        col = transition_column(dec, int(c["a"]), tau)
-        expected = np.zeros(graph.order, dtype=complex)
-        expected[int(c["a"])] += complex(c["alpha"][0], c["alpha"][1])
-        expected[int(c["b"])] += complex(c["beta"][0], c["beta"][1])
-        residual = float(np.linalg.norm(col - expected))
+        a, b = int(c["a"]), int(c["b"])
+        col = transition_column(dec, a, tau)
+        residual = _residual(col, a, complex(*c["alpha"]), b, complex(*c["beta"]))
         floor = 1e-11 * max(1.0, abs(tau) * norm)
         if residual > max(2.0 * float(c["residual"]), floor):
             return False
@@ -277,7 +250,15 @@ def run_analysis(
     """Full pipeline: decompose, profile all pairs, certify, optionally scan."""
     timing: dict[str, float] = {}
     predicates: dict[str, dict] = {}
-    certificates: list[tuple] = []
+    certificates: list[FrCertificate] = []
+    seen: set[tuple] = set()
+
+    def keep(certs) -> None:
+        for cert in certs:
+            key = (cert.a, cert.b, round(cert.tau, 9), cert.kind)
+            if key not in seen:
+                seen.add(key)
+                certificates.append(cert)
 
     with _health_capture() as health:
         t0 = time.perf_counter()
@@ -290,7 +271,6 @@ def run_analysis(
             predicates["ambiguous_clustering"] = {"holds": True}
 
         t0 = time.perf_counter()
-        seen: set[tuple] = set()
         n = graph.order
         for a in range(n):
             for b in range(a + 1, n):
@@ -314,35 +294,19 @@ def run_analysis(
                     if pc.witness is not None and pc.witness.witness_ratio is not None:
                         entry["witness_ratio"] = pc.witness.witness_ratio
                 predicates[f"pair({a},{b})"] = entry
-                for cert in pc.certificates:
-                    key = (cert.a, cert.b, round(cert.tau, 9), cert.kind)
-                    if key not in seen:
-                        seen.add(key)
-                        certificates.append(cert)
+                keep(pc.certificates)
         timing["certify"] = (time.perf_counter() - t0) * 1000.0
 
         if do_scan:
             t0 = time.perf_counter()
             for a in range(n):
-                for cert in scan_fr(dec, a, None, cfg):
-                    key = (cert.a, cert.b, round(cert.tau, 9), cert.kind)
-                    if key not in seen:
-                        seen.add(key)
-                        certificates.append(cert)
+                keep(scan_fr(dec, a, None, cfg))
             timing["scan"] = (time.perf_counter() - t0) * 1000.0
 
     certificates.sort(key=lambda c: (c.a, c.b, c.tau, c.kind))
     return RunReport(
         input_spec=graph.name,
-        config=_jsonify(
-            {
-                "tol_walk": cfg.tol_walk,
-                "beta_min": cfg.beta_min,
-                "t_max": cfg.t_max,
-                "grid_points": cfg.grid_points,
-                "refine_iters": cfg.refine_iters,
-            }
-        ),
+        config=_jsonify(asdict(cfg)),
         graph={
             "order": graph.order,
             "signed": graph.signed,
@@ -377,9 +341,9 @@ def _health_exit(health: list[str]) -> int:
     return EXIT_HEALTH if health else EXIT_OK
 
 
-def _emit_report(report: RunReport, args) -> None:
-    text = report.to_json()
-    if getattr(args, "json", None):
+def _emit(text: str, args) -> None:
+    """Write a JSON report to the --json file, or print it."""
+    if args.json:
         with open(args.json, "w", encoding="ascii") as fh:
             fh.write(text + "\n")
         print(f"report written to {args.json}")
@@ -391,7 +355,7 @@ def cmd_analyze(args) -> int:
     graph = parse_graph_spec(args.graph)
     cfg = _config_from_args(args)
     report = run_analysis(graph, cfg, do_scan=args.scan)
-    _emit_report(report, args)
+    _emit(report.to_json(), args)
     return _health_exit(report.health_warnings)
 
 
@@ -411,12 +375,7 @@ def cmd_scan(args) -> int:
         "input_spec": graph.name,
         "certificates": [certificate_to_json(c, graph.name) for c in certs],
     }
-    text = json.dumps(payload, indent=2)
-    if args.json:
-        with open(args.json, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit(json.dumps(payload, indent=2), args)
     return _health_exit(health)
 
 
@@ -471,7 +430,7 @@ def cmd_quotient(args) -> int:
 
     report = run_analysis(q, cfg)
     report.predicates.update(_jsonify(predicates))
-    _emit_report(report, args)
+    _emit(report.to_json(), args)
     return _health_exit(report.health_warnings)
 
 

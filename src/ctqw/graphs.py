@@ -83,13 +83,6 @@ class WeightedGraph:
         return f"WeightedGraph({self.name!r}, order={self.order})"
 
 
-def from_weights(weights, labels=None, name: str = "graph") -> WeightedGraph:
-    w = np.asarray(weights, dtype=float)
-    if labels is None:
-        labels = tuple(str(i) for i in range(w.shape[0]))
-    return WeightedGraph(w, tuple(labels), name)
-
-
 # ---------------------------------------------------------------------------
 # standard families
 # ---------------------------------------------------------------------------

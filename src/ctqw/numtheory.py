@@ -2,8 +2,7 @@
 
 Rational recognition with a convergent-quality gate, eigenvalue-difference
 ratio tests, integer / quadratic-integer classification of eigenvalue
-supports, gcd-based candidate time grids, and the cosine linear-independence
-criterion.
+supports, and gcd-based candidate time grids.
 """
 
 from __future__ import annotations
@@ -42,9 +41,6 @@ class RationalApprox:
     def value(self) -> float:
         return self.p / self.q
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.p, self.q)
-
 
 def rationalize(
     x: float,
@@ -71,13 +67,6 @@ def rationalize(
     if residual > tol or residual * f.denominator**2 > quality:
         return None
     return RationalApprox(f.numerator, f.denominator, residual)
-
-
-def n_of(mu: RationalApprox | Fraction) -> int:
-    """Reduced denominator of a rational number."""
-    if isinstance(mu, Fraction):
-        return mu.denominator
-    return mu.q
 
 
 @dataclass(frozen=True)
@@ -127,26 +116,6 @@ class NotClassifiable(Exception):
         super().__init__(reason)
         self.reason = reason
         self.witness = witness
-
-
-class CosineCriterionInapplicable(ValueError):
-    """mu1 +/- mu2 is an integer, outside the criterion's hypotheses."""
-
-
-def cosine_independent(mu1: RationalApprox | Fraction, mu2: RationalApprox | Fraction) -> bool:
-    """Whether {1, cos(mu1*pi), cos(mu2*pi)} is linearly independent over Q.
-
-    Decided from the reduced denominators: independent iff both are >= 4 and
-    the pair is not (5, 5). Only valid when neither mu1+mu2 nor mu1-mu2 is an
-    integer; boundary inputs raise CosineCriterionInapplicable and the caller
-    must argue those cases separately.
-    """
-    f1 = mu1.as_fraction() if isinstance(mu1, RationalApprox) else Fraction(mu1)
-    f2 = mu2.as_fraction() if isinstance(mu2, RationalApprox) else Fraction(mu2)
-    if (f1 + f2).denominator == 1 or (f1 - f2).denominator == 1:
-        raise CosineCriterionInapplicable(f"mu1 +/- mu2 integral for {f1} and {f2}")
-    n1, n2 = f1.denominator, f2.denominator
-    return n1 >= 4 and n2 >= 4 and (n1, n2) != (5, 5)
 
 
 def squarefree_part(n: int) -> int:

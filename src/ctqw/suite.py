@@ -24,6 +24,7 @@ from ctqw.walks import (
     KIND_PST,
     DetectionConfig,
     FrCertificate,
+    _wrap_angle,
     certify_pair,
     check_gamma_consequences,
     check_pst,
@@ -420,11 +421,9 @@ def construction_rows(cfg: DetectionConfig) -> list[RowResult]:
 # ---------------------------------------------------------------------------
 
 
-def collect_suite_certificates(cfg: DetectionConfig) -> list[tuple[str, SpectralDecomposition, FrCertificate]]:
-    """All certificates the positive suite rows produce, with their decompositions."""
-    found: list[tuple[str, SpectralDecomposition, FrCertificate]] = []
-
-    pair_cases = [
+def _positive_pairs() -> list[tuple[G.WeightedGraph, int, int]]:
+    """The strongly cospectral (graph, a, b) cases behind the positive suite rows."""
+    return [
         (G.cycle(6), 0, 3),
         (G.cycle(4), 0, 2),
         (G.path(2), 0, 1),
@@ -434,7 +433,12 @@ def collect_suite_certificates(cfg: DetectionConfig) -> list[tuple[str, Spectral
         (G.cocktail_party(4), 0, 1),
         (G.cartesian_product(G.star(16), G.path(2)), 0, 1),
     ]
-    for g, a, b in pair_cases:
+
+
+def collect_suite_certificates(cfg: DetectionConfig) -> list[tuple[str, SpectralDecomposition, FrCertificate]]:
+    """All certificates the positive suite rows produce, with their decompositions."""
+    found: list[tuple[str, SpectralDecomposition, FrCertificate]] = []
+    for g, a, b in _positive_pairs():
         dec = decompose(g)
         for cert in certify_pair(dec, a, b, cfg).certificates:
             found.append((g.name, dec, cert))
@@ -453,13 +457,6 @@ def collect_suite_certificates(cfg: DetectionConfig) -> list[tuple[str, Spectral
         found.append((overlay.name, dec, cert))
 
     return found
-
-
-def _wrap(x: float) -> float:
-    y = math.fmod(x + math.pi, 2 * math.pi)
-    if y <= 0:
-        y += 2 * math.pi
-    return y - math.pi
 
 
 def theorem_property_rows(cfg: DetectionConfig) -> list[RowResult]:
@@ -483,16 +480,16 @@ def theorem_property_rows(cfg: DetectionConfig) -> list[RowResult]:
             congruence_checked += 1
             theta = dec.eigenvalues
             for r in sorted(prof.phi_plus):
-                if abs(_wrap(cert.tau * (theta[0] - theta[r]))) > 1e-6:
+                if abs(_wrap_angle(cert.tau * (theta[0] - theta[r]))) > 1e-6:
                     cong_bad += 1
                     break
             else:
                 for r in sorted(prof.phi_minus):
-                    if abs(_wrap(cert.tau * (theta[0] - theta[r]) + 2 * cert.gamma)) > 1e-6:
+                    if abs(_wrap_angle(cert.tau * (theta[0] - theta[r]) + 2 * cert.gamma)) > 1e-6:
                         cong_bad += 1
                         break
                 else:
-                    if abs(_wrap(cert.zeta + cert.tau * theta[0] + cert.gamma)) > 1e-6:
+                    if abs(_wrap_angle(cert.zeta + cert.tau * theta[0] + cert.gamma)) > 1e-6:
                         cong_bad += 1
             rep = check_gamma_consequences(cert, dec, cfg)
             if rep["verdict"] == "rational":
@@ -557,17 +554,7 @@ def classification_rows(cfg: DetectionConfig) -> list[RowResult]:
     rows.append(_row("classification", "C6: all-integer support, candidate grid contains 2pi/3", ok6))
 
     worst = 0.0
-    cases = [
-        (G.path(2), 0, 1),
-        (G.path(3), 0, 2),
-        (G.path(4), 0, 3),
-        (G.cycle(4), 0, 2),
-        (G.cycle(6), 0, 3),
-        (G.cocktail_party(3), 0, 1),
-        (G.cocktail_party(4), 0, 1),
-        (G.cartesian_product(G.star(16), G.path(2)), 0, 1),
-        (G.double_cone(G.cycle(5)), 0, 6),
-    ]
+    cases = _positive_pairs() + [(G.double_cone(G.cycle(5)), 0, 6)]
     classified = 0
     for g, a, b in cases:
         pc = certify_pair(decompose(g), a, b, cfg)

@@ -67,8 +67,9 @@ class DetectionConfig:
     def __post_init__(self) -> None:
         if not all(0 < x < math.inf for x in (self.tol_walk, self.beta_min, self.t_max)):
             raise ValueError("tolerances and t_max must be positive and finite")
-        if self.grid_points < 100:
-            raise ValueError("grid_points must be at least 100")
+        # the scan holds several (n, grid_points) arrays at once
+        if not 100 <= self.grid_points <= 10**6:
+            raise ValueError("grid_points must be between 100 and 1000000")
         if self.refine_iters < 1:
             raise ValueError("refine_iters must be positive")
 
@@ -258,8 +259,7 @@ def detect_at(
     else:
         b = a
         beta = 0.0 + 0.0j
-    expected = alpha * _unit(dec.order, a) + beta * _unit(dec.order, b)
-    residual = float(np.linalg.norm(col - expected))
+    residual = _residual(col, a, alpha, b, beta)
     if residual > cfg.tol_walk:
         return None
     if b == a and abs(abs(alpha) - 1.0) > cfg.tol_walk:
@@ -282,10 +282,12 @@ def detect_at(
     )
 
 
-def _unit(n: int, i: int) -> np.ndarray:
-    e = np.zeros(n, dtype=complex)
-    e[i] = 1.0
-    return e
+def _residual(col: np.ndarray, a: int, alpha: complex, b: int, beta: complex) -> float:
+    """||col - alpha e_a - beta e_b||, with col left untouched; beta = 0 when b == a."""
+    diff = col.copy()
+    diff[a] -= alpha
+    diff[b] -= beta
+    return float(np.linalg.norm(diff))
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +484,7 @@ def scan_fr(
 
 def check_periodic(dec: SpectralDecomposition, a: int, tau: float, cfg: DetectionConfig = DetectionConfig()) -> bool:
     """|U(tau)_{a,a}| = 1 within tol_walk."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    entry = transition_column(dec, a, tau)[a]
-    return abs(abs(entry) - 1.0) <= cfg.tol_walk
+    return check_pst(dec, a, a, tau, cfg)
 
 
 def check_pst(dec: SpectralDecomposition, a: int, b: int, tau: float, cfg: DetectionConfig = DetectionConfig()) -> bool:
@@ -517,8 +516,7 @@ def check_symmetry(cert: FrCertificate, dec: SpectralDecomposition, cfg: Detecti
     col = transition_column(dec, cert.b, cert.tau)
     if abs(col[cert.b] - rev_alpha) > cfg.tol_walk:
         return False
-    expected = rev_alpha * _unit(dec.order, cert.b) + cert.beta * _unit(dec.order, cert.a)
-    return float(np.linalg.norm(col - expected)) <= cfg.tol_walk
+    return _residual(col, cert.b, rev_alpha, cert.a, cert.beta) <= cfg.tol_walk
 
 
 def check_gamma_consequences(
@@ -647,8 +645,7 @@ def verify_construction_union(
     overlay = union_overlay(x, y)
     dec_o = decompose(overlay)
     col = transition_column(dec_o, a, tau)
-    expected = gamma * (math.cos(tau) * _unit(overlay.order, b) - 1j * math.sin(tau) * _unit(overlay.order, a))
-    residual = float(np.linalg.norm(col - expected))
+    residual = _residual(col, a, gamma * (-1j * math.sin(tau)), b, gamma * math.cos(tau))
     cert = detect_at(dec_o, a, tau, cfg, method="construction")
     report["transfer_phase"] = gamma
     report["amplitude_residual"] = residual
@@ -685,10 +682,7 @@ def verify_construction_xtheta(
     dec_g = decompose(g)
     n = y.order
     col = transition_column(dec_g, a, tau)  # (0, a) sits at index a
-    expected = gamma * (
-        -1j * math.sin(2 * theta) * _unit(2 * n, a) - 1j * math.cos(2 * theta) * _unit(2 * n, n + b)
-    )
-    residual = float(np.linalg.norm(col - expected))
+    residual = _residual(col, a, gamma * (-1j * math.sin(2 * theta)), n + b, gamma * (-1j * math.cos(2 * theta)))
     report["transfer_phase"] = gamma
     report["alpha"] = complex(col[a])
     report["beta"] = complex(col[n + b])

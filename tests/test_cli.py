@@ -14,7 +14,6 @@ from ctqw.cli import (
     EXIT_PARSE,
     EXIT_SUITE,
     ParseError,
-    RunReport,
     main,
     parse_graph_spec,
     run_analysis,
@@ -80,12 +79,12 @@ class TestReports:
 
     def test_certificates_revalidate_on_load(self):
         rep = run_analysis(parse_graph_spec("path:4"), DetectionConfig())
-        loaded = RunReport.from_json(rep.to_json())
+        loaded = json.loads(rep.to_json())
         assert validate_report(loaded)
 
     def test_tampered_report_fails_validation(self):
         rep = run_analysis(parse_graph_spec("cycle:6"), DetectionConfig())
-        loaded = RunReport.from_json(rep.to_json())
+        loaded = json.loads(rep.to_json())
         loaded["certificates"][0]["tau"] *= 1.01
         assert not validate_report(loaded)
 
@@ -168,6 +167,16 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert any(c["kind"] == "perfect_state_transfer" for c in payload["certificates"])
 
+    def test_scan_json_file_matches_stdout(self, tmp_path, capsys):
+        argv = ["scan", "cycle:4", "--source", "0", "--tmax", "8", "--grid", "4000"]
+        assert main(argv) == EXIT_OK
+        printed = capsys.readouterr().out
+        out = tmp_path / "scan.json"
+        assert main(argv + ["--json", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == f"report written to {out}\n"
+        assert out.read_text() == printed
+        assert json.loads(out.read_text())["certificates"]
+
     def test_paper_suite_single_group(self, capsys):
         code = main(["paper-suite", "--only", "classification"])
         out = capsys.readouterr().out
@@ -216,7 +225,7 @@ class TestCommands:
         [
             ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"),
             ("--tmax", "0"), ("--tmax", "inf"),
-            ("--grid", "0"), ("--grid", "50"),
+            ("--grid", "0"), ("--grid", "50"), ("--grid", "100000000"),
         ],
     )
     def test_bad_numeric_options(self, capsys, option, value):

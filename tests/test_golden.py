@@ -1,0 +1,82 @@
+"""Golden reports: `analyze` payloads, timings removed, pinned to a fixture.
+
+Keys, ints, strings and bools must match exactly; floats match to
+rel 1e-9 / abs 1e-12, so a different BLAS build does not trip the test.
+Regenerate the fixture from a source tree with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from ctqw.cli import parse_graph_spec, run_analysis
+from ctqw.walks import DetectionConfig
+
+FIXTURE = Path(__file__).parent / "data" / "golden_analyze.json"
+
+#: (spec, run the scan too)
+CASES = [
+    ("cycle:6", False),
+    ("path:4", False),
+    ("cocktail:4", False),
+    ("cube:3", False),
+    ("path:4", True),
+    ("cycle:6", True),
+]
+
+
+def _key(spec: str, scan: bool) -> str:
+    return spec + (" --scan" if scan else "")
+
+
+def _payload(spec: str, scan: bool) -> dict:
+    report = run_analysis(parse_graph_spec(spec), DetectionConfig(), do_scan=scan)
+    payload = json.loads(report.to_json())
+    payload.pop("timing_ms")
+    return payload
+
+
+def _assert_same(got, want, where: str = "$") -> None:
+    assert type(got) is type(want), f"{where}: {type(got).__name__} != {type(want).__name__}"
+    if isinstance(want, dict):
+        assert list(got) == list(want), f"{where}: keys {list(got)} != {list(want)}"
+        for k in want:
+            _assert_same(got[k], want[k], f"{where}.{k}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), f"{where}: length {len(got)} != {len(want)}"
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12), f"{where}: {got!r} != {want!r}"
+    else:
+        assert got == want, f"{where}: {got!r} != {want!r}"
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(FIXTURE.read_text())
+
+
+@pytest.mark.parametrize("spec, scan", CASES, ids=[_key(s, c) for s, c in CASES])
+def test_analyze_matches_golden(golden, spec, scan):
+    _assert_same(_payload(spec, scan), golden[_key(spec, scan)])
+
+
+def test_comparison_is_strict_on_non_floats():
+    with pytest.raises(AssertionError):
+        _assert_same({"kind": "periodic"}, {"kind": "balanced_fr"})
+    with pytest.raises(AssertionError):
+        _assert_same([1], [1.0])
+    with pytest.raises(AssertionError):
+        _assert_same({"a": 1, "b": 2}, {"b": 2, "a": 1})
+    _assert_same([0.1 + 1e-12], [0.1])
+
+
+if __name__ == "__main__":
+    golden = {_key(s, c): _payload(s, c) for s, c in CASES}
+    FIXTURE.write_text(json.dumps(golden, indent=1) + "\n")
+    print(f"wrote {FIXTURE}")

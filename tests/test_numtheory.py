@@ -8,11 +8,8 @@ import pytest
 
 from ctqw import graphs as G
 from ctqw.numtheory import (
-    CosineCriterionInapplicable,
     NotClassifiable,
     classify,
-    cosine_independent,
-    n_of,
     ratio_condition,
     rationalize,
     squarefree_part,
@@ -55,16 +52,16 @@ class TestRationalize:
         assert rationalize(float("nan")) is None
         assert rationalize(float("inf")) is None
 
+    def test_rational_cosine_recognized(self):
+        assert rationalize(math.cos(math.pi / 3)) is not None
+
 
 class TestNOf:
-    def test_reduction(self):
-        assert n_of(rationalize(4 / 14)) == 7
-        assert n_of(rationalize(8 / 6)) == 3
-        assert n_of(Fraction(7, 22)) == 22
+    """Recognized denominators come back in lowest terms."""
 
-    def test_paper_style_denominator(self):
-        n = 10
-        assert n_of(Fraction(n - 3, 2 * (n + 1))) == 22
+    def test_reduction(self):
+        assert rationalize(4 / 14).q == 7
+        assert rationalize(8 / 6).q == 3
 
 
 class TestRatioCondition:
@@ -97,24 +94,6 @@ class TestRatioCondition:
         good = [3.0, 1.0, 0.0]
         mapped = [-2.5 * v + 1.0 for v in good]
         assert ratio_condition(good).holds and ratio_condition(mapped).holds
-
-
-class TestCosineCriterion:
-    def test_c14_case_independent(self):
-        assert cosine_independent(Fraction(4, 14), Fraction(8, 14)) is True
-
-    def test_five_five_excluded(self):
-        assert cosine_independent(Fraction(2, 5), Fraction(4, 5)) is False
-
-    def test_small_denominator_dependent(self):
-        assert cosine_independent(Fraction(1, 3), Fraction(1, 4)) is False
-
-    def test_integral_sum_signals(self):
-        # 1/3 + 2/3 = 1: outside the criterion; cos(pi/3) = 1/2 is rational,
-        # so the set is trivially dependent, but the caller must decide that
-        with pytest.raises(CosineCriterionInapplicable):
-            cosine_independent(Fraction(1, 3), Fraction(2, 3))
-        assert rationalize(math.cos(math.pi / 3)) is not None
 
 
 class TestSquarefree:
