@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import os
 import sys
@@ -25,18 +26,25 @@ import numpy as np
 
 from ctqw import graphs as G
 from ctqw.graphs import GraphFormatError, WeightedGraph
-from ctqw.spectral import decompose
+from ctqw.spectral import decompose, strongly_cospectral_candidates
 from ctqw.suite import ALL_GROUPS, run_groups
 from ctqw.walks import (
+    KIND_PERIODIC,
+    VALID_KINDS,
     DetectionConfig,
     FrCertificate,
     NumericalHealthWarning,
+    _gamma_zeta,
+    _kind_of,
     _residual,
+    _wrap_angle,
     certify_pair,
     scan_fr,
     transition_column,
     verify_quotient_transport,
 )
+
+logger = logging.getLogger("ctqw.cli")  # named: under python -m, __name__ is "__main__"
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -203,32 +211,103 @@ class RunReport:
         return json.dumps(self.payload(), indent=indent)
 
 
-def validate_report(payload: dict, graph: WeightedGraph | None = None) -> bool:
-    """Recompute every certificate residual from the stored graph.
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
-    Uses the report's exact weights when present (derived graphs such as
-    quotients have no parseable spec), else re-parses the input spec. A
-    loaded certificate is accepted when the recomputed residual is within 2x
-    its stored value, with a floor absorbing the 12-digit JSON rounding of
-    (tau, alpha, beta): rounding tau perturbs the column by up to about
-    5e-12 * |tau| * ||A||.
+
+def _is_vertex(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_amplitude(v) -> bool:
+    return isinstance(v, list) and len(v) == 2 and all(_is_number(x) for x in v)
+
+
+#: certificate fields of a report and the JSON values each accepts
+_CERTIFICATE_SCHEMA = {
+    "graph": lambda v: isinstance(v, str),
+    "a": _is_vertex,
+    "b": _is_vertex,
+    "tau": lambda v: _is_number(v) and v > 0,
+    "alpha": _is_amplitude,
+    "beta": _is_amplitude,
+    "gamma": lambda v: v is None or _is_number(v),
+    "zeta": lambda v: v is None or _is_number(v),
+    "kind": lambda v: isinstance(v, str) and v in VALID_KINDS,
+    "residual": lambda v: _is_number(v) and v >= 0,
+    "method": lambda v: isinstance(v, str),
+}
+
+
+def _report_graph(payload: dict) -> WeightedGraph:
+    """The report's exact weights when present (derived graphs such as
+    quotients have no parseable spec), else its re-parsed input spec."""
+    spec = payload["input_spec"]
+    if not isinstance(spec, str):
+        raise TypeError("input_spec must be a string")
+    g = payload.get("graph")
+    if isinstance(g, dict) and "weights" in g:
+        w = np.array(g["weights"], dtype=float)
+        if not np.isfinite(w).all():
+            raise ValueError("non-finite weight")
+        return WeightedGraph(w, tuple(g["labels"]), spec)
+    return parse_graph_spec(spec)
+
+
+def _same_angles(stored: tuple[float, float], derived: tuple[float, float], tol: float = 1e-9) -> bool:
+    """(gamma, zeta) pairs equal mod 2pi; (gamma + pi, zeta + pi) gives the same
+    amplitudes, which matters at gamma = pi/2, the edge of its range."""
+    dg, dz = stored[0] - derived[0], stored[1] - derived[1]
+    return any(abs(_wrap_angle(dg + s)) <= tol and abs(_wrap_angle(dz + s)) <= tol for s in (0.0, math.pi))
+
+
+def validate_report(payload: dict, graph: WeightedGraph | None = None) -> bool:
+    """Re-derive every certificate of a loaded report from its graph.
+
+    Returns False, and never raises, on a malformed report: a missing or
+    mistyped field, a vertex out of range, a bad detection config or a graph
+    that does not build. Per certificate it recomputes
+
+    - the residual ||U(tau) e_a - alpha e_a - beta e_b||, accepted within 2x
+      its stored value, with a floor absorbing the 12-digit JSON rounding of
+      (tau, alpha, beta): rounding tau perturbs the column by up to about
+      5e-12 * |tau| * ||A||;
+    - ``kind`` from a, b and the amplitudes, with the report's detection
+      config (the default when the report carries none): periodic exactly
+      when b == a;
+    - ``gamma``/``zeta`` where set, from the amplitudes, to 1e-9 mod 2pi.
     """
-    if graph is None:
-        if "weights" in payload.get("graph", {}):
-            g = payload["graph"]
-            graph = WeightedGraph(np.array(g["weights"]), tuple(g["labels"]), payload["input_spec"])
-        else:
-            graph = parse_graph_spec(payload["input_spec"])
+    if not isinstance(payload, dict) or not isinstance(payload.get("certificates"), list):
+        return False
+    try:
+        cfg = DetectionConfig(**payload.get("config", {}))
+        if graph is None:
+            graph = _report_graph(payload)
+    except (KeyError, TypeError, ValueError, OSError):
+        return False
     dec = decompose(graph)
+    n = graph.order
     norm = float(np.abs(graph.weights).sum(axis=1).max())
     for c in payload["certificates"]:
-        tau = float(c["tau"])
-        a, b = int(c["a"]), int(c["b"])
-        col = transition_column(dec, a, tau)
-        residual = _residual(col, a, complex(*c["alpha"]), b, complex(*c["beta"]))
-        floor = 1e-11 * max(1.0, abs(tau) * norm)
-        if residual > max(2.0 * float(c["residual"]), floor):
+        if not isinstance(c, dict) or not all(k in c and ok(c[k]) for k, ok in _CERTIFICATE_SCHEMA.items()):
             return False
+        tau, a, b = float(c["tau"]), c["a"], c["b"]
+        if not (0 <= a < n and 0 <= b < n):
+            return False
+        alpha, beta = complex(*c["alpha"]), complex(*c["beta"])
+        col = transition_column(dec, a, tau)
+        floor = 1e-11 * max(1.0, abs(tau) * norm)
+        if _residual(col, a, alpha, b, beta) > max(2.0 * c["residual"], floor):
+            return False
+        kind = _kind_of(alpha, beta, cfg)
+        if c["kind"] != kind or (b == a) != (kind == KIND_PERIODIC):
+            return False
+        if (c["gamma"] is None) != (c["zeta"] is None):
+            return False
+        if c["gamma"] is not None:
+            derived = _gamma_zeta(alpha, beta, cfg.tol_walk)
+            if derived is None or not _same_angles((c["gamma"], c["zeta"]), derived):
+                return False
     return True
 
 
@@ -247,7 +326,11 @@ def run_analysis(
     cfg: DetectionConfig = DetectionConfig(),
     do_scan: bool = False,
 ) -> RunReport:
-    """Full pipeline: decompose, profile all pairs, certify, optionally scan."""
+    """Full pipeline: decompose, screen and profile pairs, certify, optionally scan.
+
+    Only the pairs that strongly_cospectral_candidates keeps are profiled;
+    the screen never drops a pair that pair_profile would accept.
+    """
     timing: dict[str, float] = {}
     predicates: dict[str, dict] = {}
     certificates: list[FrCertificate] = []
@@ -272,29 +355,30 @@ def run_analysis(
 
         t0 = time.perf_counter()
         n = graph.order
-        for a in range(n):
-            for b in range(a + 1, n):
-                pc = certify_pair(dec, a, b, cfg)
-                if not pc.profile.strongly_cospectral:
-                    continue
-                entry: dict = {
-                    "strongly_cospectral": True,
-                    "parallel": pc.profile.parallel,
-                    "cospectral": pc.profile.cospectral,
-                    "perron_anchor_valid": pc.profile.perron_anchor_valid,
-                    "phi_plus": sorted(pc.profile.phi_plus),
-                    "phi_minus": sorted(pc.profile.phi_minus),
-                }
-                if pc.classification is not None:
-                    entry["classification"] = pc.classification.kind
-                    entry["delta"] = pc.classification.delta
-                    entry["tau_step"] = pc.classification.tau_step
-                else:
-                    entry["classification"] = f"not classifiable: {pc.failure}"
-                    if pc.witness is not None and pc.witness.witness_ratio is not None:
-                        entry["witness_ratio"] = pc.witness.witness_ratio
-                predicates[f"pair({a},{b})"] = entry
-                keep(pc.certificates)
+        pairs = strongly_cospectral_candidates(dec)
+        logger.debug("screened %d pairs to %d candidates", n * (n - 1) // 2, len(pairs))
+        for a, b in pairs:
+            pc = certify_pair(dec, a, b, cfg)
+            if not pc.profile.strongly_cospectral:
+                continue
+            entry: dict = {
+                "strongly_cospectral": True,
+                "parallel": pc.profile.parallel,
+                "cospectral": pc.profile.cospectral,
+                "perron_anchor_valid": pc.profile.perron_anchor_valid,
+                "phi_plus": sorted(pc.profile.phi_plus),
+                "phi_minus": sorted(pc.profile.phi_minus),
+            }
+            if pc.classification is not None:
+                entry["classification"] = pc.classification.kind
+                entry["delta"] = pc.classification.delta
+                entry["tau_step"] = pc.classification.tau_step
+            else:
+                entry["classification"] = f"not classifiable: {pc.failure}"
+                if pc.witness is not None and pc.witness.witness_ratio is not None:
+                    entry["witness_ratio"] = pc.witness.witness_ratio
+            predicates[f"pair({a},{b})"] = entry
+            keep(pc.certificates)
         timing["certify"] = (time.perf_counter() - t0) * 1000.0
 
         if do_scan:
@@ -464,6 +548,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Analyze continuous-time quantum walks and certify transport events.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    logs = argparse.ArgumentParser(add_help=False)
+    logs.add_argument("--log-level", type=str.upper, default="WARNING",
+                      choices=("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"),
+                      help="log ctqw's reasons at this level and above to stderr (default WARNING)")
 
     def add_common(p):
         p.add_argument("--tmax", type=float, default=None, help="scan horizon (default 50)")
@@ -471,32 +559,32 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", type=int, default=None, help="scan grid points (default 20000)")
         p.add_argument("--json", type=str, default=None, help="write the JSON report to this file")
 
-    p = sub.add_parser("analyze", help="decompose, profile pairs, certify transport events")
+    p = sub.add_parser("analyze", parents=[logs], help="decompose, profile pairs, certify transport events")
     p.add_argument("graph", help="graph spec, e.g. cycle:6 or prod(star:16,path:2)")
     p.add_argument("--scan", action="store_true", help="also run the heuristic time scan from every vertex")
     add_common(p)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("scan", help="heuristic revival scan over (0, tmax]")
+    p = sub.add_parser("scan", parents=[logs], help="heuristic revival scan over (0, tmax]")
     p.add_argument("graph")
     p.add_argument("--source", type=int, default=None, help="start vertex (default: all)")
     p.add_argument("--target", type=int, default=None, help="partner vertex (default: best per time)")
     add_common(p)
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("quotient", help="equitable refinement, quotient matrix, transport check")
+    p = sub.add_parser("quotient", parents=[logs], help="equitable refinement, quotient matrix, transport check")
     p.add_argument("graph")
     p.add_argument("--pin", action="append", default=[], metavar="VERTEX",
                    help="seed a singleton cell at this vertex (label or index); repeatable")
     add_common(p)
     p.set_defaults(func=cmd_quotient)
 
-    p = sub.add_parser("construct", help="build a graph spec and write the text format")
+    p = sub.add_parser("construct", parents=[logs], help="build a graph spec and write the text format")
     p.add_argument("graph")
     p.add_argument("--out", type=str, default=None, help="output file (default stdout)")
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("paper-suite", help="run the built-in reproduction suite")
+    p = sub.add_parser("paper-suite", parents=[logs], help="run the built-in reproduction suite")
     p.add_argument("--only", type=str, default=None, choices=list(ALL_GROUPS),
                    help="run a single group")
     add_common(p)
@@ -505,14 +593,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _log_to_stderr(level: str):
+    """Send ctqw's log records at ``level`` and above to stderr in the block."""
+    log = logging.getLogger("ctqw")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    previous = log.level
+    log.addHandler(handler)
+    log.setLevel(level)
+    try:
+        yield
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(previous)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ParseError, GraphFormatError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    with _log_to_stderr(args.log_level):
+        try:
+            return args.func(args)
+        except (ParseError, GraphFormatError) as exc:
+            print(f"parse error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -12,6 +12,10 @@ from ctqw.graphs import WeightedGraph
 TOL_SPEC = 1e-9
 #: threshold on ||E_r e_a|| below which a is outside the eigenvalue's support
 TOL_SUPPORT = 1e-9
+#: slack of the strong-cospectrality screen; ten times the largest entry
+#: deviation a pair accepted by pair_profile can show (see
+#: strongly_cospectral_candidates)
+_SCREEN_TOL = 10 * max(TOL_SPEC, TOL_SUPPORT)
 
 
 def default_group_tol(a: np.ndarray) -> float:
@@ -119,6 +123,42 @@ def support(dec: SpectralDecomposition, a: int) -> frozenset[int]:
         raise ValueError(f"vertex {a} out of range")
     norms = np.linalg.norm(dec.projected_columns(a), axis=1)
     return frozenset(int(r) for r in np.nonzero(norms > TOL_SUPPORT)[0])
+
+
+def strongly_cospectral_candidates(dec: SpectralDecomposition) -> list[tuple[int, int]]:
+    """Pairs a < b, in lexicographic order, that may be strongly cospectral.
+
+    a and b are strongly cospectral iff (E_r)_aa = (E_r)_bb = +/-(E_r)_ab
+    for every r (Godsil & Smith, "Strongly cospectral vertices", 2017), as
+    ||E_r e_a - s E_r e_b||^2 = E_aa + E_bb - 2 s E_ab. The screen keeps the
+    pairs whose worst entry deviation max_r max(||E_ab| - E_aa|,
+    ||E_ab| - E_bb|) is within _SCREEN_TOL. It never drops a pair that
+    pair_profile accepts, which stays the judge:
+
+    - pair_profile accepts only when, for each r in the support of a or b,
+      E_r e_a = s E_r e_b to TOL_SPEC; entries a and b of that identity give
+      |E_aa - s E_ab| <= TOL_SPEC and |s E_ab - E_bb| <= TOL_SPEC, so both
+      deviations are at most TOL_SPEC (diagonal entries of v v^T are sums of
+      squares, hence exactly nonnegative);
+    - for r outside both supports every entry of E_r e_a and E_r e_b is at
+      most TOL_SUPPORT, and so is each deviation;
+    - decompose stores E_r as (e + e^T)/2, which is exactly symmetric, so the
+      E_bb half is the transpose of the E_aa half and (E_r)_ab is entry b of
+      the column E_r e_a.
+
+    The maximum is accumulated one eigenvalue group at a time in one (n, n)
+    array: O(d n^2) work, O(n^2) memory.
+    """
+    worst = np.zeros((dec.order, dec.order))
+    dev = np.empty_like(worst)
+    for e in dec.projectors:
+        np.abs(e, out=dev)
+        dev -= np.diagonal(e)[:, None]
+        np.abs(dev, out=dev)
+        np.maximum(worst, dev, out=worst)
+    np.maximum(worst, worst.T, out=dev)
+    a_idx, b_idx = np.nonzero(np.triu(dev <= _SCREEN_TOL, 1))
+    return list(zip(a_idx.tolist(), b_idx.tolist()))
 
 
 @dataclass(frozen=True)

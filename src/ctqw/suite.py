@@ -9,6 +9,7 @@ acceptance tests assert them group by group.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ from ctqw.walks import (
     KIND_PST,
     DetectionConfig,
     FrCertificate,
+    PairCertification,
     _wrap_angle,
     certify_pair,
     check_gamma_consequences,
@@ -85,6 +87,36 @@ def _first_event(certs, kinds=None):
 
 
 # ---------------------------------------------------------------------------
+# strongly cospectral cases shared by the groups
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=4)
+def _positive_certifications(cfg: DetectionConfig) -> dict[str, tuple[SpectralDecomposition, PairCertification]]:
+    """certify_pair on the strongly cospectral cases behind the positive suite
+    rows, keyed by graph name.
+
+    Computed once per config, by whichever group asks first, so the groups of
+    one suite run share the decompositions and the oracle memo on them.
+    """
+    cases = [
+        (G.cycle(6), 0, 3),
+        (G.cycle(4), 0, 2),
+        (G.path(2), 0, 1),
+        (G.path(3), 0, 2),
+        (G.path(4), 0, 3),
+        (G.cocktail_party(3), 0, 1),
+        (G.cocktail_party(4), 0, 1),
+        (G.cartesian_product(G.star(16), G.path(2)), 0, 1),
+    ]
+    out = {}
+    for g, a, b in cases:
+        dec = decompose(g)
+        out[g.name] = (dec, certify_pair(dec, a, b, cfg))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # cycles
 # ---------------------------------------------------------------------------
 
@@ -92,7 +124,8 @@ def _first_event(certs, kinds=None):
 def cycle_rows(cfg: DetectionConfig) -> list[RowResult]:
     rows = []
 
-    dec6 = decompose(G.cycle(6))
+    shared = _positive_certifications(cfg)
+    dec6, pc = shared["cycle:6"]
     tau6 = 2 * math.pi / 3
     cert = detect_at(dec6, 0, tau6, cfg)
     direct_ok = (
@@ -102,7 +135,6 @@ def cycle_rows(cfg: DetectionConfig) -> list[RowResult]:
         and _close(cert.alpha, -0.5)
         and _close(cert.beta, 1j * math.sqrt(3) / 2)
     )
-    pc = certify_pair(dec6, 0, 3, cfg)
     grid_cert = _first_event(pc.certificates)
     grid_ok = (
         grid_cert is not None
@@ -119,9 +151,8 @@ def cycle_rows(cfg: DetectionConfig) -> list[RowResult]:
         )
     )
 
-    dec4 = decompose(G.cycle(4))
+    dec4, pc = shared["cycle:4"]
     cert = detect_at(dec4, 0, math.pi / 2, cfg)
-    pc = certify_pair(dec4, 0, 2, cfg)
     pst = _first_event(pc.certificates, {KIND_PST})
     rows.append(
         _row(
@@ -179,9 +210,9 @@ def cycle_rows(cfg: DetectionConfig) -> list[RowResult]:
 def path_rows(cfg: DetectionConfig) -> list[RowResult]:
     rows = []
 
-    dec2 = decompose(G.path(2))
+    shared = _positive_certifications(cfg)
+    dec2, pc = shared["path:2"]
     cert = detect_at(dec2, 0, math.pi / 4, cfg)
-    pc = certify_pair(dec2, 0, 1, cfg)
     bal = _first_event(pc.certificates, {KIND_BALANCED})
     rows.append(
         _row(
@@ -194,8 +225,7 @@ def path_rows(cfg: DetectionConfig) -> list[RowResult]:
         )
     )
 
-    dec3 = decompose(G.path(3))
-    pc = certify_pair(dec3, 0, 2, cfg)
+    dec3, pc = shared["path:3"]
     pst = _first_event(pc.certificates, {KIND_PST})
     rows.append(
         _row(
@@ -207,9 +237,8 @@ def path_rows(cfg: DetectionConfig) -> list[RowResult]:
         )
     )
 
-    dec4 = decompose(G.path(4))
     tau4 = 2 * math.pi / math.sqrt(5)
-    pc = certify_pair(dec4, 0, 3, cfg)
+    pc = shared["path:4"][1]
     fr = _first_event(pc.certificates, {KIND_FR})
     rows.append(
         _row(
@@ -324,8 +353,8 @@ def double_cone_rows(cfg: DetectionConfig) -> list[RowResult]:
             )
         )
 
-    dec3 = decompose(G.cocktail_party(3))
-    pc3 = certify_pair(dec3, 0, 1, cfg)
+    shared = _positive_certifications(cfg)
+    pc3 = shared["cocktail:3"][1]
     kinds3 = [c.kind for c in pc3.certificates]
     rows.append(
         _row(
@@ -336,8 +365,7 @@ def double_cone_rows(cfg: DetectionConfig) -> list[RowResult]:
         )
     )
 
-    dec4 = decompose(G.cocktail_party(4))
-    pc4 = certify_pair(dec4, 0, 1, cfg)
+    pc4 = shared["cocktail:4"][1]
     fr4 = _first_event(pc4.certificates, {KIND_FR, KIND_BALANCED})
     pst4 = _first_event(pc4.certificates, {KIND_PST})
     rows.append(
@@ -360,9 +388,7 @@ def double_cone_rows(cfg: DetectionConfig) -> list[RowResult]:
 def construction_rows(cfg: DetectionConfig) -> list[RowResult]:
     rows = []
 
-    prod = G.cartesian_product(G.star(16), G.path(2))
-    decp = decompose(prod)
-    pc = certify_pair(decp, 0, 1, cfg)
+    pc = _positive_certifications(cfg)["prod(star:16,path:2)"][1]
     bal = _first_event(pc.certificates, {KIND_BALANCED})
     rows.append(
         _row(
@@ -421,27 +447,12 @@ def construction_rows(cfg: DetectionConfig) -> list[RowResult]:
 # ---------------------------------------------------------------------------
 
 
-def _positive_pairs() -> list[tuple[G.WeightedGraph, int, int]]:
-    """The strongly cospectral (graph, a, b) cases behind the positive suite rows."""
-    return [
-        (G.cycle(6), 0, 3),
-        (G.cycle(4), 0, 2),
-        (G.path(2), 0, 1),
-        (G.path(3), 0, 2),
-        (G.path(4), 0, 3),
-        (G.cocktail_party(3), 0, 1),
-        (G.cocktail_party(4), 0, 1),
-        (G.cartesian_product(G.star(16), G.path(2)), 0, 1),
-    ]
-
-
 def collect_suite_certificates(cfg: DetectionConfig) -> list[tuple[str, SpectralDecomposition, FrCertificate]]:
     """All certificates the positive suite rows produce, with their decompositions."""
     found: list[tuple[str, SpectralDecomposition, FrCertificate]] = []
-    for g, a, b in _positive_pairs():
-        dec = decompose(g)
-        for cert in certify_pair(dec, a, b, cfg).certificates:
-            found.append((g.name, dec, cert))
+    for name, (dec, pc) in _positive_certifications(cfg).items():
+        for cert in pc.certificates:
+            found.append((name, dec, cert))
 
     for omega in (0.5, 2.0, math.sqrt(2) - 1):
         g = weighted_p3(omega)
@@ -530,9 +541,8 @@ def theorem_property_rows(cfg: DetectionConfig) -> list[RowResult]:
 def classification_rows(cfg: DetectionConfig) -> list[RowResult]:
     rows = []
 
-    dec4 = decompose(G.path(4))
-    pc4 = certify_pair(dec4, 0, 3, cfg)
-    cls4 = pc4.classification
+    shared = _positive_certifications(cfg)
+    cls4 = shared["path:4"][1].classification
     ok4 = (
         cls4 is not None
         and cls4.kind == "quadratic"
@@ -542,9 +552,7 @@ def classification_rows(cfg: DetectionConfig) -> list[RowResult]:
     )
     rows.append(_row("classification", "P4: (a+, a-, delta) = (1, -1, 5) with b in {+-1}", ok4))
 
-    dec6 = decompose(G.cycle(6))
-    pc6 = certify_pair(dec6, 0, 3, cfg)
-    cls6 = pc6.classification
+    cls6 = shared["cycle:6"][1].classification
     grid = cls6.tau_grid(8) if cls6 is not None else []
     ok6 = (
         cls6 is not None
@@ -554,10 +562,9 @@ def classification_rows(cfg: DetectionConfig) -> list[RowResult]:
     rows.append(_row("classification", "C6: all-integer support, candidate grid contains 2pi/3", ok6))
 
     worst = 0.0
-    cases = _positive_pairs() + [(G.double_cone(G.cycle(5)), 0, 6)]
+    results = [pc for _, pc in shared.values()] + [certify_pair(decompose(G.double_cone(G.cycle(5))), 0, 6, cfg)]
     classified = 0
-    for g, a, b in cases:
-        pc = certify_pair(decompose(g), a, b, cfg)
+    for pc in results:
         if pc.classification is not None:
             classified += 1
             worst = max(worst, pc.classification.residual)
@@ -565,7 +572,7 @@ def classification_rows(cfg: DetectionConfig) -> list[RowResult]:
         _row(
             "classification",
             f"reconstruction error < 1e-7 on {classified} classified supports",
-            classified == len(cases) and worst < 1e-7,
+            classified == len(results) and worst < 1e-7,
             f"worst={worst:.2e}",
         )
     )

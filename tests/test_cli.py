@@ -1,6 +1,7 @@
 """Graph-spec parsing, report schema, subcommands, exit codes."""
 
 import json
+import logging
 import math
 import warnings
 
@@ -19,7 +20,8 @@ from ctqw.cli import (
     run_analysis,
     validate_report,
 )
-from ctqw.walks import DetectionConfig, NumericalHealthWarning
+from ctqw.spectral import decompose
+from ctqw.walks import DetectionConfig, NumericalHealthWarning, certify_pair
 
 
 class TestSpecParsing:
@@ -87,6 +89,87 @@ class TestReports:
         loaded = json.loads(rep.to_json())
         loaded["certificates"][0]["tau"] *= 1.01
         assert not validate_report(loaded)
+
+    @staticmethod
+    def _loaded(spec, kind):
+        """A re-loaded analyze report of spec and the index of its first certificate of kind."""
+        loaded = json.loads(run_analysis(parse_graph_spec(spec), DetectionConfig()).to_json())
+        index = next(i for i, c in enumerate(loaded["certificates"]) if c["kind"] == kind)
+        return loaded, index
+
+    def test_relabelled_periodic_certificate_fails_validation(self):
+        loaded, i = self._loaded("cycle:6", "periodic")
+        assert validate_report(loaded)
+        loaded["certificates"][i].update(kind="perfect_state_transfer", gamma=math.pi / 2, zeta=0.0)
+        assert not validate_report(loaded)
+
+    def test_relabelled_kind_fails_validation(self):
+        loaded, i = self._loaded("cycle:6", "fractional_revival")
+        loaded["certificates"][i]["kind"] = "balanced_fr"
+        assert not validate_report(loaded)
+
+    @pytest.mark.parametrize("field", ["gamma", "zeta"])
+    def test_made_up_angle_fails_validation(self, field):
+        loaded, i = self._loaded("cycle:6", "fractional_revival")
+        loaded["certificates"][i][field] += 1e-6
+        assert not validate_report(loaded)
+
+    def test_angles_at_range_edge_validate(self):
+        # (gamma - pi, zeta - pi) names the same amplitudes as (gamma, zeta)
+        loaded, i = self._loaded("cycle:4", "perfect_state_transfer")
+        cert = loaded["certificates"][i]
+        cert["gamma"] -= math.pi
+        cert["zeta"] -= math.pi
+        assert validate_report(loaded)
+
+    @pytest.mark.parametrize(
+        "field", ["graph", "a", "b", "tau", "alpha", "beta", "gamma", "zeta", "kind", "residual", "method"]
+    )
+    def test_missing_field_fails_validation(self, field):
+        loaded, i = self._loaded("cycle:6", "fractional_revival")
+        del loaded["certificates"][i][field]
+        assert not validate_report(loaded)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("a", 0.0), ("a", True), ("b", "3"), ("b", 99), ("tau", "2.0943951"), ("tau", -1.0),
+            ("alpha", [0.5]), ("beta", {"re": 0.0}), ("gamma", "1.0"), ("zeta", None),
+            ("kind", "teleport"), ("residual", -1.0), ("method", 7),
+        ],
+    )
+    def test_mistyped_field_fails_validation(self, field, value):
+        loaded, i = self._loaded("cycle:6", "fractional_revival")
+        loaded["certificates"][i][field] = value
+        assert not validate_report(loaded)
+
+    @pytest.mark.parametrize(
+        "top, value",
+        [
+            ("certificates", {}), ("config", {"tol_walk": "tight"}), ("config", [1]), ("input_spec", None),
+            ("graph", {"weights": [["x"]], "labels": ["0"]}), ("graph", {"weights": [[0.0, 1.0], [1.0, 0.0]]}),
+        ],
+    )
+    def test_malformed_report_fails_validation(self, top, value):
+        loaded, _ = self._loaded("cycle:6", "fractional_revival")
+        loaded[top] = value
+        assert not validate_report(loaded)
+
+    @pytest.mark.parametrize("spec", ["cube:3", "cycle:8"])
+    def test_screened_pairs_match_all_pairs(self, spec):
+        g = parse_graph_spec(spec)
+        dec = decompose(g)
+        cfg = DetectionConfig()
+        pairs, certs = [], set()
+        for a in range(g.order):
+            for b in range(a + 1, g.order):
+                pc = certify_pair(dec, a, b, cfg)
+                if pc.profile.strongly_cospectral:
+                    pairs.append(f"pair({a},{b})")
+                    certs |= {(c.a, c.b, round(c.tau, 9), c.kind) for c in pc.certificates}
+        report = run_analysis(g, cfg)
+        assert [k for k in report.predicates if k.startswith("pair(")] == pairs
+        assert {(c["a"], c["b"], round(c["tau"], 9), c["kind"]) for c in report.certificates} == certs
 
     def test_deterministic(self):
         a = run_analysis(parse_graph_spec("cocktail:3"), DetectionConfig()).payload()
@@ -245,6 +328,25 @@ class TestCommands:
         assert main(["analyze", str(target)]) == EXIT_PARSE
         err = capsys.readouterr().err
         assert "line 2" in err and "not finite" in err
+
+    def test_log_level_debug_reports_screen(self, capsys):
+        assert main(["analyze", "cube:3", "--log-level", "debug"]) == EXIT_OK
+        assert "DEBUG ctqw.cli: screened 28 pairs to 4 candidates" in capsys.readouterr().err
+
+    def test_log_level_debug_reports_walk_reasons(self, capsys):
+        assert main(["analyze", "path:5", "--scan", "--log-level", "DEBUG"]) == EXIT_OK
+        assert "ambiguous concentration" in capsys.readouterr().err
+
+    def test_default_log_level_is_quiet(self, capsys):
+        assert main(["analyze", "cube:3"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert logging.getLogger("ctqw").handlers == []
+
+    def test_unknown_log_level_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "cube:3", "--log-level", "loud"])
+        assert exc.value.code == EXIT_PARSE
+        assert "--log-level: invalid choice" in capsys.readouterr().err
 
     def test_health_exit_code_contract(self):
         assert (EXIT_OK, EXIT_PARSE, EXIT_HEALTH, EXIT_SUITE) == (0, 2, 3, 4)

@@ -1,12 +1,15 @@
 """Grouped eigendecomposition and pair-relation tests."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctqw import graphs as G
-from ctqw.spectral import TOL_SPEC, decompose, pair_profile, support
+from ctqw.spectral import TOL_SPEC, decompose, pair_profile, strongly_cospectral_candidates, support
 
 
 def weighted_p3(omega):
@@ -187,3 +190,75 @@ class TestPairProfile:
 
     def test_tolerance_constant_exposed(self):
         assert TOL_SPEC == 1e-9
+
+
+def brute_force_strongly_cospectral(dec):
+    n = dec.order
+    return [(a, b) for a in range(n) for b in range(a + 1, n) if pair_profile(dec, a, b).strongly_cospectral]
+
+
+def relabel(g, perm):
+    perm = list(perm)
+    return G.WeightedGraph(g.weights[np.ix_(perm, perm)], tuple(g.labels[i] for i in perm), g.name)
+
+
+@st.composite
+def random_weighted_graphs(draw, values):
+    """Orders 2..10, each upper-triangle weight drawn from values."""
+    n = draw(st.integers(2, 10))
+    entries = draw(st.lists(st.sampled_from(values), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    w = np.zeros((n, n))
+    w[np.triu_indices(n, 1)] = entries
+    return G.WeightedGraph(w + w.T, tuple(str(i) for i in range(n)), f"hyp:{n}")
+
+
+_FAMILY_GRAPHS = [
+    G.cycle(6), G.cycle(8), G.cycle(9), G.hypercube(3), G.hypercube(4), G.path(5), G.cocktail_party(4),
+    G.cartesian_product(G.path(3), G.path(3)), G.cartesian_product(G.star(4), G.path(2)),
+    G.cartesian_product(G.cycle(4), G.cycle(3)),
+]
+
+
+@st.composite
+def relabelled_families(draw):
+    g = draw(st.sampled_from(_FAMILY_GRAPHS))
+    return relabel(g, draw(st.permutations(range(g.order))))
+
+
+class TestStrongCospectralityScreen:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            random_weighted_graphs([0.0, 0.0, 1.0, 2.0]),
+            random_weighted_graphs([0.0, 0.5, 1.25, 2.0]),
+            random_weighted_graphs([-1.0, 0.0, 0.0, 1.0]),
+            relabelled_families(),
+        )
+    )
+    def test_screen_keeps_every_strongly_cospectral_pair(self, g):
+        dec = decompose(g)
+        screened = strongly_cospectral_candidates(dec)
+        assert screened == sorted(screened)
+        assert all(a < b for a, b in screened)
+        assert set(brute_force_strongly_cospectral(dec)) <= set(screened)
+
+    @pytest.mark.parametrize("g", [G.cycle(8), G.hypercube(3), G.path(4), G.cocktail_party(3)])
+    def test_screen_is_exact_on_families(self, g):
+        dec = decompose(g)
+        assert strongly_cospectral_candidates(dec) == brute_force_strongly_cospectral(dec)
+
+    def test_pair_just_inside_tolerance_survives(self):
+        # C6 antipodes with one projector entry moved by just under TOL_SPEC:
+        # pair_profile still accepts the pair, so the screen must keep it
+        good = decompose(G.cycle(6))
+        projectors = good.projectors.copy()
+        projectors[1, 0, 0] += 0.99 * TOL_SPEC
+        nudged = dataclasses.replace(good, projectors=projectors)
+        assert pair_profile(nudged, 0, 3).strongly_cospectral
+        assert (0, 3) in strongly_cospectral_candidates(nudged)
+
+    def test_random_weighting_has_no_candidates(self):
+        rng = np.random.default_rng(7)
+        w = np.triu(rng.uniform(0.5, 2.0, size=(12, 12)), 1)
+        dec = decompose(w + w.T)
+        assert strongly_cospectral_candidates(dec) == []
