@@ -449,8 +449,10 @@ def cmd_scan(args) -> int:
     for option, v in (("--source", args.source), ("--target", args.target)):
         if v is not None and not 0 <= v < graph.order:
             raise ParseError(f"{option} {v} is out of range for a graph of order {graph.order}")
+    if args.target is not None and args.source == args.target:
+        raise ParseError("--source and --target must differ")
     dec = decompose(graph)
-    sources = [args.source] if args.source is not None else list(range(graph.order))
+    sources = [args.source] if args.source is not None else [a for a in range(graph.order) if a != args.target]
     certs = []
     with _health_capture() as health:
         for a in sources:

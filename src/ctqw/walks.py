@@ -376,33 +376,44 @@ def certify_pair(
 # ---------------------------------------------------------------------------
 
 
-def _offpair_mass(dec: SpectralDecomposition, a: int, b: int | None, t: float) -> float:
-    # summed directly over the off-pair vertices: computing 1 - pa - pb would
-    # cancel catastrophically near a revival and stall the refinement at ~1e-8
-    col = transition_column(dec, a, t)
-    p = np.abs(col) ** 2
-    p[a] = 0.0
-    if b is None:
-        p[int(np.argmax(p))] = 0.0
-    else:
-        p[b] = 0.0
-    return math.sqrt(float(p.sum()))
+def _golden_min(
+    dec: SpectralDecomposition, a: int, partners: np.ndarray, lo: np.ndarray, hi: np.ndarray, iters: int
+) -> np.ndarray:
+    """Golden-section minima of the off-pair mass from a, one per bracket [lo, hi].
 
-
-def _golden_min(f, lo: float, hi: float, iters: int) -> float:
+    Row c pairs a with partners[c]. All rows are refined together, one
+    evaluation at a vector of times per iteration, and each row takes the
+    steps a scalar golden section over its own bracket would take.
+    """
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    freqs = -1j * dec.eigenvalues
+    cols = dec.projected_columns(a).astype(complex)
+    starts = np.arange(len(partners)) * dec.order
+    pair = np.concatenate([starts + a, starts + partners])  # flat indices into the (C, 1, n) masses
+
+    def f(t: np.ndarray) -> np.ndarray:
+        # (C, 1, d) @ (d, n) is a stack of vector-matrix products, the BLAS
+        # route transition_column takes, so each mass matches a single-time
+        # evaluation bit for bit; a (C, d) @ (d, n) matrix product rounds differently
+        p = np.abs(np.exp(t[:, None, None] * freqs) @ cols)
+        p *= p
+        # summed directly over the off-pair vertices: computing 1 - pa - pb would
+        # cancel catastrophically near a revival and stall the refinement at ~1e-8
+        p.put(pair, 0.0)
+        return np.sqrt(p.sum(axis=2)[:, 0])
+
     x1 = hi - inv_phi * (hi - lo)
     x2 = lo + inv_phi * (hi - lo)
     f1, f2 = f(x1), f(x2)
     for _ in range(iters):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = f(x2)
+        left = f1 <= f2  # the minimum lies in [lo, x2]
+        hi = np.where(left, x2, hi)
+        lo = np.where(left, lo, x1)
+        step = inv_phi * (hi - lo)
+        x = np.where(left, hi - step, lo + step)
+        fx = f(x)
+        x1, x2 = np.where(left, x, x2), np.where(left, x1, x)
+        f1, f2 = np.where(left, fx, f2), np.where(left, f1, fx)
     return (lo + hi) / 2.0
 
 
@@ -432,10 +443,13 @@ def scan_fr(
 
     Evaluates the off-pair mass f(t) on a coarse grid over (0, t_max]
     (pairing a with b, or with the heaviest off-vertex when b is None),
-    golden-section refines the local minima, and keeps detections that pass
-    the residual gate. Periodic events are not reported: the scan looks for
-    genuine two-vertex transport. Absence of hits is evidence, not proof.
+    golden-section refines the local minima together, and keeps detections
+    that pass the residual gate. Periodic events are not reported: the scan
+    looks for genuine two-vertex transport, so b == a is rejected. Absence
+    of hits is evidence, not proof.
     """
+    if b == a:
+        raise ValueError("the scan target must differ from its source")
     ts, phases = _scan_phases(dec, cfg)
     cols = dec.projected_columns(a).T @ phases  # (n, T)
     p = np.abs(cols) ** 2
@@ -451,19 +465,14 @@ def scan_fr(
     if len(candidates) > _SCAN_MAX_CANDIDATES:
         candidates = candidates[np.argsort(f[candidates])[:_SCAN_MAX_CANDIDATES]]
         candidates = np.sort(candidates)
+    if len(candidates) == 0:
+        return []
+    partners = np.full(len(candidates), b) if b is not None else p[:, candidates].argmax(axis=0)
+    taus = _golden_min(dec, a, partners, ts[candidates - 1], ts[candidates + 1], cfg.refine_iters)
 
     certs: list[FrCertificate] = []
     seen: list[float] = []
-    for i in candidates:
-        pair_b = b if b is not None else int(np.argmax(p[:, i]))
-        tau = _golden_min(
-            lambda t: _offpair_mass(dec, a, pair_b, t),
-            float(ts[i - 1]),
-            float(ts[i + 1]),
-            cfg.refine_iters,
-        )
-        if tau <= 0:
-            continue
+    for tau in taus.tolist():
         if any(abs(tau - s) < 1e-6 for s in seen):
             continue
         cert = detect_at(dec, a, tau, cfg)

@@ -282,6 +282,24 @@ class TestCommands:
         assert err.startswith("parse error:") and "out of range" in err
         assert err.count("\n") == 1
 
+    def test_scan_target_equal_to_source_exits_2(self, capsys):
+        assert main(["scan", "cycle:6", "--source", "3", "--target", "3"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error:") and "must differ" in err
+
+    def test_scan_all_sources_skips_target(self, capsys, monkeypatch):
+        from ctqw import cli as cli_mod
+
+        sources = []
+
+        def recording_scan(dec, a, b, cfg):
+            sources.append((a, b))
+            return []
+
+        monkeypatch.setattr(cli_mod, "scan_fr", recording_scan)
+        assert main(["scan", "cycle:6", "--target", "3"]) == EXIT_OK
+        assert sources == [(a, 3) for a in (0, 1, 2, 4, 5)]
+
     def test_scan_ignores_non_health_warnings(self, capsys, monkeypatch):
         from ctqw import cli as cli_mod
 

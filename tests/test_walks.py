@@ -233,6 +233,98 @@ class TestScan:
         assert any(c.kind == KIND_PST and c.tau == pytest.approx(math.pi / 2, abs=1e-6) for c in certs)
 
 
+def _offpair_mass_scalar(dec, a, b, t):
+    """Off-pair mass from a at one time, paired with b: the scalar reference for the batched refinement."""
+    col = walks_mod.transition_column(dec, a, t)
+    p = np.abs(col) ** 2
+    p[a] = 0.0
+    p[b] = 0.0
+    return math.sqrt(float(p.sum()))
+
+
+def _golden_min_scalar(f, lo, hi, iters):
+    """Golden section over one bracket: the scalar reference for the batched refinement."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - inv_phi * (hi - lo)
+    x2 = lo + inv_phi * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(iters):
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - inv_phi * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + inv_phi * (hi - lo)
+            f2 = f(x2)
+    return (lo + hi) / 2.0
+
+
+def _refinements(monkeypatch, dec, sources, b, cfg=CFG):
+    """Run the scan from each source and record every batched refinement: (a, partners, lo, hi, taus)."""
+    calls = []
+    batched = walks_mod._golden_min
+
+    def recording(dec_, a, partners, lo, hi, iters):
+        taus = batched(dec_, a, partners, lo, hi, iters)
+        calls.append((a, partners.tolist(), lo.tolist(), hi.tolist(), taus.tolist()))
+        return taus
+
+    monkeypatch.setattr(walks_mod, "_golden_min", recording)
+    for a in sources:
+        scan_fr(dec, a, b, cfg)
+    return calls
+
+
+def _assert_scalar_taus(dec, calls, cfg=CFG):
+    for a, partners, lo, hi, taus in calls:
+        for pb, l, h, tau in zip(partners, lo, hi, taus):
+            ref = _golden_min_scalar(lambda t: _offpair_mass_scalar(dec, a, pb, t), l, h, cfg.refine_iters)
+            assert tau == ref, (a, pb, l)
+
+
+class TestBatchedRefinement:
+    @pytest.mark.parametrize("spec", ["path:4", "cycle:6", "cube:3", "cocktail:4", "prod(path:3,path:2)"])
+    def test_equals_scalar_on_every_candidate(self, monkeypatch, spec):
+        from ctqw.cli import parse_graph_spec
+
+        dec = decompose(parse_graph_spec(spec))
+        calls = _refinements(monkeypatch, dec, range(dec.order), None)
+        assert len(calls) == dec.order
+        _assert_scalar_taus(dec, calls)
+
+    @pytest.mark.parametrize(
+        "graph, a, b", [(weighted_p3(math.sqrt(2) - 1), 0, 2), (weighted_p3(1.0), 2, 0), (G.cycle(4), 0, 2)]
+    )
+    def test_equals_scalar_with_fixed_target(self, monkeypatch, graph, a, b):
+        dec = decompose(graph)
+        calls = _refinements(monkeypatch, dec, [a], b)
+        assert calls and all(pb == b for pb in calls[0][1])
+        _assert_scalar_taus(dec, calls)
+
+    def test_source_without_candidates(self, monkeypatch):
+        dec = decompose(G.cycle(7))
+        assert _refinements(monkeypatch, dec, range(7), None) == []
+        assert all(scan_fr(dec, a, None, CFG) == [] for a in range(7))
+
+    def test_source_with_one_candidate(self, monkeypatch):
+        dec = decompose(G.cycle(12))
+        calls = _refinements(monkeypatch, dec, range(12), None)
+        assert [len(c[1]) for c in calls] == [1] * 12
+        _assert_scalar_taus(dec, calls)
+
+    def test_candidate_cap(self, monkeypatch):
+        monkeypatch.setattr(walks_mod, "_SCAN_MAX_CANDIDATES", 3)
+        dec = decompose(G.cocktail_party(4))
+        calls = _refinements(monkeypatch, dec, range(8), None)
+        assert [len(c[1]) for c in calls] == [3] * 8
+        _assert_scalar_taus(dec, calls)
+
+    def test_target_equal_to_source_rejected(self):
+        with pytest.raises(ValueError, match="differ"):
+            scan_fr(decompose(G.cycle(6)), 3, 3, CFG)
+
+
 class TestChecks:
     def test_symmetry_on_c6(self):
         dec = decompose(G.cycle(6))
