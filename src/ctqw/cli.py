@@ -110,7 +110,10 @@ class _SpecParser:
             self._expect(",")
             b = self._spec()
             self._expect(")")
-            return G.cartesian_product(a, b)
+            try:
+                return G.cartesian_product(a, b)
+            except ValueError as exc:
+                raise ParseError(str(exc), start) from None
         if self._try("overlay("):
             a = self._spec()
             self._expect(",")
@@ -121,7 +124,11 @@ class _SpecParser:
             except ValueError as exc:
                 raise ParseError(str(exc), start) from None
         if self._try("cone2:"):
-            return G.double_cone(self._spec())
+            inner = self._spec()
+            try:
+                return G.double_cone(inner)
+            except ValueError as exc:
+                raise ParseError(str(exc), start) from None
         token = self._leaf_token()
         if not token:
             raise ParseError("expected a graph spec", start)

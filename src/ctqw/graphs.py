@@ -19,6 +19,13 @@ TOL_EQ = 1e-9
 #: decimal digits used to hash weight sums during partition refinement
 _SIG_DIGITS = 12
 
+#: bytes one graph's spectral decomposition may take
+MEMORY_BUDGET = 2 * 2**30
+#: largest order a graph may have. decompose keeps one dense (n, n) float
+#: projector per distinct eigenvalue, up to n of them, and holds them twice
+#: while stacking: 16 n^3 bytes, which must fit in MEMORY_BUDGET
+MAX_ORDER = round((MEMORY_BUDGET / 16) ** (1 / 3))
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -88,9 +95,25 @@ class WeightedGraph:
 # ---------------------------------------------------------------------------
 
 
-def _check_order(n: int) -> None:
+def _check_order(n: int, order: int | None = None) -> None:
+    """Reject a size argument n below 1, or a graph of more than MAX_ORDER
+    vertices; ``order`` is the vertex count when it is not n. Runs before the
+    weight matrix is allocated."""
     if n < 1:
         raise ValueError(f"order must be a positive integer, got {n}")
+    if (n if order is None else order) > MAX_ORDER:
+        raise ValueError(
+            f"the graph would have more than {MAX_ORDER} vertices, the limit that keeps "
+            f"its decomposition within {MEMORY_BUDGET / 2**30:g} GiB"
+        )
+
+
+def _cube_order(d: int) -> int:
+    """2^d for a checked dimension d (the check caps 2^d once it exceeds MAX_ORDER)."""
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+    _check_order(d, 2 ** min(d, MAX_ORDER.bit_length()))
+    return 2**d
 
 
 def path(n: int) -> WeightedGraph:
@@ -125,7 +148,7 @@ def empty(n: int) -> WeightedGraph:
 
 def star(n: int) -> WeightedGraph:
     """Star with one center (index 0, label "c") joined to n leaves."""
-    _check_order(n)
+    _check_order(n, n + 1)
     w = np.zeros((n + 1, n + 1))
     w[0, 1:] = 1.0
     w[1:, 0] = 1.0
@@ -134,9 +157,7 @@ def star(n: int) -> WeightedGraph:
 
 def hypercube(d: int) -> WeightedGraph:
     """d-dimensional cube on bitstring vertices; antipode of 0 is 2^d - 1."""
-    if d < 1:
-        raise ValueError(f"hypercube dimension must be >= 1, got {d}")
-    n = 2**d
+    n = _cube_order(d)
     w = np.zeros((n, n))
     for i in range(n):
         for b in range(d):
@@ -149,7 +170,7 @@ def cocktail_party(n: int) -> WeightedGraph:
 
     2n vertices, (2n-2)-regular. The antipodal pair of vertex 0 is vertex 1.
     """
-    _check_order(n)
+    _check_order(n, 2 * n)
     m = 2 * n
     w = np.ones((m, m)) - np.eye(m)
     for i in range(n):
@@ -163,9 +184,7 @@ def antipodal_matching(d: int) -> WeightedGraph:
     Shares the vertex set and labels of :func:`hypercube`, so it can be
     overlaid on (scaled) cubes.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    n = 2**d
+    n = _cube_order(d)
     w = np.zeros((n, n))
     mask = n - 1
     for i in range(n):
@@ -180,6 +199,7 @@ def antipodal_matching(d: int) -> WeightedGraph:
 
 def cartesian_product(x: WeightedGraph, y: WeightedGraph) -> WeightedGraph:
     """Box product: kron(A(X), I) + kron(I, A(Y)); x-index major vertex order."""
+    _check_order(x.order * y.order)
     w = np.kron(x.weights, np.eye(y.order)) + np.kron(np.eye(x.order), y.weights)
     labels = tuple(f"({lx},{ly})" for lx in x.labels for ly in y.labels)
     return WeightedGraph(w, labels, f"prod({x.name},{y.name})")
@@ -201,6 +221,7 @@ def _merged_labels(x: WeightedGraph, y: WeightedGraph) -> tuple[str, ...]:
 def join(x: WeightedGraph, y: WeightedGraph) -> WeightedGraph:
     """Join: disjoint union plus all unit-weight cross edges."""
     nx, ny = x.order, y.order
+    _check_order(nx + ny)
     w = np.zeros((nx + ny, nx + ny))
     w[:nx, :nx] = x.weights
     w[nx:, nx:] = y.weights
@@ -228,6 +249,7 @@ def double_cone(x: WeightedGraph) -> WeightedGraph:
     seed partition {{a}, V(x), {b}} lists its cells in index order.
     """
     n = x.order
+    _check_order(n + 2)
     w = np.zeros((n + 2, n + 2))
     w[1 : n + 1, 1 : n + 1] = x.weights
     w[0, 1 : n + 1] = w[1 : n + 1, 0] = 1.0
@@ -272,6 +294,7 @@ def x_theta(y: WeightedGraph, perm, theta: float) -> WeightedGraph:
     if not np.allclose(p @ y.weights, y.weights @ p, atol=1e-12):
         raise ValueError("permutation must be an automorphism of the graph")
     c, s = math.cos(2 * theta), math.sin(2 * theta)
+    _check_order(2 * n)
     w = np.zeros((2 * n, 2 * n))
     w[:n, :n] = y.weights + s * p
     w[n:, n:] = y.weights - s * p
@@ -510,6 +533,10 @@ def parse_graph_text(text: str, name: str = "file") -> WeightedGraph:
                 raise GraphFormatError(f"bad order {parts[1]!r}", ln) from None
             if n < 1:
                 raise GraphFormatError("order must be positive", ln)
+            try:
+                _check_order(n)
+            except ValueError as exc:
+                raise GraphFormatError(str(exc), ln) from None
             w = np.zeros((n, n))
             header_seen = True
             continue

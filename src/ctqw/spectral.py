@@ -16,6 +16,8 @@ TOL_SUPPORT = 1e-9
 #: deviation a pair accepted by pair_profile can show (see
 #: strongly_cospectral_candidates)
 _SCREEN_TOL = 10 * max(TOL_SPEC, TOL_SUPPORT)
+#: slack of the parallel screen on top of its own (see parallel_partners)
+_PARALLEL_MARGIN = 10 * TOL_SPEC
 
 
 def default_group_tol(a: np.ndarray) -> float:
@@ -159,6 +161,36 @@ def strongly_cospectral_candidates(dec: SpectralDecomposition) -> list[tuple[int
     np.maximum(worst, worst.T, out=dev)
     a_idx, b_idx = np.nonzero(np.triu(dev <= _SCREEN_TOL, 1))
     return list(zip(a_idx.tolist(), b_idx.tolist()))
+
+
+def parallel_partners(dec: SpectralDecomposition, a: int, slack: float) -> np.ndarray:
+    """Sorted vertices b != a with E_r e_b parallel to E_r e_a for every r, up to slack.
+
+    With u = E_r e_a and v = E_r e_b (real vectors), the Gram determinant
+    (E_r)_aa (E_r)_bb - (E_r)_ab^2 = ||u||^2 ||v||^2 - (u.v)^2 equals
+    ||u||^2 dist(v, span u)^2: it is nonnegative, and zero exactly when u and
+    v are parallel. b is kept when max_r [E_aa E_bb - E_ab^2 - slack E_aa] is
+    at most _PARALLEL_MARGIN, that is when every E_r e_b lies within
+    sqrt(slack) of span(E_r e_a). Projector entries are at most 1 in size, so
+    entries off by up to TOL_SPEC move the determinant by about 4 TOL_SPEC,
+    which the margin covers.
+
+    The revival scan passes slack = (tol_walk / beta_min)^2, which keeps
+    every partner detect_at can accept: if ||U(tau) e_a - alpha e_a - beta
+    e_b|| <= tol_walk with |beta| > beta_min, applying E_r gives
+    exp(-i tau theta_r) u = alpha u + beta v + E_r delta with ||E_r delta|| <=
+    tol_walk, so v = c u + delta' with ||delta'|| < tol_walk / beta_min; for
+    real u and v the nearest complex multiple of u is a real one.
+
+    Reads column a and the diagonal of each projector: O(d n) work.
+    """
+    cols = dec.projected_columns(a)
+    diag = np.diagonal(dec.projectors, axis1=1, axis2=2)
+    e_aa = cols[:, a : a + 1]
+    worst = (e_aa * diag - cols**2 - slack * e_aa).max(axis=0)
+    keep = worst <= _PARALLEL_MARGIN
+    keep[a] = False
+    return np.nonzero(keep)[0]
 
 
 @dataclass(frozen=True)

@@ -326,19 +326,30 @@ def _regular_degree(g: G.WeightedGraph) -> int:
     return int(round(deg[0]))
 
 
+@functools.lru_cache(maxsize=32)
+def _cone_transport(family, order: int, cfg: DetectionConfig) -> tuple[G.WeightedGraph, G.EquitablePartition, dict]:
+    """Quotient transport between the apexes of the double cone over family(order).
+
+    Computed once per config, so the classification group reuses the
+    certification of the cone over C5 that the double-cone group made.
+    """
+    x = G.double_cone(family(order))
+    part = G.coarsest_equitable_refinement(x, [[0], [x.order - 1], list(range(1, x.order - 1))])
+    return x, part, verify_quotient_transport(x, part, 0, x.order - 1, cfg, times=np.linspace(0.05, 10.0, 200))
+
+
 def double_cone_rows(cfg: DetectionConfig) -> list[RowResult]:
     rows = []
-    family = [G.cycle(4), G.cycle(5), G.complete(4), G.cycle(6), G.hypercube(3), G.cocktail_party(3)]
-    for y in family:
+    family = [(G.cycle, 4), (G.cycle, 5), (G.complete, 4), (G.cycle, 6), (G.hypercube, 3), (G.cocktail_party, 3)]
+    for make, order in family:
+        x, part, transport = _cone_transport(make, order, cfg)
+        y = make(order)
         k, n = _regular_degree(y), y.order
-        x = G.double_cone(y)
-        part = G.coarsest_equitable_refinement(x, [[0], [x.order - 1], list(range(1, x.order - 1))])
         q = G.quotient(x, part)
         target = np.array(
             [[0, math.sqrt(n), 0], [math.sqrt(n), k, math.sqrt(n)], [0, math.sqrt(n), 0]]
         )
         matrix_ok = part.size == 3 and float(np.abs(q.weights - target).max()) <= 1e-12
-        transport = verify_quotient_transport(x, part, 0, x.order - 1, cfg, times=np.linspace(0.05, 10.0, 200))
         tau = 2 * math.pi / math.sqrt(k * k + 8 * n)
         has_fr = any(
             c.kind in (KIND_FR, KIND_BALANCED, KIND_PST) and _rel_close(c.tau, tau)
@@ -562,12 +573,13 @@ def classification_rows(cfg: DetectionConfig) -> list[RowResult]:
     rows.append(_row("classification", "C6: all-integer support, candidate grid contains 2pi/3", ok6))
 
     worst = 0.0
-    results = [pc for _, pc in shared.values()] + [certify_pair(decompose(G.double_cone(G.cycle(5))), 0, 6, cfg)]
+    cone_c5 = _cone_transport(G.cycle, 5, cfg)[2]
+    results = [pc.classification for _, pc in shared.values()] + [cone_c5["source_classification"]]
     classified = 0
-    for pc in results:
-        if pc.classification is not None:
+    for cls in results:
+        if cls is not None:
             classified += 1
-            worst = max(worst, pc.classification.residual)
+            worst = max(worst, cls.residual)
     rows.append(
         _row(
             "classification",

@@ -27,7 +27,7 @@ from ctqw.numtheory import (
     classify,
     rationalize,
 )
-from ctqw.spectral import PairProfile, SpectralDecomposition, decompose, pair_profile
+from ctqw.spectral import PairProfile, SpectralDecomposition, decompose, pair_profile, parallel_partners
 
 logger = logging.getLogger(__name__)
 
@@ -426,7 +426,8 @@ def _scan_phases(dec: SpectralDecomposition, cfg: DetectionConfig) -> tuple[np.n
     held = dec._time_memo.get("scan")
     if held is None or held[0] != key:
         ts = np.linspace(0.0, cfg.t_max, cfg.grid_points + 1)[1:]
-        phases = np.exp(-1j * np.outer(dec.eigenvalues, ts))
+        phases = np.multiply.outer(-1j * dec.eigenvalues, ts)
+        np.exp(phases, out=phases)
         ts.setflags(write=False)
         phases.setflags(write=False)
         held = dec._time_memo["scan"] = (key, ts, phases)
@@ -442,22 +443,28 @@ def scan_fr(
     """Heuristic time-grid search for revival from vertex a.
 
     Evaluates the off-pair mass f(t) on a coarse grid over (0, t_max]
-    (pairing a with b, or with the heaviest off-vertex when b is None),
+    (pairing a with b, or with the heaviest partner when b is None),
     golden-section refines the local minima together, and keeps detections
-    that pass the residual gate. Periodic events are not reported: the scan
-    looks for genuine two-vertex transport, so b == a is rejected. Absence
-    of hits is evidence, not proof.
+    that pass the residual gate. Only a parallel partner of a can receive
+    revival, and spectral.parallel_partners keeps every partner detect_at
+    can accept, so the grid runs on the rows {a} and Par(a) alone; with no
+    partner, or a target outside Par(a), there is nothing to scan. Periodic
+    events are not reported: the scan looks for genuine two-vertex
+    transport, so b == a is rejected. Absence of hits is evidence, not
+    proof.
     """
     if b == a:
         raise ValueError("the scan target must differ from its source")
+    par = parallel_partners(dec, a, (cfg.tol_walk / cfg.beta_min) ** 2)
+    if b is not None:
+        par = par[par == b]
+    if len(par) == 0:
+        return []
     ts, phases = _scan_phases(dec, cfg)
-    cols = dec.projected_columns(a).T @ phases  # (n, T)
-    p = np.abs(cols) ** 2
-    totals = p.sum(axis=0)
-    pa = p[a].copy()
-    p[a, :] = 0.0
-    pb = p[b] if b is not None else p.max(axis=0)
-    f = np.sqrt(np.maximum(0.0, totals - pa - pb))
+    rows = dec.projected_columns(a)[:, np.concatenate(([a], par))]
+    p = np.abs(rows.T @ phases) ** 2  # (1 + |par|, T)
+    # the walk keeps unit norm, as the (E_r)_aa sum to 1
+    f = np.sqrt(np.maximum(0.0, 1.0 - p[0] - p[1:].max(axis=0)))
 
     interior = np.arange(1, len(ts) - 1)
     is_min = (f[interior] <= f[interior - 1]) & (f[interior] <= f[interior + 1]) & (f[interior] < _SCAN_CUT)
@@ -467,7 +474,7 @@ def scan_fr(
         candidates = np.sort(candidates)
     if len(candidates) == 0:
         return []
-    partners = np.full(len(candidates), b) if b is not None else p[:, candidates].argmax(axis=0)
+    partners = par[p[1:, candidates].argmax(axis=0)]
     taus = _golden_min(dec, a, partners, ts[candidates - 1], ts[candidates + 1], cfg.refine_iters)
 
     certs: list[FrCertificate] = []
@@ -748,6 +755,7 @@ def verify_quotient_transport(
         "entries_ok": entries_ok,
         "quotient_certificates": cert_q.certificates,
         "source_certificates": cert_x.certificates,
+        "source_classification": cert_x.classification,
         "correspondence_ok": correspondence,
         "holds": entries_ok and correspondence,
     }

@@ -4,9 +4,12 @@ Each test prints one pass/fail line; run with ``pytest tests/test_acceptance.py 
 or through the CLI as ``ctqw paper-suite``.
 """
 
+import hashlib
 import math
 
 from ctqw import graphs as G
+from ctqw import suite
+from ctqw import walks as walks_mod
 from ctqw.spectral import decompose
 from ctqw.suite import (
     classification_rows,
@@ -80,3 +83,24 @@ def test_criterion_8_numerical_health():
 
 def test_criterion_9_classification():
     _assert_rows(9, "P4 and C6 classifications; reconstruction residuals", classification_rows(CFG))
+
+
+def test_double_cone_certified_once_for_both_groups(monkeypatch):
+    suite._positive_certifications.cache_clear()
+    suite._cone_transport.cache_clear()
+    certified = []
+    original = walks_mod.certify_pair
+
+    def recording(dec, a, b, cfg=CFG):
+        certified.append((hashlib.blake2b(dec.matrix.tobytes()).hexdigest(), a, b))
+        return original(dec, a, b, cfg)
+
+    monkeypatch.setattr(walks_mod, "certify_pair", recording)
+    monkeypatch.setattr(suite, "certify_pair", recording)
+    try:
+        rows = suite.run_groups(["double-cones", "classification"], CFG)
+    finally:
+        suite._positive_certifications.cache_clear()
+        suite._cone_transport.cache_clear()
+    assert all(r.ok for r in rows)
+    assert certified and len(set(certified)) == len(certified)

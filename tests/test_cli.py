@@ -203,6 +203,14 @@ class TestCommands:
         assert main(["analyze", "bogus:1"]) == EXIT_PARSE
         assert "parse error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "spec", ["cycle:11", "cube:4", "prod(path:4,path:3)", "cone2:cycle:9", "cone2:prod(path:4,path:3)"]
+    )
+    def test_order_over_limit_exits_2(self, capsys, monkeypatch, spec):
+        monkeypatch.setattr(G, "MAX_ORDER", 10)
+        assert main(["analyze", spec]) == EXIT_PARSE
+        assert "more than 10 vertices" in capsys.readouterr().err
+
     def test_analyze_bunkbed_balanced_time(self, capsys):
         assert main(["analyze", "prod(star:16,path:2)"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)

@@ -58,6 +58,33 @@ class TestFamilies:
         with pytest.raises(ValueError):
             G.hypercube(0)
 
+    def test_order_limit_fits_memory_budget(self):
+        assert 16 * G.MAX_ORDER**3 <= G.MEMORY_BUDGET < 16 * (G.MAX_ORDER + 1) ** 3
+
+    def test_order_limit_checked_before_building(self, monkeypatch):
+        monkeypatch.setattr(G, "MAX_ORDER", 10)
+        assert G.cycle(10).order == 10 and G.star(9).order == 10 and G.hypercube(3).order == 8
+        too_big = [
+            lambda: G.cycle(11),
+            lambda: G.path(11),
+            lambda: G.complete(11),
+            lambda: G.empty(11),
+            lambda: G.star(10),
+            lambda: G.cocktail_party(6),
+            lambda: G.hypercube(4),
+            lambda: G.hypercube(10**9),
+            lambda: G.antipodal_matching(4),
+            lambda: G.cartesian_product(G.path(4), G.path(3)),
+            lambda: G.double_cone(G.cycle(9)),
+            lambda: G.join(G.path(5), G.path(6)),
+            lambda: G.x_theta(G.cycle(6), [3, 4, 5, 0, 1, 2], 0.1),
+        ]
+        for build in too_big:
+            with pytest.raises(ValueError, match="more than 10 vertices"):
+                build()
+        with pytest.raises(G.GraphFormatError, match="line 1: the graph would have more than 10 vertices"):
+            G.parse_graph_text("n 11\n0 1 1\n")
+
     def test_labels_unique(self):
         with pytest.raises(ValueError):
             G.WeightedGraph(np.zeros((2, 2)), ("v", "v"))

@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctqw import graphs as G
-from ctqw.spectral import TOL_SPEC, decompose, pair_profile, strongly_cospectral_candidates, support
+from ctqw.spectral import (
+    TOL_SPEC,
+    decompose,
+    pair_profile,
+    parallel_partners,
+    strongly_cospectral_candidates,
+    support,
+)
 
 
 def weighted_p3(omega):
@@ -262,3 +269,51 @@ class TestStrongCospectralityScreen:
         w = np.triu(rng.uniform(0.5, 2.0, size=(12, 12)), 1)
         dec = decompose(w + w.T)
         assert strongly_cospectral_candidates(dec) == []
+
+
+def brute_force_parallel(dec, a):
+    return [b for b in range(dec.order) if b != a and pair_profile(dec, a, b).parallel]
+
+
+class TestParallelScreen:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            random_weighted_graphs([0.0, 0.0, 1.0, 2.0]),
+            random_weighted_graphs([0.0, 0.5, 1.25, 2.0]),
+            random_weighted_graphs([-1.0, 0.0, 0.0, 1.0]),
+            relabelled_families(),
+        ),
+        st.sampled_from([0.0, 1e-4]),
+    )
+    def test_keeps_every_parallel_pair(self, g, slack):
+        dec = decompose(g)
+        for a in range(g.order):
+            kept = parallel_partners(dec, a, slack).tolist()
+            assert kept == sorted(kept) and a not in kept
+            assert set(brute_force_parallel(dec, a)) <= set(kept)
+
+    @pytest.mark.parametrize("g", _FAMILY_GRAPHS + [G.double_cone(G.cycle(5)), G.star(5), G.complete(5)])
+    def test_exact_on_families(self, g):
+        dec = decompose(g)
+        for a in range(g.order):
+            assert parallel_partners(dec, a, 0.0).tolist() == brute_force_parallel(dec, a)
+
+    def test_known_partners(self):
+        assert parallel_partners(decompose(G.cycle(6)), 0, 0.0).tolist() == [3]
+        assert parallel_partners(decompose(G.cycle(7)), 0, 0.0).tolist() == []
+        assert parallel_partners(decompose(G.path(5)), 2, 0.0).tolist() == [0, 1, 3, 4]
+        # the paper's non-cospectral revival pair is parallel
+        assert 2 in parallel_partners(decompose(weighted_p3(math.sqrt(2) - 1)), 0, 0.0).tolist()
+
+    def test_slack_admits_near_parallel_pairs(self):
+        # C6 with the (0, 3) entry of one projector (E_00 = E_33 = 1/3) shrunk
+        # by 1e-5 relative: the Gram determinant there, about 2.2e-6, is far
+        # above the screen's margin and below 1e-4 E_00
+        good = decompose(G.cycle(6))
+        r = int(np.argmax(np.abs(good.projectors[:, 0, 3])))
+        projectors = good.projectors.copy()
+        projectors[r, 0, 3] = projectors[r, 3, 0] = projectors[r, 0, 3] * (1 - 1e-5)
+        nudged = dataclasses.replace(good, projectors=projectors)
+        assert 3 not in parallel_partners(nudged, 0, 0.0).tolist()
+        assert 3 in parallel_partners(nudged, 0, 1e-4).tolist()

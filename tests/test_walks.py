@@ -1,14 +1,18 @@
 """Walk evaluation, detection, certification, scans, and angle consequences."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctqw import graphs as G
 from ctqw import walks as walks_mod
-from ctqw.spectral import SpectralDecomposition, decompose, pair_profile
+from ctqw.cli import parse_graph_spec
+from ctqw.spectral import SpectralDecomposition, decompose, pair_profile, parallel_partners
 from ctqw.walks import (
     KIND_BALANCED,
     KIND_FR,
@@ -323,6 +327,127 @@ class TestBatchedRefinement:
     def test_target_equal_to_source_rejected(self):
         with pytest.raises(ValueError, match="differ"):
             scan_fr(decompose(G.cycle(6)), 3, 3, CFG)
+
+
+def _scan_full_rows(dec, a, b=None, cfg=CFG):
+    """The scan with its coarse grid on all n rows and the off-pair mass from their
+    total: the reference for the grid on {a} and Par(a). Refinement and detection
+    are the same as scan_fr's."""
+    ts, phases = walks_mod._scan_phases(dec, cfg)
+    p = np.abs(dec.projected_columns(a).T @ phases) ** 2
+    totals = p.sum(axis=0)
+    pa = p[a].copy()
+    p[a, :] = 0.0
+    pb = p[b] if b is not None else p.max(axis=0)
+    f = np.sqrt(np.maximum(0.0, totals - pa - pb))
+    interior = np.arange(1, len(ts) - 1)
+    is_min = (f[interior] <= f[interior - 1]) & (f[interior] <= f[interior + 1]) & (f[interior] < walks_mod._SCAN_CUT)
+    candidates = interior[is_min]
+    if len(candidates) > walks_mod._SCAN_MAX_CANDIDATES:
+        candidates = np.sort(candidates[np.argsort(f[candidates])[: walks_mod._SCAN_MAX_CANDIDATES]])
+    if len(candidates) == 0:
+        return []
+    partners = np.full(len(candidates), b) if b is not None else p[:, candidates].argmax(axis=0)
+    taus = walks_mod._golden_min(dec, a, partners, ts[candidates - 1], ts[candidates + 1], cfg.refine_iters)
+    certs, seen = [], []
+    for tau in taus.tolist():
+        if any(abs(tau - s) < 1e-6 for s in seen):
+            continue
+        cert = detect_at(dec, a, tau, cfg)
+        if cert is None or cert.kind == KIND_PERIODIC or (b is not None and cert.b != b):
+            continue
+        seen.append(cert.tau)
+        certs.append(cert)
+    return sorted(certs, key=lambda c: c.tau)
+
+
+def _scan_slack(cfg=CFG):
+    return (cfg.tol_walk / cfg.beta_min) ** 2
+
+
+@st.composite
+def _relabelled_scan_graphs(draw):
+    """A family graph or a random graph with weights from a small set, randomly relabelled."""
+    if draw(st.booleans()):
+        g = parse_graph_spec(draw(st.sampled_from(["cycle:6", "cube:3", "cocktail:4", "path:4", "cone2:cycle:5"])))
+    else:
+        n = draw(st.integers(3, 7))
+        m = n * (n - 1) // 2
+        entries = draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0]), min_size=m, max_size=m))
+        w = np.zeros((n, n))
+        w[np.triu_indices(n, 1)] = entries
+        g = G.WeightedGraph(w + w.T, tuple(str(i) for i in range(n)), f"hyp:{n}")
+    perm = draw(st.permutations(range(g.order)))
+    return G.WeightedGraph(g.weights[np.ix_(perm, perm)], tuple(g.labels[i] for i in perm), g.name)
+
+
+class TestParallelScan:
+    @pytest.mark.parametrize(
+        "graph, b",
+        [
+            (parse_graph_spec("path:4"), None),
+            (G.cycle(6), None),
+            (G.hypercube(3), None),
+            (G.cocktail_party(4), None),
+            (parse_graph_spec("prod(path:3,path:2)"), None),
+            (weighted_p3(math.sqrt(2) - 1), None),
+            (weighted_p3(math.sqrt(2) - 1), 2),
+            (G.cycle(4), 2),
+            (G.scale_weights(G.cycle(6), 0.5), None),
+        ],
+    )
+    def test_certificates_equal_full_row_reference(self, graph, b):
+        dec = decompose(graph)
+        found = 0
+        for a in range(dec.order):
+            if a == b:
+                continue
+            certs = scan_fr(dec, a, b, CFG)
+            assert certs == _scan_full_rows(dec, a, b, CFG), a
+            found += len(certs)
+        assert found
+
+    @settings(max_examples=20, deadline=None)
+    @given(_relabelled_scan_graphs())
+    def test_full_row_partners_are_parallel(self, g):
+        cfg = DetectionConfig(t_max=20.0, grid_points=4000)
+        dec = decompose(g)
+        for a in range(dec.order):
+            partners = parallel_partners(dec, a, _scan_slack(cfg)).tolist()
+            assert all(c.b in partners for c in _scan_full_rows(dec, a, None, cfg))
+
+    @staticmethod
+    def _forbid_grid(monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("the coarse grid ran")
+
+        monkeypatch.setattr(walks_mod, "_scan_phases", no_grid)
+
+    @pytest.mark.parametrize("graph, a, b", [(G.cycle(6), 0, 1), (G.cycle(7), 0, 3), (G.hypercube(3), 0, 3)])
+    def test_target_outside_partners_needs_no_grid(self, monkeypatch, graph, a, b):
+        dec = decompose(graph)
+        assert b not in parallel_partners(dec, a, _scan_slack())
+        self._forbid_grid(monkeypatch)
+        assert scan_fr(dec, a, b, CFG) == []
+
+    def test_source_without_partners_needs_no_grid(self, monkeypatch):
+        dec = decompose(G.cycle(7))
+        self._forbid_grid(monkeypatch)
+        assert all(scan_fr(dec, a, None, CFG) == [] for a in range(7))
+
+    def test_coarse_grid_memory_scales_with_partners(self):
+        dec = decompose(G.cycle(64))
+        scan_fr(dec, 0, None, CFG)  # builds the shared phase table
+        k = len(parallel_partners(dec, 5, _scan_slack()))
+        assert k == 1
+        tracemalloc.start()
+        try:
+            scan_fr(dec, 5, None, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a complex grid row takes 16 bytes per time; all 64 rows would take 8x the bound
+        assert peak < 4 * (1 + k) * CFG.grid_points * 16
 
 
 class TestChecks:
