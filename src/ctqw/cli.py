@@ -254,10 +254,7 @@ def _report_graph(payload: dict) -> WeightedGraph:
         raise TypeError("input_spec must be a string")
     g = payload.get("graph")
     if isinstance(g, dict) and "weights" in g:
-        w = np.array(g["weights"], dtype=float)
-        if not np.isfinite(w).all():
-            raise ValueError("non-finite weight")
-        return WeightedGraph(w, tuple(g["labels"]), spec)
+        return WeightedGraph(g["weights"], tuple(g["labels"]), spec)
     return parse_graph_spec(spec)
 
 

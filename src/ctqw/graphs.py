@@ -22,9 +22,9 @@ _SIG_DIGITS = 12
 #: bytes one graph's spectral decomposition may take
 MEMORY_BUDGET = 2 * 2**30
 #: largest order a graph may have. decompose keeps one dense (n, n) float
-#: projector per distinct eigenvalue, up to n of them, and holds them twice
-#: while stacking: 16 n^3 bytes, which must fit in MEMORY_BUDGET
-MAX_ORDER = round((MEMORY_BUDGET / 16) ** (1 / 3))
+#: projector per distinct eigenvalue, up to n of them, in one tensor: 8 n^3
+#: bytes, which must fit in MEMORY_BUDGET
+MAX_ORDER = round((MEMORY_BUDGET / 8) ** (1 / 3))
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -52,6 +52,8 @@ class WeightedGraph:
         n = w.shape[0]
         if n < 1:
             raise ValueError("graph must have at least one vertex")
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
         asym = np.abs(w - w.T).max()
         if asym > 1e-12:
             raise ValueError(f"weights must be symmetric (max asymmetry {asym:.3e})")
@@ -261,8 +263,8 @@ def double_cone(x: WeightedGraph) -> WeightedGraph:
 
 
 def scale_weights(x: WeightedGraph, factor: float) -> WeightedGraph:
-    if factor <= 0:
-        raise ValueError("scale factor must be positive")
+    if not 0 < factor < math.inf:
+        raise ValueError("scale factor must be positive and finite")
     return WeightedGraph(x.weights * factor, x.labels, f"scale({x.name},{factor:g})")
 
 

@@ -78,7 +78,7 @@ class RatioReport:
     witness_ratio: float | None = None
 
 
-def ratio_condition(values, max_den: int = MAX_DEN, tol: float = RATIONAL_TOL) -> RatioReport:
+def ratio_condition(values) -> RatioReport:
     """Check that all pairwise-difference ratios of the values are rational.
 
     It suffices to test each difference against one fixed base difference
@@ -99,7 +99,7 @@ def ratio_condition(values, max_den: int = MAX_DEN, tol: float = RATIONAL_TOL) -
             if abs(vals[i] - vals[j]) <= CLASS_TOL:
                 continue
             ratio = (vals[i] - vals[j]) / base
-            if rationalize(ratio, max_den, tol) is None:
+            if rationalize(ratio) is None:
                 return RatioReport(holds=False, witness=(i, j, r, s), witness_ratio=ratio)
     return RatioReport(holds=True)
 
@@ -179,23 +179,23 @@ def _near_int(x: float, tol: float) -> bool:
     return abs(x - round(x)) <= tol
 
 
-def _part_is_integer(vals, tol) -> bool:
-    return all(_near_int(v, tol) for v in vals)
+def _part_is_integer(vals) -> bool:
+    return all(_near_int(v, CLASS_TOL) for v in vals)
 
 
-def _part_delta(vals, tol) -> int:
+def _part_delta(vals) -> int:
     """Squarefree part of the squared smallest eigenvalue difference."""
     diffs = sorted(
-        abs(vi - vj) for i, vi in enumerate(vals) for vj in vals[i + 1 :] if abs(vi - vj) > tol
+        abs(vi - vj) for i, vi in enumerate(vals) for vj in vals[i + 1 :] if abs(vi - vj) > CLASS_TOL
     )
     d = diffs[0]
     s = (2.0 * d) ** 2
-    if not _near_int(s, tol * max(1.0, s)):
+    if not _near_int(s, CLASS_TOL * max(1.0, s)):
         raise NotClassifiable(f"squared difference {s!r} is not an integer")
     return squarefree_part(round(s))
 
 
-def _fit_part(vals, delta: int, tol: float) -> tuple[int, list[int]]:
+def _fit_part(vals, delta: int) -> tuple[int, list[int]]:
     """Integers (a, [b_r]) with 2*v = a + b_r sqrt(delta) for each value.
 
     The offset search is bounded by |b| <= ceil(2 max|v| / sqrt(delta)) + 1,
@@ -207,7 +207,7 @@ def _fit_part(vals, delta: int, tol: float) -> tuple[int, list[int]]:
         # decomposition is non-unique over Q; pin the canonical a = 0
         bs = []
         for v in vals:
-            if not _near_int(2.0 * v, tol):
+            if not _near_int(2.0 * v, CLASS_TOL):
                 raise NotClassifiable(f"value {v!r} is not a half-integer")
             bs.append(round(2.0 * v))
         return 0, bs
@@ -217,28 +217,28 @@ def _fit_part(vals, delta: int, tol: float) -> tuple[int, list[int]]:
     bound = math.ceil(2.0 * max(abs(v) for v in vals) / sd) + 1
     for t in range(-bound, bound + 1):
         a = 2.0 * vals[0] - t * sd
-        if not _near_int(a, tol):
+        if not _near_int(a, CLASS_TOL):
             continue
         bs = [t + r for r in rel]
-        if all(abs(v - (round(a) + b * sd) / 2.0) <= tol for v, b in zip(vals, bs)):
+        if all(abs(v - (round(a) + b * sd) / 2.0) <= CLASS_TOL for v, b in zip(vals, bs)):
             return round(a), bs
     raise NotClassifiable(f"no (a, b, delta={delta}) fit for values {vals}")
 
 
-def _part_gcd(vals, delta: int, tol: float) -> int:
+def _part_gcd(vals, delta: int) -> int:
     """gcd of the scaled pairwise differences, 0 for singleton parts."""
     sd = math.sqrt(delta)
     g = 0
     for i, vi in enumerate(vals):
         for vj in vals[i + 1 :]:
             x = (vi - vj) / sd
-            if not _near_int(x, tol * 10.0):
+            if not _near_int(x, CLASS_TOL * 10.0):
                 raise NotClassifiable(f"scaled difference {x!r} is not an integer")
             g = math.gcd(g, abs(round(x)))
     return g
 
 
-def classify(phi_plus_vals, phi_minus_vals, class_tol: float = CLASS_TOL) -> EigenvalueClassification:
+def classify(phi_plus_vals, phi_minus_vals) -> EigenvalueClassification:
     """Fit both support parts as integers or quadratic integers over one field.
 
     Raises NotClassifiable when a part fails the ratio condition, when the
@@ -256,14 +256,14 @@ def classify(phi_plus_vals, phi_minus_vals, class_tol: float = CLASS_TOL) -> Eig
         if not rep.holds:
             raise NotClassifiable(f"ratio condition fails on the {name} part", witness=rep)
 
-    if _part_is_integer(plus + minus, class_tol):
+    if _part_is_integer(plus + minus):
         kind, delta = "all_integer", 1
     else:
         kind = "quadratic"
         deltas = []
         for vals in (plus, minus):
             if len(vals) >= 2:
-                deltas.append(1 if _part_is_integer(vals, class_tol) else _part_delta(vals, class_tol))
+                deltas.append(1 if _part_is_integer(vals) else _part_delta(vals))
         nontrivial = sorted(set(d for d in deltas if d > 1))
         if not nontrivial:
             raise NotClassifiable("irrational values sit in singleton parts; field undetermined")
@@ -273,10 +273,10 @@ def classify(phi_plus_vals, phi_minus_vals, class_tol: float = CLASS_TOL) -> Eig
             raise NotClassifiable("one part is integral, the other quadratic: no common period")
         delta = nontrivial[0]
 
-    a_p, b_p = _fit_part(plus, delta, class_tol)
-    a_m, b_m = _fit_part(minus, delta, class_tol)
-    g_p = _part_gcd(plus, delta, class_tol)
-    g_m = _part_gcd(minus, delta, class_tol)
+    a_p, b_p = _fit_part(plus, delta)
+    a_m, b_m = _fit_part(minus, delta)
+    g_p = _part_gcd(plus, delta)
+    g_m = _part_gcd(minus, delta)
 
     sd = math.sqrt(delta)
     residual = 0.0

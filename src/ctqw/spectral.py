@@ -80,6 +80,8 @@ def decompose(a, group_tol: float | None = None) -> SpectralDecomposition:
     matrices; no integrality is assumed.
     """
     m = _as_matrix(a)
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
     asym = float(np.abs(m - m.T).max())
     if asym > 1e-12:
         raise ValueError(f"matrix must be symmetric (max asymmetry {asym:.3e})")
@@ -93,26 +95,20 @@ def decompose(a, group_tol: float | None = None) -> SpectralDecomposition:
     breaks = np.nonzero(gaps >= gt)[0]
     ambiguous = bool(np.any((gaps > gt / 10.0) & (gaps < gt * 10.0)))
 
-    groups: list[np.ndarray] = np.split(np.arange(len(evals)), breaks + 1)
-    thetas = []
-    projs = []
-    mults = []
-    for g in groups:
-        thetas.append(float(evals[g].mean()))
+    # the groups are runs of ascending eigenvalues split by gaps of at least
+    # gt, so their means strictly increase: reversed, they are descending
+    groups = np.split(np.arange(len(evals)), breaks + 1)[::-1]
+    projs = np.empty((len(groups), len(evals), len(evals)))
+    for proj, g in zip(projs, groups):
         v = evecs[:, g]
         e = v @ v.T
-        projs.append((e + e.T) / 2.0)
-        mults.append(len(g))
-
-    order = np.argsort(thetas)[::-1]
-    thetas = np.array([thetas[i] for i in order])
-    projs = np.stack([projs[i] for i in order])
-    mults = tuple(mults[i] for i in order)
+        np.add(e, e.T, out=proj)
+        proj /= 2.0
     return SpectralDecomposition(
         matrix=m,
-        eigenvalues=thetas,
+        eigenvalues=np.array([evals[g].mean() for g in groups]),
         projectors=projs,
-        multiplicities=mults,
+        multiplicities=tuple(len(g) for g in groups),
         group_tolerance=gt,
         ambiguous_clustering=ambiguous,
         nonnegative=bool(m.min() >= 0.0),
@@ -223,42 +219,32 @@ def pair_profile(dec: SpectralDecomposition, a: int, b: int) -> PairProfile:
         if not (0 <= v < dec.order):
             raise ValueError(f"vertex {v} out of range")
 
-    cols_a = dec.projected_columns(a)
-    cols_b = dec.projected_columns(b)
+    # decompose stores each E_r exactly symmetric, so row a is E_r e_a; rows
+    # are contiguous, where a column read touches one cache line per entry
+    cols_a = dec.projectors[:, a, :]
+    cols_b = dec.projectors[:, b, :]
     norms_a = np.linalg.norm(cols_a, axis=1)
     norms_b = np.linalg.norm(cols_b, axis=1)
     sup_a = norms_a > TOL_SUPPORT
-    sup_b = norms_b > TOL_SUPPORT
+    live = np.nonzero(sup_a | (norms_b > TOL_SUPPORT))[0]
+    ua, ub = cols_a[live], cols_b[live]
 
-    parallel = True
-    for r in np.nonzero(sup_a | sup_b)[0]:
-        ip = abs(float(cols_a[r] @ cols_b[r]))
-        if abs(ip - norms_a[r] * norms_b[r]) > TOL_SPEC:
-            parallel = False
-            break
+    ip = np.abs((ua * ub).sum(axis=1))
+    parallel = bool((np.abs(ip - norms_a[live] * norms_b[live]) <= TOL_SPEC).all())
 
     diag_a = dec.projectors[:, a, a]
     diag_b = dec.projectors[:, b, b]
     cospectral = bool(np.abs(diag_a - diag_b).max() <= TOL_SPEC)
 
-    strongly = True
-    plus: set[int] = set()
-    minus: set[int] = set()
-    for r in range(dec.n_distinct):
-        if not (sup_a[r] or sup_b[r]):
-            continue
-        va, vb = cols_a[r], cols_b[r]
-        k = int(np.argmax(np.abs(va)))
-        sign = 1.0 if va[k] * vb[k] >= 0 else -1.0
-        if np.abs(va - sign * vb).max() <= TOL_SPEC:
-            (plus if sign > 0 else minus).add(int(r))
-        else:
-            strongly = False
-            break
-    if not strongly:
-        plus, minus = set(), set()
+    # each row's sign is read at the first largest entry of |E_r e_a|
+    k = np.argmax(np.abs(ua), axis=1)
+    rows = np.arange(len(live))
+    sign = np.where(ua[rows, k] * ub[rows, k] >= 0, 1.0, -1.0)
+    strongly = bool((np.abs(ua - sign[:, None] * ub).max(axis=1) <= TOL_SPEC).all())
+    plus = frozenset(live[sign > 0].tolist()) if strongly else frozenset()
+    minus = frozenset(live[sign < 0].tolist()) if strongly else frozenset()
 
-    sup = frozenset(int(r) for r in np.nonzero(sup_a)[0])
+    sup = frozenset(np.nonzero(sup_a)[0].tolist())
     return PairProfile(
         a=a,
         b=b,
@@ -266,7 +252,7 @@ def pair_profile(dec: SpectralDecomposition, a: int, b: int) -> PairProfile:
         parallel=parallel,
         cospectral=cospectral,
         strongly_cospectral=strongly,
-        phi_plus=frozenset(plus),
-        phi_minus=frozenset(minus),
+        phi_plus=plus,
+        phi_minus=minus,
         perron_anchor_valid=bool(strongly and dec.nonnegative and 0 in plus),
     )

@@ -335,7 +335,7 @@ def _cone_transport(family, order: int, cfg: DetectionConfig) -> tuple[G.Weighte
     """
     x = G.double_cone(family(order))
     part = G.coarsest_equitable_refinement(x, [[0], [x.order - 1], list(range(1, x.order - 1))])
-    return x, part, verify_quotient_transport(x, part, 0, x.order - 1, cfg, times=np.linspace(0.05, 10.0, 200))
+    return x, part, verify_quotient_transport(x, part, 0, x.order - 1, cfg)
 
 
 def double_cone_rows(cfg: DetectionConfig) -> list[RowResult]:

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ctqw.graphs import WeightedGraph, bipartition, cartesian_product, quotient, union_overlay, x_theta
+from ctqw.graphs import WeightedGraph, cartesian_product, quotient, union_overlay, x_theta
 from ctqw.numtheory import (
-    MAX_DEN,
     EigenvalueClassification,
     NotClassifiable,
     RatioReport,
@@ -48,6 +47,11 @@ _SCAN_MAX_CANDIDATES = 512
 #: byte budget of the oracle exponentials kept per decomposition; past it the
 #: oldest are dropped first
 _ORACLE_MEMO_BYTES = 64 * 2**20
+#: horizon of the approximate-transfer scan in check_gamma_consequences
+PGST_T_MAX = 1e4
+#: sample times of the walk-entry comparison in verify_quotient_transport
+QUOTIENT_TIMES = np.linspace(0.05, 10.0, 200)
+QUOTIENT_TIMES.setflags(write=False)
 
 
 class NumericalHealthWarning(UserWarning):
@@ -313,23 +317,14 @@ def certify_strongly_cospectral(
     """
     if not profile.strongly_cospectral:
         raise ValueError("pair is not strongly cospectral")
-    plus_idx = sorted(profile.phi_plus)
-    minus_idx = sorted(profile.phi_minus)
-    theta = dec.eigenvalues
-
-    step = cls.tau_step
-    if step is not None:
-        taus = cls.tau_grid(CERTIFY_GRID_K)
-    else:
-        gap = abs(float(theta[plus_idx[0]] - theta[minus_idx[0]]))
+    taus = cls.tau_grid(CERTIFY_GRID_K)
+    if not taus:
+        theta = dec.eigenvalues
+        gap = abs(float(theta[min(profile.phi_plus)] - theta[min(profile.phi_minus)]))
         taus = [math.pi / (2 * gap), math.pi / gap, 2 * math.pi / gap]
 
     certs: list[FrCertificate] = []
     for tau in taus:
-        ph_plus = np.exp(-1j * tau * theta[plus_idx])
-        ph_minus = np.exp(-1j * tau * theta[minus_idx])
-        if np.abs(ph_plus - ph_plus[0]).max() > 1e-6 or np.abs(ph_minus - ph_minus[0]).max() > 1e-6:
-            continue  # defensive: grid times satisfy this by construction
         cert = detect_at(dec, profile.a, tau, cfg, method="equiv_cond_solve")
         if cert is None:
             continue
@@ -536,11 +531,7 @@ def check_symmetry(cert: FrCertificate, dec: SpectralDecomposition, cfg: Detecti
 
 
 def check_gamma_consequences(
-    cert: FrCertificate,
-    dec: SpectralDecomposition,
-    cfg: DetectionConfig = DetectionConfig(),
-    max_den: int = MAX_DEN,
-    pgst_t_max: float = 1e4,
+    cert: FrCertificate, dec: SpectralDecomposition, cfg: DetectionConfig = DetectionConfig()
 ) -> dict:
     """Consequences of the revival angle gamma.
 
@@ -548,12 +539,12 @@ def check_gamma_consequences(
     for even q, perfect state transfer at (q/2)*tau; the balanced case is
     q = 4. A bounded-denominator "not rational" verdict instead triggers an
     approximate-transfer scan over the times 2*l*tau, reporting the best
-    fidelity found up to pgst_t_max.
+    fidelity found up to PGST_T_MAX.
     """
     if cert.gamma is None:
         raise ValueError("certificate has no gamma angle (pair not strongly cospectral)")
     report: dict = {"gamma": cert.gamma, "gamma_over_pi": cert.gamma / math.pi}
-    approx = rationalize(cert.gamma / math.pi, max_den=max_den)
+    approx = rationalize(cert.gamma / math.pi)
     if approx is not None:
         q = approx.q
         report["verdict"] = "rational"
@@ -568,7 +559,7 @@ def check_gamma_consequences(
         report["balanced_case"] = q == 4
         return report
     report["verdict"] = "not_rational_bounded"
-    n_steps = max(1, int(pgst_t_max / (2.0 * cert.tau)))
+    n_steps = max(1, int(PGST_T_MAX / (2.0 * cert.tau)))
     ls = np.arange(1, n_steps + 1)
     entries_ba = dec.projectors[:, cert.b, cert.a]
     phases = np.exp(-1j * np.outer(dec.eigenvalues, 2.0 * ls * cert.tau))
@@ -713,11 +704,10 @@ def verify_quotient_transport(
     a: int,
     b: int,
     cfg: DetectionConfig = DetectionConfig(),
-    times=None,
 ) -> dict:
     """Walk entries between singleton cells survive the quotient, exactly.
 
-    Samples |U_x(t)_{a,b} - U_{x/p}(t)_{ia,ib}| on a time grid, then checks
+    Samples |U_x(t)_{a,b} - U_{x/p}(t)_{ia,ib}| at QUOTIENT_TIMES, then checks
     revival correspondence both ways on the certificates found for the pair.
     """
     ia, ib = p.cell_of(a), p.cell_of(b)
@@ -726,13 +716,15 @@ def verify_quotient_transport(
     q = quotient(x, p)
     dec_x = decompose(x)
     dec_q = decompose(q)
-    if times is None:
-        times = np.linspace(0.05, 10.0, 200)
-    worst = 0.0
-    for t in times:
-        ex = transition_column(dec_x, a, float(t))[b]
-        eq = transition_column(dec_q, ia, float(t))[ib]
-        worst = max(worst, abs(ex - eq))
+
+    def entries(dec: SpectralDecomposition, u: int, v: int) -> np.ndarray:
+        # (T, 1, d) @ (d, n) is transition_column's BLAS route at each time
+        phases = np.exp(-1j * QUOTIENT_TIMES[:, None, None] * dec.eigenvalues)
+        return (phases @ dec.projected_columns(u))[:, 0, v]
+
+    diff = entries(dec_x, a, b) - entries(dec_q, ia, ib)
+    # hypot rounds as abs() of one complex entry does; np.abs of an array may not
+    worst = float(np.hypot(diff.real, diff.imag).max())
     entries_ok = worst <= cfg.tol_walk
 
     cert_q = certify_pair(dec_q, ia, ib, cfg)
@@ -759,31 +751,3 @@ def verify_quotient_transport(
         "correspondence_ok": correspondence,
         "holds": entries_ok and correspondence,
     }
-
-
-def bipartite_structure_check(
-    x: WeightedGraph,
-    cert: FrCertificate,
-    dec: SpectralDecomposition | None = None,
-    cfg: DetectionConfig = DetectionConfig(),
-) -> dict:
-    """Bipartite consequences of a revival certificate.
-
-    Endpoints in different parts must be strongly cospectral; endpoints in the
-    same part force periodicity of both at 2*tau.
-    """
-    if cert.kind == KIND_PERIODIC:
-        raise ValueError("needs a two-vertex revival certificate")
-    parts = bipartition(x)
-    if parts is None:
-        return {"applicable": False, "holds": None}
-    if dec is None:
-        dec = decompose(x)
-    same_part = (cert.a in parts[0]) == (cert.b in parts[0])
-    if same_part:
-        ok = check_periodic(dec, cert.a, 2 * cert.tau, cfg) and check_periodic(dec, cert.b, 2 * cert.tau, cfg)
-        claim = "periodic_at_2tau"
-    else:
-        ok = pair_profile(dec, cert.a, cert.b).strongly_cospectral
-        claim = "strongly_cospectral"
-    return {"applicable": True, "same_part": same_part, "claim": claim, "holds": bool(ok)}

@@ -148,6 +148,7 @@ class TestReports:
         [
             ("certificates", {}), ("config", {"tol_walk": "tight"}), ("config", [1]), ("input_spec", None),
             ("graph", {"weights": [["x"]], "labels": ["0"]}), ("graph", {"weights": [[0.0, 1.0], [1.0, 0.0]]}),
+            ("graph", {"weights": [[0.0, math.nan], [math.nan, 0.0]], "labels": ["0", "1"]}),
         ],
     )
     def test_malformed_report_fails_validation(self, top, value):

@@ -10,10 +10,12 @@ from ctqw.spectral import decompose, pair_profile
 from ctqw.walks import (
     KIND_PERIODIC,
     KIND_PST,
+    QUOTIENT_TIMES,
     DetectionConfig,
-    bipartite_structure_check,
     certify_pair,
+    check_periodic,
     detect_at,
+    transition_column,
     verify_construction_ium,
     verify_construction_union,
     verify_construction_xtheta,
@@ -142,6 +144,12 @@ class TestQuotientTransport:
         x, part = self.cone_partition(y)
         rep = verify_quotient_transport(x, part, 0, x.order - 1, CFG)
         assert rep["entries_ok"] and rep["correspondence_ok"] and rep["holds"]
+        dec_x, dec_q = decompose(x), decompose(G.quotient(x, part))
+        b, ib = x.order - 1, part.cell_of(x.order - 1)
+        worst = max(
+            abs(transition_column(dec_x, 0, t)[b] - transition_column(dec_q, 0, t)[ib]) for t in QUOTIENT_TIMES.tolist()
+        )
+        assert rep["max_entry_difference"] == worst
         k = int(round(y.weights.sum(axis=1)[0]))
         tau = 2 * math.pi / math.sqrt(k * k + 8 * y.order)
         events = [c for c in rep["quotient_certificates"] if c.kind != KIND_PERIODIC]
@@ -160,29 +168,42 @@ class TestQuotientTransport:
             verify_quotient_transport(g, part, 0, 3, CFG)
 
 
+def same_part(g, cert):
+    """Whether a bipartite g puts the two endpoints of a revival in one part."""
+    assert cert is not None and cert.kind != KIND_PERIODIC
+    parts = G.bipartition(g)
+    assert parts is not None
+    return (cert.a in parts[0]) == (cert.b in parts[0])
+
+
+def periodic_at_double_time(dec, cert):
+    return check_periodic(dec, cert.a, 2 * cert.tau, CFG) and check_periodic(dec, cert.b, 2 * cert.tau, CFG)
+
+
 class TestBipartiteStructure:
+    """On a bipartite graph, revival endpoints in different parts are strongly
+    cospectral, and endpoints in one part are periodic at twice the time."""
+
     def test_c6_different_parts_strongly_cospectral(self):
         g = G.cycle(6)
         dec = decompose(g)
         cert = detect_at(dec, 0, 2 * math.pi / 3, CFG)
-        rep = bipartite_structure_check(g, cert, dec, CFG)
-        assert rep["applicable"] and not rep["same_part"]
-        assert rep["claim"] == "strongly_cospectral" and rep["holds"]
+        assert not same_part(g, cert)
+        assert pair_profile(dec, cert.a, cert.b).strongly_cospectral
 
     def test_p4_endpoints_different_parts(self):
         g = G.path(4)
         dec = decompose(g)
         cert = detect_at(dec, 0, 2 * math.pi / math.sqrt(5), CFG)
-        rep = bipartite_structure_check(g, cert, dec, CFG)
-        assert not rep["same_part"] and rep["holds"]
+        assert not same_part(g, cert)
+        assert pair_profile(dec, cert.a, cert.b).strongly_cospectral
 
     def test_same_part_periodic_at_double_time(self):
         # P3 transfer joins the two endpoints of the same color class
         g = G.path(3)
         dec = decompose(g)
         cert = detect_at(dec, 0, math.pi / math.sqrt(2), CFG)
-        rep = bipartite_structure_check(g, cert, dec, CFG)
-        assert rep["same_part"] and rep["claim"] == "periodic_at_2tau" and rep["holds"]
+        assert same_part(g, cert) and periodic_at_double_time(dec, cert)
 
     def test_weighted_same_part_revival(self):
         omega = 2.0
@@ -190,15 +211,12 @@ class TestBipartiteStructure:
         g = G.WeightedGraph(w, ("a", "m", "b"), "p3w:2")
         dec = decompose(g)
         cert = detect_at(dec, 0, math.pi / math.sqrt(omega**2 + 1), CFG)
-        rep = bipartite_structure_check(g, cert, dec, CFG)
-        assert rep["same_part"] and rep["holds"]
+        assert same_part(g, cert) and periodic_at_double_time(dec, cert)
 
     def test_odd_cycle_not_applicable(self):
         g = G.cocktail_party(3)
-        dec = decompose(g)
-        cert = certify_pair(dec, 0, 1, CFG).certificates[0]
-        rep = bipartite_structure_check(g, cert, dec, CFG)
-        assert not rep["applicable"]
+        assert certify_pair(decompose(g), 0, 1, CFG).certificates
+        assert G.bipartition(g) is None
 
     def test_every_revival_pair_is_parallel(self):
         # revival forces parallel projections, also off the cospectral case

@@ -59,7 +59,8 @@ class TestFamilies:
             G.hypercube(0)
 
     def test_order_limit_fits_memory_budget(self):
-        assert 16 * G.MAX_ORDER**3 <= G.MEMORY_BUDGET < 16 * (G.MAX_ORDER + 1) ** 3
+        # one (n, n) float projector per distinct eigenvalue, up to n of them
+        assert 8 * G.MAX_ORDER**3 <= G.MEMORY_BUDGET < 8 * (G.MAX_ORDER + 1) ** 3
 
     def test_order_limit_checked_before_building(self, monkeypatch):
         monkeypatch.setattr(G, "MAX_ORDER", 10)
@@ -326,6 +327,13 @@ class TestFileFormat:
         with pytest.raises(G.GraphFormatError) as err:
             G.parse_graph_text(f"n 3\n0 1 1.0\n1 2 {weight}\n")
         assert err.value.line == 3
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weights_rejected(self, weight):
+        with pytest.raises(ValueError, match="finite"):
+            G.WeightedGraph(np.array([[0.0, weight], [weight, 0.0]]), ("0", "1"))
+        with pytest.raises(ValueError):
+            G.scale_weights(G.cycle(4), weight)
 
     def test_diagonal_entries_allowed(self):
         g = G.parse_graph_text("n 2\n0 0 0.5\n0 1 2.0\n")

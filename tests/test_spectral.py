@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 from ctqw import graphs as G
 from ctqw.spectral import (
     TOL_SPEC,
+    TOL_SUPPORT,
     decompose,
+    default_group_tol,
     pair_profile,
     parallel_partners,
     strongly_cospectral_candidates,
@@ -96,6 +99,11 @@ class TestDecompose:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             decompose(np.array([[0.0, 1.0], [0.2, 0.0]]))
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, weight):
+        with pytest.raises(ValueError, match="finite"):
+            decompose(np.array([[0.0, weight], [weight, 0.0]]))
 
     def test_ambiguous_clustering_flag(self):
         # two eigenvalues straddling the grouping tolerance
@@ -230,6 +238,134 @@ _FAMILY_GRAPHS = [
 def relabelled_families(draw):
     g = draw(st.sampled_from(_FAMILY_GRAPHS))
     return relabel(g, draw(st.permutations(range(g.order))))
+
+
+@st.composite
+def random_real_matrices(draw):
+    """Symmetric matrices of orders 2..10 with real entries in [-3, 3]."""
+    n = draw(st.integers(2, 10))
+    entries = draw(st.lists(st.floats(-3.0, 3.0), min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+    w = np.zeros((n, n))
+    w[np.triu_indices(n)] = entries
+    return w + np.triu(w, 1).T
+
+
+def list_and_stack_decomposition(m):
+    """(eigenvalues, projectors, multiplicities) built one projector per group
+    in a list, ordered by argsort and copied into a stacked tensor."""
+    m = (m + m.T) / 2.0
+    evals, evecs = np.linalg.eigh(m)
+    breaks = np.nonzero(np.diff(evals) >= default_group_tol(m))[0]
+    thetas, projs, mults = [], [], []
+    for g in np.split(np.arange(len(evals)), breaks + 1):
+        thetas.append(float(evals[g].mean()))
+        v = evecs[:, g]
+        e = v @ v.T
+        projs.append((e + e.T) / 2.0)
+        mults.append(len(g))
+    order = np.argsort(thetas)[::-1]
+    return np.array([thetas[i] for i in order]), np.stack([projs[i] for i in order]), tuple(mults[i] for i in order)
+
+
+def loop_pair_profile(dec, a, b):
+    """pair_profile's fields as a loop over the eigenvalues."""
+    cols_a, cols_b = dec.projected_columns(a), dec.projected_columns(b)
+    norms_a = np.linalg.norm(cols_a, axis=1)
+    norms_b = np.linalg.norm(cols_b, axis=1)
+    sup_a, sup_b = norms_a > TOL_SUPPORT, norms_b > TOL_SUPPORT
+    parallel = True
+    for r in np.nonzero(sup_a | sup_b)[0]:
+        if abs(abs(float(cols_a[r] @ cols_b[r])) - norms_a[r] * norms_b[r]) > TOL_SPEC:
+            parallel = False
+            break
+    cospectral = bool(np.abs(dec.projectors[:, a, a] - dec.projectors[:, b, b]).max() <= TOL_SPEC)
+    strongly, plus, minus = True, set(), set()
+    for r in range(dec.n_distinct):
+        if not (sup_a[r] or sup_b[r]):
+            continue
+        va, vb = cols_a[r], cols_b[r]
+        k = int(np.argmax(np.abs(va)))
+        sign = 1.0 if va[k] * vb[k] >= 0 else -1.0
+        if np.abs(va - sign * vb).max() <= TOL_SPEC:
+            (plus if sign > 0 else minus).add(int(r))
+        else:
+            strongly = False
+            break
+    if not strongly:
+        plus, minus = set(), set()
+    return dict(
+        support=frozenset(int(r) for r in np.nonzero(sup_a)[0]),
+        parallel=parallel,
+        cospectral=cospectral,
+        strongly_cospectral=strongly,
+        phi_plus=frozenset(plus),
+        phi_minus=frozenset(minus),
+        perron_anchor_valid=bool(strongly and dec.nonnegative and 0 in plus),
+    )
+
+
+_REFERENCE_GRAPHS = _FAMILY_GRAPHS + [
+    G.star(5), G.path(6), weighted_p3(0.5), weighted_p3(2.0), G.x_theta(G.cycle(4), (2, 3, 0, 1), 0.3),
+    G.double_cone(G.cycle(5)),
+]
+
+
+class TestProjectorTensor:
+    """decompose and pair_profile against their list-and-loop constructions."""
+
+    @pytest.mark.parametrize("g", _REFERENCE_GRAPHS, ids=lambda g: g.name)
+    def test_decompose_equals_list_and_stack(self, g):
+        self.assert_same_decomposition(g.weights)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            random_weighted_graphs([0.0, 0.5, 1.25, 2.0]).map(lambda g: g.weights),
+            random_weighted_graphs([-1.0, 0.0, 0.0, 1.0]).map(lambda g: g.weights),
+            random_real_matrices(),
+        )
+    )
+    def test_decompose_equals_list_and_stack_random(self, m):
+        self.assert_same_decomposition(m)
+
+    @staticmethod
+    def assert_same_decomposition(m):
+        dec = decompose(m)
+        thetas, projs, mults = list_and_stack_decomposition(np.asarray(m, dtype=float))
+        assert np.array_equal(dec.eigenvalues, thetas)
+        assert np.array_equal(dec.projectors, projs)
+        assert dec.multiplicities == mults
+
+    def test_decompose_holds_one_tensor(self):
+        g = G.cycle(128)
+        tracemalloc.start()
+        try:
+            dec = decompose(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dec.projectors.nbytes == 65 * 128 * 128 * 8
+        # stacking a list of projectors holds the tensor twice
+        assert peak <= 1.2 * dec.projectors.nbytes
+
+    @pytest.mark.parametrize("g", _REFERENCE_GRAPHS, ids=lambda g: g.name)
+    def test_pair_profile_equals_loop(self, g):
+        dec = decompose(g)
+        for a in range(g.order):
+            for b in range(g.order):
+                if a != b:
+                    prof = pair_profile(dec, a, b)
+                    assert dataclasses.asdict(prof) == {"a": a, "b": b, **loop_pair_profile(dec, a, b)}
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_weighted_graphs([-1.0, 0.0, 0.5, 1.0, 2.0]))
+    def test_pair_profile_equals_loop_random(self, g):
+        dec = decompose(g)
+        for a in range(g.order):
+            for b in range(g.order):
+                if a != b:
+                    prof = pair_profile(dec, a, b)
+                    assert dataclasses.asdict(prof) == {"a": a, "b": b, **loop_pair_profile(dec, a, b)}
 
 
 class TestStrongCospectralityScreen:

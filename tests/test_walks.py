@@ -513,7 +513,7 @@ class TestGammaConsequences:
     def test_p4_irrational_gamma_gives_high_fidelity(self):
         dec = decompose(G.path(4))
         cert = detect_at(dec, 0, 2 * math.pi / math.sqrt(5), CFG)
-        rep = check_gamma_consequences(cert, dec, CFG, pgst_t_max=1e4)
+        rep = check_gamma_consequences(cert, dec, CFG)
         assert rep["verdict"] == "not_rational_bounded"
         assert rep["pgst_max_fidelity"] > 0.99
         assert rep["pgst_at_time"] <= 1e4
