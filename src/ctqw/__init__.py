@@ -11,14 +11,11 @@ from ctqw.graphs import (
     cartesian_product,
     coarsest_equitable_refinement,
     cocktail_party,
-    complement,
     complete,
     cycle,
     double_cone,
     empty,
     hypercube,
-    join,
-    orbit_signature,
     path,
     quotient,
     star,
@@ -33,7 +30,7 @@ from ctqw.numtheory import (
     ratio_condition,
     rationalize,
 )
-from ctqw.spectral import PairProfile, SpectralDecomposition, decompose, pair_profile, support
+from ctqw.spectral import PairProfile, SpectralDecomposition, decompose, pair_profile
 from ctqw.walks import (
     DetectionConfig,
     FrCertificate,

@@ -53,6 +53,9 @@ EXIT_SUITE = 4
 
 #: significant digits for floats in JSON reports
 JSON_DIGITS = 12
+#: largest tau * ||A|| a reloaded certificate may claim; it keeps the rounding
+#: floor of validate_report, 1e-11 tau ||A||, at most 1e-6, the default beta_min
+_MAX_PHASE = 1e5
 
 
 class ParseError(ValueError):
@@ -73,6 +76,18 @@ _FAMILIES = {
     "complete": G.complete,
     "empty": G.empty,
 }
+
+#: combinator prefixes in the order they are tried; those ending in "(" take
+#: two specs, "<a>,<b>)", and cone2: takes one
+_COMBINATORS = (("prod(", G.cartesian_product), ("overlay(", G.union_overlay), ("cone2:", G.double_cone))
+
+
+def _built(build, args, start: int) -> WeightedGraph:
+    """build(*args), with a ValueError reported as a ParseError at start."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ParseError(str(exc), start) from None
 
 
 class _SpecParser:
@@ -105,30 +120,14 @@ class _SpecParser:
     def _spec(self) -> WeightedGraph:
         self._skip_ws()
         start = self.pos
-        if self._try("prod("):
-            a = self._spec()
-            self._expect(",")
-            b = self._spec()
-            self._expect(")")
-            try:
-                return G.cartesian_product(a, b)
-            except ValueError as exc:
-                raise ParseError(str(exc), start) from None
-        if self._try("overlay("):
-            a = self._spec()
-            self._expect(",")
-            b = self._spec()
-            self._expect(")")
-            try:
-                return G.union_overlay(a, b)
-            except ValueError as exc:
-                raise ParseError(str(exc), start) from None
-        if self._try("cone2:"):
-            inner = self._spec()
-            try:
-                return G.double_cone(inner)
-            except ValueError as exc:
-                raise ParseError(str(exc), start) from None
+        for prefix, build in _COMBINATORS:
+            if self._try(prefix):
+                args = [self._spec()]
+                if prefix.endswith("("):
+                    self._expect(",")
+                    args.append(self._spec())
+                    self._expect(")")
+                return _built(build, args, start)
         token = self._leaf_token()
         if not token:
             raise ParseError("expected a graph spec", start)
@@ -138,10 +137,7 @@ class _SpecParser:
                 n = int(arg)
             except ValueError:
                 raise ParseError(f"bad integer argument {arg!r} for {head}", start + len(head) + 1) from None
-            try:
-                return _FAMILIES[head](n)
-            except ValueError as exc:
-                raise ParseError(str(exc), start) from None
+            return _built(_FAMILIES[head], [n], start)
         if os.path.exists(token):
             try:
                 return G.read_graph(token)
@@ -214,8 +210,8 @@ class RunReport:
     def payload(self) -> dict:
         return dict(vars(self))
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.payload(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.payload(), indent=2)
 
 
 def _is_number(v) -> bool:
@@ -270,12 +266,14 @@ def validate_report(payload: dict, graph: WeightedGraph | None = None) -> bool:
 
     Returns False, and never raises, on a malformed report: a missing or
     mistyped field, a vertex out of range, a bad detection config or a graph
-    that does not build. Per certificate it recomputes
+    that does not build or decompose. Per certificate it requires a stored
+    residual of at most tol_walk and tau * ||A|| of at most _MAX_PHASE, and
+    recomputes
 
     - the residual ||U(tau) e_a - alpha e_a - beta e_b||, accepted within 2x
       its stored value, with a floor absorbing the 12-digit JSON rounding of
       (tau, alpha, beta): rounding tau perturbs the column by up to about
-      5e-12 * |tau| * ||A||;
+      5e-12 * |tau| * ||A||. A residual that is not finite fails;
     - ``kind`` from a, b and the amplitudes, with the report's detection
       config (the default when the report carries none): periodic exactly
       when b == a;
@@ -287,9 +285,9 @@ def validate_report(payload: dict, graph: WeightedGraph | None = None) -> bool:
         cfg = DetectionConfig(**payload.get("config", {}))
         if graph is None:
             graph = _report_graph(payload)
+        dec = decompose(graph)
     except (KeyError, TypeError, ValueError, OSError):
         return False
-    dec = decompose(graph)
     n = graph.order
     norm = float(np.abs(graph.weights).sum(axis=1).max())
     for c in payload["certificates"]:
@@ -298,10 +296,11 @@ def validate_report(payload: dict, graph: WeightedGraph | None = None) -> bool:
         tau, a, b = float(c["tau"]), c["a"], c["b"]
         if not (0 <= a < n and 0 <= b < n):
             return False
+        if c["residual"] > cfg.tol_walk or tau * norm > _MAX_PHASE:
+            return False
         alpha, beta = complex(*c["alpha"]), complex(*c["beta"])
-        col = transition_column(dec, a, tau)
-        floor = 1e-11 * max(1.0, abs(tau) * norm)
-        if _residual(col, a, alpha, b, beta) > max(2.0 * c["residual"], floor):
+        residual = _residual(transition_column(dec, a, tau), a, alpha, b, beta)
+        if not residual <= max(2.0 * c["residual"], 1e-11 * max(1.0, tau * norm)):  # NaN fails
             return False
         kind = _kind_of(alpha, beta, cfg)
         if c["kind"] != kind or (b == a) != (kind == KIND_PERIODIC):

@@ -75,13 +75,6 @@ class WeightedGraph:
         """True when some weight is negative (x_theta-style constructions)."""
         return bool(self.weights.min() < 0.0)
 
-    def equals(self, other: "WeightedGraph") -> bool:
-        return (
-            self.order == other.order
-            and self.labels == other.labels
-            and bool(np.array_equal(self.weights, other.weights))
-        )
-
     def index_of(self, label: str) -> int:
         try:
             return self.labels.index(label)
@@ -212,36 +205,6 @@ def union_overlay(x: WeightedGraph, y: WeightedGraph) -> WeightedGraph:
     if x.order != y.order or x.labels != y.labels:
         raise ValueError("union requires identical vertex sets (order and labels)")
     return WeightedGraph(x.weights + y.weights, x.labels, f"overlay({x.name},{y.name})")
-
-
-def _merged_labels(x: WeightedGraph, y: WeightedGraph) -> tuple[str, ...]:
-    if set(x.labels) & set(y.labels):
-        return tuple(f"x:{l}" for l in x.labels) + tuple(f"y:{l}" for l in y.labels)
-    return x.labels + y.labels
-
-
-def join(x: WeightedGraph, y: WeightedGraph) -> WeightedGraph:
-    """Join: disjoint union plus all unit-weight cross edges."""
-    nx, ny = x.order, y.order
-    _check_order(nx + ny)
-    w = np.zeros((nx + ny, nx + ny))
-    w[:nx, :nx] = x.weights
-    w[nx:, nx:] = y.weights
-    w[:nx, nx:] = 1.0
-    w[nx:, :nx] = 1.0
-    return WeightedGraph(w, _merged_labels(x, y), f"join({x.name},{y.name})")
-
-
-def complement(x: WeightedGraph) -> WeightedGraph:
-    """Complement of a simple 0/1 graph."""
-    w = x.weights
-    offdiag = w[~np.eye(x.order, dtype=bool)]
-    if x.order > 1 and not np.all((offdiag == 0.0) | (offdiag == 1.0)):
-        raise ValueError("complement is only defined for 0/1 weights")
-    if np.any(np.diag(w) != 0.0):
-        raise ValueError("complement is only defined for loop-free graphs")
-    c = np.ones((x.order, x.order)) - np.eye(x.order) - w
-    return WeightedGraph(c, x.labels, f"complement({x.name})")
 
 
 def double_cone(x: WeightedGraph) -> WeightedGraph:
@@ -377,13 +340,6 @@ class EquitablePartition:
     def size(self) -> int:
         return len(self.cells)
 
-    def as_sets(self) -> frozenset:
-        return frozenset(frozenset(c) for c in self.cells)
-
-    def shape(self) -> tuple[int, ...]:
-        """Multiset of cell sizes, sorted; equal for isomorphic orbit structures."""
-        return tuple(sorted(len(c) for c in self.cells))
-
     def cell_of(self, v: int) -> int:
         for i, c in enumerate(self.cells):
             if v in c:
@@ -454,20 +410,6 @@ def coarsest_equitable_refinement(x: WeightedGraph, seed) -> EquitablePartition:
         cells = new_cells
     _, d = equitability_defect(x, cells)
     return EquitablePartition(tuple(tuple(c) for c in cells), d)
-
-
-def orbit_signature(x: WeightedGraph, a: int) -> EquitablePartition:
-    """Coarsest equitable refinement of {{a}, V \\ {a}}.
-
-    A computable necessary condition for two-vertex transport: vertices that
-    can exchange amplitude must have equal signatures.
-    """
-    if not (0 <= a < x.order):
-        raise ValueError(f"vertex {a} out of range")
-    rest = [v for v in range(x.order) if v != a]
-    if not rest:
-        return EquitablePartition(((a,),), np.array([[x.weights[a, a]]]))
-    return coarsest_equitable_refinement(x, [[a], rest])
 
 
 def quotient(x: WeightedGraph, p: EquitablePartition) -> WeightedGraph:

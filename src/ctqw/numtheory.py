@@ -37,34 +37,23 @@ class RationalApprox:
         if math.gcd(self.p, self.q) != 1:
             raise ValueError("fraction must be in lowest terms")
 
-    @property
-    def value(self) -> float:
-        return self.p / self.q
 
-
-def rationalize(
-    x: float,
-    max_den: int = MAX_DEN,
-    tol: float = RATIONAL_TOL,
-    quality: float = QUALITY_GATE,
-) -> RationalApprox | None:
-    """Recognize x as p/q with q <= max_den, or return None.
+def rationalize(x: float) -> RationalApprox | None:
+    """Recognize x as p/q with q <= MAX_DEN, or return None.
 
     Uses the best continued-fraction approximation (via
     ``Fraction.limit_denominator``) and accepts it only when the residual is
-    below ``tol`` *and* residual * q**2 is below ``quality``. The second gate
+    below RATIONAL_TOL *and* residual * q**2 is below QUALITY_GATE. The second gate
     matters: every irrational has convergents with residual ~ 1/q^2, which
     crosses 1e-9 once q exceeds ~3e4, so a plain residual threshold would
     misclassify quadratic irrationals at desk scale. Verdicts are therefore
-    "no convincing denominator <= max_den", never a proof of irrationality.
+    "no convincing denominator <= MAX_DEN", never a proof of irrationality.
     """
-    if max_den < 1:
-        raise ValueError("max_den must be >= 1")
     if not math.isfinite(x):
         return None
-    f = Fraction(x).limit_denominator(max_den)
+    f = Fraction(x).limit_denominator(MAX_DEN)
     residual = abs(x - f.numerator / f.denominator)
-    if residual > tol or residual * f.denominator**2 > quality:
+    if residual > RATIONAL_TOL or residual * f.denominator**2 > QUALITY_GATE:
         return None
     return RationalApprox(f.numerator, f.denominator, residual)
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ctqw.graphs import WeightedGraph
+from ctqw.graphs import WeightedGraph, _check_order
 
 #: residual tolerance on projector identities and entrywise comparisons
 TOL_SPEC = 1e-9
@@ -67,28 +67,25 @@ class SpectralDecomposition:
     def n_distinct(self) -> int:
         return len(self.eigenvalues)
 
-    def projected_columns(self, a: int) -> np.ndarray:
-        """(n_distinct, n) array whose r-th row is E_r e_a."""
-        return self.projectors[:, :, a]
 
-
-def decompose(a, group_tol: float | None = None) -> SpectralDecomposition:
+def decompose(a) -> SpectralDecomposition:
     """Eigendecompose a symmetric matrix into distinct-eigenvalue projectors.
 
     Raw eigenvalues are clustered by a single sorted-gap scan: a new group
-    starts wherever the gap reaches ``group_tol``. Works for weighted
-    matrices; no integrality is assumed.
+    starts wherever the gap reaches ``default_group_tol``. Works for weighted
+    matrices; no integrality is assumed. Each E_r is stored exactly
+    symmetric, so row a of ``projectors[r]`` is E_r e_a. Orders above
+    graphs.MAX_ORDER are rejected before the (d, n, n) tensor is allocated.
     """
     m = _as_matrix(a)
+    _check_order(m.shape[0])
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     asym = float(np.abs(m - m.T).max())
     if asym > 1e-12:
         raise ValueError(f"matrix must be symmetric (max asymmetry {asym:.3e})")
     m = (m + m.T) / 2.0
-    gt = float(group_tol) if group_tol is not None else default_group_tol(m)
-    if gt <= 0:
-        raise ValueError("group_tol must be positive")
+    gt = default_group_tol(m)
 
     evals, evecs = np.linalg.eigh(m)
     gaps = np.diff(evals)
@@ -115,14 +112,6 @@ def decompose(a, group_tol: float | None = None) -> SpectralDecomposition:
     )
 
 
-def support(dec: SpectralDecomposition, a: int) -> frozenset[int]:
-    """Indices r with E_r e_a nonzero (norm above TOL_SUPPORT)."""
-    if not (0 <= a < dec.order):
-        raise ValueError(f"vertex {a} out of range")
-    norms = np.linalg.norm(dec.projected_columns(a), axis=1)
-    return frozenset(int(r) for r in np.nonzero(norms > TOL_SUPPORT)[0])
-
-
 def strongly_cospectral_candidates(dec: SpectralDecomposition) -> list[tuple[int, int]]:
     """Pairs a < b, in lexicographic order, that may be strongly cospectral.
 
@@ -140,9 +129,8 @@ def strongly_cospectral_candidates(dec: SpectralDecomposition) -> list[tuple[int
       squares, hence exactly nonnegative);
     - for r outside both supports every entry of E_r e_a and E_r e_b is at
       most TOL_SUPPORT, and so is each deviation;
-    - decompose stores E_r as (e + e^T)/2, which is exactly symmetric, so the
-      E_bb half is the transpose of the E_aa half and (E_r)_ab is entry b of
-      the column E_r e_a.
+    - decompose stores E_r exactly symmetric, so the E_bb half is the
+      transpose of the E_aa half and (E_r)_ab is entry b of E_r e_a.
 
     The maximum is accumulated one eigenvalue group at a time in one (n, n)
     array: O(d n^2) work, O(n^2) memory.
@@ -178,12 +166,12 @@ def parallel_partners(dec: SpectralDecomposition, a: int, slack: float) -> np.nd
     tol_walk, so v = c u + delta' with ||delta'|| < tol_walk / beta_min; for
     real u and v the nearest complex multiple of u is a real one.
 
-    Reads column a and the diagonal of each projector: O(d n) work.
+    Reads row a and the diagonal of each projector: O(d n) work.
     """
-    cols = dec.projected_columns(a)
+    rows = dec.projectors[:, a, :]
     diag = np.diagonal(dec.projectors, axis1=1, axis2=2)
-    e_aa = cols[:, a : a + 1]
-    worst = (e_aa * diag - cols**2 - slack * e_aa).max(axis=0)
+    e_aa = rows[:, a : a + 1]
+    worst = (e_aa * diag - rows**2 - slack * e_aa).max(axis=0)
     keep = worst <= _PARALLEL_MARGIN
     keep[a] = False
     return np.nonzero(keep)[0]
@@ -219,8 +207,6 @@ def pair_profile(dec: SpectralDecomposition, a: int, b: int) -> PairProfile:
         if not (0 <= v < dec.order):
             raise ValueError(f"vertex {v} out of range")
 
-    # decompose stores each E_r exactly symmetric, so row a is E_r e_a; rows
-    # are contiguous, where a column read touches one cache line per entry
     cols_a = dec.projectors[:, a, :]
     cols_b = dec.projectors[:, b, :]
     norms_a = np.linalg.norm(cols_a, axis=1)

@@ -108,10 +108,6 @@ class FrCertificate:
         if abs(norm - 1.0) > 1e-6:
             raise ValueError(f"amplitudes not normalized (|a|^2+|b|^2 = {norm})")
 
-    @property
-    def balanced(self) -> bool:
-        return abs(abs(self.alpha) - abs(self.beta)) <= 1e-8
-
 
 # ---------------------------------------------------------------------------
 # walk evaluation
@@ -125,8 +121,20 @@ def transition_matrix(dec: SpectralDecomposition, t: float) -> np.ndarray:
 
 
 def transition_column(dec: SpectralDecomposition, a: int, t: float) -> np.ndarray:
-    phases = np.exp(-1j * t * dec.eigenvalues)
-    return phases @ dec.projected_columns(a)
+    """U(t) e_a = sum_r exp(-i t theta_r) E_r e_a, read from row a of each projector."""
+    return np.exp(-1j * t * dec.eigenvalues) @ dec.projectors[:, a, :]
+
+
+def walk_columns(dec: SpectralDecomposition, a: int, times: np.ndarray) -> np.ndarray:
+    """(T, n) array whose row k is U(times[k]) e_a.
+
+    One stacked (T, 1, d) @ (d, n) product over the rows E_r e_a. Each slice
+    of the stack is a vector-matrix product, the BLAS route transition_column
+    takes, so row k equals transition_column(dec, a, times[k]) bit for bit; a
+    (T, d) @ (d, n) matrix product would round differently.
+    """
+    phases = np.exp(-1j * times[:, None, None] * dec.eigenvalues)
+    return (phases @ dec.projectors[:, a, :])[:, 0, :]
 
 
 def matrix_exp_oracle(a, t: float) -> np.ndarray:
@@ -381,21 +389,16 @@ def _golden_min(
     steps a scalar golden section over its own bracket would take.
     """
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    freqs = -1j * dec.eigenvalues
-    cols = dec.projected_columns(a).astype(complex)
-    starts = np.arange(len(partners)) * dec.order
-    pair = np.concatenate([starts + a, starts + partners])  # flat indices into the (C, 1, n) masses
+    rows = np.arange(len(partners))
 
     def f(t: np.ndarray) -> np.ndarray:
-        # (C, 1, d) @ (d, n) is a stack of vector-matrix products, the BLAS
-        # route transition_column takes, so each mass matches a single-time
-        # evaluation bit for bit; a (C, d) @ (d, n) matrix product rounds differently
-        p = np.abs(np.exp(t[:, None, None] * freqs) @ cols)
+        p = np.abs(walk_columns(dec, a, t))
         p *= p
         # summed directly over the off-pair vertices: computing 1 - pa - pb would
         # cancel catastrophically near a revival and stall the refinement at ~1e-8
-        p.put(pair, 0.0)
-        return np.sqrt(p.sum(axis=2)[:, 0])
+        p[rows, a] = 0.0
+        p[rows, partners] = 0.0
+        return np.sqrt(p.sum(axis=1))
 
     x1 = hi - inv_phi * (hi - lo)
     x2 = lo + inv_phi * (hi - lo)
@@ -456,7 +459,7 @@ def scan_fr(
     if len(par) == 0:
         return []
     ts, phases = _scan_phases(dec, cfg)
-    rows = dec.projected_columns(a)[:, np.concatenate(([a], par))]
+    rows = dec.projectors[:, a, np.concatenate(([a], par))]
     p = np.abs(rows.T @ phases) ** 2  # (1 + |par|, T)
     # the walk keeps unit norm, as the (E_r)_aa sum to 1
     f = np.sqrt(np.maximum(0.0, 1.0 - p[0] - p[1:].max(axis=0)))
@@ -717,12 +720,7 @@ def verify_quotient_transport(
     dec_x = decompose(x)
     dec_q = decompose(q)
 
-    def entries(dec: SpectralDecomposition, u: int, v: int) -> np.ndarray:
-        # (T, 1, d) @ (d, n) is transition_column's BLAS route at each time
-        phases = np.exp(-1j * QUOTIENT_TIMES[:, None, None] * dec.eigenvalues)
-        return (phases @ dec.projected_columns(u))[:, 0, v]
-
-    diff = entries(dec_x, a, b) - entries(dec_q, ia, ib)
+    diff = walk_columns(dec_x, a, QUOTIENT_TIMES)[:, b] - walk_columns(dec_q, ia, QUOTIENT_TIMES)[:, ib]
     # hypot rounds as abs() of one complex entry does; np.abs of an array may not
     worst = float(np.hypot(diff.real, diff.imag).max())
     entries_ok = worst <= cfg.tol_walk

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ctqw import cli as cli_mod
 from ctqw import graphs as G
 from ctqw.cli import (
     EXIT_HEALTH,
@@ -154,6 +155,35 @@ class TestReports:
     def test_malformed_report_fails_validation(self, top, value):
         loaded, _ = self._loaded("cycle:6", "fractional_revival")
         loaded[top] = value
+        assert not validate_report(loaded)
+
+    @pytest.mark.parametrize(
+        "forged",
+        [
+            {"tau": 1.0, "residual": 1.0},  # a stored residual above tol_walk
+            {"tau": 1e11, "residual": 0.0},  # a rounding floor 1e-11 tau ||A|| above 1
+            {"tau": 1e308},  # tau theta overflows and the column is NaN
+        ],
+    )
+    def test_forged_certificate_fails_validation(self, forged):
+        loaded, i = self._loaded("cycle:6", "fractional_revival")
+        loaded["certificates"][i].update(forged)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not validate_report(loaded)
+
+    def test_non_finite_residual_fails_validation(self, monkeypatch):
+        # without the tau bound, tau theta overflows and the recomputed residual is NaN
+        monkeypatch.setattr(cli_mod, "_MAX_PHASE", math.inf)
+        loaded, i = self._loaded("cycle:6", "fractional_revival")
+        loaded["certificates"][i]["tau"] = 1e308
+        with np.errstate(all="ignore"):
+            assert not validate_report(loaded)
+
+    def test_report_over_order_limit_fails_validation(self, monkeypatch):
+        loaded, _ = self._loaded("cycle:6", "fractional_revival")
+        assert validate_report(loaded)
+        monkeypatch.setattr(G, "MAX_ORDER", 5)
         assert not validate_report(loaded)
 
     @pytest.mark.parametrize("spec", ["cube:3", "cycle:8"])

@@ -8,6 +8,7 @@ import pytest
 
 from ctqw import graphs as G
 from ctqw.numtheory import (
+    MAX_DEN,
     NotClassifiable,
     classify,
     ratio_condition,
@@ -46,7 +47,8 @@ class TestRationalize:
             assert r.residual <= 1e-15
 
     def test_respects_max_den(self):
-        assert rationalize(1 / 7, max_den=6) is None
+        assert 1000003 > MAX_DEN  # a prime
+        assert rationalize(1 / 1000003) is None
 
     def test_nan_and_inf(self):
         assert rationalize(float("nan")) is None

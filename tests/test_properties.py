@@ -38,19 +38,6 @@ def weighted_graphs(draw, min_order=2, max_order=8):
     return G.WeightedGraph(w, tuple(str(i) for i in range(n)), f"hyp:{n}")
 
 
-@st.composite
-def simple_graphs(draw, min_order=2, max_order=8):
-    n = draw(st.integers(min_order, max_order))
-    bits = draw(st.lists(st.integers(0, 1), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
-    w = np.zeros((n, n))
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            w[i, j] = w[j, i] = float(bits[k])
-            k += 1
-    return G.WeightedGraph(w, tuple(str(i) for i in range(n)), f"hyp01:{n}")
-
-
 class TestWalkInvariants:
     @settings(max_examples=25, deadline=None)
     @given(weighted_graphs(), st.floats(0.05, 8.0))
@@ -115,11 +102,6 @@ class TestGraphInvariants:
     @given(weighted_graphs())
     def test_constructors_symmetric(self, g):
         assert np.array_equal(g.weights, g.weights.T)
-
-    @settings(max_examples=20, deadline=None)
-    @given(simple_graphs())
-    def test_complement_involution(self, g):
-        assert np.array_equal(G.complement(G.complement(g)).weights, g.weights)
 
     @settings(max_examples=20, deadline=None)
     @given(weighted_graphs(max_order=6), weighted_graphs(max_order=6))

@@ -18,8 +18,12 @@ from ctqw.spectral import (
     pair_profile,
     parallel_partners,
     strongly_cospectral_candidates,
-    support,
 )
+
+
+def support(dec, a):
+    """Indices r with E_r e_a nonzero, as pair_profile reports them."""
+    return pair_profile(dec, a, (a + 1) % dec.order).support
 
 
 def weighted_p3(omega):
@@ -105,13 +109,19 @@ class TestDecompose:
         with pytest.raises(ValueError, match="finite"):
             decompose(np.array([[0.0, weight], [weight, 0.0]]))
 
+    def test_rejects_order_over_limit(self, monkeypatch):
+        monkeypatch.setattr(G, "MAX_ORDER", 10)
+        assert decompose(G.cycle(10)).order == 10
+        with pytest.raises(ValueError, match="more than 10 vertices"):
+            decompose(np.zeros((11, 11)))
+
     def test_ambiguous_clustering_flag(self):
         # two eigenvalues straddling the grouping tolerance
-        m = np.diag([0.0, 3e-8, 1.0])
-        dec = decompose(m, group_tol=1e-8)
-        assert dec.ambiguous_clustering
-        clean = decompose(np.diag([0.0, 1.0, 2.0]), group_tol=1e-8)
-        assert not clean.ambiguous_clustering
+        gt = default_group_tol(np.diag([0.0, 0.0, 1.0]))
+        m = np.diag([0.0, 3 * gt, 1.0])
+        assert default_group_tol(m) == gt
+        assert decompose(m).ambiguous_clustering
+        assert not decompose(np.diag([0.0, 1.0, 2.0])).ambiguous_clustering
 
     def test_nonnegative_flag(self):
         assert decompose(G.cycle(4)).nonnegative
@@ -269,7 +279,7 @@ def list_and_stack_decomposition(m):
 
 def loop_pair_profile(dec, a, b):
     """pair_profile's fields as a loop over the eigenvalues."""
-    cols_a, cols_b = dec.projected_columns(a), dec.projected_columns(b)
+    cols_a, cols_b = dec.projectors[:, :, a], dec.projectors[:, :, b]
     norms_a = np.linalg.norm(cols_a, axis=1)
     norms_b = np.linalg.norm(cols_b, axis=1)
     sup_a, sup_b = norms_a > TOL_SUPPORT, norms_b > TOL_SUPPORT

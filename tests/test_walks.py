@@ -30,7 +30,9 @@ from ctqw.walks import (
     detect_at,
     matrix_exp_oracle,
     scan_fr,
+    transition_column,
     transition_matrix,
+    walk_columns,
 )
 
 CFG = DetectionConfig()
@@ -73,6 +75,34 @@ class TestTransitionMatrix:
         s, t = 0.83, 1.91
         us, ut, ust = (transition_matrix(dec, x) for x in (s, t, s + t))
         assert np.abs(us @ ut - ust).max() <= 1e-9
+
+
+def _column_route(dec, a, t):
+    """U(t) e_a from column a of each projector: the reference for the row reads."""
+    return np.exp(-1j * t * dec.eigenvalues) @ dec.projectors[:, :, a]
+
+
+class TestWalkColumns:
+    """transition_column and walk_columns read rows; the column route is the reference."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "cycle:6", "cube:4", "cube:5", "cocktail:20", "cone2:cocktail:10", "cycle:64",
+            "prod(star:16,path:2)", "path:4", "path:5", "cycle:32", "cone2:cycle:5",
+        ],
+    )
+    def test_equal_column_route_bit_for_bit(self, spec):
+        dec = decompose(parse_graph_spec(spec))
+        rng = np.random.default_rng(11)
+        times = np.concatenate([rng.uniform(0.0, 50.0, 12), walks_mod.QUOTIENT_TIMES[::40]])
+        for a in range(dec.order):
+            cols = walk_columns(dec, a, times)
+            assert cols.shape == (len(times), dec.order)
+            for t, col in zip(times.tolist(), cols):
+                ref = _column_route(dec, a, t)
+                assert np.array_equal(col, ref), (a, t)
+                assert np.array_equal(transition_column(dec, a, t), ref), (a, t)
 
 
 class TestOracle:
@@ -334,7 +364,7 @@ def _scan_full_rows(dec, a, b=None, cfg=CFG):
     total: the reference for the grid on {a} and Par(a). Refinement and detection
     are the same as scan_fr's."""
     ts, phases = walks_mod._scan_phases(dec, cfg)
-    p = np.abs(dec.projected_columns(a).T @ phases) ** 2
+    p = np.abs(dec.projectors[:, :, a].T @ phases) ** 2
     totals = p.sum(axis=0)
     pa = p[a].copy()
     p[a, :] = 0.0
@@ -632,4 +662,4 @@ class TestCertificateInvariants:
 
     def test_balanced_property(self):
         cert = FrCertificate(0, 1, 1.0, math.sqrt(0.5), 1j * math.sqrt(0.5), None, None, KIND_BALANCED, 0.0, "grid_scan")
-        assert cert.balanced
+        assert abs(abs(cert.alpha) - abs(cert.beta)) <= 1e-8
