@@ -386,8 +386,7 @@ def run_analysis(
 
         if do_scan:
             t0 = time.perf_counter()
-            for a in range(n):
-                keep(scan_fr(dec, a, None, cfg))
+            keep(scan_fr(dec, range(n), None, cfg))
             timing["scan"] = (time.perf_counter() - t0) * 1000.0
 
     certificates.sort(key=lambda c: (c.a, c.b, c.tau, c.kind))
@@ -456,10 +455,8 @@ def cmd_scan(args) -> int:
         raise ParseError("--source and --target must differ")
     dec = decompose(graph)
     sources = [args.source] if args.source is not None else [a for a in range(graph.order) if a != args.target]
-    certs = []
     with _health_capture() as health:
-        for a in sources:
-            certs.extend(scan_fr(dec, a, args.target, cfg))
+        certs = scan_fr(dec, sources, args.target, cfg)
     payload = {
         "input_spec": graph.name,
         "certificates": [certificate_to_json(c, graph.name) for c in certs],

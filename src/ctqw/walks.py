@@ -42,8 +42,12 @@ CERTIFY_GRID_K = 64
 
 #: coarse scan keeps a local minimum only when the off-pair mass is below this
 _SCAN_CUT = 0.2
-#: cap on refined candidates per scan call
+#: cap on refined candidates per source
 _SCAN_MAX_CANDIDATES = 512
+#: byte budget of the scan's working arrays: the coarse grid's time chunks and
+#: source groups and the refinement's blocks of candidates are sized to fit it;
+#: a group holds at least one source and a block at least one candidate
+_SCAN_BLOCK_BYTES = 2 * 2**20
 #: byte budget of the oracle exponentials kept per decomposition; past it the
 #: oldest are dropped first
 _ORACLE_MEMO_BYTES = 64 * 2**20
@@ -71,7 +75,10 @@ class DetectionConfig:
     def __post_init__(self) -> None:
         if not all(0 < x < math.inf for x in (self.tol_walk, self.beta_min, self.t_max)):
             raise ValueError("tolerances and t_max must be positive and finite")
-        # the scan holds several (n, grid_points) arrays at once
+        # a looser tol_walk would accept columns with off-pair entries beyond beta_min
+        if self.tol_walk >= self.beta_min:
+            raise ValueError(f"tol_walk must be below beta_min ({self.beta_min:g})")
+        # the scan's time grows with grid_points; its memory is bounded by _SCAN_BLOCK_BYTES
         if not 100 <= self.grid_points <= 10**6:
             raise ValueError("grid_points must be between 100 and 1000000")
         if self.refine_iters < 1:
@@ -380,25 +387,35 @@ def certify_pair(
 
 
 def _golden_min(
-    dec: SpectralDecomposition, a: int, partners: np.ndarray, lo: np.ndarray, hi: np.ndarray, iters: int
+    dec: SpectralDecomposition, sources: np.ndarray, partners: np.ndarray, lo: np.ndarray, hi: np.ndarray, iters: int
 ) -> np.ndarray:
-    """Golden-section minima of the off-pair mass from a, one per bracket [lo, hi].
+    """Golden-section minima of the off-pair mass, one per bracket [lo, hi].
 
-    Row c pairs a with partners[c]. All rows are refined together, one
-    evaluation at a vector of times per iteration, and each row takes the
-    steps a scalar golden section over its own bracket would take.
+    Row c pairs sources[c] with partners[c]. All rows are refined together,
+    one evaluation at a vector of times per iteration: one stacked product
+    per run of rows with one source, in blocks that fit _SCAN_BLOCK_BYTES.
+    Each row takes the steps a scalar golden section over its own bracket
+    would take.
     """
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    rows = np.arange(len(partners))
+    # per row: the column, its squares and their sum
+    block = max(1, _SCAN_BLOCK_BYTES // (32 * dec.order))
+    starts = np.flatnonzero(np.diff(sources, prepend=-1))
+    ends = np.append(starts[1:], len(sources))
+    pieces = [(s, min(s + block, e)) for s0, e in zip(starts.tolist(), ends.tolist()) for s in range(s0, e, block)]
+    rows = np.arange(min(block, len(sources)))
 
     def f(t: np.ndarray) -> np.ndarray:
-        p = np.abs(walk_columns(dec, a, t))
-        p *= p
-        # summed directly over the off-pair vertices: computing 1 - pa - pb would
-        # cancel catastrophically near a revival and stall the refinement at ~1e-8
-        p[rows, a] = 0.0
-        p[rows, partners] = 0.0
-        return np.sqrt(p.sum(axis=1))
+        out = np.empty(len(t))
+        for s, e in pieces:
+            p = np.abs(walk_columns(dec, sources[s], t[s:e]))
+            p *= p
+            # summed directly over the off-pair vertices: computing 1 - pa - pb would
+            # cancel catastrophically near a revival and stall the refinement at ~1e-8
+            p[:, sources[s]] = 0.0
+            p[rows[: e - s], partners[s:e]] = 0.0
+            np.sqrt(p.sum(axis=1), out=out[s:e])
+        return out
 
     x1 = hi - inv_phi * (hi - lo)
     x2 = lo + inv_phi * (hi - lo)
@@ -415,79 +432,123 @@ def _golden_min(
     return (lo + hi) / 2.0
 
 
-def _scan_phases(dec: SpectralDecomposition, cfg: DetectionConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The scan's time grid over (0, t_max] and its (d, T) phase table.
+def _coarse_minima(dec: SpectralDecomposition, sources: list[int], pars: list[np.ndarray], ts: np.ndarray):
+    """The local minima of f below _SCAN_CUT: counts per source, grid indices, heaviest partners.
 
-    Kept for one grid per decomposition, so the sources of a run share it.
+    f(t) = sqrt(1 - pa - max pb) over b in Par(a), as the (E_r)_aa sum to 1.
+    Each chunk of times gets its phases once, multiplied by the rows {a} and
+    Par(a) of one group of sources at a time; one point of halo on each side
+    keeps the local-minimum test exact at chunk edges. A source keeps its
+    _SCAN_MAX_CANDIDATES lowest minima.
     """
-    key = (cfg.t_max, cfg.grid_points)
-    held = dec._time_memo.get("scan")
-    if held is None or held[0] != key:
-        ts = np.linspace(0.0, cfg.t_max, cfg.grid_points + 1)[1:]
-        phases = np.multiply.outer(-1j * dec.eigenvalues, ts)
+    # per time: 16 bytes per eigenvalue for the chunk of phases, and about 32 per
+    # row for the product, its modulus and the mass terms. The phases take at
+    # most half the budget, and the rows of any one source fit beside them.
+    d = dec.n_distinct
+    width = max(1, _SCAN_BLOCK_BYTES // (16 * max(2 * d, d + 2 + 2 * max(map(len, pars)))))
+    groups, rows = [[]], 0
+    for i, par in enumerate(pars):
+        if groups[-1] and (16 * d + 32 * (rows + 1 + len(par))) * width > _SCAN_BLOCK_BYTES:
+            groups.append([])
+            rows = 0
+        groups[-1].append(i)
+        rows += 1 + len(par)
+    plans = []
+    for g in groups:
+        # source j of the group owns rows offsets[j] (its head a) to offsets[j + 1]
+        offsets = np.cumsum([0] + [1 + len(pars[i]) for i in g])
+        owner = np.repeat([sources[i] for i in g], np.diff(offsets))
+        target = np.concatenate([[sources[i], *pars[i]] for i in g])
+        plans.append((g, offsets, dec.projectors[:, owner, target].T))
+
+    hits: list[list] = [[] for _ in sources]
+    for lo in range(0, len(ts) - 2, width):
+        phases = np.multiply.outer(-1j * dec.eigenvalues, ts[lo : lo + width + 2])
         np.exp(phases, out=phases)
-        ts.setflags(write=False)
-        phases.setflags(write=False)
-        held = dec._time_memo["scan"] = (key, ts, phases)
-    return held[1], held[2]
+        for g, offsets, rows_g in plans:
+            p = np.abs(rows_g @ phases)
+            p *= p
+            f = 1.0 - p[offsets[:-1]]
+            for j in range(len(g)):
+                f[j] -= p[offsets[j] + 1 : offsets[j + 1]].max(axis=0)
+            np.sqrt(np.maximum(f, 0.0, out=f), out=f)
+            mid = f[:, 1:-1]
+            is_min = mid < _SCAN_CUT
+            if not is_min.any():
+                continue
+            is_min &= (mid <= f[:, :-2]) & (mid <= f[:, 2:])
+            for j in np.flatnonzero(is_min.any(axis=1)).tolist():
+                cols = np.flatnonzero(is_min[j]) + 1
+                best = p[offsets[j] + 1 : offsets[j + 1], cols].argmax(axis=0)
+                hits[g[j]].append((lo + cols, f[j, cols], pars[g[j]][best]))
+
+    counts, idx, partners = [], [], []
+    for found in hits:
+        i, f, b = (np.concatenate(x) for x in zip(*found)) if found else (np.empty(0, int),) * 3
+        keep = np.sort(np.argsort(f)[:_SCAN_MAX_CANDIDATES])
+        counts.append(len(keep))
+        idx.append(i[keep])
+        partners.append(b[keep])
+    return counts, np.concatenate(idx), np.concatenate(partners)
 
 
 def scan_fr(
     dec: SpectralDecomposition,
-    a: int,
+    sources,
     b: int | None = None,
     cfg: DetectionConfig = DetectionConfig(),
 ) -> list[FrCertificate]:
-    """Heuristic time-grid search for revival from vertex a.
+    """Heuristic time-grid search for revival from each vertex of sources.
 
-    Evaluates the off-pair mass f(t) on a coarse grid over (0, t_max]
-    (pairing a with b, or with the heaviest partner when b is None),
-    golden-section refines the local minima together, and keeps detections
-    that pass the residual gate. Only a parallel partner of a can receive
-    revival, and spectral.parallel_partners keeps every partner detect_at
-    can accept, so the grid runs on the rows {a} and Par(a) alone; with no
-    partner, or a target outside Par(a), there is nothing to scan. Periodic
+    Evaluates the off-pair mass f(t) from each source a on a coarse grid over
+    (0, t_max] (pairing a with b, or with the heaviest partner when b is
+    None), golden-section refines the local minima of all sources together,
+    and keeps detections that pass the residual gate. Only a parallel partner
+    of a can receive revival, and spectral.parallel_partners keeps every
+    partner detect_at can accept, so the grid runs on the rows {a} and
+    Par(a) alone; with no partner, or a target outside Par(a), there is
+    nothing to scan from a. Grid and refinement run in pieces that fit
+    _SCAN_BLOCK_BYTES, so memory grows with grid_points only by the times
+    themselves. Certificates come source by source, sorted by tau. Periodic
     events are not reported: the scan looks for genuine two-vertex
-    transport, so b == a is rejected. Absence of hits is evidence, not
+    transport, so b in sources is rejected. Absence of hits is evidence, not
     proof.
     """
-    if b == a:
+    if b is not None and b in sources:
         raise ValueError("the scan target must differ from its source")
-    par = parallel_partners(dec, a, (cfg.tol_walk / cfg.beta_min) ** 2)
-    if b is not None:
-        par = par[par == b]
-    if len(par) == 0:
+    slack = (cfg.tol_walk / cfg.beta_min) ** 2
+    scanned, pars = [], []
+    for a in sources:
+        par = parallel_partners(dec, a, slack)
+        if b is not None:
+            par = par[par == b]
+        if len(par):
+            scanned.append(a)
+            pars.append(par)
+    if not scanned:
         return []
-    ts, phases = _scan_phases(dec, cfg)
-    rows = dec.projectors[:, a, np.concatenate(([a], par))]
-    p = np.abs(rows.T @ phases) ** 2  # (1 + |par|, T)
-    # the walk keeps unit norm, as the (E_r)_aa sum to 1
-    f = np.sqrt(np.maximum(0.0, 1.0 - p[0] - p[1:].max(axis=0)))
-
-    interior = np.arange(1, len(ts) - 1)
-    is_min = (f[interior] <= f[interior - 1]) & (f[interior] <= f[interior + 1]) & (f[interior] < _SCAN_CUT)
-    candidates = interior[is_min]
-    if len(candidates) > _SCAN_MAX_CANDIDATES:
-        candidates = candidates[np.argsort(f[candidates])[:_SCAN_MAX_CANDIDATES]]
-        candidates = np.sort(candidates)
-    if len(candidates) == 0:
+    ts = np.linspace(0.0, cfg.t_max, cfg.grid_points + 1)[1:]
+    counts, idx, partners = _coarse_minima(dec, scanned, pars, ts)
+    if len(idx) == 0:
         return []
-    partners = par[p[1:, candidates].argmax(axis=0)]
-    taus = _golden_min(dec, a, partners, ts[candidates - 1], ts[candidates + 1], cfg.refine_iters)
+    taus = _golden_min(dec, np.repeat(scanned, counts), partners, ts[idx - 1], ts[idx + 1], cfg.refine_iters)
 
     certs: list[FrCertificate] = []
-    seen: list[float] = []
-    for tau in taus.tolist():
-        if any(abs(tau - s) < 1e-6 for s in seen):
-            continue
-        cert = detect_at(dec, a, tau, cfg)
-        if cert is None or cert.kind == KIND_PERIODIC:
-            continue
-        if b is not None and cert.b != b:
-            continue
-        seen.append(cert.tau)
-        certs.append(cert)
-    certs.sort(key=lambda c: c.tau)
+    for a, own in zip(scanned, np.split(taus, np.cumsum(counts)[:-1])):
+        found: list[FrCertificate] = []
+        seen: list[float] = []
+        for tau in own.tolist():
+            if any(abs(tau - s) < 1e-6 for s in seen):
+                continue
+            cert = detect_at(dec, a, tau, cfg)
+            if cert is None or cert.kind == KIND_PERIODIC:
+                continue
+            if b is not None and cert.b != b:
+                continue
+            seen.append(cert.tau)
+            found.append(cert)
+        found.sort(key=lambda c: c.tau)
+        certs.extend(found)
     return certs
 
 

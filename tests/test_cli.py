@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+import types
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from ctqw import cli as cli_mod
 from ctqw import graphs as G
+from ctqw import walks as walks_mod
 from ctqw.cli import (
     EXIT_HEALTH,
     EXIT_OK,
@@ -172,6 +174,19 @@ class TestReports:
             warnings.simplefilter("error")
             assert not validate_report(loaded)
 
+    def test_forged_tolerance_fails_validation(self):
+        # a report of one certificate, edited to a column 1.33 away from its amplitudes,
+        # under a tolerance above beta_min that re-derives its kind and angles
+        loaded, i = self._loaded("cycle:6", "fractional_revival")
+        loose = types.SimpleNamespace(tol_walk=10.0, beta_min=1e-6)
+        cert = loaded["certificates"][i]
+        alpha, beta = complex(*cert["alpha"]), complex(*cert["beta"])
+        gamma, zeta = walks_mod._gamma_zeta(alpha, beta, loose.tol_walk)
+        cert.update(tau=1.0, residual=5.0, kind=walks_mod._kind_of(alpha, beta, loose), gamma=gamma, zeta=zeta)
+        loaded["config"]["tol_walk"] = loose.tol_walk
+        loaded["certificates"] = [cert]
+        assert not validate_report(loaded)
+
     def test_non_finite_residual_fails_validation(self, monkeypatch):
         # without the tau bound, tau theta overflows and the recomputed residual is NaN
         monkeypatch.setattr(cli_mod, "_MAX_PHASE", math.inf)
@@ -331,8 +346,8 @@ class TestCommands:
 
         sources = []
 
-        def recording_scan(dec, a, b, cfg):
-            sources.append((a, b))
+        def recording_scan(dec, srcs, b, cfg):
+            sources.extend((a, b) for a in srcs)
             return []
 
         monkeypatch.setattr(cli_mod, "scan_fr", recording_scan)
@@ -363,7 +378,7 @@ class TestCommands:
     @pytest.mark.parametrize(
         "option, value",
         [
-            ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"),
+            ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "1e-5"),
             ("--tmax", "0"), ("--tmax", "inf"),
             ("--grid", "0"), ("--grid", "50"), ("--grid", "100000000"),
         ],

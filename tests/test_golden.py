@@ -26,6 +26,8 @@ CASES = [
     ("cube:3", False),
     ("path:4", True),
     ("cycle:6", True),
+    ("cocktail:4", True),
+    ("prod(path:3,path:2)", True),
 ]
 
 

@@ -253,9 +253,9 @@ class TestMetamorphic:
         g = parse_graph_spec(spec)
         a = data.draw(st.integers(0, g.order - 1))
         cfg = DetectionConfig()
-        want = [(x.b, x.kind, x.tau) for x in scan_fr(decompose(g), a, None, cfg)]
+        want = [(x.b, x.kind, x.tau) for x in scan_fr(decompose(g), [a], None, cfg)]
         scaled = DetectionConfig(t_max=cfg.t_max / c)
-        got = [(x.b, x.kind, x.tau) for x in scan_fr(decompose(G.scale_weights(g, c)), a, None, scaled)]
+        got = [(x.b, x.kind, x.tau) for x in scan_fr(decompose(G.scale_weights(g, c)), [a], None, scaled)]
         assert want
         _assert_same_times(got, want, 1.0 / c)
 
@@ -270,5 +270,5 @@ class TestMetamorphic:
         _assert_same_times(got, want, 2.0)
 
     def test_half_scaled_c6_revival_found_by_scan(self):
-        certs = scan_fr(decompose(G.scale_weights(G.cycle(6), 0.5)), 0, 3, DetectionConfig(t_max=10.0))
+        certs = scan_fr(decompose(G.scale_weights(G.cycle(6), 0.5)), [0], 3, DetectionConfig(t_max=10.0))
         assert any(math.isclose(x.tau, 4 * math.pi / 3, rel_tol=1e-9) for x in certs)

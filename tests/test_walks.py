@@ -249,7 +249,7 @@ class TestScan:
     def test_weighted_p3_balanced_revival(self):
         omega = math.sqrt(2) - 1
         dec = decompose(weighted_p3(omega))
-        certs = scan_fr(dec, 0, 2, CFG)
+        certs = scan_fr(dec, [0], 2, CFG)
         assert certs, "expected at least one revival"
         tau = math.pi / math.sqrt(omega**2 + 1)
         assert certs[0].tau == pytest.approx(tau, abs=1e-6)
@@ -259,11 +259,11 @@ class TestScan:
         dec = decompose(G.path(5))
         cfg = DetectionConfig(t_max=100.0, grid_points=20000)
         for a in range(5):
-            assert scan_fr(dec, a, None, cfg) == []
+            assert scan_fr(dec, [a], None, cfg) == []
 
     def test_c4_scan_finds_transfer(self):
         dec = decompose(G.cycle(4))
-        certs = scan_fr(dec, 0, 2, DetectionConfig(t_max=10.0, grid_points=4000))
+        certs = scan_fr(dec, [0], 2, DetectionConfig(t_max=10.0, grid_points=4000))
         assert any(c.kind == KIND_PST and c.tau == pytest.approx(math.pi / 2, abs=1e-6) for c in certs)
 
 
@@ -295,76 +295,93 @@ def _golden_min_scalar(f, lo, hi, iters):
 
 
 def _refinements(monkeypatch, dec, sources, b, cfg=CFG):
-    """Run the scan from each source and record every batched refinement: (a, partners, lo, hi, taus)."""
-    calls = []
+    """Run one scan over the sources and record each refined row: (a, partner, lo, hi, tau)."""
+    rows = []
     batched = walks_mod._golden_min
 
-    def recording(dec_, a, partners, lo, hi, iters):
-        taus = batched(dec_, a, partners, lo, hi, iters)
-        calls.append((a, partners.tolist(), lo.tolist(), hi.tolist(), taus.tolist()))
+    def recording(dec_, srcs, partners, lo, hi, iters):
+        taus = batched(dec_, srcs, partners, lo, hi, iters)
+        rows.extend(zip(srcs.tolist(), partners.tolist(), lo.tolist(), hi.tolist(), taus.tolist()))
         return taus
 
-    monkeypatch.setattr(walks_mod, "_golden_min", recording)
-    for a in sources:
-        scan_fr(dec, a, b, cfg)
-    return calls
+    with monkeypatch.context() as m:
+        m.setattr(walks_mod, "_golden_min", recording)
+        scan_fr(dec, list(sources), b, cfg)
+    return rows
 
 
-def _assert_scalar_taus(dec, calls, cfg=CFG):
-    for a, partners, lo, hi, taus in calls:
-        for pb, l, h, tau in zip(partners, lo, hi, taus):
-            ref = _golden_min_scalar(lambda t: _offpair_mass_scalar(dec, a, pb, t), l, h, cfg.refine_iters)
-            assert tau == ref, (a, pb, l)
+def _assert_scalar_taus(dec, rows, cfg=CFG):
+    for a, pb, l, h, tau in rows:
+        ref = _golden_min_scalar(lambda t: _offpair_mass_scalar(dec, a, pb, t), l, h, cfg.refine_iters)
+        assert tau == ref, (a, pb, l)
+
+
+#: a budget that splits the scan's source groups, refinement blocks and time chunks
+_SMALL_BUDGET = 3000
 
 
 class TestBatchedRefinement:
-    @pytest.mark.parametrize("spec", ["path:4", "cycle:6", "cube:3", "cocktail:4", "prod(path:3,path:2)"])
+    # cone2:cycle:5 puts two sources in some coarse-grid groups at the default budget
+    @pytest.mark.parametrize("spec", ["path:4", "cycle:6", "cube:3", "cocktail:4", "prod(path:3,path:2)", "cone2:cycle:5"])
     def test_equals_scalar_on_every_candidate(self, monkeypatch, spec):
-        from ctqw.cli import parse_graph_spec
-
         dec = decompose(parse_graph_spec(spec))
-        calls = _refinements(monkeypatch, dec, range(dec.order), None)
-        assert len(calls) == dec.order
-        _assert_scalar_taus(dec, calls)
+        rows = _refinements(monkeypatch, dec, range(dec.order), None)
+        assert {r[0] for r in rows} == set(range(dec.order))
+        _assert_scalar_taus(dec, rows)
+        monkeypatch.setattr(walks_mod, "_SCAN_BLOCK_BYTES", _SMALL_BUDGET)
+        assert _refinements(monkeypatch, dec, range(dec.order), None) == rows
 
     @pytest.mark.parametrize(
         "graph, a, b", [(weighted_p3(math.sqrt(2) - 1), 0, 2), (weighted_p3(1.0), 2, 0), (G.cycle(4), 0, 2)]
     )
     def test_equals_scalar_with_fixed_target(self, monkeypatch, graph, a, b):
         dec = decompose(graph)
-        calls = _refinements(monkeypatch, dec, [a], b)
-        assert calls and all(pb == b for pb in calls[0][1])
-        _assert_scalar_taus(dec, calls)
+        rows = _refinements(monkeypatch, dec, [a], b)
+        assert rows and all(r[1] == b for r in rows)
+        _assert_scalar_taus(dec, rows)
 
     def test_source_without_candidates(self, monkeypatch):
         dec = decompose(G.cycle(7))
         assert _refinements(monkeypatch, dec, range(7), None) == []
-        assert all(scan_fr(dec, a, None, CFG) == [] for a in range(7))
+        assert scan_fr(dec, range(7), None, CFG) == []
 
     def test_source_with_one_candidate(self, monkeypatch):
         dec = decompose(G.cycle(12))
-        calls = _refinements(monkeypatch, dec, range(12), None)
-        assert [len(c[1]) for c in calls] == [1] * 12
-        _assert_scalar_taus(dec, calls)
+        rows = _refinements(monkeypatch, dec, range(12), None)
+        assert sorted(r[0] for r in rows) == list(range(12))
+        _assert_scalar_taus(dec, rows)
 
     def test_candidate_cap(self, monkeypatch):
         monkeypatch.setattr(walks_mod, "_SCAN_MAX_CANDIDATES", 3)
         dec = decompose(G.cocktail_party(4))
-        calls = _refinements(monkeypatch, dec, range(8), None)
-        assert [len(c[1]) for c in calls] == [3] * 8
-        _assert_scalar_taus(dec, calls)
+        rows = _refinements(monkeypatch, dec, range(8), None)
+        assert sorted(r[0] for r in rows) == sorted(list(range(8)) * 3)
+        _assert_scalar_taus(dec, rows)
+
+    def test_minimum_on_chunk_edge(self, monkeypatch):
+        # the coarse grid's chunks are _SCAN_BLOCK_BYTES // (32 d) times wide here
+        dec = decompose(G.cycle(6))
+        ts = np.linspace(0.0, CFG.t_max, CFG.grid_points + 1)[1:]
+        par = [parallel_partners(dec, 0, _scan_slack())]
+        _, idx, partners = walks_mod._coarse_minima(dec, [0], par, ts)
+        edge = int(idx[len(idx) // 2])
+        for width in (edge, edge - 1):  # edge is the last time of chunk 0, then the first of chunk 1
+            monkeypatch.setattr(walks_mod, "_SCAN_BLOCK_BYTES", 32 * dec.n_distinct * width)
+            _, got_idx, got_partners = walks_mod._coarse_minima(dec, [0], par, ts)
+            assert edge in got_idx.tolist()
+            assert np.array_equal(got_idx, idx) and np.array_equal(got_partners, partners)
 
     def test_target_equal_to_source_rejected(self):
         with pytest.raises(ValueError, match="differ"):
-            scan_fr(decompose(G.cycle(6)), 3, 3, CFG)
+            scan_fr(decompose(G.cycle(6)), [3], 3, CFG)
 
 
 def _scan_full_rows(dec, a, b=None, cfg=CFG):
     """The scan with its coarse grid on all n rows and the off-pair mass from their
     total: the reference for the grid on {a} and Par(a). Refinement and detection
     are the same as scan_fr's."""
-    ts, phases = walks_mod._scan_phases(dec, cfg)
-    p = np.abs(dec.projectors[:, :, a].T @ phases) ** 2
+    ts = np.linspace(0.0, cfg.t_max, cfg.grid_points + 1)[1:]
+    p = np.abs(dec.projectors[:, :, a].T @ np.exp(np.multiply.outer(-1j * dec.eigenvalues, ts))) ** 2
     totals = p.sum(axis=0)
     pa = p[a].copy()
     p[a, :] = 0.0
@@ -378,7 +395,8 @@ def _scan_full_rows(dec, a, b=None, cfg=CFG):
     if len(candidates) == 0:
         return []
     partners = np.full(len(candidates), b) if b is not None else p[:, candidates].argmax(axis=0)
-    taus = walks_mod._golden_min(dec, a, partners, ts[candidates - 1], ts[candidates + 1], cfg.refine_iters)
+    sources = np.full(len(candidates), a)
+    taus = walks_mod._golden_min(dec, sources, partners, ts[candidates - 1], ts[candidates + 1], cfg.refine_iters)
     certs, seen = [], []
     for tau in taus.tolist():
         if any(abs(tau - s) < 1e-6 for s in seen):
@@ -428,14 +446,14 @@ class TestParallelScan:
     )
     def test_certificates_equal_full_row_reference(self, graph, b):
         dec = decompose(graph)
-        found = 0
-        for a in range(dec.order):
-            if a == b:
-                continue
-            certs = scan_fr(dec, a, b, CFG)
+        sources = [a for a in range(dec.order) if a != b]
+        found = []
+        for a in sources:
+            certs = scan_fr(dec, [a], b, CFG)
             assert certs == _scan_full_rows(dec, a, b, CFG), a
-            found += len(certs)
+            found += certs
         assert found
+        assert scan_fr(dec, sources, b, CFG) == found
 
     @settings(max_examples=20, deadline=None)
     @given(_relabelled_scan_graphs())
@@ -451,33 +469,33 @@ class TestParallelScan:
         def no_grid(*args):
             raise AssertionError("the coarse grid ran")
 
-        monkeypatch.setattr(walks_mod, "_scan_phases", no_grid)
+        monkeypatch.setattr(walks_mod, "_coarse_minima", no_grid)
 
     @pytest.mark.parametrize("graph, a, b", [(G.cycle(6), 0, 1), (G.cycle(7), 0, 3), (G.hypercube(3), 0, 3)])
     def test_target_outside_partners_needs_no_grid(self, monkeypatch, graph, a, b):
         dec = decompose(graph)
         assert b not in parallel_partners(dec, a, _scan_slack())
         self._forbid_grid(monkeypatch)
-        assert scan_fr(dec, a, b, CFG) == []
+        assert scan_fr(dec, [a], b, CFG) == []
 
     def test_source_without_partners_needs_no_grid(self, monkeypatch):
         dec = decompose(G.cycle(7))
         self._forbid_grid(monkeypatch)
-        assert all(scan_fr(dec, a, None, CFG) == [] for a in range(7))
+        assert scan_fr(dec, range(7), None, CFG) == []
 
-    def test_coarse_grid_memory_scales_with_partners(self):
-        dec = decompose(G.cycle(64))
-        scan_fr(dec, 0, None, CFG)  # builds the shared phase table
-        k = len(parallel_partners(dec, 5, _scan_slack()))
-        assert k == 1
+    def test_scan_memory_bounded_by_budget(self):
+        # simple spectrum: every vertex is a parallel partner of every other
+        dec = decompose(G.path(16))
+        cfg = DetectionConfig(grid_points=200_000)
+        assert all(len(parallel_partners(dec, a, _scan_slack(cfg))) == 15 for a in range(16))
         tracemalloc.start()
         try:
-            scan_fr(dec, 5, None, CFG)
+            scan_fr(dec, range(16), None, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a complex grid row takes 16 bytes per time; all 64 rows would take 8x the bound
-        assert peak < 4 * (1 + k) * CFG.grid_points * 16
+        # the grid of times takes 8 bytes per point; the (d, T) phases alone would take 16 d
+        assert peak < 2 * walks_mod._SCAN_BLOCK_BYTES + 8 * cfg.grid_points
 
 
 class TestChecks:
@@ -635,9 +653,9 @@ class TestTimeMemo:
     def test_memo_entries_read_only(self):
         dec = decompose(G.cycle(6))
         detect_at(dec, 0, 2 * math.pi / 3, CFG)
-        scan_fr(dec, 0, None, DetectionConfig(t_max=10.0, grid_points=2000))
-        _, ts, phases = dec._time_memo["scan"]
-        for arr in (*dec._time_memo["oracle"].values(), ts, phases):
+        scan_fr(dec, [0], None, DetectionConfig(t_max=10.0, grid_points=2000))
+        assert list(dec._time_memo) == ["oracle"]  # the scan keeps nothing
+        for arr in dec._time_memo["oracle"].values():
             assert not arr.flags.writeable
 
     def test_scan_on_warm_decomposition(self):
@@ -645,10 +663,20 @@ class TestTimeMemo:
         other = DetectionConfig(t_max=12.0, grid_points=3000)
         warm = decompose(G.cycle(6))
         for cfg in (small, other, small):
-            fresh = [scan_fr(decompose(G.cycle(6)), a, None, cfg) for a in range(6)]
-            assert [scan_fr(warm, a, None, cfg) for a in range(6)] == fresh
-            assert warm._time_memo["scan"][0] == (cfg.t_max, cfg.grid_points)
+            fresh = scan_fr(decompose(G.cycle(6)), range(6), None, cfg)
+            assert scan_fr(warm, range(6), None, cfg) == fresh
+            assert "scan" not in warm._time_memo
         assert any(fresh)
+
+
+class TestDetectionConfig:
+    @pytest.mark.parametrize("tol_walk", [1e-6, 1e-5, 10.0])
+    def test_tolerance_must_be_below_beta_min(self, tol_walk):
+        with pytest.raises(ValueError, match="beta_min"):
+            DetectionConfig(tol_walk=tol_walk)
+
+    def test_tolerance_below_beta_min_accepted(self):
+        assert DetectionConfig(tol_walk=1e-7).tol_walk == 1e-7
 
 
 class TestCertificateInvariants:
