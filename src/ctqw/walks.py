@@ -45,8 +45,8 @@ _SCAN_CUT = 0.2
 #: cap on refined candidates per source
 _SCAN_MAX_CANDIDATES = 512
 #: byte budget of the scan's working arrays: the coarse grid's time chunks and
-#: source groups and the refinement's blocks of candidates are sized to fit it;
-#: a group holds at least one source and a block at least one candidate
+#: the refinement's blocks of candidates are sized to fit it, beside the
+#: projector rows of one source; a block holds at least one candidate
 _SCAN_BLOCK_BYTES = 2 * 2**20
 #: byte budget of the oracle exponentials kept per decomposition; past it the
 #: oldest are dropped first
@@ -387,34 +387,30 @@ def certify_pair(
 
 
 def _golden_min(
-    dec: SpectralDecomposition, sources: np.ndarray, partners: np.ndarray, lo: np.ndarray, hi: np.ndarray, iters: int
+    dec: SpectralDecomposition, a: int, partners: np.ndarray, lo: np.ndarray, hi: np.ndarray, iters: int
 ) -> np.ndarray:
-    """Golden-section minima of the off-pair mass, one per bracket [lo, hi].
+    """Golden-section minima of the off-pair mass from a, one per bracket [lo, hi].
 
-    Row c pairs sources[c] with partners[c]. All rows are refined together,
-    one evaluation at a vector of times per iteration: one stacked product
-    per run of rows with one source, in blocks that fit _SCAN_BLOCK_BYTES.
-    Each row takes the steps a scalar golden section over its own bracket
-    would take.
+    Row c pairs a with partners[c]. All rows are refined together, one
+    evaluation at a vector of times per iteration in blocks of rows that fit
+    _SCAN_BLOCK_BYTES, and each row takes the steps a scalar golden section
+    over its own bracket would take.
     """
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     # per row: the column, its squares and their sum
     block = max(1, _SCAN_BLOCK_BYTES // (32 * dec.order))
-    starts = np.flatnonzero(np.diff(sources, prepend=-1))
-    ends = np.append(starts[1:], len(sources))
-    pieces = [(s, min(s + block, e)) for s0, e in zip(starts.tolist(), ends.tolist()) for s in range(s0, e, block)]
-    rows = np.arange(min(block, len(sources)))
+    rows = np.arange(min(block, len(partners)))
 
     def f(t: np.ndarray) -> np.ndarray:
         out = np.empty(len(t))
-        for s, e in pieces:
-            p = np.abs(walk_columns(dec, sources[s], t[s:e]))
+        for s in range(0, len(t), block):
+            p = np.abs(walk_columns(dec, a, t[s : s + block]))
             p *= p
             # summed directly over the off-pair vertices: computing 1 - pa - pb would
             # cancel catastrophically near a revival and stall the refinement at ~1e-8
-            p[:, sources[s]] = 0.0
-            p[rows[: e - s], partners[s:e]] = 0.0
-            np.sqrt(p.sum(axis=1), out=out[s:e])
+            p[:, a] = 0.0
+            p[rows[: len(p)], partners[s : s + block]] = 0.0
+            out[s : s + block] = np.sqrt(p.sum(axis=1))
         return out
 
     x1 = hi - inv_phi * (hi - lo)
@@ -432,64 +428,40 @@ def _golden_min(
     return (lo + hi) / 2.0
 
 
-def _coarse_minima(dec: SpectralDecomposition, sources: list[int], pars: list[np.ndarray], ts: np.ndarray):
-    """The local minima of f below _SCAN_CUT: counts per source, grid indices, heaviest partners.
+def _coarse_minima(
+    dec: SpectralDecomposition, sources: list[int], pars: list[np.ndarray], ts: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per source a: the grid indices of the local minima of f below _SCAN_CUT, and the heaviest partner at each.
 
     f(t) = sqrt(1 - pa - max pb) over b in Par(a), as the (E_r)_aa sum to 1.
-    Each chunk of times gets its phases once, multiplied by the rows {a} and
-    Par(a) of one group of sources at a time; one point of halo on each side
-    keeps the local-minimum test exact at chunk edges. A source keeps its
-    _SCAN_MAX_CANDIDATES lowest minima.
+    Each chunk of times gets its phases once, shared by all sources; a source
+    reads its rows {a} and Par(a) per chunk, at about 1/width the cost of its
+    product. One point of halo on each side keeps the local-minimum test exact
+    at chunk edges. A source keeps its _SCAN_MAX_CANDIDATES lowest minima as
+    the chunks pass, ties going to the earlier time.
     """
     # per time: 16 bytes per eigenvalue for the chunk of phases, and about 32 per
     # row for the product, its modulus and the mass terms. The phases take at
     # most half the budget, and the rows of any one source fit beside them.
     d = dec.n_distinct
     width = max(1, _SCAN_BLOCK_BYTES // (16 * max(2 * d, d + 2 + 2 * max(map(len, pars)))))
-    groups, rows = [[]], 0
-    for i, par in enumerate(pars):
-        if groups[-1] and (16 * d + 32 * (rows + 1 + len(par))) * width > _SCAN_BLOCK_BYTES:
-            groups.append([])
-            rows = 0
-        groups[-1].append(i)
-        rows += 1 + len(par)
-    plans = []
-    for g in groups:
-        # source j of the group owns rows offsets[j] (its head a) to offsets[j + 1]
-        offsets = np.cumsum([0] + [1 + len(pars[i]) for i in g])
-        owner = np.repeat([sources[i] for i in g], np.diff(offsets))
-        target = np.concatenate([[sources[i], *pars[i]] for i in g])
-        plans.append((g, offsets, dec.projectors[:, owner, target].T))
-
-    hits: list[list] = [[] for _ in sources]
+    found = [(np.empty(0, int), np.empty(0), np.empty(0, int))] * len(sources)
     for lo in range(0, len(ts) - 2, width):
         phases = np.multiply.outer(-1j * dec.eigenvalues, ts[lo : lo + width + 2])
         np.exp(phases, out=phases)
-        for g, offsets, rows_g in plans:
-            p = np.abs(rows_g @ phases)
+        for i, (a, par) in enumerate(zip(sources, pars)):
+            p = np.abs(dec.projectors[:, a, np.concatenate(([a], par))].T @ phases)
             p *= p
-            f = 1.0 - p[offsets[:-1]]
-            for j in range(len(g)):
-                f[j] -= p[offsets[j] + 1 : offsets[j + 1]].max(axis=0)
-            np.sqrt(np.maximum(f, 0.0, out=f), out=f)
-            mid = f[:, 1:-1]
-            is_min = mid < _SCAN_CUT
-            if not is_min.any():
+            f = np.sqrt(np.maximum(0.0, 1.0 - p[0] - p[1:].max(axis=0)))
+            mid = f[1:-1]
+            cols = np.flatnonzero((mid <= f[:-2]) & (mid <= f[2:]) & (mid < _SCAN_CUT)) + 1
+            if len(cols) == 0:
                 continue
-            is_min &= (mid <= f[:, :-2]) & (mid <= f[:, 2:])
-            for j in np.flatnonzero(is_min.any(axis=1)).tolist():
-                cols = np.flatnonzero(is_min[j]) + 1
-                best = p[offsets[j] + 1 : offsets[j + 1], cols].argmax(axis=0)
-                hits[g[j]].append((lo + cols, f[j, cols], pars[g[j]][best]))
-
-    counts, idx, partners = [], [], []
-    for found in hits:
-        i, f, b = (np.concatenate(x) for x in zip(*found)) if found else (np.empty(0, int),) * 3
-        keep = np.sort(np.argsort(f)[:_SCAN_MAX_CANDIDATES])
-        counts.append(len(keep))
-        idx.append(i[keep])
-        partners.append(b[keep])
-    return counts, np.concatenate(idx), np.concatenate(partners)
+            new = (lo + cols, f[cols], par[p[1:, cols].argmax(axis=0)])
+            idx, fs, best = (np.concatenate(x) for x in zip(found[i], new))
+            keep = np.sort(np.argsort(fs, kind="stable")[:_SCAN_MAX_CANDIDATES])
+            found[i] = (idx[keep], fs[keep], best[keep])
+    return [(idx, best) for idx, _, best in found]
 
 
 def scan_fr(
@@ -502,17 +474,17 @@ def scan_fr(
 
     Evaluates the off-pair mass f(t) from each source a on a coarse grid over
     (0, t_max] (pairing a with b, or with the heaviest partner when b is
-    None), golden-section refines the local minima of all sources together,
-    and keeps detections that pass the residual gate. Only a parallel partner
-    of a can receive revival, and spectral.parallel_partners keeps every
-    partner detect_at can accept, so the grid runs on the rows {a} and
-    Par(a) alone; with no partner, or a target outside Par(a), there is
-    nothing to scan from a. Grid and refinement run in pieces that fit
-    _SCAN_BLOCK_BYTES, so memory grows with grid_points only by the times
-    themselves. Certificates come source by source, sorted by tau. Periodic
-    events are not reported: the scan looks for genuine two-vertex
-    transport, so b in sources is rejected. Absence of hits is evidence, not
-    proof.
+    None), golden-section refines the local minima of a together, and keeps
+    detections that pass the residual gate. Only a parallel partner of a can
+    receive revival, and spectral.parallel_partners keeps every partner
+    detect_at can accept, so the grid runs on the rows {a} and Par(a) alone;
+    with no partner, or a target outside Par(a), there is nothing to scan
+    from a. The grid is streamed in chunks shared by all sources, and grid
+    and refinement work in pieces that fit _SCAN_BLOCK_BYTES, so memory grows
+    with grid_points only by the times themselves. Certificates come source
+    by source, sorted by tau. Periodic events are not reported: the scan
+    looks for genuine two-vertex transport, so b in sources is rejected.
+    Absence of hits is evidence, not proof.
     """
     if b is not None and b in sources:
         raise ValueError("the scan target must differ from its source")
@@ -528,16 +500,15 @@ def scan_fr(
     if not scanned:
         return []
     ts = np.linspace(0.0, cfg.t_max, cfg.grid_points + 1)[1:]
-    counts, idx, partners = _coarse_minima(dec, scanned, pars, ts)
-    if len(idx) == 0:
-        return []
-    taus = _golden_min(dec, np.repeat(scanned, counts), partners, ts[idx - 1], ts[idx + 1], cfg.refine_iters)
 
     certs: list[FrCertificate] = []
-    for a, own in zip(scanned, np.split(taus, np.cumsum(counts)[:-1])):
+    for a, (idx, partners) in zip(scanned, _coarse_minima(dec, scanned, pars, ts)):
+        if len(idx) == 0:
+            continue
+        taus = _golden_min(dec, a, partners, ts[idx - 1], ts[idx + 1], cfg.refine_iters)
         found: list[FrCertificate] = []
         seen: list[float] = []
-        for tau in own.tolist():
+        for tau in taus.tolist():
             if any(abs(tau - s) < 1e-6 for s in seen):
                 continue
             cert = detect_at(dec, a, tau, cfg)

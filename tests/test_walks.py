@@ -295,50 +295,50 @@ def _golden_min_scalar(f, lo, hi, iters):
 
 
 def _refinements(monkeypatch, dec, sources, b, cfg=CFG):
-    """Run one scan over the sources and record each refined row: (a, partner, lo, hi, tau)."""
-    rows = []
+    """Run one scan over the sources and record every batched refinement: (a, partners, lo, hi, taus)."""
+    calls = []
     batched = walks_mod._golden_min
 
-    def recording(dec_, srcs, partners, lo, hi, iters):
-        taus = batched(dec_, srcs, partners, lo, hi, iters)
-        rows.extend(zip(srcs.tolist(), partners.tolist(), lo.tolist(), hi.tolist(), taus.tolist()))
+    def recording(dec_, a, partners, lo, hi, iters):
+        taus = batched(dec_, a, partners, lo, hi, iters)
+        calls.append((a, partners.tolist(), lo.tolist(), hi.tolist(), taus.tolist()))
         return taus
 
     with monkeypatch.context() as m:
         m.setattr(walks_mod, "_golden_min", recording)
         scan_fr(dec, list(sources), b, cfg)
-    return rows
+    return calls
 
 
-def _assert_scalar_taus(dec, rows, cfg=CFG):
-    for a, pb, l, h, tau in rows:
-        ref = _golden_min_scalar(lambda t: _offpair_mass_scalar(dec, a, pb, t), l, h, cfg.refine_iters)
-        assert tau == ref, (a, pb, l)
+def _assert_scalar_taus(dec, calls, cfg=CFG):
+    for a, partners, lo, hi, taus in calls:
+        for pb, l, h, tau in zip(partners, lo, hi, taus):
+            ref = _golden_min_scalar(lambda t: _offpair_mass_scalar(dec, a, pb, t), l, h, cfg.refine_iters)
+            assert tau == ref, (a, pb, l)
 
 
-#: a budget that splits the scan's source groups, refinement blocks and time chunks
+#: a budget that splits the scan's refinement blocks and time chunks
 _SMALL_BUDGET = 3000
 
 
 class TestBatchedRefinement:
-    # cone2:cycle:5 puts two sources in some coarse-grid groups at the default budget
-    @pytest.mark.parametrize("spec", ["path:4", "cycle:6", "cube:3", "cocktail:4", "prod(path:3,path:2)", "cone2:cycle:5"])
+    @pytest.mark.parametrize("spec", ["path:4", "cycle:6", "cube:3", "cocktail:4", "prod(path:3,path:2)"])
     def test_equals_scalar_on_every_candidate(self, monkeypatch, spec):
         dec = decompose(parse_graph_spec(spec))
-        rows = _refinements(monkeypatch, dec, range(dec.order), None)
-        assert {r[0] for r in rows} == set(range(dec.order))
-        _assert_scalar_taus(dec, rows)
+        calls = _refinements(monkeypatch, dec, range(dec.order), None)
+        assert len(calls) == dec.order
+        _assert_scalar_taus(dec, calls)
         monkeypatch.setattr(walks_mod, "_SCAN_BLOCK_BYTES", _SMALL_BUDGET)
-        assert _refinements(monkeypatch, dec, range(dec.order), None) == rows
+        assert _refinements(monkeypatch, dec, range(dec.order), None) == calls
 
     @pytest.mark.parametrize(
         "graph, a, b", [(weighted_p3(math.sqrt(2) - 1), 0, 2), (weighted_p3(1.0), 2, 0), (G.cycle(4), 0, 2)]
     )
     def test_equals_scalar_with_fixed_target(self, monkeypatch, graph, a, b):
         dec = decompose(graph)
-        rows = _refinements(monkeypatch, dec, [a], b)
-        assert rows and all(r[1] == b for r in rows)
-        _assert_scalar_taus(dec, rows)
+        calls = _refinements(monkeypatch, dec, [a], b)
+        assert calls and all(pb == b for pb in calls[0][1])
+        _assert_scalar_taus(dec, calls)
 
     def test_source_without_candidates(self, monkeypatch):
         dec = decompose(G.cycle(7))
@@ -347,27 +347,31 @@ class TestBatchedRefinement:
 
     def test_source_with_one_candidate(self, monkeypatch):
         dec = decompose(G.cycle(12))
-        rows = _refinements(monkeypatch, dec, range(12), None)
-        assert sorted(r[0] for r in rows) == list(range(12))
-        _assert_scalar_taus(dec, rows)
+        calls = _refinements(monkeypatch, dec, range(12), None)
+        assert [len(c[1]) for c in calls] == [1] * 12
+        _assert_scalar_taus(dec, calls)
 
     def test_candidate_cap(self, monkeypatch):
         monkeypatch.setattr(walks_mod, "_SCAN_MAX_CANDIDATES", 3)
         dec = decompose(G.cocktail_party(4))
-        rows = _refinements(monkeypatch, dec, range(8), None)
-        assert sorted(r[0] for r in rows) == sorted(list(range(8)) * 3)
-        _assert_scalar_taus(dec, rows)
+        calls = _refinements(monkeypatch, dec, range(8), None)
+        assert [len(c[1]) for c in calls] == [3] * 8
+        _assert_scalar_taus(dec, calls)
+        # the cap is applied as the chunks pass; the kept minima are the lowest of the whole grid
+        monkeypatch.setattr(walks_mod, "_SCAN_BLOCK_BYTES", _SMALL_BUDGET)
+        assert _refinements(monkeypatch, dec, range(8), None) == calls
+        assert all(scan_fr(dec, [a], None, CFG) == _scan_full_rows(dec, a) for a in range(8))
 
     def test_minimum_on_chunk_edge(self, monkeypatch):
         # the coarse grid's chunks are _SCAN_BLOCK_BYTES // (32 d) times wide here
         dec = decompose(G.cycle(6))
         ts = np.linspace(0.0, CFG.t_max, CFG.grid_points + 1)[1:]
         par = [parallel_partners(dec, 0, _scan_slack())]
-        _, idx, partners = walks_mod._coarse_minima(dec, [0], par, ts)
+        [(idx, partners)] = walks_mod._coarse_minima(dec, [0], par, ts)
         edge = int(idx[len(idx) // 2])
         for width in (edge, edge - 1):  # edge is the last time of chunk 0, then the first of chunk 1
             monkeypatch.setattr(walks_mod, "_SCAN_BLOCK_BYTES", 32 * dec.n_distinct * width)
-            _, got_idx, got_partners = walks_mod._coarse_minima(dec, [0], par, ts)
+            [(got_idx, got_partners)] = walks_mod._coarse_minima(dec, [0], par, ts)
             assert edge in got_idx.tolist()
             assert np.array_equal(got_idx, idx) and np.array_equal(got_partners, partners)
 
@@ -395,8 +399,7 @@ def _scan_full_rows(dec, a, b=None, cfg=CFG):
     if len(candidates) == 0:
         return []
     partners = np.full(len(candidates), b) if b is not None else p[:, candidates].argmax(axis=0)
-    sources = np.full(len(candidates), a)
-    taus = walks_mod._golden_min(dec, sources, partners, ts[candidates - 1], ts[candidates + 1], cfg.refine_iters)
+    taus = walks_mod._golden_min(dec, a, partners, ts[candidates - 1], ts[candidates + 1], cfg.refine_iters)
     certs, seen = [], []
     for tau in taus.tolist():
         if any(abs(tau - s) < 1e-6 for s in seen):
@@ -496,6 +499,22 @@ class TestParallelScan:
             tracemalloc.stop()
         # the grid of times takes 8 bytes per point; the (d, T) phases alone would take 16 d
         assert peak < 2 * walks_mod._SCAN_BLOCK_BYTES + 8 * cfg.grid_points
+
+    def test_scan_memory_holds_rows_of_one_source(self, monkeypatch):
+        # simple spectrum: the rows {a} and Par(a) of all sources take 8 n^3 bytes, 512 kB
+        n, budget = 40, 2**16
+        dec = decompose(G.path(n))
+        cfg = DetectionConfig(grid_points=2000)
+        assert all(len(parallel_partners(dec, a, _scan_slack(cfg))) == n - 1 for a in range(n))
+        monkeypatch.setattr(walks_mod, "_SCAN_BLOCK_BYTES", budget)
+        tracemalloc.start()
+        try:
+            scan_fr(dec, range(n), None, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the budget, the times, and one source's n rows of d reals, also cast to complex
+        assert peak < 2 * budget + 8 * cfg.grid_points + 24 * n * n
 
 
 class TestChecks:
