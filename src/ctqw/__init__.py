@@ -27,6 +27,7 @@ from ctqw.numtheory import (
     NotClassifiable,
     RationalApprox,
     classify,
+    lattice_step,
     ratio_condition,
     rationalize,
 )

@@ -30,6 +30,7 @@ from ctqw.spectral import decompose, strongly_cospectral_candidates
 from ctqw.suite import ALL_GROUPS, run_groups
 from ctqw.walks import (
     KIND_PERIODIC,
+    MAX_PHASE,
     VALID_KINDS,
     DetectionConfig,
     FrCertificate,
@@ -39,6 +40,7 @@ from ctqw.walks import (
     _residual,
     _wrap_angle,
     certify_pair,
+    phase_norm,
     scan_fr,
     transition_column,
     verify_quotient_transport,
@@ -53,9 +55,6 @@ EXIT_SUITE = 4
 
 #: significant digits for floats in JSON reports
 JSON_DIGITS = 12
-#: largest tau * ||A|| a reloaded certificate may claim; it keeps the rounding
-#: floor of validate_report, 1e-11 tau ||A||, at most 1e-6, the default beta_min
-_MAX_PHASE = 1e5
 
 
 class ParseError(ValueError):
@@ -267,7 +266,8 @@ def validate_report(payload: dict, graph: WeightedGraph | None = None) -> bool:
     Returns False, and never raises, on a malformed report: a missing or
     mistyped field, a vertex out of range, a bad detection config or a graph
     that does not build or decompose. Per certificate it requires a stored
-    residual of at most tol_walk and tau * ||A|| of at most _MAX_PHASE, and
+    residual of at most tol_walk and tau * ||A|| of at most MAX_PHASE, the
+    bound that analyze and scan keep to, and
     recomputes
 
     - the residual ||U(tau) e_a - alpha e_a - beta e_b||, accepted within 2x
@@ -289,14 +289,14 @@ def validate_report(payload: dict, graph: WeightedGraph | None = None) -> bool:
     except (KeyError, TypeError, ValueError, OSError):
         return False
     n = graph.order
-    norm = float(np.abs(graph.weights).sum(axis=1).max())
+    norm = phase_norm(dec)
     for c in payload["certificates"]:
         if not isinstance(c, dict) or not all(k in c and ok(c[k]) for k, ok in _CERTIFICATE_SCHEMA.items()):
             return False
         tau, a, b = float(c["tau"]), c["a"], c["b"]
         if not (0 <= a < n and 0 <= b < n):
             return False
-        if c["residual"] > cfg.tol_walk or tau * norm > _MAX_PHASE:
+        if c["residual"] > cfg.tol_walk or tau * norm > MAX_PHASE:
             return False
         alpha, beta = complex(*c["alpha"]), complex(*c["beta"])
         residual = _residual(transition_column(dec, a, tau), a, alpha, b, beta)
@@ -375,11 +375,12 @@ def run_analysis(
             if pc.classification is not None:
                 entry["classification"] = pc.classification.kind
                 entry["delta"] = pc.classification.delta
-                entry["tau_step"] = pc.classification.tau_step
             else:
                 entry["classification"] = f"not classifiable: {pc.failure}"
                 if pc.witness is not None and pc.witness.witness_ratio is not None:
                     entry["witness_ratio"] = pc.witness.witness_ratio
+            if pc.classification is not None or pc.tau_step is not None:
+                entry["tau_step"] = pc.tau_step
             predicates[f"pair({a},{b})"] = entry
             keep(pc.certificates)
         timing["certify"] = (time.perf_counter() - t0) * 1000.0

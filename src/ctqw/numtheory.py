@@ -1,8 +1,9 @@
 """Arithmetic recognition behind transport certification.
 
 Rational recognition with a convergent-quality gate, eigenvalue-difference
-ratio tests, integer / quadratic-integer classification of eigenvalue
-supports, and gcd-based candidate time grids.
+ratio tests, the lattice of eigenvalue differences that fixes the candidate
+revival times, and the integer / quadratic-integer description of eigenvalue
+supports.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ class RatioReport:
     holds: bool
     witness: tuple[int, int, int, int] | None = None
     witness_ratio: float | None = None
+    generator: float = 0.0  # every difference is a multiple of it; 0 for < 2 values
 
 
 def ratio_condition(values) -> RatioReport:
@@ -73,7 +75,8 @@ def ratio_condition(values) -> RatioReport:
     It suffices to test each difference against one fixed base difference
     (ratios of rationals are rational), so the base pair (max, min) is used.
     The witness is the first failing (i, j, r, s) index 4-tuple into the
-    input list.
+    input list. The differences generate base * gcd(p)/lcm(q) over their
+    ratios p/q in lowest terms, and the base's own ratio 1 makes gcd(p) = 1.
     """
     vals = list(float(v) for v in values)
     if len(vals) < 2:
@@ -83,22 +86,24 @@ def ratio_condition(values) -> RatioReport:
     base = vals[r] - vals[s]
     if base <= CLASS_TOL:
         return RatioReport(holds=True)
+    den = 1
     for i in range(len(vals)):
         for j in range(i + 1, len(vals)):
             if abs(vals[i] - vals[j]) <= CLASS_TOL:
                 continue
             ratio = (vals[i] - vals[j]) / base
-            if rationalize(ratio) is None:
+            approx = rationalize(ratio)
+            if approx is None:
                 return RatioReport(holds=False, witness=(i, j, r, s), witness_ratio=ratio)
-    return RatioReport(holds=True)
+            den = math.lcm(den, approx.q)
+    return RatioReport(holds=True, generator=base / den)
 
 
 class NotClassifiable(Exception):
-    """The support values admit no integer / quadratic-integer structure.
+    """No revival lattice (from lattice_step: no revival time exists), or no
+    (a + b sqrt(delta)) / 2 description (from classify).
 
     Carries the reason and, for ratio failures, the witnessing ratio report.
-    Between strongly cospectral vertices this signals that no revival time
-    can exist.
     """
 
     def __init__(self, reason: str, witness: RatioReport | None = None):
@@ -119,16 +124,53 @@ def squarefree_part(n: int) -> int:
     return n
 
 
+def _near_int(x: float, tol: float) -> bool:
+    return abs(x - round(x)) <= tol
+
+
+def lattice_step(phi_plus_vals, phi_minus_vals) -> tuple[float | None, int | None]:
+    """(tau_step, delta): the candidate revival period of a strongly cospectral pair.
+
+    Revival at tau needs tau (theta_r - theta_s) in 2 pi Z within each part,
+    so tau is a multiple of 2 pi / g, g the gcd of the parts' ratio_condition
+    generators. When g^2 = k^2 delta is an integer (delta squarefree) the
+    step is 2 pi / (k sqrt(delta)), else 2 pi / g with delta None; two
+    singleton parts give (None, 1). Raises NotClassifiable when no g exists.
+    """
+    plus = sorted((float(v) for v in phi_plus_vals), reverse=True)
+    minus = sorted((float(v) for v in phi_minus_vals), reverse=True)
+    if not plus or not minus:
+        raise ValueError("both support parts must be nonempty")
+    gens = []
+    for name, vals in (("plus", plus), ("minus", minus)):
+        rep = ratio_condition(vals)
+        if not rep.holds:
+            raise NotClassifiable(f"ratio condition fails on the {name} part", witness=rep)
+        if rep.generator:
+            gens.append(rep.generator)
+    if not gens:
+        return None, 1
+    g = gens[0]
+    if len(gens) == 2:
+        # gcd(g, g p/q) = g gcd(q, p)/q = g/q
+        cross = rationalize(gens[1] / g)
+        if cross is None:
+            raise NotClassifiable(f"the parts have no common period: no generator ratio p/q with q <= {MAX_DEN}")
+        g /= cross.q
+    n = round(g * g)
+    if n == 0 or not _near_int(g * g, CLASS_TOL * max(1.0, g * g)):
+        return 2.0 * math.pi / g, None
+    delta = squarefree_part(n)
+    return 2.0 * math.pi / (math.isqrt(n // delta) * math.sqrt(delta)), delta
+
+
 @dataclass(frozen=True)
 class EigenvalueClassification:
     """Integer or quadratic-integer structure of a two-part eigenvalue support.
 
     Every value reconstructs as (a + b_r sqrt(delta)) / 2 with the part's
     ``a`` and its own integer ``b_r``; delta is squarefree and shared by both
-    parts (delta = 1 for the all-integer kind). ``g_plus``/``g_minus`` are the
-    gcds of the scaled differences (theta_r - theta_s)/sqrt(delta) within each
-    part, with 0 meaning the part is a singleton and constrains nothing.
-    The candidate revival times are the multiples of ``tau_step``.
+    parts (delta = 1 for the all-integer kind).
     """
 
     kind: str  # "all_integer" | "quadratic"
@@ -137,51 +179,11 @@ class EigenvalueClassification:
     delta: int
     b_plus: tuple[int, ...]
     b_minus: tuple[int, ...]
-    g_plus: int
-    g_minus: int
     residual: float
-
-    @property
-    def g_combined(self) -> int:
-        return math.gcd(self.g_plus, self.g_minus)
-
-    @property
-    def tau_step(self) -> float | None:
-        """Fundamental candidate period 2*pi/(g*sqrt(delta)), or None if unconstrained."""
-        g = self.g_combined
-        if g == 0:
-            return None
-        return 2.0 * math.pi / (g * math.sqrt(self.delta))
-
-    def tau_grid(self, k_max: int) -> list[float]:
-        step = self.tau_step
-        if step is None:
-            return []
-        return [k * step for k in range(1, k_max + 1)]
 
     def reconstruct(self, part: str, i: int) -> float:
         a, bs = (self.a_plus, self.b_plus) if part == "plus" else (self.a_minus, self.b_minus)
         return (a + bs[i] * math.sqrt(self.delta)) / 2.0
-
-
-def _near_int(x: float, tol: float) -> bool:
-    return abs(x - round(x)) <= tol
-
-
-def _part_is_integer(vals) -> bool:
-    return all(_near_int(v, CLASS_TOL) for v in vals)
-
-
-def _part_delta(vals) -> int:
-    """Squarefree part of the squared smallest eigenvalue difference."""
-    diffs = sorted(
-        abs(vi - vj) for i, vi in enumerate(vals) for vj in vals[i + 1 :] if abs(vi - vj) > CLASS_TOL
-    )
-    d = diffs[0]
-    s = (2.0 * d) ** 2
-    if not _near_int(s, CLASS_TOL * max(1.0, s)):
-        raise NotClassifiable(f"squared difference {s!r} is not an integer")
-    return squarefree_part(round(s))
 
 
 def _fit_part(vals, delta: int) -> tuple[int, list[int]]:
@@ -190,16 +192,10 @@ def _fit_part(vals, delta: int) -> tuple[int, list[int]]:
     The offset search is bounded by |b| <= ceil(2 max|v| / sqrt(delta)) + 1,
     which covers every conjugation-closed part (conjugate pairs differ by
     2b sqrt(delta) inside the part). Supports that are not closed under
-    conjugation cannot carry revival anyway, so failing them is sound.
+    conjugation get no description, which is all a failed fit means.
     """
-    if delta == 1:
-        # decomposition is non-unique over Q; pin the canonical a = 0
-        bs = []
-        for v in vals:
-            if not _near_int(2.0 * v, CLASS_TOL):
-                raise NotClassifiable(f"value {v!r} is not a half-integer")
-            bs.append(round(2.0 * v))
-        return 0, bs
+    if delta == 1:  # integers, as classify checks; pin the canonical a = 0
+        return 0, [round(2.0 * v) for v in vals]
     sd = math.sqrt(delta)
     x = [2.0 * v / sd for v in vals]
     rel = [round(xi - x[0]) for xi in x]
@@ -214,58 +210,28 @@ def _fit_part(vals, delta: int) -> tuple[int, list[int]]:
     raise NotClassifiable(f"no (a, b, delta={delta}) fit for values {vals}")
 
 
-def _part_gcd(vals, delta: int) -> int:
-    """gcd of the scaled pairwise differences, 0 for singleton parts."""
-    sd = math.sqrt(delta)
-    g = 0
-    for i, vi in enumerate(vals):
-        for vj in vals[i + 1 :]:
-            x = (vi - vj) / sd
-            if not _near_int(x, CLASS_TOL * 10.0):
-                raise NotClassifiable(f"scaled difference {x!r} is not an integer")
-            g = math.gcd(g, abs(round(x)))
-    return g
+def classify(phi_plus_vals, phi_minus_vals, delta: int | None) -> EigenvalueClassification:
+    """Describe both support parts as integers or quadratic integers over
+    lattice_step's delta; the revival times do not depend on it.
 
-
-def classify(phi_plus_vals, phi_minus_vals) -> EigenvalueClassification:
-    """Fit both support parts as integers or quadratic integers over one field.
-
-    Raises NotClassifiable when a part fails the ratio condition, when the
-    two parts pin incompatible structures (integers vs irrationals, or two
-    different squarefree deltas), or when no consistent (a, b_r, delta) fit
-    exists; all of these certify that no revival time is available.
+    Raises NotClassifiable when delta is None, when delta = 1 but some value
+    is not an integer, or when no (a, b_r) fit exists.
     """
     plus = sorted((float(v) for v in phi_plus_vals), reverse=True)
     minus = sorted((float(v) for v in phi_minus_vals), reverse=True)
     if not plus or not minus:
         raise ValueError("both support parts must be nonempty")
-
-    for name, vals in (("plus", plus), ("minus", minus)):
-        rep = ratio_condition(vals)
-        if not rep.holds:
-            raise NotClassifiable(f"ratio condition fails on the {name} part", witness=rep)
-
-    if _part_is_integer(plus + minus):
-        kind, delta = "all_integer", 1
-    else:
+    if delta is None:
+        raise NotClassifiable("the squared lattice generator is not an integer")
+    if delta > 1:
         kind = "quadratic"
-        deltas = []
-        for vals in (plus, minus):
-            if len(vals) >= 2:
-                deltas.append(1 if _part_is_integer(vals) else _part_delta(vals))
-        nontrivial = sorted(set(d for d in deltas if d > 1))
-        if not nontrivial:
-            raise NotClassifiable("irrational values sit in singleton parts; field undetermined")
-        if len(nontrivial) > 1:
-            raise NotClassifiable(f"parts lie in different quadratic fields {nontrivial}")
-        if 1 in deltas:
-            raise NotClassifiable("one part is integral, the other quadratic: no common period")
-        delta = nontrivial[0]
+    elif all(_near_int(v, CLASS_TOL) for v in plus + minus):
+        kind = "all_integer"
+    else:
+        raise NotClassifiable("delta is 1 but the values are not all integers")
 
     a_p, b_p = _fit_part(plus, delta)
     a_m, b_m = _fit_part(minus, delta)
-    g_p = _part_gcd(plus, delta)
-    g_m = _part_gcd(minus, delta)
 
     sd = math.sqrt(delta)
     residual = 0.0
@@ -280,7 +246,5 @@ def classify(phi_plus_vals, phi_minus_vals) -> EigenvalueClassification:
         delta=delta,
         b_plus=tuple(b_p),
         b_minus=tuple(b_m),
-        g_plus=g_p,
-        g_minus=g_m,
         residual=residual,
     )

@@ -563,12 +563,12 @@ def classification_rows(cfg: DetectionConfig) -> list[RowResult]:
     )
     rows.append(_row("classification", "P4: (a+, a-, delta) = (1, -1, 5) with b in {+-1}", ok4))
 
-    cls6 = shared["cycle:6"][1].classification
-    grid = cls6.tau_grid(8) if cls6 is not None else []
+    pc6 = shared["cycle:6"][1]
     ok6 = (
-        cls6 is not None
-        and cls6.kind == "all_integer"
-        and any(abs(t - 2 * math.pi / 3) <= 1e-9 for t in grid)
+        pc6.classification is not None
+        and pc6.classification.kind == "all_integer"
+        and pc6.tau_step is not None
+        and any(abs(k * pc6.tau_step - 2 * math.pi / 3) <= 1e-9 for k in range(1, 9))
     )
     rows.append(_row("classification", "C6: all-integer support, candidate grid contains 2pi/3", ok6))
 

@@ -1,8 +1,8 @@
 """Walk evaluation U(t) = exp(-itA) and transport-event certification.
 
 Detects fractional revival, perfect state transfer, periodicity and uniform
-mixing; solves for revival times of strongly cospectral pairs on the
-gcd-derived candidate grid; verifies the product / overlay / rotation
+mixing; solves for revival times of strongly cospectral pairs on the lattice
+of their eigenvalue differences; verifies the product / overlay / rotation
 constructions and quotient transport. Every certificate is double-checked
 against an eigensolver-free matrix exponential before being reported; that
 exponential is computed once per decomposition and time.
@@ -10,6 +10,7 @@ exponential is computed once per decomposition and time.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import logging
 import math
@@ -24,6 +25,7 @@ from ctqw.numtheory import (
     NotClassifiable,
     RatioReport,
     classify,
+    lattice_step,
     rationalize,
 )
 from ctqw.spectral import PairProfile, SpectralDecomposition, decompose, pair_profile, parallel_partners
@@ -39,6 +41,9 @@ VALID_KINDS = frozenset({KIND_FR, KIND_PST, KIND_PERIODIC, KIND_BALANCED})
 #: grid truncation in certify_strongly_cospectral: multiples of the
 #: fundamental candidate period examined before giving up
 CERTIFY_GRID_K = 64
+#: largest tau * ||A|| of a certificate: the 12 digits of tau in a report move
+#: the column by up to 1e-11 tau ||A||, kept at most 1e-6, the default beta_min
+MAX_PHASE = 1e5
 
 #: coarse scan keeps a local minimum only when the off-pair mass is below this
 _SCAN_CUT = 0.2
@@ -216,6 +221,11 @@ def _kind_of(alpha: complex, beta: complex, cfg: DetectionConfig) -> str:
     return KIND_FR
 
 
+def phase_norm(dec: SpectralDecomposition) -> float:
+    """||A||, the max row sum of |A|, against which MAX_PHASE bounds tau."""
+    return float(np.abs(dec.matrix).sum(axis=1).max())
+
+
 def _oracle_exp(dec: SpectralDecomposition, tau: float) -> np.ndarray:
     """exp(-i tau A) of dec.matrix, computed once per decomposition and exact tau."""
     exps = dec._time_memo.setdefault("oracle", {})
@@ -317,29 +327,34 @@ def _residual(col: np.ndarray, a: int, alpha: complex, b: int, beta: complex) ->
 def certify_strongly_cospectral(
     dec: SpectralDecomposition,
     profile: PairProfile,
-    cls: EigenvalueClassification,
+    tau_step: float | None,
     cfg: DetectionConfig = DetectionConfig(),
 ) -> list[FrCertificate]:
     """Solve for revival times of a strongly cospectral pair.
 
-    Walks the candidate grid tau_k = k * 2pi/(g sqrt(delta)). On the grid the
-    phase factors are constant on each support part, so each k yields an
-    event; certificates are emitted up to and including the first periodic
-    time, after which the pattern repeats up to a global phase. When both
-    parts are singletons the grid is unconstrained and the natural balanced /
-    transfer / periodic times pi/(2D), pi/D, 2pi/D of the two-level pair are
-    reported instead.
+    Walks the candidate grid tau_k = k * tau_step of numtheory.lattice_step.
+    On the grid the phase factors are constant on each support part, so each
+    k yields an event; certificates are emitted up to and including the
+    first periodic time, after which the pattern repeats up to a global
+    phase, and none past tau ||A|| = MAX_PHASE. When both parts are
+    singletons (tau_step None) the grid is unconstrained and the natural
+    balanced / transfer / periodic times pi/(2D), pi/D, 2pi/D of the
+    two-level pair are examined instead.
     """
     if not profile.strongly_cospectral:
         raise ValueError("pair is not strongly cospectral")
-    taus = cls.tau_grid(CERTIFY_GRID_K)
-    if not taus:
+    if tau_step is not None:
+        taus = [k * tau_step for k in range(1, CERTIFY_GRID_K + 1)]
+    else:
         theta = dec.eigenvalues
         gap = abs(float(theta[min(profile.phi_plus)] - theta[min(profile.phi_minus)]))
         taus = [math.pi / (2 * gap), math.pi / gap, 2 * math.pi / gap]
 
+    norm = phase_norm(dec)
     certs: list[FrCertificate] = []
     for tau in taus:
+        if tau * norm > MAX_PHASE:
+            break
         cert = detect_at(dec, profile.a, tau, cfg, method="equiv_cond_solve")
         if cert is None:
             continue
@@ -354,10 +369,12 @@ def certify_strongly_cospectral(
 
 @dataclass(frozen=True)
 class PairCertification:
-    """Full certification outcome for one vertex pair."""
+    """Full certification outcome for one vertex pair. ``failure`` says why
+    there is no lattice (``tau_step``), or else why no ``classification``."""
 
     profile: PairProfile
     classification: EigenvalueClassification | None
+    tau_step: float | None
     certificates: tuple[FrCertificate, ...]
     failure: str | None
     witness: RatioReport | None
@@ -366,19 +383,22 @@ class PairCertification:
 def certify_pair(
     dec: SpectralDecomposition, a: int, b: int, cfg: DetectionConfig = DetectionConfig()
 ) -> PairCertification:
-    """profile -> classify -> certify for one pair, capturing failures."""
+    """profile -> lattice -> certify, then classify the support, capturing failures."""
     prof = pair_profile(dec, a, b)
     if not prof.strongly_cospectral:
-        return PairCertification(prof, None, (), "not strongly cospectral", None)
+        return PairCertification(prof, None, None, (), "not strongly cospectral", None)
     theta = dec.eigenvalues
     plus_vals = [float(theta[r]) for r in sorted(prof.phi_plus)]
     minus_vals = [float(theta[r]) for r in sorted(prof.phi_minus)]
     try:
-        cls = classify(plus_vals, minus_vals)
+        step, delta = lattice_step(plus_vals, minus_vals)
     except NotClassifiable as exc:
-        return PairCertification(prof, None, (), exc.reason, exc.witness)
-    certs = certify_strongly_cospectral(dec, prof, cls, cfg)
-    return PairCertification(prof, cls, tuple(certs), None, None)
+        return PairCertification(prof, None, None, (), exc.reason, exc.witness)
+    certs = tuple(certify_strongly_cospectral(dec, prof, step, cfg))
+    try:
+        return PairCertification(prof, classify(plus_vals, minus_vals, delta), step, certs, None, None)
+    except NotClassifiable as exc:
+        return PairCertification(prof, None, step, certs, exc.reason, None)
 
 
 # ---------------------------------------------------------------------------
@@ -482,9 +502,9 @@ def scan_fr(
     from a. The grid is streamed in chunks shared by all sources, and grid
     and refinement work in pieces that fit _SCAN_BLOCK_BYTES, so memory grows
     with grid_points only by the times themselves. Certificates come source
-    by source, sorted by tau. Periodic events are not reported: the scan
-    looks for genuine two-vertex transport, so b in sources is rejected.
-    Absence of hits is evidence, not proof.
+    by source, sorted by tau, none past tau ||A|| = MAX_PHASE. Periodic
+    events are not reported: the scan looks for genuine two-vertex transport,
+    so b in sources is rejected. Absence of hits is evidence, not proof.
     """
     if b is not None and b in sources:
         raise ValueError("the scan target must differ from its source")
@@ -501,22 +521,27 @@ def scan_fr(
         return []
     ts = np.linspace(0.0, cfg.t_max, cfg.grid_points + 1)[1:]
 
+    norm = phase_norm(dec)
     certs: list[FrCertificate] = []
     for a, (idx, partners) in zip(scanned, _coarse_minima(dec, scanned, pars, ts)):
         if len(idx) == 0:
             continue
         taus = _golden_min(dec, a, partners, ts[idx - 1], ts[idx + 1], cfg.refine_iters)
         found: list[FrCertificate] = []
-        seen: list[float] = []
+        seen: list[float] = []  # sorted accepted times
         for tau in taus.tolist():
-            if any(abs(tau - s) < 1e-6 for s in seen):
+            if tau * norm > MAX_PHASE:
+                continue
+            # the accepted times nearest tau sit beside its insertion point
+            i = bisect.bisect_left(seen, tau)
+            if (i < len(seen) and seen[i] - tau < 1e-6) or (i > 0 and tau - seen[i - 1] < 1e-6):
                 continue
             cert = detect_at(dec, a, tau, cfg)
             if cert is None or cert.kind == KIND_PERIODIC:
                 continue
             if b is not None and cert.b != b:
                 continue
-            seen.append(cert.tau)
+            bisect.insort(seen, cert.tau)
             found.append(cert)
         found.sort(key=lambda c: c.tau)
         certs.extend(found)

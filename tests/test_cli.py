@@ -189,7 +189,7 @@ class TestReports:
 
     def test_non_finite_residual_fails_validation(self, monkeypatch):
         # without the tau bound, tau theta overflows and the recomputed residual is NaN
-        monkeypatch.setattr(cli_mod, "_MAX_PHASE", math.inf)
+        monkeypatch.setattr(cli_mod, "MAX_PHASE", math.inf)
         loaded, i = self._loaded("cycle:6", "fractional_revival")
         loaded["certificates"][i]["tau"] = 1e308
         with np.errstate(all="ignore"):
@@ -200,6 +200,21 @@ class TestReports:
         assert validate_report(loaded)
         monkeypatch.setattr(G, "MAX_ORDER", 5)
         assert not validate_report(loaded)
+
+    def test_scan_report_past_the_phase_bound_validates(self):
+        # ||A|| = 2: the scan to 6e4 ends its certificates at tau = MAX_PHASE / 2
+        rep = run_analysis(parse_graph_spec("cycle:4"), DetectionConfig(t_max=6e4, grid_points=10**6), do_scan=True)
+        loaded = json.loads(rep.to_json())
+        assert max(c["tau"] for c in loaded["certificates"]) > 0.9 * walks_mod.MAX_PHASE / 2
+        assert validate_report(loaded)
+
+    def test_grid_report_past_the_phase_bound_validates(self):
+        # ||A|| ~ 1e4: only the first grid multiples of 2pi/sqrt(5) stay in bounds
+        g = G.path(4)
+        rep = run_analysis(G.WeightedGraph(g.weights + 1e4 * np.eye(4), g.labels, "path:4+1e4"))
+        loaded = json.loads(rep.to_json())
+        assert loaded["certificates"]
+        assert validate_report(loaded)
 
     @pytest.mark.parametrize("spec", ["cube:3", "cycle:8"])
     def test_screened_pairs_match_all_pairs(self, spec):

@@ -1,4 +1,4 @@
-"""Rational recognition, ratio tests, quadratic-integer classification."""
+"""Rational recognition, ratio tests, the difference lattice, quadratic-integer classification."""
 
 import math
 from fractions import Fraction
@@ -11,6 +11,7 @@ from ctqw.numtheory import (
     MAX_DEN,
     NotClassifiable,
     classify,
+    lattice_step,
     ratio_condition,
     rationalize,
     squarefree_part,
@@ -108,44 +109,52 @@ class TestSquarefree:
             squarefree_part(0)
 
 
+def generators(*parts):
+    """Each part's difference generator from ratio_condition."""
+    return [ratio_condition(v).generator for v in parts]
+
+
 class TestClassify:
     def test_p4_quadratic(self):
         plus, minus = support_values(G.path(4), 0, 3)
-        cls = classify(plus, minus)
+        step, delta = lattice_step(plus, minus)
+        cls = classify(plus, minus, delta)
         assert cls.kind == "quadratic"
         assert (cls.a_plus, cls.a_minus, cls.delta) == (1, -1, 5)
         assert sorted(cls.b_plus) == [-1, 1] and sorted(cls.b_minus) == [-1, 1]
-        assert (cls.g_plus, cls.g_minus) == (1, 1)
-        assert cls.tau_step == pytest.approx(2 * math.pi / math.sqrt(5))
+        # per part g sqrt(delta) with (g+, g-) = (1, 1)
+        assert generators(plus, minus) == pytest.approx([math.sqrt(5), math.sqrt(5)])
+        assert step == pytest.approx(2 * math.pi / math.sqrt(5))
 
     def test_c6_all_integer(self):
         plus, minus = support_values(G.cycle(6), 0, 3)
-        cls = classify(plus, minus)
+        step, delta = lattice_step(plus, minus)
+        cls = classify(plus, minus, delta)
         assert cls.kind == "all_integer"
-        assert (cls.g_plus, cls.g_minus) == (3, 3)
-        assert any(abs(t - 2 * math.pi / 3) <= 1e-12 for t in cls.tau_grid(4))
+        assert generators(plus, minus) == pytest.approx([3, 3])
+        assert any(abs(k * step - 2 * math.pi / 3) <= 1e-12 for k in range(1, 5))
 
     def test_double_cone_branch_split(self):
         # k^2 + 8n a perfect square -> integers; otherwise a quadratic field
-        sq = classify([4.0, -2.0], [0.0])  # k=2, n=4: sqrt(36)
+        sq = classify([4.0, -2.0], [0.0], lattice_step([4.0, -2.0], [0.0])[1])  # k=2, n=4: sqrt(36)
         assert sq.kind == "all_integer"
         k, n = 2, 5  # sqrt(44) = 2 sqrt(11)
         thetas = [(k + math.sqrt(k * k + 8 * n)) / 2, (k - math.sqrt(k * k + 8 * n)) / 2]
-        quad = classify(thetas, [0.0])
+        step, delta = lattice_step(thetas, [0.0])
+        quad = classify(thetas, [0.0], delta)
         assert quad.kind == "quadratic" and quad.delta == 11
         assert quad.a_plus == 2 and sorted(quad.b_plus) == [-2, 2]
-        assert (quad.g_plus, quad.g_minus) == (2, 0)
-        assert quad.tau_step == pytest.approx(2 * math.pi / (2 * math.sqrt(11)))
+        assert generators(thetas, [0.0]) == pytest.approx([2 * math.sqrt(11), 0])
+        assert step == pytest.approx(2 * math.pi / (2 * math.sqrt(11)))
 
     def test_p2_unconstrained_grid(self):
-        cls = classify([1.0], [-1.0])
-        assert cls.kind == "all_integer"
-        assert (cls.g_plus, cls.g_minus) == (0, 0)
-        assert cls.tau_step is None and cls.tau_grid(8) == []
+        assert lattice_step([1.0], [-1.0]) == (None, 1)
+        assert generators([1.0], [-1.0]) == [0, 0]
+        assert classify([1.0], [-1.0], 1).kind == "all_integer"
 
     def test_reconstruction(self):
         plus, minus = support_values(G.path(4), 0, 3)
-        cls = classify(plus, minus)
+        cls = classify(plus, minus, 5)
         assert cls.residual < 1e-12
         for i, v in enumerate(sorted(plus, reverse=True)):
             assert cls.reconstruct("plus", i) == pytest.approx(v, abs=1e-9)
@@ -153,26 +162,40 @@ class TestClassify:
             assert cls.reconstruct("minus", i) == pytest.approx(v, abs=1e-9)
 
     def test_mixed_parts_rejected(self):
+        # an integral part beside a part in Q(sqrt 3): no common period
         plus, minus = support_values(G.path(5), 0, 4)
-        with pytest.raises(NotClassifiable, match="integral"):
-            classify(plus, minus)
+        with pytest.raises(NotClassifiable, match="no common period"):
+            lattice_step(plus, minus)
 
     def test_delta_mismatch_rejected(self):
         s2, s3 = math.sqrt(2), math.sqrt(3)
-        with pytest.raises(NotClassifiable, match="different quadratic fields"):
-            classify([s2, -s2], [s3, -s3])
+        with pytest.raises(NotClassifiable, match="no common period"):
+            lattice_step([s2, -s2], [s3, -s3])
 
     def test_ratio_failure_carries_witness(self):
         vals = [2.0, math.sqrt(2), 0.0]
         with pytest.raises(NotClassifiable) as err:
-            classify(vals, [1.0])
+            lattice_step(vals, [1.0])
         assert err.value.witness is not None
         assert not err.value.witness.holds
 
     def test_singleton_irrational_rejected(self):
-        with pytest.raises(NotClassifiable, match="singleton"):
-            classify([math.sqrt(3)], [0.0])
+        # singletons constrain no time, so there is a lattice but no description
+        assert lattice_step([math.sqrt(3)], [0.0]) == (None, 1)
+        with pytest.raises(NotClassifiable, match="not"):
+            classify([math.sqrt(3)], [0.0], 1)
 
     def test_empty_part_is_an_error(self):
         with pytest.raises(ValueError):
-            classify([], [1.0])
+            classify([], [1.0], 1)
+        with pytest.raises(ValueError):
+            lattice_step([], [1.0])
+
+    def test_scaled_and_shifted_c6_have_a_lattice(self):
+        plus, minus = support_values(G.cycle(6), 0, 3)
+        half = lattice_step([v / 2 for v in plus], [v / 2 for v in minus])
+        assert half[0] == pytest.approx(4 * math.pi / 3) and half[1] is None
+        shifted = [v - 0.75 for v in plus], [v - 0.75 for v in minus]
+        assert lattice_step(*shifted) == (2 * math.pi / (3 * math.sqrt(1)), 1)
+        with pytest.raises(NotClassifiable, match="values are not"):
+            classify(*shifted, 1)

@@ -1,8 +1,10 @@
 """Walk evaluation, detection, certification, scans, and angle consequences."""
 
+import json
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,6 +247,28 @@ class TestCertify:
         assert fr.tau == pytest.approx(tau, rel=1e-12)
 
 
+class TestLatticeGrid:
+    def test_step_equals_the_quadratic_integer_grid(self):
+        # tau_step and delta per strongly cospectral pair, as the grid built from
+        # integer gcds of (theta_r - theta_s) / sqrt(delta) gave them
+        recorded = json.loads((Path(__file__).parent / "data" / "lattice_steps.json").read_text())
+        assert sum(map(len, recorded.values())) == 194
+        for spec, rows in recorded.items():
+            dec = decompose(parse_graph_spec(spec))
+            for a, b, step, delta in rows:
+                pc = certify_pair(dec, a, b, CFG)
+                assert (pc.tau_step, pc.classification.delta) == (step, delta), (spec, a, b)
+
+    def test_grid_stops_at_the_phase_bound(self):
+        g = G.path(4)
+        dec = decompose(G.WeightedGraph(g.weights + 1e4 * np.eye(4), g.labels, "path:4+1e4"))
+        pc = certify_pair(dec, 0, 3, CFG)
+        limit = walks_mod.MAX_PHASE / walks_mod.phase_norm(dec)
+        assert pc.tau_step == pytest.approx(2 * math.pi / math.sqrt(5))
+        assert len(pc.certificates) == int(limit / pc.tau_step)
+        assert pc.certificates[-1].tau <= limit
+
+
 class TestScan:
     def test_weighted_p3_balanced_revival(self):
         omega = math.sqrt(2) - 1
@@ -315,6 +339,40 @@ def _assert_scalar_taus(dec, calls, cfg=CFG):
         for pb, l, h, tau in zip(partners, lo, hi, taus):
             ref = _golden_min_scalar(lambda t: _offpair_mass_scalar(dec, a, pb, t), l, h, cfg.refine_iters)
             assert tau == ref, (a, pb, l)
+
+
+class TestScanDeduplication:
+    @pytest.mark.parametrize("spec", ["cocktail:4", "cube:3"])
+    def test_matches_the_linear_rule_on_every_source(self, monkeypatch, spec):
+        # the scan keeps a refined time only when no accepted one lies within
+        # 1e-6. Refined times seldom repeat, so each is offered again: on both
+        # sides close enough to pass detect_at, and beyond that distance
+        dec = decompose(parse_graph_spec(spec))
+        batched = walks_mod._golden_min
+        offered = {}
+
+        def jittered(dec_, a, partners, lo, hi, iters):
+            taus = batched(dec_, a, partners, lo, hi, iters)
+            offered[a] = np.concatenate([taus, taus + 3e-11, taus[::-1] - 5e-11, taus - 2e-6])
+            return offered[a]
+
+        monkeypatch.setattr(walks_mod, "_golden_min", jittered)
+        got = scan_fr(dec, range(dec.order), None, CFG)
+        want, repeats = [], 0
+        for a, taus in offered.items():
+            found, seen = [], []
+            for tau in taus.tolist():
+                if any(abs(tau - s) < 1e-6 for s in seen):
+                    repeats += 1
+                    continue
+                cert = detect_at(dec, a, tau, CFG)
+                if cert is None or cert.kind == KIND_PERIODIC:
+                    continue
+                seen.append(cert.tau)
+                found.append(cert)
+            want.extend(sorted(found, key=lambda c: c.tau))
+        assert len(offered) == dec.order and repeats and want
+        assert got == want
 
 
 #: a budget that splits the scan's refinement blocks and time chunks
