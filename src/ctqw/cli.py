@@ -375,6 +375,8 @@ def run_analysis(
             if pc.classification is not None:
                 entry["classification"] = pc.classification.kind
                 entry["delta"] = pc.classification.delta
+            elif pc.tau_step is not None:
+                entry["classification"] = f"no quadratic-integer description: {pc.failure}"
             else:
                 entry["classification"] = f"not classifiable: {pc.failure}"
                 if pc.witness is not None and pc.witness.witness_ratio is not None:

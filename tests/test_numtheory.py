@@ -182,7 +182,7 @@ class TestClassify:
     def test_singleton_irrational_rejected(self):
         # singletons constrain no time, so there is a lattice but no description
         assert lattice_step([math.sqrt(3)], [0.0]) == (None, 1)
-        with pytest.raises(NotClassifiable, match="not"):
+        with pytest.raises(NotClassifiable, match="values are not all integers"):
             classify([math.sqrt(3)], [0.0], 1)
 
     def test_empty_part_is_an_error(self):
