@@ -561,16 +561,18 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--tmax", type=float, default=None, help="scan horizon (default 50)")
         p.add_argument("--tol", type=float, default=None, help="walk residual tolerance (default 1e-8)")
-        p.add_argument("--grid", type=int, default=None, help="scan grid points (default 20000)")
+        p.add_argument("--grid", type=int, default=None,
+                       help="kept in the report's config; no longer changes results (default 20000)")
         p.add_argument("--json", type=str, default=None, help="write the JSON report to this file")
 
     p = sub.add_parser("analyze", parents=[logs], help="decompose, profile pairs, certify transport events")
     p.add_argument("graph", help="graph spec, e.g. cycle:6 or prod(star:16,path:2)")
-    p.add_argument("--scan", action="store_true", help="also run the heuristic time scan from every vertex")
+    p.add_argument("--scan", action="store_true",
+                   help="also solve revival times from every vertex to each parallel partner")
     add_common(p)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("scan", parents=[logs], help="heuristic revival scan over (0, tmax]")
+    p = sub.add_parser("scan", parents=[logs], help="exact revival times to parallel partners over (0, tmax]")
     p.add_argument("graph")
     p.add_argument("--source", type=int, default=None, help="start vertex (default: all)")
     p.add_argument("--target", type=int, default=None, help="partner vertex (default: best per time)")

@@ -1,16 +1,16 @@
 """Walk evaluation U(t) = exp(-itA) and transport-event certification.
 
 Detects fractional revival, perfect state transfer, periodicity and uniform
-mixing; solves for revival times of strongly cospectral pairs on the lattice
-of their eigenvalue differences; verifies the product / overlay / rotation
-constructions and quotient transport. Every certificate is double-checked
-against an eigensolver-free matrix exponential before being reported; that
-exponential is computed once per decomposition and time.
+mixing; solves for revival times on the lattice of eigenvalue differences,
+for strongly cospectral pairs and, in scan_fr, for every parallel pair;
+verifies the product / overlay / rotation constructions and quotient
+transport. Every certificate is double-checked against an eigensolver-free
+matrix exponential before being reported; that exponential is computed once
+per decomposition and time.
 """
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import logging
 import math
@@ -28,7 +28,7 @@ from ctqw.numtheory import (
     lattice_step,
     rationalize,
 )
-from ctqw.spectral import PairProfile, SpectralDecomposition, decompose, pair_profile, parallel_partners
+from ctqw.spectral import TOL_SUPPORT, PairProfile, SpectralDecomposition, decompose, pair_profile, parallel_partners
 
 logger = logging.getLogger(__name__)
 
@@ -45,14 +45,10 @@ CERTIFY_GRID_K = 64
 #: the column by up to 1e-11 tau ||A||, kept at most 1e-6, the default beta_min
 MAX_PHASE = 1e5
 
-#: coarse scan keeps a local minimum only when the off-pair mass is below this
-_SCAN_CUT = 0.2
-#: cap on refined candidates per source
-_SCAN_MAX_CANDIDATES = 512
-#: byte budget of the scan's working arrays: the coarse grid's time chunks and
-#: the refinement's blocks of candidates are sized to fit it, beside the
-#: projector rows of one source; a block holds at least one candidate
-_SCAN_BLOCK_BYTES = 2 * 2**20
+#: cap on the events scan_fr keeps per source, the earliest first
+_SCAN_MAX_EVENTS = 512
+#: c_r closer than this fall in one class (see _revival_times)
+_CLASS_TOL = 1e-7
 #: byte budget of the oracle exponentials kept per decomposition; past it the
 #: oldest are dropped first
 _ORACLE_MEMO_BYTES = 64 * 2**20
@@ -69,7 +65,8 @@ class NumericalHealthWarning(UserWarning):
 
 @dataclass(frozen=True)
 class DetectionConfig:
-    """Tolerances and search budget for transport detection."""
+    """Tolerances and time horizon for transport detection; grid_points and
+    refine_iters are validated and reported but no longer read."""
 
     tol_walk: float = 1e-8
     beta_min: float = 1e-6
@@ -83,7 +80,6 @@ class DetectionConfig:
         # a looser tol_walk would accept columns with off-pair entries beyond beta_min
         if self.tol_walk >= self.beta_min:
             raise ValueError(f"tol_walk must be below beta_min ({self.beta_min:g})")
-        # the scan's time grows with grid_points; its memory is bounded by _SCAN_BLOCK_BYTES
         if not 100 <= self.grid_points <= 10**6:
             raise ValueError("grid_points must be between 100 and 1000000")
         if self.refine_iters < 1:
@@ -324,6 +320,12 @@ def _residual(col: np.ndarray, a: int, alpha: complex, b: int, beta: complex) ->
 # ---------------------------------------------------------------------------
 
 
+def _gap_times(gap: float) -> list[float]:
+    """The balanced, transfer and periodic times pi/(2D), pi/D, 2pi/D of a
+    two-level pair whose eigenvalues lie D = gap apart; every time revives."""
+    return [math.pi / (2 * gap), math.pi / gap, 2 * math.pi / gap]
+
+
 def certify_strongly_cospectral(
     dec: SpectralDecomposition,
     profile: PairProfile,
@@ -337,9 +339,8 @@ def certify_strongly_cospectral(
     k yields an event; certificates are emitted up to and including the
     first periodic time, after which the pattern repeats up to a global
     phase, and none past tau ||A|| = MAX_PHASE. When both parts are
-    singletons (tau_step None) the grid is unconstrained and the natural
-    balanced / transfer / periodic times pi/(2D), pi/D, 2pi/D of the
-    two-level pair are examined instead.
+    singletons (tau_step None) the grid is unconstrained and the gap times
+    of the two-level pair are examined instead.
     """
     if not profile.strongly_cospectral:
         raise ValueError("pair is not strongly cospectral")
@@ -347,8 +348,7 @@ def certify_strongly_cospectral(
         taus = [k * tau_step for k in range(1, CERTIFY_GRID_K + 1)]
     else:
         theta = dec.eigenvalues
-        gap = abs(float(theta[min(profile.phi_plus)] - theta[min(profile.phi_minus)]))
-        taus = [math.pi / (2 * gap), math.pi / gap, 2 * math.pi / gap]
+        taus = _gap_times(abs(float(theta[min(profile.phi_plus)] - theta[min(profile.phi_minus)])))
 
     norm = phase_norm(dec)
     certs: list[FrCertificate] = []
@@ -402,86 +402,54 @@ def certify_pair(
 
 
 # ---------------------------------------------------------------------------
-# grid scan
+# revival times of parallel pairs
 # ---------------------------------------------------------------------------
 
 
-def _golden_min(
-    dec: SpectralDecomposition, a: int, partners: np.ndarray, lo: np.ndarray, hi: np.ndarray, iters: int
-) -> np.ndarray:
-    """Golden-section minima of the off-pair mass from a, one per bracket [lo, hi].
+def _revival_times(dec: SpectralDecomposition, a: int, b: int, norm: float, cfg: DetectionConfig) -> np.ndarray:
+    """The times in (0, t_max], none past tau ||A|| = MAX_PHASE, at which the
+    walk from a can revive at its parallel partner b.
 
-    Row c pairs a with partners[c]. All rows are refined together, one
-    evaluation at a vector of times per iteration in blocks of rows that fit
-    _SCAN_BLOCK_BYTES, and each row takes the steps a scalar golden section
-    over its own bracket would take.
+    Write E_r e_b = c_r E_r e_a on the support of a; that of b must lie
+    inside it. Then U(tau) e_a = alpha e_a + beta e_b iff exp(-i tau
+    theta_r) = alpha + beta c_r for every r (Chan, Drazen, Eisenberg,
+    Kempton, Lippner, "Fractional revival on non-cospectral vertices"). A
+    line meets the unit circle at most twice, so c takes exactly two values
+    c+ > c-, each class at one phase w+ or w-, and beta = (w+ - w-) / (c+ -
+    c-). The phase is constant on each class exactly on the lattice of
+    numtheory.lattice_step, or at every time when both classes are
+    singletons, where the gap times are taken. Lattice points whose beta is
+    clearly below beta_min are periodic and dropped.
     """
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    # per row: the column, its squares and their sum
-    block = max(1, _SCAN_BLOCK_BYTES // (32 * dec.order))
-    rows = np.arange(min(block, len(partners)))
-
-    def f(t: np.ndarray) -> np.ndarray:
-        out = np.empty(len(t))
-        for s in range(0, len(t), block):
-            p = np.abs(walk_columns(dec, a, t[s : s + block]))
-            p *= p
-            # summed directly over the off-pair vertices: computing 1 - pa - pb would
-            # cancel catastrophically near a revival and stall the refinement at ~1e-8
-            p[:, a] = 0.0
-            p[rows[: len(p)], partners[s : s + block]] = 0.0
-            out[s : s + block] = np.sqrt(p.sum(axis=1))
-        return out
-
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        left = f1 <= f2  # the minimum lies in [lo, x2]
-        hi = np.where(left, x2, hi)
-        lo = np.where(left, lo, x1)
-        step = inv_phi * (hi - lo)
-        x = np.where(left, hi - step, lo + step)
-        fx = f(x)
-        x1, x2 = np.where(left, x, x2), np.where(left, x1, x)
-        f1, f2 = np.where(left, fx, f2), np.where(left, f1, fx)
-    return (lo + hi) / 2.0
-
-
-def _coarse_minima(
-    dec: SpectralDecomposition, sources: list[int], pars: list[np.ndarray], ts: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per source a: the grid indices of the local minima of f below _SCAN_CUT, and the heaviest partner at each.
-
-    f(t) = sqrt(1 - pa - max pb) over b in Par(a), as the (E_r)_aa sum to 1.
-    Each chunk of times gets its phases once, shared by all sources; a source
-    reads its rows {a} and Par(a) per chunk, at about 1/width the cost of its
-    product. One point of halo on each side keeps the local-minimum test exact
-    at chunk edges. A source keeps its _SCAN_MAX_CANDIDATES lowest minima as
-    the chunks pass, ties going to the earlier time.
-    """
-    # per time: 16 bytes per eigenvalue for the chunk of phases, and about 32 per
-    # row for the product, its modulus and the mass terms. The phases take at
-    # most half the budget, and the rows of any one source fit beside them.
-    d = dec.n_distinct
-    width = max(1, _SCAN_BLOCK_BYTES // (16 * max(2 * d, d + 2 + 2 * max(map(len, pars)))))
-    found = [(np.empty(0, int), np.empty(0), np.empty(0, int))] * len(sources)
-    for lo in range(0, len(ts) - 2, width):
-        phases = np.multiply.outer(-1j * dec.eigenvalues, ts[lo : lo + width + 2])
-        np.exp(phases, out=phases)
-        for i, (a, par) in enumerate(zip(sources, pars)):
-            p = np.abs(dec.projectors[:, a, np.concatenate(([a], par))].T @ phases)
-            p *= p
-            f = np.sqrt(np.maximum(0.0, 1.0 - p[0] - p[1:].max(axis=0)))
-            mid = f[1:-1]
-            cols = np.flatnonzero((mid <= f[:-2]) & (mid <= f[2:]) & (mid < _SCAN_CUT)) + 1
-            if len(cols) == 0:
-                continue
-            new = (lo + cols, f[cols], par[p[1:, cols].argmax(axis=0)])
-            idx, fs, best = (np.concatenate(x) for x in zip(found[i], new))
-            keep = np.sort(np.argsort(fs, kind="stable")[:_SCAN_MAX_CANDIDATES])
-            found[i] = (idx[keep], fs[keep], best[keep])
-    return [(idx, best) for idx, _, best in found]
+    e_aa = dec.projectors[:, a, a]
+    sup = np.sqrt(e_aa) > TOL_SUPPORT
+    if (np.sqrt(dec.projectors[~sup, b, b]) > TOL_SUPPORT).any():
+        logger.debug("no revival from %d to %d: the support of %d is not inside that of %d", a, b, b, a)
+        return np.empty(0)
+    theta = dec.eigenvalues[sup]
+    c = dec.projectors[sup, a, b] / e_aa[sup]
+    order = np.argsort(-c, kind="stable")
+    cut = np.flatnonzero(np.diff(c[order]) < -_CLASS_TOL) + 1
+    if len(cut) != 1:
+        logger.debug("no revival from %d to %d: c_r takes %d values, not 2", a, b, len(cut) + 1)
+        return np.empty(0)
+    plus, minus = np.split(order, cut)
+    try:
+        step, _ = lattice_step(theta[plus], theta[minus])
+    except NotClassifiable as exc:
+        logger.debug("no revival from %d to %d: %s", a, b, exc.reason)
+        return np.empty(0)
+    if step is None:
+        taus = np.array(_gap_times(abs(float(theta[plus[0]] - theta[minus[0]]))))
+    else:
+        taus = step * np.arange(1, int(min(cfg.t_max, MAX_PHASE / norm) / step) + 1)
+    taus = taus[(taus <= cfg.t_max) & (taus * norm <= MAX_PHASE)]
+    w_plus = np.exp(-1j * taus * theta[plus[0]])
+    w_minus = np.exp(-1j * taus * theta[minus[0]])
+    beta = np.abs(w_plus - w_minus) / (c[plus].mean() - c[minus].mean())
+    # detect_at names b only when |U(tau)_ba| = |beta| exceeds beta_min; half
+    # of it leaves room for the rounding of the predicted beta
+    return taus[beta >= cfg.beta_min / 2]
 
 
 def scan_fr(
@@ -490,61 +458,37 @@ def scan_fr(
     b: int | None = None,
     cfg: DetectionConfig = DetectionConfig(),
 ) -> list[FrCertificate]:
-    """Heuristic time-grid search for revival from each vertex of sources.
+    """Revival from each vertex of sources, solved exactly pair by pair.
 
-    Evaluates the off-pair mass f(t) from each source a on a coarse grid over
-    (0, t_max] (pairing a with b, or with the heaviest partner when b is
-    None), golden-section refines the local minima of a together, and keeps
-    detections that pass the residual gate. Only a parallel partner of a can
-    receive revival, and spectral.parallel_partners keeps every partner
-    detect_at can accept, so the grid runs on the rows {a} and Par(a) alone;
-    with no partner, or a target outside Par(a), there is nothing to scan
-    from a. The grid is streamed in chunks shared by all sources, and grid
-    and refinement work in pieces that fit _SCAN_BLOCK_BYTES, so memory grows
-    with grid_points only by the times themselves. Certificates come source
-    by source, sorted by tau, none past tau ||A|| = MAX_PHASE. Periodic
-    events are not reported: the scan looks for genuine two-vertex transport,
-    so b in sources is rejected. Absence of hits is evidence, not proof.
+    Only a parallel partner of a can receive revival, and
+    spectral.parallel_partners keeps every partner detect_at can accept; the
+    scan takes each of them (only b, when given) and the times
+    _revival_times solves for. detect_at, with its residual and oracle
+    gates, judges those times in order, and a source keeps its earliest
+    _SCAN_MAX_EVENTS events. Certificates come source by source, sorted by
+    tau. Periodic events are not reported: the scan looks for genuine
+    two-vertex transport, so b in sources is rejected. An empty result is
+    bounded evidence, since lattice_step rationalizes eigenvalue ratios
+    with denominators up to numtheory.MAX_DEN.
     """
     if b is not None and b in sources:
         raise ValueError("the scan target must differ from its source")
     slack = (cfg.tol_walk / cfg.beta_min) ** 2
-    scanned, pars = [], []
+    norm = phase_norm(dec)
+    certs: list[FrCertificate] = []
     for a in sources:
         par = parallel_partners(dec, a, slack)
         if b is not None:
             par = par[par == b]
-        if len(par):
-            scanned.append(a)
-            pars.append(par)
-    if not scanned:
-        return []
-    ts = np.linspace(0.0, cfg.t_max, cfg.grid_points + 1)[1:]
-
-    norm = phase_norm(dec)
-    certs: list[FrCertificate] = []
-    for a, (idx, partners) in zip(scanned, _coarse_minima(dec, scanned, pars, ts)):
-        if len(idx) == 0:
-            continue
-        taus = _golden_min(dec, a, partners, ts[idx - 1], ts[idx + 1], cfg.refine_iters)
-        found: list[FrCertificate] = []
-        seen: list[float] = []  # sorted accepted times
-        for tau in taus.tolist():
-            if tau * norm > MAX_PHASE:
-                continue
-            # the accepted times nearest tau sit beside its insertion point
-            i = bisect.bisect_left(seen, tau)
-            if (i < len(seen) and seen[i] - tau < 1e-6) or (i > 0 and tau - seen[i - 1] < 1e-6):
-                continue
+        times = sorted((tau, p) for p in par.tolist() for tau in _revival_times(dec, a, p, norm, cfg).tolist())
+        found = 0
+        for tau, p in times:
+            if found == _SCAN_MAX_EVENTS:
+                break
             cert = detect_at(dec, a, tau, cfg)
-            if cert is None or cert.kind == KIND_PERIODIC:
-                continue
-            if b is not None and cert.b != b:
-                continue
-            bisect.insort(seen, cert.tau)
-            found.append(cert)
-        found.sort(key=lambda c: c.tau)
-        certs.extend(found)
+            if cert is not None and cert.kind != KIND_PERIODIC and cert.b == p:
+                certs.append(cert)
+                found += 1
     return certs
 
 

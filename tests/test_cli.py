@@ -202,10 +202,17 @@ class TestReports:
         assert not validate_report(loaded)
 
     def test_scan_report_past_the_phase_bound_validates(self):
-        # ||A|| = 2: the scan to 6e4 ends its certificates at tau = MAX_PHASE / 2
-        rep = run_analysis(parse_graph_spec("cycle:4"), DetectionConfig(t_max=6e4, grid_points=10**6), do_scan=True)
-        loaded = json.loads(rep.to_json())
-        assert max(c["tau"] for c in loaded["certificates"]) > 0.9 * walks_mod.MAX_PHASE / 2
+        # ||A|| = 1e4 + 2: the scan to 6e4 ends its events within one lattice
+        # step 2pi/sqrt(5) of tau = MAX_PHASE / ||A||, long before its event cap
+        g = G.path(4)
+        shifted = G.WeightedGraph(g.weights + 1e4 * np.eye(4), g.labels, "path:4+1e4")
+        cfg = DetectionConfig(t_max=6e4)
+        dec = decompose(shifted)
+        limit = walks_mod.MAX_PHASE / walks_mod.phase_norm(dec)
+        last = walks_mod.scan_fr(dec, range(4), None, cfg)[-1]
+        assert limit - 2 * math.pi / math.sqrt(5) < last.tau <= limit
+        loaded = json.loads(run_analysis(shifted, cfg, do_scan=True).to_json())
+        assert max(c["tau"] for c in loaded["certificates"]) == pytest.approx(last.tau, abs=1e-11)
         assert validate_report(loaded)
 
     def test_grid_report_past_the_phase_bound_validates(self):
@@ -422,7 +429,9 @@ class TestCommands:
 
     def test_log_level_debug_reports_walk_reasons(self, capsys):
         assert main(["analyze", "path:5", "--scan", "--log-level", "DEBUG"]) == EXIT_OK
-        assert "ambiguous concentration" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "DEBUG ctqw.walks: no revival from 2 to 0: the support of 0 is not inside that of 2" in err
+        assert "DEBUG ctqw.walks: no revival from 0 to 2: c_r takes 3 values, not 2" in err
 
     def test_default_log_level_is_quiet(self, capsys):
         assert main(["analyze", "cube:3"]) == EXIT_OK

@@ -2,6 +2,8 @@
 
 Keys, ints, strings and bools must match exactly; floats match to
 rel 1e-9 / abs 1e-12, so a different BLAS build does not trip the test.
+The angle zeta matches mod 2pi, as validate_report compares it: -pi and pi
+name the same amplitudes, and rounding picks either side of the branch cut.
 Regenerate the fixture from a source tree with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -42,18 +44,19 @@ def _payload(spec: str, scan: bool) -> dict:
     return payload
 
 
-def _assert_same(got, want, where: str = "$") -> None:
+def _assert_same(got, want, where: str = "$", angle: bool = False) -> None:
     assert type(got) is type(want), f"{where}: {type(got).__name__} != {type(want).__name__}"
     if isinstance(want, dict):
         assert list(got) == list(want), f"{where}: keys {list(got)} != {list(want)}"
         for k in want:
-            _assert_same(got[k], want[k], f"{where}.{k}")
+            _assert_same(got[k], want[k], f"{where}.{k}", angle=k == "zeta")
     elif isinstance(want, list):
         assert len(got) == len(want), f"{where}: length {len(got)} != {len(want)}"
         for i, (g, w) in enumerate(zip(got, want)):
             _assert_same(g, w, f"{where}[{i}]")
     elif isinstance(want, float):
-        assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12), f"{where}: {got!r} != {want!r}"
+        near = want + math.remainder(got - want, 2 * math.pi) if angle else got
+        assert math.isclose(near, want, rel_tol=1e-9, abs_tol=1e-12), f"{where}: {got!r} != {want!r}"
     else:
         assert got == want, f"{where}: {got!r} != {want!r}"
 
@@ -76,6 +79,18 @@ def test_comparison_is_strict_on_non_floats():
     with pytest.raises(AssertionError):
         _assert_same({"a": 1, "b": 2}, {"b": 2, "a": 1})
     _assert_same([0.1 + 1e-12], [0.1])
+
+
+def test_comparison_takes_zeta_mod_two_pi_only():
+    _assert_same({"zeta": -3.14159265359}, {"zeta": 3.14159265359})
+    with pytest.raises(AssertionError):
+        _assert_same({"zeta": 1.0 + 1e-6}, {"zeta": 1.0})
+    with pytest.raises(AssertionError):
+        _assert_same({"zeta": 1.0 - math.pi}, {"zeta": 1.0})
+    with pytest.raises(AssertionError):
+        _assert_same({"gamma": -0.7}, {"gamma": 0.7})
+    with pytest.raises(AssertionError):
+        _assert_same({"gamma": 3.14159265359 - 2 * math.pi}, {"gamma": 3.14159265359})
 
 
 if __name__ == "__main__":
