@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ctqw import graphs as G
-from ctqw.graphs import GraphFormatError, WeightedGraph
+from ctqw.graphs import GraphFormatError, WeightedGraph, _check_order
 from ctqw.spectral import decompose, strongly_cospectral_candidates
 from ctqw.suite import ALL_GROUPS, run_groups
 from ctqw.walks import (
@@ -264,11 +264,12 @@ def validate_report(payload: dict, graph: WeightedGraph | None = None) -> bool:
     """Re-derive every certificate of a loaded report from its graph.
 
     Returns False, and never raises, on a malformed report: a missing or
-    mistyped field, a vertex out of range, a bad detection config or a graph
-    that does not build or decompose. Per certificate it requires a stored
-    residual of at most tol_walk and tau * ||A|| of at most MAX_PHASE, the
-    bound that analyze and scan keep to, and
-    recomputes
+    mistyped field, a vertex out of range, a bad detection config, or a graph
+    that does not build, has more than graphs.MAX_ORDER vertices or, when
+    the report has a certificate, does not decompose; a report without one
+    is not decomposed. Per certificate it requires a stored residual of at
+    most tol_walk and tau * ||A|| of at most MAX_PHASE, the bound that
+    analyze and scan keep to, and recomputes
 
     - the residual ||U(tau) e_a - alpha e_a - beta e_b||, accepted within 2x
       its stored value, with a floor absorbing the 12-digit JSON rounding of
@@ -285,6 +286,9 @@ def validate_report(payload: dict, graph: WeightedGraph | None = None) -> bool:
         cfg = DetectionConfig(**payload.get("config", {}))
         if graph is None:
             graph = _report_graph(payload)
+        _check_order(graph.order)
+        if not payload["certificates"]:
+            return True
         dec = decompose(graph)
     except (KeyError, TypeError, ValueError, OSError):
         return False

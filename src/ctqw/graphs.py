@@ -19,12 +19,12 @@ TOL_EQ = 1e-9
 #: decimal digits used to hash weight sums during partition refinement
 _SIG_DIGITS = 12
 
-#: bytes one graph's spectral decomposition may take
-MEMORY_BUDGET = 2 * 2**30
-#: largest order a graph may have. decompose keeps one dense (n, n) float
-#: projector per distinct eigenvalue, up to n of them, in one tensor: 8 n^3
-#: bytes, which must fit in MEMORY_BUDGET
-MAX_ORDER = round((MEMORY_BUDGET / 8) ** (1 / 3))
+#: real flops one complex (n, n) matrix product may take: 8 n^3
+WORK_BUDGET = 2 * 2**30
+#: largest order a graph may have. Memory is O(n^2); the n^3 work bounds the
+#: order. eigh is one such pass, and the exponential oracle makes about 20
+#: complex (n, n) products per certified time, each within WORK_BUDGET
+MAX_ORDER = round((WORK_BUDGET / 8) ** (1 / 3))
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -98,8 +98,8 @@ def _check_order(n: int, order: int | None = None) -> None:
         raise ValueError(f"order must be a positive integer, got {n}")
     if (n if order is None else order) > MAX_ORDER:
         raise ValueError(
-            f"the graph would have more than {MAX_ORDER} vertices, the limit that keeps "
-            f"its decomposition within {MEMORY_BUDGET / 2**30:g} GiB"
+            f"the graph would have more than {MAX_ORDER} vertices, the limit that bounds "
+            f"the n^3 work of its analysis"
         )
 
 

@@ -35,27 +35,55 @@ def _as_matrix(a) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Distinct eigenvalues (descending) with orthogonal eigenprojectors.
+    """Distinct eigenvalues (descending) with an orthonormal eigenbasis grouped by them.
 
-    theta[0] is the largest eigenvalue. ``ambiguous_clustering`` is set when
-    some raw eigenvalue gap falls within a factor 10 of the grouping
-    tolerance, i.e. the grouping could plausibly have gone the other way.
-    ``_time_memo`` holds work that depends only on the matrix and a time (see
-    :mod:`ctqw.walks`); it lives and dies with the decomposition.
+    theta[0] is the largest eigenvalue. The columns of ``vectors`` are unit
+    eigenvectors in runs of ``multiplicities``, one run V_r per eigenvalue,
+    so E_r = V_r V_r^T and E_r e_a = V_r (V_r^T e_a). No projector is stored:
+    ``rows``, ``entries`` and ``projector`` read them from the basis in O(n^2)
+    memory, and ``diagonals[r, a]`` = (E_r)_aa is formed once, with the
+    decomposition. ``ambiguous_clustering`` is set when some raw eigenvalue
+    gap falls within a factor 10 of the grouping tolerance, i.e. the grouping
+    could plausibly have gone the other way. ``_time_memo`` holds work that
+    depends only on the matrix and a time (see :mod:`ctqw.walks`); it lives
+    and dies with the decomposition.
     """
 
     matrix: np.ndarray = field(repr=False)
     eigenvalues: np.ndarray
-    projectors: np.ndarray = field(repr=False)
+    vectors: np.ndarray = field(repr=False)
     multiplicities: tuple[int, ...]
     group_tolerance: float
     ambiguous_clustering: bool
     nonnegative: bool
+    #: (E_r)_aa at [r, a]
+    diagonals: np.ndarray = field(init=False, repr=False)
+    #: the group r of each eigenvector, that is of each column of vectors
+    group_of: np.ndarray = field(init=False, repr=False)
+    #: eigenvector j as row j, contiguous: vectors is its transpose
+    _basis: np.ndarray = field(init=False, repr=False)
+    #: per multiplicity k, the groups of that size and their (groups, k) rows of _basis
+    _runs: tuple = field(init=False, repr=False)
     _time_memo: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name in ("matrix", "eigenvalues", "projectors"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+        mult = np.array(self.multiplicities)
+        starts = np.cumsum(mult) - mult
+        runs = []
+        for k in sorted(set(self.multiplicities)):
+            groups = np.flatnonzero(mult == k)
+            runs.append((groups, starts[groups, None] + np.arange(k)))
+        object.__setattr__(self, "_runs", tuple(runs))
+        basis = np.ascontiguousarray(np.asarray(self.vectors, dtype=float).T)
+        arrays = {
+            "matrix": np.asarray(self.matrix, dtype=float),
+            "eigenvalues": np.asarray(self.eigenvalues, dtype=float),
+            "vectors": basis.T,
+            "diagonals": self._group_sums(basis * basis),
+            "group_of": np.repeat(np.arange(len(mult)), mult),
+            "_basis": basis,
+        }
+        for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -67,15 +95,42 @@ class SpectralDecomposition:
     def n_distinct(self) -> int:
         return len(self.eigenvalues)
 
+    def _group_sums(self, x: np.ndarray) -> np.ndarray:
+        """Sum the rows of x, one per eigenvector, within each eigenvalue
+        group, in the same order for every column of x."""
+        if self.n_distinct == len(x):
+            return x
+        out = np.empty((self.n_distinct,) + x.shape[1:])
+        for groups, idx in self._runs:
+            out[groups] = np.add.reduce(x[idx], axis=1)
+        return out
+
+    def rows(self, a: int) -> np.ndarray:
+        """(d, n) array whose row r is E_r e_a = V_r (V_r^T e_a). Entry b of
+        row r is bit-equal to entry a of rows(b)[r], and to diagonals[r, a]
+        when b == a."""
+        return self._group_sums(self._basis * self._basis[:, a, None])
+
+    def entries(self, a: int, b: int) -> np.ndarray:
+        """(d,) array of (E_r)_ab, bit-equal to entries(b, a)."""
+        return self._group_sums(self._basis[:, a] * self._basis[:, b])
+
+    def projector(self, r: int) -> np.ndarray:
+        """E_r = V_r V_r^T as an exactly symmetric (n, n) array."""
+        if not 0 <= r < self.n_distinct:
+            raise IndexError(f"no eigenvalue group {r}")
+        v = self._basis[self.group_of == r]
+        return v.T @ v
+
 
 def decompose(a) -> SpectralDecomposition:
-    """Eigendecompose a symmetric matrix into distinct-eigenvalue projectors.
+    """Eigendecompose a symmetric matrix into distinct eigenvalues and a grouped eigenbasis.
 
     Raw eigenvalues are clustered by a single sorted-gap scan: a new group
     starts wherever the gap reaches ``default_group_tol``. Works for weighted
-    matrices; no integrality is assumed. Each E_r is stored exactly
-    symmetric, so row a of ``projectors[r]`` is E_r e_a. Orders above
-    graphs.MAX_ORDER are rejected before the (d, n, n) tensor is allocated.
+    matrices; no integrality is assumed. The eigh basis is kept as it is,
+    its columns reordered by group, in O(n^2) memory. Orders above
+    graphs.MAX_ORDER are rejected before eigh runs.
     """
     m = _as_matrix(a)
     _check_order(m.shape[0])
@@ -95,16 +150,12 @@ def decompose(a) -> SpectralDecomposition:
     # the groups are runs of ascending eigenvalues split by gaps of at least
     # gt, so their means strictly increase: reversed, they are descending
     groups = np.split(np.arange(len(evals)), breaks + 1)[::-1]
-    projs = np.empty((len(groups), len(evals), len(evals)))
-    for proj, g in zip(projs, groups):
-        v = evecs[:, g]
-        e = v @ v.T
-        np.add(e, e.T, out=proj)
-        proj /= 2.0
     return SpectralDecomposition(
         matrix=m,
         eigenvalues=np.array([evals[g].mean() for g in groups]),
-        projectors=projs,
+        # a transposed view of the reordered rows of evecs.T, which the
+        # decomposition keeps as its contiguous basis without a copy
+        vectors=evecs.T[np.concatenate(groups)].T,
         multiplicities=tuple(len(g) for g in groups),
         group_tolerance=gt,
         ambiguous_clustering=ambiguous,
@@ -129,15 +180,19 @@ def strongly_cospectral_candidates(dec: SpectralDecomposition) -> list[tuple[int
       squares, hence exactly nonnegative);
     - for r outside both supports every entry of E_r e_a and E_r e_b is at
       most TOL_SUPPORT, and so is each deviation;
-    - decompose stores E_r exactly symmetric, so the E_bb half is the
-      transpose of the E_aa half and (E_r)_ab is entry b of E_r e_a.
+    - SpectralDecomposition.projector forms E_r exactly symmetric, so the
+      E_bb half is the transpose of the E_aa half; its entries and the rows
+      pair_profile reads are two roundings of the same sums over the basis,
+      ulps apart, well inside the factor 10 of _SCREEN_TOL.
 
-    The maximum is accumulated one eigenvalue group at a time in one (n, n)
-    array: O(d n^2) work, O(n^2) memory.
+    The maximum is accumulated one eigenvalue group at a time in (n, n)
+    arrays, each E_r formed from the basis and dropped: O(n^3) work, O(n^2)
+    memory.
     """
     worst = np.zeros((dec.order, dec.order))
     dev = np.empty_like(worst)
-    for e in dec.projectors:
+    for r in range(dec.n_distinct):
+        e = dec.projector(r)
         np.abs(e, out=dev)
         dev -= np.diagonal(e)[:, None]
         np.abs(dev, out=dev)
@@ -166,12 +221,11 @@ def parallel_partners(dec: SpectralDecomposition, a: int, slack: float) -> np.nd
     tol_walk, so v = c u + delta' with ||delta'|| < tol_walk / beta_min; for
     real u and v the nearest complex multiple of u is a real one.
 
-    Reads row a and the diagonal of each projector: O(d n) work.
+    Reads the rows E_r e_a and the stored diagonals: O(n^2) work.
     """
-    rows = dec.projectors[:, a, :]
-    diag = np.diagonal(dec.projectors, axis1=1, axis2=2)
+    rows = dec.rows(a)
     e_aa = rows[:, a : a + 1]
-    worst = (e_aa * diag - rows**2 - slack * e_aa).max(axis=0)
+    worst = (e_aa * dec.diagonals - rows**2 - slack * e_aa).max(axis=0)
     keep = worst <= _PARALLEL_MARGIN
     keep[a] = False
     return np.nonzero(keep)[0]
@@ -207,8 +261,8 @@ def pair_profile(dec: SpectralDecomposition, a: int, b: int) -> PairProfile:
         if not (0 <= v < dec.order):
             raise ValueError(f"vertex {v} out of range")
 
-    cols_a = dec.projectors[:, a, :]
-    cols_b = dec.projectors[:, b, :]
+    cols_a = dec.rows(a)
+    cols_b = dec.rows(b)
     norms_a = np.linalg.norm(cols_a, axis=1)
     norms_b = np.linalg.norm(cols_b, axis=1)
     sup_a = norms_a > TOL_SUPPORT
@@ -218,8 +272,8 @@ def pair_profile(dec: SpectralDecomposition, a: int, b: int) -> PairProfile:
     ip = np.abs((ua * ub).sum(axis=1))
     parallel = bool((np.abs(ip - norms_a[live] * norms_b[live]) <= TOL_SPEC).all())
 
-    diag_a = dec.projectors[:, a, a]
-    diag_b = dec.projectors[:, b, b]
+    diag_a = dec.diagonals[:, a]
+    diag_b = dec.diagonals[:, b]
     cospectral = bool(np.abs(diag_a - diag_b).max() <= TOL_SPEC)
 
     # each row's sign is read at the first largest entry of |E_r e_a|

@@ -618,15 +618,15 @@ def health_rows(cfg: DetectionConfig) -> list[RowResult]:
     for _ in range(50):
         g = _random_connected_graph(rng)
         dec = decompose(g)
-        eye = np.eye(g.order)
-        worst_proj = max(worst_proj, float(np.abs(dec.projectors.sum(axis=0) - eye).max()))
-        recon = np.tensordot(dec.eigenvalues, dec.projectors, axes=(0, 0))
+        # every E_r of a graph of order at most 24, formed once
+        projs = np.stack([dec.projector(r) for r in range(dec.n_distinct)])
+        worst_proj = max(worst_proj, float(np.abs(projs.sum(axis=0) - np.eye(g.order)).max()))
+        recon = np.tensordot(dec.eigenvalues, projs, axes=(0, 0))
         worst_proj = max(worst_proj, float(np.abs(recon - g.weights).max()))
         for r in range(dec.n_distinct):
-            er = dec.projectors[r]
-            worst_proj = max(worst_proj, float(np.abs(er @ er - er).max()))
-            for s in range(r + 1, dec.n_distinct):
-                worst_proj = max(worst_proj, float(np.abs(er @ dec.projectors[s]).max()))
+            prods = projs[r] @ projs[r:]  # E_r E_s for every s >= r, one stacked product
+            prods[0] -= projs[r]
+            worst_proj = max(worst_proj, float(np.abs(prods).max()))
         for t in rng.uniform(0.0, 10.0, size=10):
             dev = np.abs(transition_matrix(dec, float(t)) - matrix_exp_oracle(g, float(t))).max()
             worst_walk = max(worst_walk, float(dev))

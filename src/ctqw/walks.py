@@ -123,26 +123,31 @@ class FrCertificate:
 
 
 def transition_matrix(dec: SpectralDecomposition, t: float) -> np.ndarray:
-    """U(t) = sum_r exp(-i t theta_r) E_r."""
-    phases = np.exp(-1j * t * dec.eigenvalues)
-    return np.tensordot(phases, dec.projectors, axes=(0, 0))
+    """U(t) = V diag(exp(-i t theta)) V^T, as one real product with V."""
+    right = np.exp(-1j * t * dec.eigenvalues)[dec.group_of, None] * dec.vectors.T
+    return (dec.vectors @ right.view(float)).view(complex)
 
 
 def transition_column(dec: SpectralDecomposition, a: int, t: float) -> np.ndarray:
-    """U(t) e_a = sum_r exp(-i t theta_r) E_r e_a, read from row a of each projector."""
-    return np.exp(-1j * t * dec.eigenvalues) @ dec.projectors[:, a, :]
+    """U(t) e_a = V (exp(-i t theta) * V^T e_a): walk_columns at one time."""
+    coef = np.exp(-1j * t * dec.eigenvalues)[dec.group_of]
+    coef *= dec.vectors[a]
+    return (dec.vectors @ coef.view(float).reshape(-1, 2)).view(complex)[:, 0]
 
 
 def walk_columns(dec: SpectralDecomposition, a: int, times: np.ndarray) -> np.ndarray:
-    """(T, n) array whose row k is U(times[k]) e_a.
+    """(T, n) array whose row k is U(times[k]) e_a = V (phase_k * V^T e_a),
+    with exp(-i t theta_r) repeated for each eigenvector of theta_r.
 
-    One stacked (T, 1, d) @ (d, n) product over the rows E_r e_a. Each slice
-    of the stack is a vector-matrix product, the BLAS route transition_column
-    takes, so row k equals transition_column(dec, a, times[k]) bit for bit; a
-    (T, d) @ (d, n) matrix product would round differently.
+    The complex coefficients are read as (n, 2) real matrices, real and
+    imaginary parts side by side, so one stacked (n, n) @ (T, n, 2) real
+    product applies V without a complex copy of it. Each slice of the stack
+    is the (n, n) @ (n, 2) product transition_column takes, so row k equals
+    transition_column(dec, a, times[k]) bit for bit.
     """
-    phases = np.exp(-1j * times[:, None, None] * dec.eigenvalues)
-    return (phases @ dec.projectors[:, a, :])[:, 0, :]
+    coef = np.exp(-1j * times[:, None] * dec.eigenvalues).take(dec.group_of, axis=1)
+    coef *= dec.vectors[a]
+    return (dec.vectors @ coef.view(float).reshape(len(times), -1, 2)).view(complex)[..., 0]
 
 
 def matrix_exp_oracle(a, t: float) -> np.ndarray:
@@ -421,13 +426,13 @@ def _revival_times(dec: SpectralDecomposition, a: int, b: int, norm: float, cfg:
     singletons, where the gap times are taken. Lattice points whose beta is
     clearly below beta_min are periodic and dropped.
     """
-    e_aa = dec.projectors[:, a, a]
+    e_aa = dec.diagonals[:, a]
     sup = np.sqrt(e_aa) > TOL_SUPPORT
-    if (np.sqrt(dec.projectors[~sup, b, b]) > TOL_SUPPORT).any():
+    if (np.sqrt(dec.diagonals[~sup, b]) > TOL_SUPPORT).any():
         logger.debug("no revival from %d to %d: the support of %d is not inside that of %d", a, b, b, a)
         return np.empty(0)
     theta = dec.eigenvalues[sup]
-    c = dec.projectors[sup, a, b] / e_aa[sup]
+    c = dec.entries(a, b)[sup] / e_aa[sup]
     order = np.argsort(-c, kind="stable")
     cut = np.flatnonzero(np.diff(c[order]) < -_CLASS_TOL) + 1
     if len(cut) != 1:
@@ -565,7 +570,7 @@ def check_gamma_consequences(
     report["verdict"] = "not_rational_bounded"
     n_steps = max(1, int(PGST_T_MAX / (2.0 * cert.tau)))
     ls = np.arange(1, n_steps + 1)
-    entries_ba = dec.projectors[:, cert.b, cert.a]
+    entries_ba = dec.entries(cert.b, cert.a)
     phases = np.exp(-1j * np.outer(dec.eigenvalues, 2.0 * ls * cert.tau))
     fid = np.abs(entries_ba @ phases)
     best = int(np.argmax(fid))

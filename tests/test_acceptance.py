@@ -4,8 +4,11 @@ Each test prints one pass/fail line; run with ``pytest tests/test_acceptance.py 
 or through the CLI as ``ctqw paper-suite``.
 """
 
+import dataclasses
 import hashlib
 import math
+
+import numpy as np
 
 from ctqw import graphs as G
 from ctqw import suite
@@ -79,6 +82,24 @@ def test_criterion_7_theorem_properties():
 
 def test_criterion_8_numerical_health():
     _assert_rows(8, "oracle agreement and projector residuals on random graphs", health_rows(CFG))
+
+
+def test_health_catches_a_perturbed_eigenvector(monkeypatch):
+    # the largest entry of the first eigenvector moved by 1e-8: it is at least
+    # 1/sqrt(24) in size, so (sum_r E_r)_jj moves by at least 4e-9
+    real = suite.decompose
+
+    def perturbed(g):
+        dec = real(g)
+        vectors = dec.vectors.copy()
+        vectors[int(np.argmax(np.abs(vectors[:, 0]))), 0] += 1e-8
+        return dataclasses.replace(dec, vectors=vectors)
+
+    monkeypatch.setattr(suite, "decompose", perturbed)
+    rows = {r.name: r for r in health_rows(CFG)}
+    row = rows["projector completeness / idempotence / orthogonality / reconstruction < 1e-9"]
+    assert not row.ok
+    assert float(row.detail.removeprefix("worst=")) >= 4e-9
 
 
 def test_criterion_9_classification():

@@ -201,6 +201,37 @@ class TestReports:
         monkeypatch.setattr(G, "MAX_ORDER", 5)
         assert not validate_report(loaded)
 
+    def test_report_without_certificates_over_order_limit_fails_validation(self, monkeypatch):
+        # the order check needs no decomposition, so it holds for every report
+        loaded = json.loads(run_analysis(G.cycle(7)).to_json())
+        assert loaded["certificates"] == [] and validate_report(loaded)
+        monkeypatch.setattr(G, "MAX_ORDER", 6)
+        assert not validate_report(loaded)
+
+    @pytest.mark.parametrize("weight", [math.nan, 0.5])
+    def test_report_without_certificates_needs_a_valid_graph(self, weight):
+        # a non-finite weight, or one that breaks symmetry, fails in WeightedGraph
+        loaded = json.loads(run_analysis(G.cycle(7)).to_json())
+        loaded["graph"]["weights"][0][3] = weight
+        assert not validate_report(loaded)
+
+    def test_report_without_certificates_is_not_decomposed(self, monkeypatch):
+        calls = []
+
+        def counting(graph):
+            calls.append(graph.name)
+            return decompose(graph)
+
+        monkeypatch.setattr(cli_mod, "decompose", counting)
+        loaded = json.loads(run_analysis(G.cycle(7)).to_json())
+        calls.clear()
+        assert loaded["certificates"] == [] and validate_report(loaded)
+        assert calls == []
+        certified, _ = self._loaded("cycle:6", "fractional_revival")
+        calls.clear()
+        assert validate_report(certified)
+        assert calls == ["cycle:6"]
+
     def test_scan_report_past_the_phase_bound_validates(self):
         # ||A|| = 1e4 + 2: the scan to 6e4 ends its events within one lattice
         # step 2pi/sqrt(5) of tau = MAX_PHASE / ||A||, long before its event cap

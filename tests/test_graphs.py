@@ -58,9 +58,10 @@ class TestFamilies:
         with pytest.raises(ValueError):
             G.hypercube(0)
 
-    def test_order_limit_fits_memory_budget(self):
-        # one (n, n) float projector per distinct eigenvalue, up to n of them
-        assert 8 * G.MAX_ORDER**3 <= G.MEMORY_BUDGET < 8 * (G.MAX_ORDER + 1) ** 3
+    def test_order_limit_fits_work_budget(self):
+        # one complex (n, n) product of the exponential oracle takes 8 n^3 real flops
+        assert G.MAX_ORDER == 645
+        assert 8 * G.MAX_ORDER**3 <= G.WORK_BUDGET < 8 * (G.MAX_ORDER + 1) ** 3
 
     def test_order_limit_checked_before_building(self, monkeypatch):
         monkeypatch.setattr(G, "MAX_ORDER", 10)

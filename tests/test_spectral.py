@@ -10,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctqw import graphs as G
+from ctqw.cli import parse_graph_spec
 from ctqw.spectral import (
+    _PARALLEL_MARGIN,
+    _SCREEN_TOL,
     TOL_SPEC,
     TOL_SUPPORT,
     decompose,
@@ -19,6 +22,7 @@ from ctqw.spectral import (
     parallel_partners,
     strongly_cospectral_candidates,
 )
+from ctqw.walks import DetectionConfig, transition_column, transition_matrix
 
 
 def support(dec, a):
@@ -31,19 +35,35 @@ def weighted_p3(omega):
     return G.WeightedGraph(w, ("a", "m", "b"), f"p3w:{omega:g}")
 
 
+def reference_tensor(dec):
+    """The (d, n, n) projector tensor decompose used to store, built as it
+    was: E_r = V_r V_r^T of the grouped basis, made exactly symmetric. The
+    reference for the readers that replaced it."""
+    projs = np.empty((dec.n_distinct, dec.order, dec.order))
+    start = 0
+    for proj, k in zip(projs, dec.multiplicities):
+        v = dec.vectors[:, start : start + k]
+        e = v @ v.T
+        np.add(e, e.T, out=proj)
+        proj /= 2.0
+        start += k
+    return projs
+
+
 def projector_invariants_ok(dec, atol=1e-9):
     n = dec.order
-    if np.abs(dec.projectors.sum(axis=0) - np.eye(n)).max() > atol:
+    projs = np.stack([dec.projector(r) for r in range(dec.n_distinct)])
+    if np.abs(projs.sum(axis=0) - np.eye(n)).max() > atol:
         return False
-    recon = np.tensordot(dec.eigenvalues, dec.projectors, axes=(0, 0))
+    recon = np.tensordot(dec.eigenvalues, projs, axes=(0, 0))
     if np.abs(recon - dec.matrix).max() > atol:
         return False
     for r in range(dec.n_distinct):
-        er = dec.projectors[r]
+        er = projs[r]
         if np.abs(er @ er - er).max() > atol:
             return False
         for s in range(r + 1, dec.n_distinct):
-            if np.abs(er @ dec.projectors[s]).max() > atol:
+            if np.abs(er @ projs[s]).max() > atol:
                 return False
     return True
 
@@ -53,7 +73,12 @@ class TestDecompose:
         dec = decompose(np.eye(4))
         assert dec.n_distinct == 1
         assert dec.eigenvalues[0] == pytest.approx(1.0)
-        assert np.allclose(dec.projectors[0], np.eye(4))
+        assert np.allclose(dec.projector(0), np.eye(4))
+
+    @pytest.mark.parametrize("r", [-1, 4])
+    def test_projector_rejects_missing_group(self, r):
+        with pytest.raises(IndexError):
+            decompose(G.cycle(6)).projector(r)
 
     def test_descending_order_and_multiplicities(self):
         dec = decompose(G.cycle(6))
@@ -65,7 +90,7 @@ class TestDecompose:
         dec = decompose(weighted_p3(omega))
         r0 = int(np.argmin(np.abs(dec.eigenvalues)))
         expected = np.array([[1, 0, -omega], [0, 0, 0], [-omega, 0, omega**2]]) / (1 + omega**2)
-        assert np.abs(dec.projectors[r0] - expected).max() <= 1e-12
+        assert np.abs(dec.projector(r0) - expected).max() <= 1e-12
 
     def test_weighted_p3_plus_minus_projectors(self):
         omega = 0.5
@@ -80,13 +105,13 @@ class TestDecompose:
                     [omega, sign * s, 1],
                 ]
             ) / (2 * (omega**2 + 1))
-            assert np.abs(dec.projectors[r] - expected).max() <= 1e-12
+            assert np.abs(dec.projector(r) - expected).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_path_projector_formula(self, n):
         dec = decompose(G.path(n))
         for r in range(1, n + 1):
-            er = dec.projectors[r - 1]  # descending eigenvalues match r = 1..n
+            er = dec.projector(r - 1)  # descending eigenvalues match r = 1..n
             for j in range(1, n + 1):
                 for a in range(1, n + 1):
                     expected = (
@@ -278,8 +303,10 @@ def list_and_stack_decomposition(m):
 
 
 def loop_pair_profile(dec, a, b):
-    """pair_profile's fields as a loop over the eigenvalues."""
-    cols_a, cols_b = dec.projectors[:, :, a], dec.projectors[:, :, b]
+    """pair_profile's fields as a loop over the eigenvalues, read from the
+    reference tensor."""
+    projs = reference_tensor(dec)
+    cols_a, cols_b = projs[:, :, a], projs[:, :, b]
     norms_a = np.linalg.norm(cols_a, axis=1)
     norms_b = np.linalg.norm(cols_b, axis=1)
     sup_a, sup_b = norms_a > TOL_SUPPORT, norms_b > TOL_SUPPORT
@@ -288,7 +315,7 @@ def loop_pair_profile(dec, a, b):
         if abs(abs(float(cols_a[r] @ cols_b[r])) - norms_a[r] * norms_b[r]) > TOL_SPEC:
             parallel = False
             break
-    cospectral = bool(np.abs(dec.projectors[:, a, a] - dec.projectors[:, b, b]).max() <= TOL_SPEC)
+    cospectral = bool(np.abs(projs[:, a, a] - projs[:, b, b]).max() <= TOL_SPEC)
     strongly, plus, minus = True, set(), set()
     for r in range(dec.n_distinct):
         if not (sup_a[r] or sup_b[r]):
@@ -320,8 +347,61 @@ _REFERENCE_GRAPHS = _FAMILY_GRAPHS + [
 ]
 
 
+_SCREEN_SPECS = [
+    "path:4", "path:5", "cycle:6", "cycle:32", "cycle:64", "cycle:128", "cube:3", "cube:4", "cube:5", "cube:6",
+    "cube:7", "cocktail:4", "cocktail:20", "cone2:cocktail:10", "prod(star:16,path:2)",
+]
+
+
+def tensor_strongly_cospectral_candidates(projs):
+    """The strong-cospectrality screen as it read the projector tensor."""
+    n = projs.shape[1]
+    worst = np.zeros((n, n))
+    dev = np.empty_like(worst)
+    for e in projs:
+        np.abs(e, out=dev)
+        dev -= np.diagonal(e)[:, None]
+        np.abs(dev, out=dev)
+        np.maximum(worst, dev, out=worst)
+    np.maximum(worst, worst.T, out=dev)
+    a_idx, b_idx = np.nonzero(np.triu(dev <= _SCREEN_TOL, 1))
+    return list(zip(a_idx.tolist(), b_idx.tolist()))
+
+
+def tensor_parallel_partners(projs, a, slack):
+    """The parallel screen as it read the projector tensor."""
+    rows = projs[:, a, :]
+    diag = np.diagonal(projs, axis1=1, axis2=2)
+    e_aa = rows[:, a : a + 1]
+    keep = (e_aa * diag - rows**2 - slack * e_aa).max(axis=0) <= _PARALLEL_MARGIN
+    keep[a] = False
+    return np.nonzero(keep)[0]
+
+
+def scale_vertex_in_group(dec, a, r, factor):
+    """dec with the coordinates of vertex a in the basis of group r scaled:
+    row a and column a of E_r scale by factor, (E_r)_aa by factor^2."""
+    vectors = dec.vectors.copy()
+    vectors[a, dec.group_of == r] *= factor
+    return dataclasses.replace(dec, vectors=vectors)
+
+
+def rotate_vertex_in_group(dec, a, r, angle):
+    """dec with the coordinates of vertex a in the two-dimensional basis of
+    group r rotated by angle: (E_r)_aa stays, and (E_r)_ab = V_r[a] . V_r[b]
+    follows the angle between the coordinates of a and b."""
+    vectors = dec.vectors.copy()
+    cols = np.flatnonzero(dec.group_of == r)
+    assert len(cols) == 2
+    c, s = math.cos(angle), math.sin(angle)
+    x, y = vectors[a, cols]
+    vectors[a, cols] = (c * x - s * y, s * x + c * y)
+    return dataclasses.replace(dec, vectors=vectors)
+
+
 class TestProjectorTensor:
-    """decompose and pair_profile against their list-and-loop constructions."""
+    """decompose, its readers and pair_profile against the projector tensor
+    and the list-and-loop constructions they replaced."""
 
     @pytest.mark.parametrize("g", _REFERENCE_GRAPHS, ids=lambda g: g.name)
     def test_decompose_equals_list_and_stack(self, g):
@@ -343,20 +423,22 @@ class TestProjectorTensor:
         dec = decompose(m)
         thetas, projs, mults = list_and_stack_decomposition(np.asarray(m, dtype=float))
         assert np.array_equal(dec.eigenvalues, thetas)
-        assert np.array_equal(dec.projectors, projs)
         assert dec.multiplicities == mults
+        assert np.abs(np.stack([dec.projector(r) for r in range(dec.n_distinct)]) - projs).max() <= 1e-13
+        assert np.abs(reference_tensor(dec) - projs).max() <= 1e-13
 
-    def test_decompose_holds_one_tensor(self):
-        g = G.cycle(128)
+    def test_decompose_peak_is_quadratic(self):
+        # the (d, n, n) tensor of cycle:300 alone took 151 * 300^2 * 8 bytes
+        tensor_bytes = 151 * 300 * 300 * 8
+        assert tensor_bytes > 108.7e6
         tracemalloc.start()
         try:
-            dec = decompose(g)
+            dec = decompose(G.cycle(300))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert dec.projectors.nbytes == 65 * 128 * 128 * 8
-        # stacking a list of projectors holds the tensor twice
-        assert peak <= 1.2 * dec.projectors.nbytes
+        assert dec.n_distinct == 151
+        assert peak * 10 <= 108.7e6
 
     @pytest.mark.parametrize("g", _REFERENCE_GRAPHS, ids=lambda g: g.name)
     def test_pair_profile_equals_loop(self, g):
@@ -376,6 +458,47 @@ class TestProjectorTensor:
                 if a != b:
                     prof = pair_profile(dec, a, b)
                     assert dataclasses.asdict(prof) == {"a": a, "b": b, **loop_pair_profile(dec, a, b)}
+
+
+    @pytest.mark.parametrize("g", _REFERENCE_GRAPHS, ids=lambda g: g.name)
+    def test_readers_equal_tensor(self, g):
+        dec = decompose(g)
+        projs = reference_tensor(dec)
+        assert np.abs(dec.diagonals - np.diagonal(projs, axis1=1, axis2=2)).max() <= 1e-13
+        for a in range(g.order):
+            assert np.abs(dec.rows(a) - projs[:, a, :]).max() <= 1e-13
+            for b in range(g.order):
+                assert np.abs(dec.entries(a, b) - projs[:, a, b]).max() <= 1e-13
+        for t in (0.3, 2.9, 41.0):
+            phases = np.exp(-1j * t * dec.eigenvalues)
+            assert np.abs(transition_matrix(dec, t) - np.tensordot(phases, projs, axes=(0, 0))).max() <= 1e-13
+            for a in range(g.order):
+                assert np.abs(transition_column(dec, a, t) - phases @ projs[:, a, :]).max() <= 1e-13
+
+    @pytest.mark.parametrize("g", _REFERENCE_GRAPHS, ids=lambda g: g.name)
+    def test_readers_are_bit_symmetric(self, g):
+        # the screens' superset arguments read (E_r)_ab and (E_r)_ba as one number
+        dec = decompose(g)
+        n = g.order
+        rows = np.stack([dec.rows(a) for a in range(n)])  # rows[a, r, b] = (E_r)_ab
+        assert np.array_equal(rows, rows.transpose(2, 1, 0))
+        assert np.array_equal(dec.diagonals, rows[np.arange(n), :, np.arange(n)].T)
+        for a in range(n):
+            for b in range(a + 1, n):
+                assert np.array_equal(dec.entries(a, b), dec.entries(b, a))
+        for r in range(dec.n_distinct):
+            e = dec.projector(r)
+            assert np.array_equal(e, e.T)
+
+    @pytest.mark.parametrize("spec", _SCREEN_SPECS)
+    def test_screens_equal_tensor_screens(self, spec):
+        dec = decompose(parse_graph_spec(spec))
+        projs = reference_tensor(dec)
+        assert strongly_cospectral_candidates(dec) == tensor_strongly_cospectral_candidates(projs)
+        slack = (DetectionConfig().tol_walk / DetectionConfig().beta_min) ** 2
+        for a in range(dec.order):
+            for sl in (0.0, slack):
+                assert parallel_partners(dec, a, sl).tolist() == tensor_parallel_partners(projs, a, sl).tolist()
 
 
 class TestStrongCospectralityScreen:
@@ -401,12 +524,15 @@ class TestStrongCospectralityScreen:
         assert strongly_cospectral_candidates(dec) == brute_force_strongly_cospectral(dec)
 
     def test_pair_just_inside_tolerance_survives(self):
-        # C6 antipodes with one projector entry moved by just under TOL_SPEC:
-        # pair_profile still accepts the pair, so the screen must keep it
+        # C6 antipodes with row 0 of E_1 scaled so that E_1 e_0 moves away
+        # from -E_1 e_3 by just under TOL_SPEC: pair_profile still accepts
+        # the pair, so the screen must keep it
         good = decompose(G.cycle(6))
-        projectors = good.projectors.copy()
-        projectors[1, 0, 0] += 0.99 * TOL_SPEC
-        nudged = dataclasses.replace(good, projectors=projectors)
+        eps = 0.99 * TOL_SPEC / np.abs(good.rows(0)[1]).max()
+        nudged = scale_vertex_in_group(good, 0, 1, 1 + eps)
+        projs = reference_tensor(nudged)
+        worst = max(min(np.abs(e[0] - sign * e[3]).max() for sign in (1, -1)) for e in projs)
+        assert 0.98 * TOL_SPEC <= worst <= TOL_SPEC
         assert pair_profile(nudged, 0, 3).strongly_cospectral
         assert (0, 3) in strongly_cospectral_candidates(nudged)
 
@@ -454,12 +580,14 @@ class TestParallelScreen:
 
     def test_slack_admits_near_parallel_pairs(self):
         # C6 with the (0, 3) entry of one projector (E_00 = E_33 = 1/3) shrunk
-        # by 1e-5 relative: the Gram determinant there, about 2.2e-6, is far
-        # above the screen's margin and below 1e-4 E_00
+        # by 1e-5 relative, by turning the coordinates of vertex 0 in that
+        # two-dimensional eigenspace: the Gram determinant there, about
+        # 2.2e-6, is far above the screen's margin and below 1e-4 E_00
         good = decompose(G.cycle(6))
-        r = int(np.argmax(np.abs(good.projectors[:, 0, 3])))
-        projectors = good.projectors.copy()
-        projectors[r, 0, 3] = projectors[r, 3, 0] = projectors[r, 0, 3] * (1 - 1e-5)
-        nudged = dataclasses.replace(good, projectors=projectors)
+        r = int(np.argmax(np.abs(good.entries(0, 3))))
+        nudged = rotate_vertex_in_group(good, 0, r, math.acos(1 - 1e-5))
+        e = reference_tensor(nudged)[r]
+        assert e[0, 3] == pytest.approx(good.entries(0, 3)[r] * (1 - 1e-5), rel=1e-9)
+        assert e[0, 0] * e[3, 3] - e[0, 3] ** 2 == pytest.approx((1 - (1 - 1e-5) ** 2) / 9, rel=1e-6)
         assert 3 not in parallel_partners(nudged, 0, 0.0).tolist()
         assert 3 in parallel_partners(nudged, 0, 1e-4).tolist()

@@ -79,12 +79,19 @@ class TestTransitionMatrix:
 
 
 def _column_route(dec, a, t):
-    """U(t) e_a from column a of each projector: the reference for the row reads."""
-    return np.exp(-1j * t * dec.eigenvalues) @ dec.projectors[:, :, a]
+    """U(t) e_a from column a of each projector E_r = V_r V_r^T, formed as
+    decompose used to store them: the reference for the basis products."""
+    projs, start = [], 0
+    for k in dec.multiplicities:
+        v = dec.vectors[:, start : start + k]
+        projs.append((v @ v.T + (v @ v.T).T) / 2.0)
+        start += k
+    return np.exp(-1j * t * dec.eigenvalues) @ np.stack(projs)[:, :, a]
 
 
 class TestWalkColumns:
-    """transition_column and walk_columns read rows; the column route is the reference."""
+    """transition_column and walk_columns take one product route, bit for bit;
+    the column route over the projectors is the reference, to 1e-13."""
 
     @pytest.mark.parametrize(
         "spec",
@@ -101,9 +108,8 @@ class TestWalkColumns:
             cols = walk_columns(dec, a, times)
             assert cols.shape == (len(times), dec.order)
             for t, col in zip(times.tolist(), cols):
-                ref = _column_route(dec, a, t)
-                assert np.array_equal(col, ref), (a, t)
-                assert np.array_equal(transition_column(dec, a, t), ref), (a, t)
+                assert np.array_equal(transition_column(dec, a, t), col), (a, t)
+                assert np.abs(col - _column_route(dec, a, t)).max() <= 1e-13, (a, t)
 
 
 class TestOracle:
@@ -385,7 +391,7 @@ def _numeric_scan(dec, sources, b=None, cfg=CFG, grid=_REF_GRID):
     inner = np.arange(1, len(ts) - 1)
     certs = []
     for a in sources:
-        p = np.abs(dec.projectors[:, :, a].T @ phases) ** 2
+        p = np.abs(dec.rows(a).T @ phases) ** 2
         totals, pa = p.sum(axis=0), p[a].copy()
         p[a] = 0.0
         f = np.sqrt(np.maximum(0.0, totals - pa - (p[b] if b is not None else p.max(axis=0))))
@@ -487,7 +493,7 @@ class TestParallelScan:
         cfg = DetectionConfig(t_max=20.0)
         dec = decompose(g)
         for a in range(dec.order):
-            if np.count_nonzero(np.sqrt(dec.projectors[:, a, a]) > TOL_SUPPORT) == 2:
+            if np.count_nonzero(np.sqrt(dec.diagonals[:, a]) > TOL_SUPPORT) == 2:
                 # every time revives on a two-level support (K2 c), and the
                 # reference returns arbitrary ones; the solver takes the gap times
                 continue
@@ -595,11 +601,11 @@ def _all_pair_certificates(dec):
 
 
 def _tampered_c6(good):
-    """good's projectors with a matrix the oracle walks as a different graph."""
+    """good's eigenbasis with a matrix the oracle walks as a different graph."""
     return SpectralDecomposition(
         matrix=G.cycle(6).weights * 1.001,
         eigenvalues=good.eigenvalues,
-        projectors=good.projectors,
+        vectors=good.vectors,
         multiplicities=good.multiplicities,
         group_tolerance=good.group_tolerance,
         ambiguous_clustering=False,
