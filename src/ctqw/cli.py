@@ -21,6 +21,7 @@ import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -42,8 +43,8 @@ from ctqw.walks import (
     certify_pair,
     phase_norm,
     scan_fr,
-    transition_column,
     verify_quotient_transport,
+    walk_columns,
 )
 
 logger = logging.getLogger("ctqw.cli")  # named: under python -m, __name__ is "__main__"
@@ -187,7 +188,48 @@ def _jsonify(value):
 
 
 def certificate_to_json(cert: FrCertificate, graph_name: str) -> dict:
-    return _jsonify({"graph": graph_name, **asdict(cert)})
+    return _jsonify({"graph": graph_name, **vars(cert)})
+
+
+def _dumps(value, pad: str = "\n") -> str:
+    """json.dumps(value, indent=2), byte for byte, without json's pure-Python
+    indent encoder (taken for any indent), which makes one generator step per value.
+
+    A list whose items are all plain finite floats, all plain ints or all
+    strings is written as one join. Strings and keys go through json's C
+    string encoder, and every other scalar (NaN, +-inf, None, bools) through
+    json's own encoder. A key that is not a string raises TypeError: json's
+    coercion of int, float, bool and None keys is not copied, since every
+    report key is a literal or has passed through _jsonify.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        kinds = set(map(type, value))
+        if kinds == {float} and all(map(math.isfinite, value)):
+            items = map(float.__repr__, value)
+        elif kinds == {int}:
+            items = map(int.__repr__, value)
+        elif kinds == {str}:
+            items = map(encode_basestring_ascii, value)
+        else:
+            items = (_dumps(v, inner) for v in value)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        keys = map(encode_basestring_ascii, value)  # TypeError on a non-str key
+        items = (f"{k}: {_dumps(v, inner)}" for k, v in zip(keys, value.values()))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value)
 
 
 @dataclass
@@ -210,7 +252,7 @@ class RunReport:
         return dict(vars(self))
 
     def to_json(self) -> str:
-        return json.dumps(self.payload(), indent=2)
+        return _dumps(self.payload())
 
 
 def _is_number(v) -> bool:
@@ -294,7 +336,9 @@ def validate_report(payload: dict, graph: WeightedGraph | None = None) -> bool:
         return False
     n = graph.order
     norm = phase_norm(dec)
-    for c in payload["certificates"]:
+    certs = payload["certificates"]
+    taus: dict[int, list[float]] = {}
+    for c in certs:
         if not isinstance(c, dict) or not all(k in c and ok(c[k]) for k, ok in _CERTIFICATE_SCHEMA.items()):
             return False
         tau, a, b = float(c["tau"]), c["a"], c["b"]
@@ -302,8 +346,13 @@ def validate_report(payload: dict, graph: WeightedGraph | None = None) -> bool:
             return False
         if c["residual"] > cfg.tol_walk or tau * norm > MAX_PHASE:
             return False
+        taus.setdefault(a, []).append(tau)
+    # one product per source; its rows come in the order of its certificates
+    columns = {a: iter(walk_columns(dec, a, np.array(ts))) for a, ts in taus.items()}
+    for c in certs:
+        tau, a, b = float(c["tau"]), c["a"], c["b"]
         alpha, beta = complex(*c["alpha"]), complex(*c["beta"])
-        residual = _residual(transition_column(dec, a, tau), a, alpha, b, beta)
+        residual = _residual(next(columns[a]), a, alpha, b, beta)
         if not residual <= max(2.0 * c["residual"], 1e-11 * max(1.0, tau * norm)):  # NaN fails
             return False
         kind = _kind_of(alpha, beta, cfg)
@@ -406,7 +455,7 @@ def run_analysis(
             "labels": list(graph.labels),
             # exact weights (JSON doubles round-trip), so certificates can be
             # re-validated even when the spec names a derived graph
-            "weights": [[float(v) for v in row] for row in graph.weights],
+            "weights": graph.weights.tolist(),
         },
         certificates=[certificate_to_json(c, graph.name) for c in certificates],
         predicates=_jsonify(predicates),
@@ -434,8 +483,9 @@ def _health_exit(health: list[str]) -> int:
     return EXIT_HEALTH if health else EXIT_OK
 
 
-def _emit(text: str, args) -> None:
+def _emit(payload: dict, args) -> None:
     """Write a JSON report to the --json file, or print it."""
+    text = _dumps(payload)
     if args.json:
         with open(args.json, "w", encoding="ascii") as fh:
             fh.write(text + "\n")
@@ -448,7 +498,7 @@ def cmd_analyze(args) -> int:
     graph = parse_graph_spec(args.graph)
     cfg = _config_from_args(args)
     report = run_analysis(graph, cfg, do_scan=args.scan)
-    _emit(report.to_json(), args)
+    _emit(report.payload(), args)
     return _health_exit(report.health_warnings)
 
 
@@ -468,7 +518,7 @@ def cmd_scan(args) -> int:
         "input_spec": graph.name,
         "certificates": [certificate_to_json(c, graph.name) for c in certs],
     }
-    _emit(json.dumps(payload, indent=2), args)
+    _emit(payload, args)
     return _health_exit(health)
 
 
@@ -523,7 +573,7 @@ def cmd_quotient(args) -> int:
 
     report = run_analysis(q, cfg)
     report.predicates.update(_jsonify(predicates))
-    _emit(report.to_json(), args)
+    _emit(report.payload(), args)
     return _health_exit(report.health_warnings)
 
 

@@ -3,11 +3,15 @@
 import json
 import logging
 import math
+import tracemalloc
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctqw import cli as cli_mod
 from ctqw import graphs as G
@@ -282,6 +286,81 @@ class TestReports:
         assert rep.certificates == []
         entry = rep.predicates["pair(0,4)"]
         assert entry["classification"].startswith("not classifiable")
+
+
+#: strings with non-ASCII, control, line-separator and astral characters
+_TEXT = st.one_of(st.text(max_size=8), st.sampled_from(["", "\u00e9", "\x00\x1f\t\n\"\\", "\u2028", "\U0001f600"]))
+_FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan]))
+_INTS = st.integers(-(2**200), 2**200)
+_SCALARS = st.one_of(st.none(), st.booleans(), _INTS, _FLOATS, _TEXT)
+#: rows that take the writer's joins, and mixed rows that must not
+_ROWS = st.one_of(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False)),
+    st.lists(_INTS),
+    st.lists(_TEXT),
+    st.lists(_FLOATS),
+    st.lists(st.one_of(_INTS, st.booleans())),
+    st.lists(st.one_of(_FLOATS, _INTS)),
+)
+_TREES = st.recursive(
+    st.one_of(_SCALARS, _ROWS, _ROWS.map(tuple)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+def _is_indent2_json(text: str) -> bool:
+    return text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+class TestReportWriter:
+    """cli._dumps writes exactly what json.dumps(value, indent=2) writes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_TREES)
+    def test_equals_json_indent_2(self, tree):
+        assert cli_mod._dumps(tree) == json.dumps(tree, indent=2)
+
+    def test_golden_payloads(self):
+        golden = json.loads((Path(__file__).parent / "data" / "golden_analyze.json").read_text())
+        for payload in golden.values():
+            assert cli_mod._dumps(payload) == json.dumps(payload, indent=2)
+
+    @pytest.mark.parametrize("argv", [["analyze", "--scan", "cube:4"], ["scan", "path:5", "--source", "0"]])
+    def test_command_stdout(self, capsys, argv):
+        assert main(argv) == EXIT_OK
+        assert _is_indent2_json(capsys.readouterr().out)
+
+    def test_quotient_json_file(self, tmp_path, capsys):
+        out = tmp_path / "quotient.json"
+        assert main(["quotient", "cycle:6", "--json", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("quotient of cycle:6")
+        assert _is_indent2_json(out.read_text())
+
+    @pytest.mark.parametrize("tree", [{1: 2}, {"a": [{None: 0}]}, {(0, 1): "pair"}])
+    def test_non_str_key_raises(self, tree):
+        with pytest.raises(TypeError):
+            cli_mod._dumps(tree)
+
+    def test_weights_are_exact(self):
+        rng = np.random.default_rng(3)
+        w = rng.uniform(0.1, 3.0, (5, 5)) * np.pi
+        graph = G.WeightedGraph(w + w.T, tuple("abcde"), "random")
+        assert run_analysis(graph).payload()["graph"]["weights"] == graph.weights.tolist()
+
+    def test_peak_memory_is_a_few_times_the_output(self):
+        report = run_analysis(parse_graph_spec("cycle:128"))
+        tracemalloc.start()
+        try:
+            text = report.to_json()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * len(text), (peak, len(text))
 
 
 class TestCommands:
