@@ -22,8 +22,9 @@ _SIG_DIGITS = 12
 #: real flops one complex (n, n) matrix product may take: 8 n^3
 WORK_BUDGET = 2 * 2**30
 #: largest order a graph may have. Memory is O(n^2); the n^3 work bounds the
-#: order. eigh is one such pass, and the exponential oracle makes about 20
-#: complex (n, n) products per certified time, each within WORK_BUDGET
+#: order. eigh is one such pass, and the exponential oracle makes per
+#: certified time six real (n, n) products, about two complex ones of work,
+#: and up to 18 complex squarings, each within WORK_BUDGET
 MAX_ORDER = round((WORK_BUDGET / 8) ** (1 / 3))
 
 

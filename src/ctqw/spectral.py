@@ -45,8 +45,9 @@ class SpectralDecomposition:
     decomposition. ``ambiguous_clustering`` is set when some raw eigenvalue
     gap falls within a factor 10 of the grouping tolerance, i.e. the grouping
     could plausibly have gone the other way. ``_time_memo`` holds work that
-    depends only on the matrix and a time (see :mod:`ctqw.walks`); it lives
-    and dies with the decomposition.
+    depends only on the matrix and a time (the oracle exponentials) or a pair
+    of support parts (their lattice and classification), see
+    :mod:`ctqw.walks`; it lives and dies with the decomposition.
     """
 
     matrix: np.ndarray = field(repr=False)

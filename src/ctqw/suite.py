@@ -26,6 +26,7 @@ from ctqw.walks import (
     DetectionConfig,
     FrCertificate,
     PairCertification,
+    _oracle_exp,
     _wrap_angle,
     certify_pair,
     check_gamma_consequences,
@@ -91,13 +92,23 @@ def _first_event(certs, kinds=None):
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=16)
+def _shared_decomposition(weights: bytes, order: int) -> SpectralDecomposition:
+    return decompose(np.frombuffer(weights).reshape(order, order).copy())
+
+
+def _decomposition(g: G.WeightedGraph) -> SpectralDecomposition:
+    """decompose(g) for a graph that more than one suite group walks, once per
+    matrix: the groups of one suite run share the decomposition and its memo
+    of oracle exponentials and part lattices (weighted_p3(1.0) is path(3))."""
+    return _shared_decomposition(g.weights.tobytes(), g.order)
+
+
 @functools.lru_cache(maxsize=4)
 def _positive_certifications(cfg: DetectionConfig) -> dict[str, tuple[SpectralDecomposition, PairCertification]]:
     """certify_pair on the strongly cospectral cases behind the positive suite
-    rows, keyed by graph name.
-
-    Computed once per config, by whichever group asks first, so the groups of
-    one suite run share the decompositions and the oracle memo on them.
+    rows, keyed by graph name; computed once per config, by whichever group
+    asks first, on the shared decompositions.
     """
     cases = [
         (G.cycle(6), 0, 3),
@@ -111,7 +122,7 @@ def _positive_certifications(cfg: DetectionConfig) -> dict[str, tuple[SpectralDe
     ]
     out = {}
     for g, a, b in cases:
-        dec = decompose(g)
+        dec = _decomposition(g)
         out[g.name] = (dec, certify_pair(dec, a, b, cfg))
     return out
 
@@ -294,13 +305,12 @@ def _p3_closed_form(omega: float) -> np.ndarray:
 def weighted_p3_rows(cfg: DetectionConfig) -> list[RowResult]:
     rows = []
     for omega in (0.5, 1.0, 2.0, math.sqrt(2) - 1):
-        g = weighted_p3(omega)
-        dec = decompose(g)
+        dec = _decomposition(weighted_p3(omega))
         tau = math.pi / math.sqrt(omega**2 + 1)
         u = transition_matrix(dec, tau)
         closed = _p3_closed_form(omega)
         dev = float(np.abs(u - closed).max())
-        oracle_dev = float(np.abs(u - matrix_exp_oracle(g, tau)).max())
+        oracle_dev = float(np.abs(u - _oracle_exp(dec, tau)).max())
         ok = dev <= 1e-9 and oracle_dev <= 1e-9
         detail = f"closed-form dev={dev:.2e}"
         cert = detect_at(dec, 0, tau, cfg)
@@ -421,9 +431,7 @@ def construction_rows(cfg: DetectionConfig) -> list[RowResult]:
             )
         )
 
-    rep = verify_construction_union(
-        G.scale_weights(G.hypercube(3), 2.0), G.antipodal_matching(3), 0, 7, math.pi / 4, cfg
-    )
+    rep = _union_construction(cfg)
     rows.append(
         _row(
             "constructions",
@@ -458,6 +466,15 @@ def construction_rows(cfg: DetectionConfig) -> list[RowResult]:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=4)
+def _union_construction(cfg: DetectionConfig) -> dict:
+    """verify_construction_union on doubled Q3 + antipodal matching at pi/4,
+    once per config; its certificate is also a theorem-property case."""
+    return verify_construction_union(
+        G.scale_weights(G.hypercube(3), 2.0), G.antipodal_matching(3), 0, 7, math.pi / 4, cfg
+    )
+
+
 def collect_suite_certificates(cfg: DetectionConfig) -> list[tuple[str, SpectralDecomposition, FrCertificate]]:
     """All certificates the positive suite rows produce, with their decompositions."""
     found: list[tuple[str, SpectralDecomposition, FrCertificate]] = []
@@ -467,16 +484,14 @@ def collect_suite_certificates(cfg: DetectionConfig) -> list[tuple[str, Spectral
 
     for omega in (0.5, 2.0, math.sqrt(2) - 1):
         g = weighted_p3(omega)
-        dec = decompose(g)
+        dec = _decomposition(g)
         cert = detect_at(dec, 0, math.pi / math.sqrt(omega**2 + 1), cfg)
         if cert is not None:
             found.append((g.name, dec, cert))
 
-    overlay = G.union_overlay(G.scale_weights(G.hypercube(3), 2.0), G.antipodal_matching(3))
-    dec = decompose(overlay)
-    cert = detect_at(dec, 0, math.pi / 4, cfg)
-    if cert is not None:
-        found.append((overlay.name, dec, cert))
+    union = _union_construction(cfg)
+    if union.get("certificate") is not None:
+        found.append(("overlay", union["decomposition"], union["certificate"]))
 
     return found
 

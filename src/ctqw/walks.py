@@ -49,6 +49,13 @@ MAX_PHASE = 1e5
 _SCAN_MAX_EVENTS = 512
 #: c_r closer than this fall in one class (see _revival_times)
 _CLASS_TOL = 1e-7
+#: row j holds the coefficients of Y^j, Y = X^2, in the real and imaginary
+#: parts of the degree-19 Taylor polynomial of exp(-iX): (-1)^j / (2j)! and,
+#: times X, -(-1)^j / (2j+1)!
+_TAYLOR_CS = np.array(
+    [[(-1) ** j / math.factorial(2 * j), (-1) ** (j + 1) / math.factorial(2 * j + 1)] for j in range(10)]
+)
+_TAYLOR_CS.setflags(write=False)
 #: byte budget of the oracle exponentials kept per decomposition; past it the
 #: oldest are dropped first
 _ORACLE_MEMO_BYTES = 64 * 2**20
@@ -154,22 +161,48 @@ def matrix_exp_oracle(a, t: float) -> np.ndarray:
     """exp(-itA) by scaling-and-squaring on a Taylor form; no eigensolver.
 
     Independent verification route for certificates: shares nothing with the
-    spectral path beyond the input matrix.
+    spectral path beyond the input matrix. With s the smallest integer for
+    which X = tA / 2^s has ||X||_inf <= 1/2, the degree-19 Taylor polynomial
+    of exp(-iX) is evaluated in real arithmetic (_taylor_exp) and squared s
+    times.
     """
     m = a.weights if isinstance(a, WeightedGraph) else np.asarray(a, dtype=float)
-    big = -1j * t * m
-    nrm = float(np.linalg.norm(big, np.inf))
+    x = t * m
+    nrm = float(np.linalg.norm(x, np.inf))
     if not math.isfinite(nrm):
         raise ValueError("t * A must be finite")
     s = 0 if nrm <= 0.5 else int(math.ceil(math.log2(nrm / 0.5)))
-    small = big / (2.0**s)
-    n = m.shape[0]
-    eye = np.eye(n, dtype=complex)
-    out = eye.copy()
-    for k in range(19, 0, -1):
-        out = eye + (small / k) @ out
+    x /= 2.0**s
+    out = _taylor_exp(x)
     for _ in range(s):
         out = out @ out
+    return out
+
+
+def _taylor_exp(x: np.ndarray) -> np.ndarray:
+    """sum_{k <= 19} (-iX)^k / k! for a real symmetric X, as C - iS.
+
+    The even terms give C and the odd ones S = X q(Y), and C and q are both
+    degree 9 in Y = X^2 (_TAYLOR_CS). Paterson and Stockmeyer's scheme
+    evaluates them as B_0 + Y^3 (B_1 + Y^3 B_2), each block B_i a
+    combination of I, Y and Y^2 (and, in B_2, Y^3), so six real products
+    replace nineteen complex ones. Polynomials in Y commute, so C and q run
+    as one (2n, n) stack multiplied by Y^3 from the right.
+    """
+    n = len(x)
+    powers = np.empty((4, n, n))  # I, Y, Y^2, Y^3
+    powers[0] = np.eye(n)
+    np.matmul(x, x, out=powers[1])
+    np.matmul(powers[1], powers[1], out=powers[2])
+    np.matmul(powers[2], powers[1], out=powers[3])
+    flat = powers.reshape(4, n * n)
+    stack = (_TAYLOR_CS[6:].T @ flat).reshape(2 * n, n)
+    for i in (3, 0):
+        stack = stack @ powers[3]
+        stack += (_TAYLOR_CS[i : i + 3].T @ flat[:3]).reshape(2 * n, n)
+    out = np.empty((n, n), dtype=complex)
+    out.real = stack[:n]
+    out.imag = x @ stack[n:]
     return out
 
 
@@ -392,18 +425,32 @@ def certify_pair(
     prof = pair_profile(dec, a, b)
     if not prof.strongly_cospectral:
         return PairCertification(prof, None, None, (), "not strongly cospectral", None)
-    theta = dec.eigenvalues
-    plus_vals = [float(theta[r]) for r in sorted(prof.phi_plus)]
-    minus_vals = [float(theta[r]) for r in sorted(prof.phi_minus)]
-    try:
-        step, delta = lattice_step(plus_vals, minus_vals)
-    except NotClassifiable as exc:
-        return PairCertification(prof, None, None, (), exc.reason, exc.witness)
-    certs = tuple(certify_strongly_cospectral(dec, prof, step, cfg))
-    try:
-        return PairCertification(prof, classify(plus_vals, minus_vals, delta), step, certs, None, None)
-    except NotClassifiable as exc:
-        return PairCertification(prof, None, step, certs, exc.reason, None)
+    solved, step, cls, failure, witness = _solve_parts(dec, prof.phi_plus, prof.phi_minus)
+    certs = tuple(certify_strongly_cospectral(dec, prof, step, cfg)) if solved else ()
+    return PairCertification(prof, cls, step, certs, failure, witness)
+
+
+def _solve_parts(dec: SpectralDecomposition, phi_plus: frozenset, phi_minus: frozenset) -> tuple:
+    """(lattice found, tau_step, classification, failure, witness) of the two
+    support parts of a strongly cospectral pair, as PairCertification reads
+    them. They depend on the parts alone, so they are solved once per
+    decomposition and part pair."""
+    memo = dec._time_memo.setdefault("parts", {})
+    key = (phi_plus, phi_minus)
+    if key not in memo:
+        theta = dec.eigenvalues
+        plus_vals = [float(theta[r]) for r in sorted(phi_plus)]
+        minus_vals = [float(theta[r]) for r in sorted(phi_minus)]
+        try:
+            step, delta = lattice_step(plus_vals, minus_vals)
+        except NotClassifiable as exc:
+            memo[key] = (False, None, None, exc.reason, exc.witness)
+        else:
+            try:
+                memo[key] = (True, step, classify(plus_vals, minus_vals, delta), None, None)
+            except NotClassifiable as exc:
+                memo[key] = (True, step, None, exc.reason, None)
+    return memo[key]
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +681,8 @@ def verify_construction_union(
 
     The overlay column from a must equal gamma (cos(tau) e_b - i sin(tau) e_a)
     with gamma the transfer phase U_x(tau)_{b,a}. Hypothesis failures are
-    reported individually.
+    reported individually; a report that gets that far also keeps the
+    overlay's decomposition, on which its certificate was judged.
     """
     ax, ay = x.weights, y.weights
     commute_defect = float(np.abs(ax @ ay - ay @ ax).max())
@@ -666,6 +714,7 @@ def verify_construction_union(
     report["transfer_phase"] = gamma
     report["amplitude_residual"] = residual
     report["certificate"] = cert
+    report["decomposition"] = dec_o
     report["holds"] = residual <= cfg.tol_walk and cert is not None and cert.b == b
     return report
 

@@ -125,3 +125,27 @@ def test_double_cone_certified_once_for_both_groups(monkeypatch):
         suite._cone_transport.cache_clear()
     assert all(r.ok for r in rows)
     assert certified and len(set(certified)) == len(certified)
+
+
+def test_suite_computes_each_exponential_once(monkeypatch):
+    caches = (suite._shared_decomposition, suite._positive_certifications, suite._union_construction, suite._cone_transport)
+    for cache in caches:
+        cache.cache_clear()
+    oracle = walks_mod.matrix_exp_oracle
+    keys = []
+
+    def counting(a, t):
+        m = a.weights if isinstance(a, G.WeightedGraph) else np.asarray(a)
+        keys.append((hashlib.blake2b(m.tobytes()).hexdigest(), t))
+        return oracle(a, t)
+
+    monkeypatch.setattr(walks_mod, "matrix_exp_oracle", counting)
+    monkeypatch.setattr(suite, "matrix_exp_oracle", counting)
+    try:
+        rows = suite.run_groups(None, CFG)
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert all(r.ok for r in rows)
+    assert len(keys) > 1000
+    assert len(keys) == len(set(keys))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -13,7 +14,15 @@ from hypothesis import strategies as st
 from ctqw import graphs as G
 from ctqw import walks as walks_mod
 from ctqw.cli import parse_graph_spec
-from ctqw.spectral import TOL_SUPPORT, SpectralDecomposition, decompose, pair_profile, parallel_partners
+from ctqw.numtheory import lattice_step
+from ctqw.spectral import (
+    TOL_SUPPORT,
+    SpectralDecomposition,
+    decompose,
+    pair_profile,
+    parallel_partners,
+    strongly_cospectral_candidates,
+)
 from ctqw.walks import (
     KIND_BALANCED,
     KIND_FR,
@@ -112,9 +121,74 @@ class TestWalkColumns:
                 assert np.abs(col - _column_route(dec, a, t)).max() <= 1e-13, (a, t)
 
 
+def _horner_oracle(a, t):
+    """The oracle as it was before the Paterson-Stockmeyer form: the same
+    degree-19 Taylor polynomial and scaling, as 19 complex Horner steps."""
+    m = a.weights if isinstance(a, G.WeightedGraph) else np.asarray(a, dtype=float)
+    big = -1j * t * m
+    nrm = float(np.linalg.norm(big, np.inf))
+    if not math.isfinite(nrm):
+        raise ValueError("t * A must be finite")
+    s = 0 if nrm <= 0.5 else int(math.ceil(math.log2(nrm / 0.5)))
+    small = big / (2.0**s)
+    n = m.shape[0]
+    eye = np.eye(n, dtype=complex)
+    out = eye.copy()
+    for k in range(19, 0, -1):
+        out = eye + (small / k) @ out
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+@st.composite
+def weighted_graphs(draw, max_order=8):
+    """Symmetric matrices with signed edge weights and diagonal potentials."""
+    n = draw(st.integers(1, max_order))
+    magnitudes = st.floats(0.25, 2.0, allow_nan=False, allow_infinity=False)
+    weight = st.one_of(st.just(0.0), magnitudes, magnitudes.map(lambda x: -x))
+    w = np.zeros((n, n))
+    for i in range(n):
+        w[i, i] = draw(st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False))
+        for j in range(i + 1, n):
+            w[i, j] = w[j, i] = draw(weight)
+    return G.WeightedGraph(w, tuple(str(i) for i in range(n)), f"hyp:{n}")
+
+
 class TestOracle:
     def test_zero_time_is_identity(self):
         assert np.abs(matrix_exp_oracle(G.cycle(5), 0.0) - np.eye(5)).max() == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(weighted_graphs(), st.one_of(st.floats(0.0, 1e3), st.floats(1e3, walks_mod.MAX_PHASE)))
+    def test_equals_the_horner_form(self, g, phase):
+        norm = float(np.abs(g.weights).sum(axis=1).max())
+        t = phase / norm if norm > 0 else phase
+        bound = 1e-12 if phase <= 1e3 else 1e-10
+        assert np.abs(matrix_exp_oracle(g, t) - _horner_oracle(g, t)).max() <= bound
+
+    def test_calls_no_eigensolver(self, monkeypatch):
+        g = G.cycle(6)
+        walk = transition_matrix(decompose(g), 4.1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle called an eigensolver")
+
+        for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        assert np.abs(matrix_exp_oracle(g, 4.1) - walk).max() < 1e-10
+
+    def test_peak_memory_on_cube7(self):
+        g = G.hypercube(7)
+        n = g.order
+        matrix_exp_oracle(g, 1.6)
+        tracemalloc.start()
+        try:
+            matrix_exp_oracle(g, 1.6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 16 * n * n, peak
 
     def test_matches_spectral_on_c6(self):
         g = G.cycle(6)
@@ -667,6 +741,23 @@ class TestTimeMemo:
         held = dec._time_memo.get("oracle", {})
         assert sum(u.nbytes for u in held.values()) <= cap
         assert list(held) == seen[len(seen) - int(entries):]  # the oldest went first
+
+    @pytest.mark.parametrize("spec", ["cube:5", "path:6", "prod(star:16,path:2)"])
+    def test_lattice_once_per_part_pair(self, monkeypatch, spec):
+        g = parse_graph_spec(spec)
+        pairs = strongly_cospectral_candidates(decompose(g))
+        fresh = [certify_pair(decompose(g), a, b, CFG) for a, b in pairs]
+        calls = []
+
+        def counting(plus, minus):
+            calls.append((plus, minus))
+            return lattice_step(plus, minus)
+
+        monkeypatch.setattr(walks_mod, "lattice_step", counting)
+        dec = decompose(g)
+        assert [certify_pair(dec, a, b, CFG) for a, b in pairs] == fresh
+        parts = {(pc.profile.phi_plus, pc.profile.phi_minus) for pc in fresh}
+        assert len(calls) == len(parts) < len(pairs)
 
     def test_memo_entries_read_only(self):
         dec = decompose(G.cycle(6))
