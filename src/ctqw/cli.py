@@ -27,7 +27,7 @@ import numpy as np
 
 from ctqw import graphs as G
 from ctqw.graphs import GraphFormatError, WeightedGraph, _check_order
-from ctqw.spectral import decompose, strongly_cospectral_candidates
+from ctqw.spectral import decompose, pair_profiles, strongly_cospectral_candidates
 from ctqw.suite import ALL_GROUPS, run_groups
 from ctqw.walks import (
     KIND_PERIODIC,
@@ -384,8 +384,10 @@ def run_analysis(
 ) -> RunReport:
     """Full pipeline: decompose, screen and profile pairs, certify, optionally scan.
 
-    Only the pairs that strongly_cospectral_candidates keeps are profiled;
-    the screen never drops a pair that pair_profile would accept.
+    The pairs that strongly_cospectral_candidates keeps are profiled in one
+    pair_profiles call; the screen never drops a pair that pair_profile
+    would accept. Predicates are built JSON-ready, floats through
+    _round_float.
     """
     timing: dict[str, float] = {}
     predicates: dict[str, dict] = {}
@@ -413,17 +415,17 @@ def run_analysis(
         n = graph.order
         pairs = strongly_cospectral_candidates(dec)
         logger.debug("screened %d pairs to %d candidates", n * (n - 1) // 2, len(pairs))
-        for a, b in pairs:
-            pc = certify_pair(dec, a, b, cfg)
-            if not pc.profile.strongly_cospectral:
+        for prof in pair_profiles(dec, pairs):
+            if not prof.strongly_cospectral:
                 continue
+            pc = certify_pair(dec, prof, cfg)
             entry: dict = {
                 "strongly_cospectral": True,
-                "parallel": pc.profile.parallel,
-                "cospectral": pc.profile.cospectral,
-                "perron_anchor_valid": pc.profile.perron_anchor_valid,
-                "phi_plus": sorted(pc.profile.phi_plus),
-                "phi_minus": sorted(pc.profile.phi_minus),
+                "parallel": prof.parallel,
+                "cospectral": prof.cospectral,
+                "perron_anchor_valid": prof.perron_anchor_valid,
+                "phi_plus": sorted(prof.phi_plus),
+                "phi_minus": sorted(prof.phi_minus),
             }
             if pc.classification is not None:
                 entry["classification"] = pc.classification.kind
@@ -433,10 +435,10 @@ def run_analysis(
             else:
                 entry["classification"] = f"not classifiable: {pc.failure}"
                 if pc.witness is not None and pc.witness.witness_ratio is not None:
-                    entry["witness_ratio"] = pc.witness.witness_ratio
+                    entry["witness_ratio"] = _round_float(pc.witness.witness_ratio)
             if pc.classification is not None or pc.tau_step is not None:
-                entry["tau_step"] = pc.tau_step
-            predicates[f"pair({a},{b})"] = entry
+                entry["tau_step"] = None if pc.tau_step is None else _round_float(pc.tau_step)
+            predicates[f"pair({prof.a},{prof.b})"] = entry
             keep(pc.certificates)
         timing["certify"] = (time.perf_counter() - t0) * 1000.0
 
@@ -458,7 +460,7 @@ def run_analysis(
             "weights": graph.weights.tolist(),
         },
         certificates=[certificate_to_json(c, graph.name) for c in certificates],
-        predicates=_jsonify(predicates),
+        predicates=predicates,
         timing_ms=_jsonify(timing),
         health_warnings=health,
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,10 @@ TOL_SUPPORT = 1e-9
 _SCREEN_TOL = 10 * max(TOL_SPEC, TOL_SUPPORT)
 #: slack of the parallel screen on top of its own (see parallel_partners)
 _PARALLEL_MARGIN = 10 * TOL_SPEC
+#: band around each threshold of pair_profiles within which the row rule decides
+_ROW_BAND = 1e-12
+#: byte budget of one (n, pairs) array of pair_profiles
+_PAIR_BLOCK_BYTES = 2**18
 
 
 def default_group_tol(a: np.ndarray) -> float:
@@ -183,8 +188,8 @@ def strongly_cospectral_candidates(dec: SpectralDecomposition) -> list[tuple[int
       most TOL_SUPPORT, and so is each deviation;
     - SpectralDecomposition.projector forms E_r exactly symmetric, so the
       E_bb half is the transpose of the E_aa half; its entries and the rows
-      pair_profile reads are two roundings of the same sums over the basis,
-      ulps apart, well inside the factor 10 of _SCREEN_TOL.
+      the row rule of pair_profiles reads are two roundings of the same sums
+      over the basis, ulps apart, well inside the factor 10 of _SCREEN_TOL.
 
     The maximum is accumulated one eigenvalue group at a time in (n, n)
     arrays, each E_r formed from the basis and dropped: O(n^3) work, O(n^2)
@@ -256,12 +261,118 @@ class PairProfile:
 
 def pair_profile(dec: SpectralDecomposition, a: int, b: int) -> PairProfile:
     """Classify the spectral relation between distinct vertices a and b."""
-    if a == b:
-        raise ValueError("pair_profile needs two distinct vertices")
-    for v in (a, b):
-        if not (0 <= v < dec.order):
-            raise ValueError(f"vertex {v} out of range")
+    return pair_profiles(dec, [(a, b)])[0]
 
+
+def pair_profiles(dec: SpectralDecomposition, pairs) -> list[PairProfile]:
+    """The PairProfile of each pair (a, b) of distinct vertices, in order.
+
+    A pair reads O(n) eigenvector coordinates x_a = V^T e_a and x_b, not the
+    O(n^2) rows E_r e_a and E_r e_b of _row_profile, which stays the
+    reference. Pairs are vectorised in blocks whose (n, pairs) arrays fit
+    _PAIR_BLOCK_BYTES. Per group r, E_aa and E_bb are the stored diagonals,
+    E_ab is the group sum of x_a x_b, and D_r = ||x_a - s x_b||_2, s =
+    sign(E_ab) (+1 at 0), is a group sum of squares of differences formed
+    before squaring, so nothing cancels. The decisions are the row rule's:
+
+    - Support and parallel: ||E_r e_a|| = sqrt(E_aa) and (E_r e_a).(E_r e_b)
+      = E_ab. Both rules round the same sums over the basis, apart by under
+      1e-15 on graphs of order 600, far inside _ROW_BAND. The cospectral
+      test reads the diagonals in both.
+    - Strong: with orthonormal V_r, the largest entry of E_r (e_a - s e_b) =
+      V_r (x_a - s x_b) lies in [D_r / sqrt(n), D_r]. The row rule reads its
+      sign s' at the largest entry of |E_r e_a|. When ||E_r e_a|| > sqrt(n)
+      TOL_SPEC that entry exceeds TOL_SPEC, so a sign under which the row's
+      entries agree to TOL_SPEC is the sign there, s'; and then E_r e_b =
+      s' E_r e_a + delta with ||delta|| <= sqrt(n) TOL_SPEC < ||E_r e_a||,
+      so E_ab = s' E_aa + (E_r e_a).delta has the sign s' = s. Such a row
+      passes if D_r <= TOL_SPEC and fails if D_r > sqrt(n) TOL_SPEC. Any
+      row fails if sqrt(E_bb) - sqrt(E_aa), a lower bound on ||E_r (e_a +-
+      e_b)||, exceeds sqrt(n) TOL_SPEC.
+
+    Each threshold is widened by _ROW_BAND. A pair is strongly cospectral
+    when every live row passes and is not when one fails. It takes the row
+    rule when neither holds, which leaves D_r in (TOL_SPEC, sqrt(n)
+    TOL_SPEC] and ||E_r e_a|| <= sqrt(n) TOL_SPEC to that rule, or when its
+    support or parallel test falls within _ROW_BAND of its threshold.
+    """
+    idx = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    if (idx[:, 0] == idx[:, 1]).any():
+        raise ValueError("pair_profile needs two distinct vertices")
+    outside = idx[(idx < 0) | (idx >= dec.order)]
+    if len(outside):
+        raise ValueError(f"vertex {outside[0]} out of range")
+    step = max(1, _PAIR_BLOCK_BYTES // (8 * dec.order))
+    out: list[PairProfile] = []
+    for start in range(0, len(idx), step):
+        out.extend(_block_profiles(dec, idx[start : start + step]))
+    return out
+
+
+def _block_profiles(dec: SpectralDecomposition, idx: np.ndarray) -> list[PairProfile]:
+    """pair_profiles on one block of (a, b) rows; see there."""
+    a, b = idx.T
+    x_a, x_b = dec._basis[:, a], dec._basis[:, b]
+    e_ab = dec._group_sums(x_a * x_b)
+    e_aa, e_bb = dec.diagonals[:, a], dec.diagonals[:, b]
+    sign = np.where(e_ab >= 0, 1.0, -1.0)
+    x_b *= sign[dec.group_of]
+    x_a -= x_b
+    dev = np.sqrt(dec._group_sums(np.square(x_a, out=x_a)))
+
+    n_a, n_b = np.sqrt(e_aa), np.sqrt(e_bb)
+    sup_a = n_a > TOL_SUPPORT
+    live = sup_a | (n_b > TOL_SUPPORT)
+    gap = np.abs(np.abs(e_ab) - n_a * n_b)
+    parallel = ~(live & (gap > TOL_SPEC)).any(axis=0)
+    cospectral = np.abs(e_aa - e_bb).max(axis=0) <= TOL_SPEC
+    spread = math.sqrt(dec.order) * TOL_SPEC + _ROW_BAND
+    signed = n_a > spread
+    passes = signed & (dev <= TOL_SPEC - _ROW_BAND)
+    fails = (signed & (dev > spread)) | (n_b - n_a > spread)
+    strongly = ~(live & ~passes).any(axis=0)
+    decided = strongly | (live & fails).any(axis=0)
+    near = (np.abs(n_a - TOL_SUPPORT) <= _ROW_BAND) | (np.abs(n_b - TOL_SUPPORT) <= _ROW_BAND)
+    near |= live & (np.abs(gap - TOL_SPEC) <= _ROW_BAND)
+    decided &= ~near.any(axis=0)
+
+    strong_rows = live & strongly
+    plus = _row_sets(strong_rows & (sign > 0))
+    minus = _row_sets(strong_rows & (sign < 0))
+    out = []
+    for p, ((va, vb), sup) in enumerate(zip(idx.tolist(), _row_sets(sup_a))):
+        if not decided[p]:
+            out.append(_row_profile(dec, va, vb))
+            continue
+        strong = bool(strongly[p])
+        out.append(
+            PairProfile(
+                a=va,
+                b=vb,
+                support=sup,
+                parallel=bool(parallel[p]),
+                cospectral=bool(cospectral[p]),
+                strongly_cospectral=strong,
+                phi_plus=plus[p],
+                phi_minus=minus[p],
+                perron_anchor_valid=bool(strong and dec.nonnegative and 0 in plus[p]),
+            )
+        )
+    return out
+
+
+def _row_sets(mask: np.ndarray) -> list[frozenset]:
+    """The rows set in each column of a (d, pairs) mask."""
+    cols, rows = np.nonzero(mask.T)
+    bounds = np.searchsorted(cols, np.arange(mask.shape[1] + 1)).tolist()
+    rows = rows.tolist()
+    return [frozenset(rows[i:j]) for i, j in zip(bounds, bounds[1:])]
+
+
+def _row_profile(dec: SpectralDecomposition, a: int, b: int) -> PairProfile:
+    """The profile of a pair read from the rows E_r e_a and E_r e_b: the
+    reference pair_profiles agrees with, and its rule for pairs near a
+    threshold."""
     cols_a = dec.rows(a)
     cols_b = dec.rows(b)
     norms_a = np.linalg.norm(cols_a, axis=1)

@@ -17,7 +17,7 @@ import numpy as np
 
 from ctqw import graphs as G
 from ctqw.numtheory import rationalize, ratio_condition
-from ctqw.spectral import SpectralDecomposition, decompose, pair_profile, strongly_cospectral_candidates
+from ctqw.spectral import SpectralDecomposition, decompose, pair_profile, pair_profiles, strongly_cospectral_candidates
 from ctqw.walks import (
     KIND_BALANCED,
     KIND_FR,
@@ -123,7 +123,7 @@ def _positive_certifications(cfg: DetectionConfig) -> dict[str, tuple[SpectralDe
     out = {}
     for g, a, b in cases:
         dec = _decomposition(g)
-        out[g.name] = (dec, certify_pair(dec, a, b, cfg))
+        out[g.name] = (dec, certify_pair(dec, pair_profile(dec, a, b), cfg))
     return out
 
 
@@ -190,7 +190,7 @@ def cycle_rows(cfg: DetectionConfig) -> list[RowResult]:
             vals = [float(dec.eigenvalues[r]) for r in sorted(prof.phi_plus)]
             rep = ratio_condition(vals)
             route = "revival-route ratio on the plus part"
-        pc = certify_pair(dec, 0, n // 2, cfg)
+        pc = certify_pair(dec, prof, cfg)
         no_events = _first_event(pc.certificates) is None
         witness_ok = (not rep.holds) and rep.witness is not None
         rows.append(
@@ -266,8 +266,8 @@ def path_rows(cfg: DetectionConfig) -> list[RowResult]:
         dec = decompose(G.path(n))
         events = []
         # the screen never drops a pair that pair_profile accepts
-        for a, b in strongly_cospectral_candidates(dec):
-            events.extend(c for c in certify_pair(dec, a, b, cfg).certificates if c.kind != KIND_PERIODIC)
+        for prof in pair_profiles(dec, strongly_cospectral_candidates(dec)):
+            events.extend(c for c in certify_pair(dec, prof, cfg).certificates if c.kind != KIND_PERIODIC)
         rows.append(_row("paths", f"P{n}: no certificate from any pair", len(events) == 0, f"found {len(events)}"))
 
     for n in (5, 7, 9):

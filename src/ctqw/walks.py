@@ -419,10 +419,10 @@ class PairCertification:
 
 
 def certify_pair(
-    dec: SpectralDecomposition, a: int, b: int, cfg: DetectionConfig = DetectionConfig()
+    dec: SpectralDecomposition, prof: PairProfile, cfg: DetectionConfig = DetectionConfig()
 ) -> PairCertification:
-    """profile -> lattice -> certify, then classify the support, capturing failures."""
-    prof = pair_profile(dec, a, b)
+    """lattice -> certify, then classify the support of a profiled pair,
+    capturing failures."""
     if not prof.strongly_cospectral:
         return PairCertification(prof, None, None, (), "not strongly cospectral", None)
     solved, step, cls, failure, witness = _solve_parts(dec, prof.phi_plus, prof.phi_minus)
@@ -438,18 +438,34 @@ def _solve_parts(dec: SpectralDecomposition, phi_plus: frozenset, phi_minus: fro
     memo = dec._time_memo.setdefault("parts", {})
     key = (phi_plus, phi_minus)
     if key not in memo:
-        theta = dec.eigenvalues
-        plus_vals = [float(theta[r]) for r in sorted(phi_plus)]
-        minus_vals = [float(theta[r]) for r in sorted(phi_minus)]
-        try:
-            step, delta = lattice_step(plus_vals, minus_vals)
-        except NotClassifiable as exc:
-            memo[key] = (False, None, None, exc.reason, exc.witness)
+        plus, minus = tuple(sorted(phi_plus)), tuple(sorted(phi_minus))
+        lattice = _lattice(dec, plus, minus)
+        if isinstance(lattice, NotClassifiable):
+            memo[key] = (False, None, None, lattice.reason, lattice.witness)
         else:
+            step, delta = lattice
+            theta = dec.eigenvalues
             try:
-                memo[key] = (True, step, classify(plus_vals, minus_vals, delta), None, None)
+                memo[key] = (True, step, classify(theta[list(plus)], theta[list(minus)], delta), None, None)
             except NotClassifiable as exc:
                 memo[key] = (True, step, None, exc.reason, None)
+    return memo[key]
+
+
+def _lattice(dec: SpectralDecomposition, plus: tuple, minus: tuple):
+    """lattice_step on the eigenvalues of the sorted groups plus and minus, or
+    the NotClassifiable it raises; solved once per decomposition and ordered
+    pair (plus, minus). lattice_step sorts the values of each part itself,
+    so the times of every caller are bit-equal to a direct call."""
+    memo = dec._time_memo.setdefault("lattice", {})
+    key = (plus, minus)
+    if key not in memo:
+        theta = dec.eigenvalues
+        try:
+            memo[key] = lattice_step(theta[list(plus)], theta[list(minus)])
+        except NotClassifiable as exc:
+            # without its traceback, whose frames would hold dec in a cycle
+            memo[key] = exc.with_traceback(None)
     return memo[key]
 
 
@@ -486,11 +502,12 @@ def _revival_times(dec: SpectralDecomposition, a: int, b: int, norm: float, cfg:
         logger.debug("no revival from %d to %d: c_r takes %d values, not 2", a, b, len(cut) + 1)
         return np.empty(0)
     plus, minus = np.split(order, cut)
-    try:
-        step, _ = lattice_step(theta[plus], theta[minus])
-    except NotClassifiable as exc:
-        logger.debug("no revival from %d to %d: %s", a, b, exc.reason)
+    groups = np.flatnonzero(sup)
+    lattice = _lattice(dec, tuple(groups[np.sort(plus)].tolist()), tuple(groups[np.sort(minus)].tolist()))
+    if isinstance(lattice, NotClassifiable):
+        logger.debug("no revival from %d to %d: %s", a, b, lattice.reason)
         return np.empty(0)
+    step, _ = lattice
     if step is None:
         taus = np.array(_gap_times(abs(float(theta[plus[0]] - theta[minus[0]]))))
     else:
@@ -780,21 +797,22 @@ def verify_quotient_transport(
     worst = float(np.hypot(diff.real, diff.imag).max())
     entries_ok = worst <= cfg.tol_walk
 
-    cert_q = certify_pair(dec_q, ia, ib, cfg)
-    cert_x = certify_pair(dec_x, a, b, cfg)
+    cert_q = certify_pair(dec_q, pair_profile(dec_q, ia, ib), cfg)
+    cert_x = certify_pair(dec_x, pair_profile(dec_x, a, b), cfg)
     correspondence = True
-    for cert in cert_q.certificates:
-        if cert.kind == KIND_PERIODIC:
-            continue
-        lifted = detect_at(dec_x, a, cert.tau, cfg)
-        if lifted is None or lifted.b != b or abs(lifted.alpha - cert.alpha) > 10 * cfg.tol_walk:
-            correspondence = False
-    for cert in cert_x.certificates:
-        if cert.kind == KIND_PERIODIC:
-            continue
-        dropped = detect_at(dec_q, ia, cert.tau, cfg)
-        if dropped is None or dropped.b != ib or abs(dropped.alpha - cert.alpha) > 10 * cfg.tol_walk:
-            correspondence = False
+    for certs, other, dec, v, w in (
+        (cert_q.certificates, cert_x.certificates, dec_x, a, b),
+        (cert_x.certificates, cert_q.certificates, dec_q, ia, ib),
+    ):
+        # each side's certificate at tau is detect_at's event there, so the
+        # other side detects only at a tau this side lacks
+        found = {c.tau: c for c in other}
+        for cert in certs:
+            if cert.kind == KIND_PERIODIC:
+                continue
+            image = found.get(cert.tau) or detect_at(dec, v, cert.tau, cfg)
+            if image is None or image.b != w or abs(image.alpha - cert.alpha) > 10 * cfg.tol_walk:
+                correspondence = False
     return {
         "max_entry_difference": worst,
         "entries_ok": entries_ok,

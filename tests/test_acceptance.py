@@ -13,7 +13,7 @@ import numpy as np
 from ctqw import graphs as G
 from ctqw import suite
 from ctqw import walks as walks_mod
-from ctqw.spectral import decompose
+from ctqw.spectral import decompose, pair_profile
 from ctqw.suite import (
     classification_rows,
     construction_rows,
@@ -49,7 +49,7 @@ def test_criterion_1_c6_revival():
         and abs(cert.beta - 1j * math.sqrt(3) / 2) <= 1e-6
         and cert.residual <= 1e-8
     )
-    grid = [c for c in certify_pair(dec, 0, 3, CFG).certificates if c.kind != "periodic"]
+    grid = [c for c in certify_pair(dec, pair_profile(dec, 0, 3), CFG).certificates if c.kind != "periodic"]
     ok = ok and grid and abs(grid[0].tau - tau) <= 1e-6 * tau
     status = "PASS" if ok else "FAIL"
     print(f"criterion 1: {status} - C6 revival (-1/2, i sqrt(3)/2) at 2pi/3, cross-validated on the grid")
@@ -112,9 +112,9 @@ def test_double_cone_certified_once_for_both_groups(monkeypatch):
     certified = []
     original = walks_mod.certify_pair
 
-    def recording(dec, a, b, cfg=CFG):
-        certified.append((hashlib.blake2b(dec.matrix.tobytes()).hexdigest(), a, b))
-        return original(dec, a, b, cfg)
+    def recording(dec, prof, cfg=CFG):
+        certified.append((hashlib.blake2b(dec.matrix.tobytes()).hexdigest(), prof.a, prof.b))
+        return original(dec, prof, cfg)
 
     monkeypatch.setattr(walks_mod, "certify_pair", recording)
     monkeypatch.setattr(suite, "certify_pair", recording)

@@ -27,7 +27,7 @@ from ctqw.cli import (
     run_analysis,
     validate_report,
 )
-from ctqw.spectral import decompose
+from ctqw.spectral import SpectralDecomposition, decompose, pair_profile
 from ctqw.walks import DetectionConfig, NumericalHealthWarning, certify_pair
 
 
@@ -266,13 +266,47 @@ class TestReports:
         pairs, certs = [], set()
         for a in range(g.order):
             for b in range(a + 1, g.order):
-                pc = certify_pair(dec, a, b, cfg)
+                pc = certify_pair(dec, pair_profile(dec, a, b), cfg)
                 if pc.profile.strongly_cospectral:
                     pairs.append(f"pair({a},{b})")
                     certs |= {(c.a, c.b, round(c.tau, 9), c.kind) for c in pc.certificates}
         report = run_analysis(g, cfg)
         assert [k for k in report.predicates if k.startswith("pair(")] == pairs
         assert {(c["a"], c["b"], round(c["tau"], 9), c["kind"]) for c in report.certificates} == certs
+
+    @pytest.mark.parametrize(
+        "graph",
+        [parse_graph_spec("cycle:6"), parse_graph_spec("path:6"), parse_graph_spec("path:2"), G.scale_weights(G.cycle(6), 0.5)],
+        ids=lambda g: g.name,
+    )
+    def test_predicates_are_built_json_ready(self, graph):
+        # plain bools, ints, strings and None, and floats already rounded, so
+        # the report needs no _jsonify pass over them
+        predicates = run_analysis(graph, DetectionConfig()).predicates
+
+        def leaves(value):
+            if isinstance(value, dict):
+                assert all(type(k) is str for k in value)
+                return [x for v in value.values() for x in leaves(v)]
+            if isinstance(value, list):
+                return [x for v in value for x in leaves(v)]
+            return [value]
+
+        found = leaves(predicates)
+        assert {type(x) for x in found} <= {bool, int, float, str, type(None)}
+        assert all(x == cli_mod._round_float(x) for x in found if type(x) is float)
+        assert cli_mod._jsonify(predicates) == predicates
+        assert any(type(x) is float for x in found) or graph.name == "path:2"
+
+    @pytest.mark.parametrize("spec", ["cycle:128", "cube:7"])
+    def test_analysis_reads_no_projector_rows(self, monkeypatch, spec):
+        def refuse(self, a):
+            raise AssertionError("run_analysis read the rows E_r e_a")
+
+        graph = parse_graph_spec(spec)
+        monkeypatch.setattr(SpectralDecomposition, "rows", refuse)
+        report = run_analysis(graph, DetectionConfig())
+        assert sum(k.startswith("pair(") for k in report.predicates) == 64
 
     def test_deterministic(self):
         a = run_analysis(parse_graph_spec("cocktail:3"), DetectionConfig()).payload()

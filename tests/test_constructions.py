@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ctqw import graphs as G
+from ctqw import walks as walks_mod
 from ctqw.spectral import decompose, pair_profile
 from ctqw.walks import (
     KIND_PERIODIC,
@@ -155,6 +156,26 @@ class TestQuotientTransport:
         events = [c for c in rep["quotient_certificates"] if c.kind != KIND_PERIODIC]
         assert events and events[0].tau == pytest.approx(tau, rel=1e-9)
 
+    @pytest.mark.parametrize("shared_taus", [True, False], ids=["shifted", "scaled"])
+    def test_perturbed_cone_fails_correspondence(self, monkeypatch, shared_taus):
+        # the quotient of cone2(C5) shifted by 0.3 I revives at the cone's
+        # times with other phases, so each side reuses the other's
+        # certificate and must still compare amplitudes; scaled by 1.001 it
+        # revives at other times, where each side detects
+        x, part = self.cone_partition(G.cycle(5))
+        exact = walks_mod.quotient
+
+        def perturbed(g, p):
+            q = exact(g, p)
+            w = q.weights + 0.3 * np.eye(q.order) if shared_taus else q.weights * 1.001
+            return G.WeightedGraph(w, q.labels, q.name)
+
+        monkeypatch.setattr(walks_mod, "quotient", perturbed)
+        rep = verify_quotient_transport(x, part, 0, x.order - 1, CFG)
+        taus = [{c.tau for c in rep[k] if c.kind != KIND_PERIODIC} for k in ("quotient_certificates", "source_certificates")]
+        assert all(taus) and (taus[0] == taus[1]) == shared_taus
+        assert not rep["correspondence_ok"] and not rep["holds"]
+
     def test_all_singletons_trivial(self):
         g = G.cycle(6)
         part = G.coarsest_equitable_refinement(g, [[v] for v in range(6)])
@@ -215,7 +236,8 @@ class TestBipartiteStructure:
 
     def test_odd_cycle_not_applicable(self):
         g = G.cocktail_party(3)
-        assert certify_pair(decompose(g), 0, 1, CFG).certificates
+        dec = decompose(g)
+        assert certify_pair(dec, pair_profile(dec, 0, 1), CFG).certificates
         assert G.bipartition(g) is None
 
     def test_every_revival_pair_is_parallel(self):

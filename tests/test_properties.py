@@ -243,14 +243,18 @@ def _assert_same_times(got, want, scale=1.0):
         assert math.isclose(g[-1], scale * w[-1], rel_tol=1e-9)
 
 
+def _certify(dec, a, b):
+    return certify_pair(dec, pair_profile(dec, a, b))
+
+
 def _assert_scaling_divides_certified_times(spec, c):
     g = parse_graph_spec(spec)
     dec, scaled = decompose(g), decompose(G.scale_weights(g, c))
     pairs = strongly_cospectral_candidates(dec)
     assert pairs
     for a, b in pairs:
-        want = [(x.a, x.b, x.kind, x.tau) for x in certify_pair(dec, a, b).certificates]
-        got = [(x.a, x.b, x.kind, x.tau) for x in certify_pair(scaled, a, b).certificates]
+        want = [(x.a, x.b, x.kind, x.tau) for x in _certify(dec, a, b).certificates]
+        got = [(x.a, x.b, x.kind, x.tau) for x in _certify(scaled, a, b).certificates]
         assert want
         _assert_same_times(got, want, 1.0 / c)
 
@@ -285,8 +289,8 @@ class TestMetamorphic:
         dec = decompose(g)
         shifted = decompose(G.WeightedGraph(g.weights + c * np.eye(g.order), g.labels, g.name))
         for a, b in strongly_cospectral_candidates(dec):
-            want = certify_pair(dec, a, b).certificates
-            got = certify_pair(shifted, a, b).certificates
+            want = _certify(dec, a, b).certificates
+            got = _certify(shifted, a, b).certificates
             assert want
             _assert_same_times([(x.a, x.b, x.kind, x.tau) for x in got], [(x.a, x.b, x.kind, x.tau) for x in want])
             for x, y in zip(got, want):
@@ -296,7 +300,7 @@ class TestMetamorphic:
 
     @pytest.mark.parametrize("c", (0.5, math.sqrt(3)))
     def test_scaled_k2_balanced_at_pi_over_4c(self, c):
-        (first, *_) = certify_pair(decompose(G.scale_weights(G.path(2), c)), 0, 1).certificates
+        (first, *_) = _certify(decompose(G.scale_weights(G.path(2), c)), 0, 1).certificates
         assert first.kind == KIND_BALANCED
         assert math.isclose(first.tau, math.pi / (4 * c), rel_tol=1e-12)
 
@@ -314,8 +318,8 @@ class TestMetamorphic:
 
     def test_half_scaled_c6_certified(self):
         c6 = G.cycle(6)
-        want = [(x.b, x.kind, x.tau) for x in certify_pair(decompose(c6), 0, 3).certificates]
-        got = [(x.b, x.kind, x.tau) for x in certify_pair(decompose(G.scale_weights(c6, 0.5)), 0, 3).certificates]
+        want = [(x.b, x.kind, x.tau) for x in _certify(decompose(c6), 0, 3).certificates]
+        got = [(x.b, x.kind, x.tau) for x in _certify(decompose(G.scale_weights(c6, 0.5)), 0, 3).certificates]
         _assert_same_times(got, want, 2.0)
         entry = run_analysis(G.scale_weights(c6, 0.5), DetectionConfig()).predicates["pair(0,3)"]
         assert entry["classification"].startswith("no quadratic-integer description: ")

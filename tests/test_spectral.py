@@ -6,19 +6,22 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ctqw import graphs as G
+from ctqw import spectral as spectral_mod
 from ctqw.cli import parse_graph_spec
 from ctqw.spectral import (
     _PARALLEL_MARGIN,
     _SCREEN_TOL,
     TOL_SPEC,
     TOL_SUPPORT,
+    PairProfile,
     decompose,
     default_group_tol,
     pair_profile,
+    pair_profiles,
     parallel_partners,
     strongly_cospectral_candidates,
 )
@@ -591,3 +594,156 @@ class TestParallelScreen:
         assert e[0, 0] * e[3, 3] - e[0, 3] ** 2 == pytest.approx((1 - (1 - 1e-5) ** 2) / 9, rel=1e-6)
         assert 3 not in parallel_partners(nudged, 0, 0.0).tolist()
         assert 3 in parallel_partners(nudged, 0, 1e-4).tolist()
+
+
+def row_rule_profile(dec, a, b):
+    """A copy of spectral._row_profile: the profile read from the rows E_r e_a
+    and E_r e_b, each row's sign taken at the first largest entry of |E_r e_a|."""
+    cols_a, cols_b = dec.rows(a), dec.rows(b)
+    norms_a = np.linalg.norm(cols_a, axis=1)
+    norms_b = np.linalg.norm(cols_b, axis=1)
+    sup_a = norms_a > TOL_SUPPORT
+    live = np.nonzero(sup_a | (norms_b > TOL_SUPPORT))[0]
+    ua, ub = cols_a[live], cols_b[live]
+    ip = np.abs((ua * ub).sum(axis=1))
+    parallel = bool((np.abs(ip - norms_a[live] * norms_b[live]) <= TOL_SPEC).all())
+    cospectral = bool(np.abs(dec.diagonals[:, a] - dec.diagonals[:, b]).max() <= TOL_SPEC)
+    k = np.argmax(np.abs(ua), axis=1)
+    rows = np.arange(len(live))
+    sign = np.where(ua[rows, k] * ub[rows, k] >= 0, 1.0, -1.0)
+    strongly = bool((np.abs(ua - sign[:, None] * ub).max(axis=1) <= TOL_SPEC).all())
+    plus = frozenset(live[sign > 0].tolist()) if strongly else frozenset()
+    minus = frozenset(live[sign < 0].tolist()) if strongly else frozenset()
+    return PairProfile(
+        a=a,
+        b=b,
+        support=frozenset(np.nonzero(sup_a)[0].tolist()),
+        parallel=parallel,
+        cospectral=cospectral,
+        strongly_cospectral=strongly,
+        phi_plus=plus,
+        phi_minus=minus,
+        perron_anchor_valid=bool(strongly and dec.nonnegative and 0 in plus),
+    )
+
+
+_SIGNED_WEIGHTS = [-2.0, -1.0, -0.5, 0.0, 0.0, 0.0, 0.5, 1.0, 1.5]
+
+
+@st.composite
+def signed_graphs_with_twins(draw, min_order=2):
+    """Random signed weighted graphs with loops, plus a twin of vertex 0:
+    vertex n copies its row and potential, and the two may share an edge.
+    Twins are strongly cospectral unless the eigenvalue of e_0 - e_n is
+    also one of the rest of the graph's."""
+    n = draw(st.integers(min_order, 8))
+    w = np.zeros((n + 1, n + 1))
+    w[np.triu_indices(n, 1)] = draw(st.lists(st.sampled_from(_SIGNED_WEIGHTS), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    w += w.T
+    w[np.diag_indices(n)] = draw(st.lists(st.sampled_from([-1.0, 0.0, 0.0, 1.0]), min_size=n, max_size=n))
+    w[n, :n] = w[:n, n] = w[0, :n]
+    w[n, n] = w[0, 0]
+    w[0, n] = w[n, 0] = draw(st.sampled_from(_SIGNED_WEIGHTS))
+    return G.WeightedGraph(w, tuple(str(i) for i in range(n + 1)), f"twins:{n + 1}")
+
+
+def nudge_vertex_in_group(dec, b, r, delta):
+    """dec with delta added to the first coordinate of vertex b in the basis
+    of group r: for a strongly cospectral pair (a, b), ||V_r^T (e_a - s
+    e_b)|| becomes delta, and the largest entry of E_r (e_a - s e_b) lies
+    in [delta / sqrt(n), delta]."""
+    vectors = dec.vectors.copy()
+    vectors[b, np.flatnonzero(dec.group_of == r)[0]] += delta
+    return dataclasses.replace(dec, vectors=vectors)
+
+
+def counting_row_rule(calls):
+    """spectral._row_profile, recording each pair it decides in calls."""
+    row_rule = spectral_mod._row_profile
+
+    def counting(dec, a, b):
+        calls.append((a, b))
+        return row_rule(dec, a, b)
+
+    return counting
+
+
+class TestPairProfiles:
+    """pair_profiles against the row rule, on every pair and near each threshold."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(signed_graphs_with_twins(), random_weighted_graphs(_SIGNED_WEIGHTS)))
+    def test_equals_row_rule_on_every_pair(self, g):
+        dec = decompose(g)
+        pairs = [(a, b) for a in range(g.order) for b in range(g.order) if a != b]
+        assert pair_profiles(dec, pairs) == [row_rule_profile(dec, a, b) for a, b in pairs]
+
+    @settings(max_examples=40, deadline=None)
+    @given(signed_graphs_with_twins(min_order=4), st.data())
+    def test_perturbed_pairs_equal_row_rule(self, g, data):
+        dec = decompose(g)
+        a, b = 0, g.order - 1
+        good = row_rule_profile(dec, a, b)
+        assume(good.strongly_cospectral)
+        r = data.draw(st.sampled_from(sorted(good.phi_plus | good.phi_minus)))
+        root_n = math.sqrt(g.order)
+        assert root_n > 2.02
+        # (deviation of E_r (e_a - s e_b), whether it falls in the row rule's band)
+        cases = [(f * TOL_SPEC, f > 1) for f in (0.5, 0.99, 1.01, 2.0)] + [(1.01 * root_n * TOL_SPEC, False)]
+        row_calls = []
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(spectral_mod, "_row_profile", counting_row_rule(row_calls))
+            for delta, banded in cases:
+                nudged = nudge_vertex_in_group(dec, b, r, delta)
+                row_calls.clear()
+                assert pair_profiles(nudged, [(a, b)]) == [row_rule_profile(nudged, a, b)]
+                assert bool(row_calls) == banded, delta
+            # the support test: a's coordinates in group r scaled to norm
+            # TOL_SUPPORT +- 1e-13, inside the band of 1e-12
+            norm = math.sqrt(dec.diagonals[r, a])
+            for target in (TOL_SUPPORT - 1e-13, TOL_SUPPORT + 1e-13):
+                nudged = scale_vertex_in_group(dec, a, r, target / norm)
+                row_calls.clear()
+                assert pair_profiles(nudged, [(a, b), (b, a)]) == [
+                    row_rule_profile(nudged, a, b), row_rule_profile(nudged, b, a)
+                ]
+                assert row_calls == [(a, b), (b, a)]
+            # a and b scaled alike to 2 TOL_SUPPORT in group r: the deviation
+            # stays near 0, but ||E_r e_a|| <= sqrt(n) TOL_SPEC leaves the sign
+            # of the row to the row rule
+            f = 2 * TOL_SUPPORT / norm
+            nudged = scale_vertex_in_group(scale_vertex_in_group(dec, a, r, f), b, r, f)
+            row_calls.clear()
+            assert pair_profiles(nudged, [(a, b)]) == [row_rule_profile(nudged, a, b)]
+            assert row_calls == [(a, b)]
+
+    @pytest.mark.parametrize("offset", [-1e-13, 1e-13])
+    def test_parallel_band_takes_row_rule(self, monkeypatch, offset):
+        # C6 antipodes with the coordinates of 0 turned in a two-dimensional
+        # eigenspace until |E_03| falls short of sqrt(E_00 E_33) by TOL_SPEC
+        # + offset, inside the band of 1e-12
+        good = decompose(G.cycle(6))
+        r = int(np.argmax(np.abs(good.entries(0, 3))))
+        e = abs(good.entries(0, 3)[r])
+        nudged = rotate_vertex_in_group(good, 0, r, math.acos(1 - (TOL_SPEC + offset) / e))
+        gap = math.sqrt(nudged.diagonals[r, 0] * nudged.diagonals[r, 3]) - abs(nudged.entries(0, 3)[r])
+        assert abs(gap - TOL_SPEC - offset) <= 1e-15
+        row_calls = []
+        monkeypatch.setattr(spectral_mod, "_row_profile", counting_row_rule(row_calls))
+        assert pair_profiles(nudged, [(0, 3)]) == [row_rule_profile(nudged, 0, 3)]
+        assert row_calls == [(0, 3)]
+
+    def test_blocks_equal_one_pass(self, monkeypatch):
+        dec = decompose(G.cycle(32))
+        pairs = [(a, b) for a in range(32) for b in range(32) if a != b]
+        whole = pair_profiles(dec, pairs)
+        monkeypatch.setattr(spectral_mod, "_PAIR_BLOCK_BYTES", 3 * 8 * 32)
+        assert pair_profiles(dec, pairs) == whole == [row_rule_profile(dec, a, b) for a, b in pairs]
+
+    def test_rejects_bad_pairs(self):
+        dec = decompose(G.path(4))
+        assert pair_profiles(dec, []) == []
+        with pytest.raises(ValueError, match="distinct"):
+            pair_profiles(dec, [(0, 1), (2, 2)])
+        with pytest.raises(ValueError, match="vertex 4 out of range"):
+            pair_profiles(dec, [(0, 1), (4, 1)])

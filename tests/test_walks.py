@@ -1,9 +1,11 @@
 """Walk evaluation, detection, certification, scans, and angle consequences."""
 
+import gc
 import json
 import math
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +48,10 @@ from ctqw.walks import (
 )
 
 CFG = DetectionConfig()
+
+
+def _certify(dec, a, b):
+    return certify_pair(dec, pair_profile(dec, a, b), CFG)
 
 
 def weighted_p3(omega):
@@ -164,6 +170,11 @@ class TestOracle:
     def test_equals_the_horner_form(self, g, phase):
         norm = float(np.abs(g.weights).sum(axis=1).max())
         t = phase / norm if norm > 0 else phase
+        if not math.isfinite(t):
+            # a subnormal ||A|| overflows the time: the oracle rejects it
+            with pytest.raises(ValueError):
+                matrix_exp_oracle(g, t)
+            return
         bound = 1e-12 if phase <= 1e3 else 1e-10
         assert np.abs(matrix_exp_oracle(g, t) - _horner_oracle(g, t)).max() <= bound
 
@@ -271,7 +282,7 @@ class TestDetect:
 class TestCertify:
     def test_c6_grid(self):
         dec = decompose(G.cycle(6))
-        pc = certify_pair(dec, 0, 3, CFG)
+        pc = _certify(dec, 0, 3)
         kinds = [c.kind for c in pc.certificates]
         assert kinds == [KIND_FR, KIND_FR, KIND_PERIODIC]
         assert pc.certificates[0].tau == pytest.approx(2 * math.pi / 3, rel=1e-12)
@@ -279,23 +290,23 @@ class TestCertify:
 
     def test_p3_transfer_from_grid(self):
         dec = decompose(G.path(3))
-        pc = certify_pair(dec, 0, 2, CFG)
+        pc = _certify(dec, 0, 2)
         assert pc.certificates[0].kind == KIND_PST
         assert pc.certificates[0].tau == pytest.approx(math.pi / math.sqrt(2), rel=1e-12)
 
     def test_p2_fallback_times(self):
         dec = decompose(G.path(2))
-        pc = certify_pair(dec, 0, 1, CFG)
+        pc = _certify(dec, 0, 1)
         kinds_taus = [(c.kind, c.tau) for c in pc.certificates]
         assert kinds_taus[0][0] == KIND_BALANCED
         assert kinds_taus[0][1] == pytest.approx(math.pi / 4, rel=1e-12)
         assert kinds_taus[1][0] == KIND_PST
 
     def test_cocktail_parties(self):
-        pc3 = certify_pair(decompose(G.cocktail_party(3)), 0, 1, CFG)
+        pc3 = _certify(decompose(G.cocktail_party(3)), 0, 1)
         kinds3 = {c.kind for c in pc3.certificates}
         assert KIND_FR in kinds3 and KIND_PST not in kinds3
-        pc4 = certify_pair(decompose(G.cocktail_party(4)), 0, 1, CFG)
+        pc4 = _certify(decompose(G.cocktail_party(4)), 0, 1)
         taus = {}
         for c in pc4.certificates:
             taus.setdefault(c.kind, c.tau)
@@ -311,7 +322,7 @@ class TestCertify:
     def test_unclassifiable_pairs_produce_nothing(self):
         for n in (5, 6, 8):
             dec = decompose(G.path(n))
-            pc = certify_pair(dec, 0, n - 1, CFG)
+            pc = _certify(dec, 0, n - 1)
             assert pc.classification is None
             assert pc.certificates == ()
             assert pc.failure is not None
@@ -320,7 +331,7 @@ class TestCertify:
         y = G.cycle(5)
         x = G.double_cone(y)
         dec = decompose(x)
-        pc = certify_pair(dec, 0, x.order - 1, CFG)
+        pc = _certify(dec, 0, x.order - 1)
         tau = 2 * math.pi / math.sqrt(2 * 2 + 8 * 5)
         fr = [c for c in pc.certificates if c.kind != KIND_PERIODIC][0]
         assert fr.tau == pytest.approx(tau, rel=1e-12)
@@ -335,13 +346,13 @@ class TestLatticeGrid:
         for spec, rows in recorded.items():
             dec = decompose(parse_graph_spec(spec))
             for a, b, step, delta in rows:
-                pc = certify_pair(dec, a, b, CFG)
+                pc = _certify(dec, a, b)
                 assert (pc.tau_step, pc.classification.delta) == (step, delta), (spec, a, b)
 
     def test_grid_stops_at_the_phase_bound(self):
         g = G.path(4)
         dec = decompose(G.WeightedGraph(g.weights + 1e4 * np.eye(4), g.labels, "path:4+1e4"))
-        pc = certify_pair(dec, 0, 3, CFG)
+        pc = _certify(dec, 0, 3)
         limit = walks_mod.MAX_PHASE / walks_mod.phase_norm(dec)
         assert pc.tau_step == pytest.approx(2 * math.pi / math.sqrt(5))
         assert len(pc.certificates) == int(limit / pc.tau_step)
@@ -670,7 +681,7 @@ def _all_pair_certificates(dec):
     certs = []
     for a in range(dec.order):
         for b in range(a + 1, dec.order):
-            certs.extend(certify_pair(dec, a, b, CFG).certificates)
+            certs.extend(_certify(dec, a, b).certificates)
     return certs
 
 
@@ -746,7 +757,7 @@ class TestTimeMemo:
     def test_lattice_once_per_part_pair(self, monkeypatch, spec):
         g = parse_graph_spec(spec)
         pairs = strongly_cospectral_candidates(decompose(g))
-        fresh = [certify_pair(decompose(g), a, b, CFG) for a, b in pairs]
+        fresh = [_certify(decompose(g), a, b) for a, b in pairs]
         calls = []
 
         def counting(plus, minus):
@@ -755,17 +766,53 @@ class TestTimeMemo:
 
         monkeypatch.setattr(walks_mod, "lattice_step", counting)
         dec = decompose(g)
-        assert [certify_pair(dec, a, b, CFG) for a, b in pairs] == fresh
+        assert [_certify(dec, a, b) for a, b in pairs] == fresh
         parts = {(pc.profile.phi_plus, pc.profile.phi_minus) for pc in fresh}
         assert len(calls) == len(parts) < len(pairs)
+
+    def test_scan_solves_each_class_pair_once(self, monkeypatch):
+        calls = []
+
+        def counting(plus, minus):
+            calls.append((tuple(plus), tuple(minus)))
+            return lattice_step(plus, minus)
+
+        monkeypatch.setattr(walks_mod, "lattice_step", counting)
+        g = parse_graph_spec("cube:5")
+        dec = decompose(g)
+        assert scan_fr(dec, range(g.order), None, CFG)
+        lattices = dec._time_memo["lattice"]
+        assert len(calls) == len(set(calls)) == len(lattices)
+        # lattice_step sorts each part, so the order the classes come in
+        # leaves every step bit-equal
+        theta = dec.eigenvalues
+        for (plus, minus), got in lattices.items():
+            assert lattice_step(theta[list(plus)][::-1], theta[list(minus)][::-1]) == got
 
     def test_memo_entries_read_only(self):
         dec = decompose(G.cycle(6))
         detect_at(dec, 0, 2 * math.pi / 3, CFG)
         scan_fr(dec, [0], None, DetectionConfig(t_max=10.0, grid_points=2000))
-        assert list(dec._time_memo) == ["oracle"]  # the scan keeps nothing
+        # the scan keeps only its lattices, immutable tuples
+        assert list(dec._time_memo) == ["oracle", "lattice"]
+        assert all(type(v) is tuple for v in dec._time_memo["lattice"].values())
         for arr in dec._time_memo["oracle"].values():
             assert not arr.flags.writeable
+
+    def test_memo_holds_no_reference_cycle(self):
+        # a memoized NotClassifiable keeps no traceback, whose frames would
+        # hold the decomposition in a cycle that only the collector frees
+        gc.disable()
+        try:
+            dec = decompose(G.path(6))
+            assert _certify(dec, 0, 5).failure == "ratio condition fails on the plus part"
+            scan_fr(dec, range(6), None, CFG)
+            assert any(isinstance(v, Exception) for v in dec._time_memo["lattice"].values())
+            ref = weakref.ref(dec)
+            del dec
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_scan_on_warm_decomposition(self):
         small = DetectionConfig(t_max=10.0, grid_points=2000)
