@@ -141,7 +141,7 @@ class _SpecParser:
         if os.path.exists(token):
             try:
                 return G.read_graph(token)
-            except GraphFormatError as exc:
+            except (OSError, ValueError) as exc:
                 raise ParseError(f"in file {token}: {exc}", start) from None
         raise ParseError(f"unknown graph spec {token!r}", start)
 
@@ -545,7 +545,10 @@ def cmd_quotient(args) -> int:
     rest = [v for v in range(graph.order) if v not in pins]
     seed = [[p] for p in pins] + ([rest] if rest else [])
     part = G.coarsest_equitable_refinement(graph, seed)
-    q = G.quotient(graph, part)
+    try:
+        q = G.quotient(graph, part)
+    except ValueError as exc:
+        raise ParseError(f"quotient of {graph.name}: {exc}") from None
 
     print(f"quotient of {graph.name} has {q.order} cells:")
     for i, cell in enumerate(part.cells):

@@ -9,6 +9,7 @@ modules accept as "signed" graphs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +56,7 @@ class WeightedGraph:
             raise ValueError("graph must have at least one vertex")
         if not np.isfinite(w).all():
             raise ValueError("weights must be finite")
+        _check_norm(w)
         asym = np.abs(w - w.T).max()
         if asym > 1e-12:
             raise ValueError(f"weights must be symmetric (max asymmetry {asym:.3e})")
@@ -102,6 +104,24 @@ def _check_order(n: int, order: int | None = None) -> None:
             f"the graph would have more than {MAX_ORDER} vertices, the limit that bounds "
             f"the n^3 work of its analysis"
         )
+
+
+def _check_norm(w: np.ndarray) -> None:
+    """Reject a finite weight matrix whose norm ||A||, the max row sum of
+    |A|, exceeds sqrt(float max) / 2, about 6.7e153.
+
+    Every number the analysis forms at the scale of A is at most 2 ||A|| in
+    size: an entry of A + A^T, an eigenvalue difference, a cell sum. The
+    largest it forms from them are the squared generator g^2 <= 4 ||A||^2
+    of numtheory.lattice_step, 10 ||A|| in a walk at walks.QUOTIENT_TIMES
+    and 10^12 times a cell sum in the refinement's signatures, all finite
+    under the bound. Tiny weights, down to 5e-324, pass.
+    """
+    limit = math.sqrt(sys.float_info.max) / 2
+    with np.errstate(over="ignore"):
+        norm = float(np.abs(w).sum(axis=1).max())
+    if norm > limit:
+        raise ValueError(f"the weights have norm {norm:.3g} (max row sum of |A|), above the limit {limit:.2g}")
 
 
 def _cube_order(d: int) -> int:

@@ -133,9 +133,10 @@ def lattice_step(phi_plus_vals, phi_minus_vals) -> tuple[float | None, int | Non
 
     Revival at tau needs tau (theta_r - theta_s) in 2 pi Z within each part,
     so tau is a multiple of 2 pi / g, g the gcd of the parts' ratio_condition
-    generators. When g^2 = k^2 delta is an integer (delta squarefree) the
-    step is 2 pi / (k sqrt(delta)), else 2 pi / g with delta None; two
-    singleton parts give (None, 1). Raises NotClassifiable when no g exists.
+    generators. When g^2 = k^2 delta is an integer (delta squarefree), to
+    within a tolerance CLASS_TOL max(1, g^2) below 1/2, the step is 2 pi /
+    (k sqrt(delta)), else 2 pi / g with delta None; two singleton parts give
+    (None, 1). Raises NotClassifiable when no g exists.
     """
     plus = sorted((float(v) for v in phi_plus_vals), reverse=True)
     minus = sorted((float(v) for v in phi_minus_vals), reverse=True)
@@ -157,8 +158,10 @@ def lattice_step(phi_plus_vals, phi_minus_vals) -> tuple[float | None, int | Non
         if cross is None:
             raise NotClassifiable(f"the parts have no common period: no generator ratio p/q with q <= {MAX_DEN}")
         g /= cross.q
-    n = round(g * g)
-    if n == 0 or not _near_int(g * g, CLASS_TOL * max(1.0, g * g)):
+    # once CLASS_TOL g^2 reaches 1/2 every float g^2 would pass as an integer
+    tol = CLASS_TOL * max(1.0, g * g)
+    n = round(g * g) if tol < 0.5 else 0
+    if n == 0 or not _near_int(g * g, tol):
         return 2.0 * math.pi / g, None
     delta = squarefree_part(n)
     return 2.0 * math.pi / (math.isqrt(n // delta) * math.sqrt(delta)), delta

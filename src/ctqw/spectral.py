@@ -2,25 +2,22 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ctqw.graphs import WeightedGraph, _check_order
+from ctqw.graphs import WeightedGraph, _check_norm, _check_order
 
 #: residual tolerance on projector identities and entrywise comparisons
 TOL_SPEC = 1e-9
 #: threshold on ||E_r e_a|| below which a is outside the eigenvalue's support
 TOL_SUPPORT = 1e-9
 #: slack of the strong-cospectrality screen; ten times the largest entry
-#: deviation a pair accepted by pair_profile can show (see
+#: deviation a pair accepted by pair_profiles can show (see
 #: strongly_cospectral_candidates)
 _SCREEN_TOL = 10 * max(TOL_SPEC, TOL_SUPPORT)
 #: slack of the parallel screen on top of its own (see parallel_partners)
 _PARALLEL_MARGIN = 10 * TOL_SPEC
-#: band around each threshold of pair_profiles within which the row rule decides
-_ROW_BAND = 1e-12
 #: byte budget of one (n, pairs) array of pair_profiles
 _PAIR_BLOCK_BYTES = 2**18
 
@@ -136,12 +133,14 @@ def decompose(a) -> SpectralDecomposition:
     starts wherever the gap reaches ``default_group_tol``. Works for weighted
     matrices; no integrality is assumed. The eigh basis is kept as it is,
     its columns reordered by group, in O(n^2) memory. Orders above
-    graphs.MAX_ORDER are rejected before eigh runs.
+    graphs.MAX_ORDER and norms above the bound of graphs._check_norm are
+    rejected before eigh runs.
     """
     m = _as_matrix(a)
     _check_order(m.shape[0])
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
+    _check_norm(m)
     asym = float(np.abs(m - m.T).max())
     if asym > 1e-12:
         raise ValueError(f"matrix must be symmetric (max asymmetry {asym:.3e})")
@@ -177,18 +176,17 @@ def strongly_cospectral_candidates(dec: SpectralDecomposition) -> list[tuple[int
     ||E_r e_a - s E_r e_b||^2 = E_aa + E_bb - 2 s E_ab. The screen keeps the
     pairs whose worst entry deviation max_r max(||E_ab| - E_aa|,
     ||E_ab| - E_bb|) is within _SCREEN_TOL. It never drops a pair that
-    pair_profile accepts, which stays the judge:
+    pair_profiles accepts, which stays the judge:
 
-    - pair_profile accepts only when, for each r in the support of a or b,
-      E_r e_a = s E_r e_b to TOL_SPEC; entries a and b of that identity give
-      |E_aa - s E_ab| <= TOL_SPEC and |s E_ab - E_bb| <= TOL_SPEC, so both
-      deviations are at most TOL_SPEC (diagonal entries of v v^T are sums of
-      squares, hence exactly nonnegative);
-    - for r outside both supports every entry of E_r e_a and E_r e_b is at
-      most TOL_SUPPORT, and so is each deviation;
+    - pair_profiles accepts only when every r in the support of a or b has
+      D_r = ||E_r (e_a - s e_b)||_2 <= TOL_SPEC, s = sign(E_ab). Entries a
+      and b of E_r (e_a - s e_b) are E_aa - |E_ab| and s (|E_ab| - E_bb),
+      each at most D_r in size, so both deviations are at most TOL_SPEC;
+    - for r outside both supports E_aa and E_bb are at most TOL_SUPPORT^2,
+      and so is |E_ab| <= sqrt(E_aa E_bb), hence each deviation;
     - SpectralDecomposition.projector forms E_r exactly symmetric, so the
-      E_bb half is the transpose of the E_aa half; its entries and the rows
-      the row rule of pair_profiles reads are two roundings of the same sums
+      E_bb half is the transpose of the E_aa half; its entries and the
+      coordinate sums pair_profiles reads are two roundings of the same sums
       over the basis, ulps apart, well inside the factor 10 of _SCREEN_TOL.
 
     The maximum is accumulated one eigenvalue group at a time in (n, n)
@@ -267,34 +265,21 @@ def pair_profile(dec: SpectralDecomposition, a: int, b: int) -> PairProfile:
 def pair_profiles(dec: SpectralDecomposition, pairs) -> list[PairProfile]:
     """The PairProfile of each pair (a, b) of distinct vertices, in order.
 
-    A pair reads O(n) eigenvector coordinates x_a = V^T e_a and x_b, not the
-    O(n^2) rows E_r e_a and E_r e_b of _row_profile, which stays the
-    reference. Pairs are vectorised in blocks whose (n, pairs) arrays fit
-    _PAIR_BLOCK_BYTES. Per group r, E_aa and E_bb are the stored diagonals,
-    E_ab is the group sum of x_a x_b, and D_r = ||x_a - s x_b||_2, s =
-    sign(E_ab) (+1 at 0), is a group sum of squares of differences formed
-    before squaring, so nothing cancels. The decisions are the row rule's:
+    A pair reads O(n) eigenvector coordinates x_a = V^T e_a and x_b, in
+    blocks whose (n, pairs) arrays fit _PAIR_BLOCK_BYTES. Per group r, E_aa
+    and E_bb are the stored diagonals and E_ab is the group sum of x_a x_b.
+    Group r is live when ||E_r e_a|| = sqrt(E_aa) or sqrt(E_bb) exceeds
+    TOL_SUPPORT, and the support of a is where sqrt(E_aa) does. The pair is
 
-    - Support and parallel: ||E_r e_a|| = sqrt(E_aa) and (E_r e_a).(E_r e_b)
-      = E_ab. Both rules round the same sums over the basis, apart by under
-      1e-15 on graphs of order 600, far inside _ROW_BAND. The cospectral
-      test reads the diagonals in both.
-    - Strong: with orthonormal V_r, the largest entry of E_r (e_a - s e_b) =
-      V_r (x_a - s x_b) lies in [D_r / sqrt(n), D_r]. The row rule reads its
-      sign s' at the largest entry of |E_r e_a|. When ||E_r e_a|| > sqrt(n)
-      TOL_SPEC that entry exceeds TOL_SPEC, so a sign under which the row's
-      entries agree to TOL_SPEC is the sign there, s'; and then E_r e_b =
-      s' E_r e_a + delta with ||delta|| <= sqrt(n) TOL_SPEC < ||E_r e_a||,
-      so E_ab = s' E_aa + (E_r e_a).delta has the sign s' = s. Such a row
-      passes if D_r <= TOL_SPEC and fails if D_r > sqrt(n) TOL_SPEC. Any
-      row fails if sqrt(E_bb) - sqrt(E_aa), a lower bound on ||E_r (e_a +-
-      e_b)||, exceeds sqrt(n) TOL_SPEC.
-
-    Each threshold is widened by _ROW_BAND. A pair is strongly cospectral
-    when every live row passes and is not when one fails. It takes the row
-    rule when neither holds, which leaves D_r in (TOL_SPEC, sqrt(n)
-    TOL_SPEC] and ||E_r e_a|| <= sqrt(n) TOL_SPEC to that rule, or when its
-    support or parallel test falls within _ROW_BAND of its threshold.
+    - parallel when |E_ab|, with E_ab = (E_r e_a).(E_r e_b), is within
+      TOL_SPEC of sqrt(E_aa) sqrt(E_bb), Cauchy-Schwarz's equality case, on
+      every live group;
+    - cospectral when the diagonals of a and b agree to TOL_SPEC;
+    - strongly cospectral when every live group has D_r = ||E_r (e_a - s
+      e_b)||_2 = ||x_a - s x_b||_2 <= TOL_SPEC, with s = sign(E_ab) (+1 at
+      0). D_r is a group sum of squares of differences formed before
+      squaring, so nothing cancels; the live groups of sign +1 and -1 are
+      phi_plus and phi_minus.
     """
     idx = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     if (idx[:, 0] == idx[:, 1]).any():
@@ -323,42 +308,27 @@ def _block_profiles(dec: SpectralDecomposition, idx: np.ndarray) -> list[PairPro
     n_a, n_b = np.sqrt(e_aa), np.sqrt(e_bb)
     sup_a = n_a > TOL_SUPPORT
     live = sup_a | (n_b > TOL_SUPPORT)
-    gap = np.abs(np.abs(e_ab) - n_a * n_b)
-    parallel = ~(live & (gap > TOL_SPEC)).any(axis=0)
+    parallel = ~(live & (np.abs(np.abs(e_ab) - n_a * n_b) > TOL_SPEC)).any(axis=0)
     cospectral = np.abs(e_aa - e_bb).max(axis=0) <= TOL_SPEC
-    spread = math.sqrt(dec.order) * TOL_SPEC + _ROW_BAND
-    signed = n_a > spread
-    passes = signed & (dev <= TOL_SPEC - _ROW_BAND)
-    fails = (signed & (dev > spread)) | (n_b - n_a > spread)
-    strongly = ~(live & ~passes).any(axis=0)
-    decided = strongly | (live & fails).any(axis=0)
-    near = (np.abs(n_a - TOL_SUPPORT) <= _ROW_BAND) | (np.abs(n_b - TOL_SUPPORT) <= _ROW_BAND)
-    near |= live & (np.abs(gap - TOL_SPEC) <= _ROW_BAND)
-    decided &= ~near.any(axis=0)
+    strongly = ~(live & (dev > TOL_SPEC)).any(axis=0)
 
     strong_rows = live & strongly
     plus = _row_sets(strong_rows & (sign > 0))
     minus = _row_sets(strong_rows & (sign < 0))
-    out = []
-    for p, ((va, vb), sup) in enumerate(zip(idx.tolist(), _row_sets(sup_a))):
-        if not decided[p]:
-            out.append(_row_profile(dec, va, vb))
-            continue
-        strong = bool(strongly[p])
-        out.append(
-            PairProfile(
-                a=va,
-                b=vb,
-                support=sup,
-                parallel=bool(parallel[p]),
-                cospectral=bool(cospectral[p]),
-                strongly_cospectral=strong,
-                phi_plus=plus[p],
-                phi_minus=minus[p],
-                perron_anchor_valid=bool(strong and dec.nonnegative and 0 in plus[p]),
-            )
+    return [
+        PairProfile(
+            a=va,
+            b=vb,
+            support=sup,
+            parallel=bool(parallel[p]),
+            cospectral=bool(cospectral[p]),
+            strongly_cospectral=bool(strongly[p]),
+            phi_plus=plus[p],
+            phi_minus=minus[p],
+            perron_anchor_valid=bool(strongly[p] and dec.nonnegative and 0 in plus[p]),
         )
-    return out
+        for p, ((va, vb), sup) in enumerate(zip(idx.tolist(), _row_sets(sup_a)))
+    ]
 
 
 def _row_sets(mask: np.ndarray) -> list[frozenset]:
@@ -367,44 +337,3 @@ def _row_sets(mask: np.ndarray) -> list[frozenset]:
     bounds = np.searchsorted(cols, np.arange(mask.shape[1] + 1)).tolist()
     rows = rows.tolist()
     return [frozenset(rows[i:j]) for i, j in zip(bounds, bounds[1:])]
-
-
-def _row_profile(dec: SpectralDecomposition, a: int, b: int) -> PairProfile:
-    """The profile of a pair read from the rows E_r e_a and E_r e_b: the
-    reference pair_profiles agrees with, and its rule for pairs near a
-    threshold."""
-    cols_a = dec.rows(a)
-    cols_b = dec.rows(b)
-    norms_a = np.linalg.norm(cols_a, axis=1)
-    norms_b = np.linalg.norm(cols_b, axis=1)
-    sup_a = norms_a > TOL_SUPPORT
-    live = np.nonzero(sup_a | (norms_b > TOL_SUPPORT))[0]
-    ua, ub = cols_a[live], cols_b[live]
-
-    ip = np.abs((ua * ub).sum(axis=1))
-    parallel = bool((np.abs(ip - norms_a[live] * norms_b[live]) <= TOL_SPEC).all())
-
-    diag_a = dec.diagonals[:, a]
-    diag_b = dec.diagonals[:, b]
-    cospectral = bool(np.abs(diag_a - diag_b).max() <= TOL_SPEC)
-
-    # each row's sign is read at the first largest entry of |E_r e_a|
-    k = np.argmax(np.abs(ua), axis=1)
-    rows = np.arange(len(live))
-    sign = np.where(ua[rows, k] * ub[rows, k] >= 0, 1.0, -1.0)
-    strongly = bool((np.abs(ua - sign[:, None] * ub).max(axis=1) <= TOL_SPEC).all())
-    plus = frozenset(live[sign > 0].tolist()) if strongly else frozenset()
-    minus = frozenset(live[sign < 0].tolist()) if strongly else frozenset()
-
-    sup = frozenset(np.nonzero(sup_a)[0].tolist())
-    return PairProfile(
-        a=a,
-        b=b,
-        support=sup,
-        parallel=parallel,
-        cospectral=cospectral,
-        strongly_cospectral=strongly,
-        phi_plus=plus,
-        phi_minus=minus,
-        perron_anchor_valid=bool(strongly and dec.nonnegative and 0 in plus),
-    )

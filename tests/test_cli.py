@@ -559,6 +559,44 @@ class TestCommands:
         config = json.loads(capsys.readouterr().out)["config"]
         assert (config["tol_walk"], config["t_max"], config["grid_points"]) == (1e-7, 7.0, 100)
 
+    def test_weighted_c4_certifies_pst(self, tmp_path, capsys):
+        # C4 with weight w has PST between antipodes at pi / (2 w); with w =
+        # 1234.5678 the lattice generator's square once passed as an integer
+        w = 1234.5678
+        target = tmp_path / "c4.graph"
+        target.write_text(f"n 4\n0 1 {w}\n1 2 {w}\n2 3 {w}\n0 3 {w}\n")
+        assert main(["analyze", str(target)]) == EXIT_OK
+        certs = json.loads(capsys.readouterr().out)["certificates"]
+        pst = [c for c in certs if c["kind"] == "perfect_state_transfer" and (c["a"], c["b"]) == (0, 2)]
+        assert pst and abs(pst[0]["tau"] - math.pi / (2 * w)) <= 1e-9 * pst[0]["tau"]
+
+    @pytest.mark.parametrize(
+        "command", [["analyze"], ["analyze", "--scan"], ["scan"], ["quotient", "--pin", "0", "--pin", "2"]]
+    )
+    def test_weight_norm_over_the_limit_exits_2(self, tmp_path, capsys, command):
+        target = tmp_path / "huge.graph"
+        target.write_text("n 3\n0 1 1e308\n1 2 1.0\n")
+        assert main(command + [str(target)]) == EXIT_PARSE
+        assert "above the limit" in capsys.readouterr().err
+        target.write_text("n 3\n0 1 5e-324\n1 2 5e-324\n")
+        assert main(command + [str(target)]) == EXIT_OK
+
+    def test_quotient_norm_over_the_limit_exits_2(self, tmp_path, capsys):
+        # K_{4,4} with one side pinned: ||A|| = 4e153, but the quotient's
+        # row for the unpinned cell sums four entries sqrt(4e153 * 1e153)
+        target = tmp_path / "k44.graph"
+        target.write_text("n 8\n" + "".join(f"{i} {j} 1e153\n" for i in range(4) for j in range(4, 8)))
+        pins = [arg for v in "0123" for arg in ("--pin", v)]
+        assert main(["quotient", *pins, str(target)]) == EXIT_PARSE
+        assert "norm 8e+153" in capsys.readouterr().err
+
+    def test_unreadable_file_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "latin1.graph"
+        target.write_bytes(b"n 2\n0 1 \xe9\n")
+        assert main(["analyze", str(target)]) == EXIT_PARSE
+        assert main(["analyze", str(tmp_path)]) == EXIT_PARSE
+        assert capsys.readouterr().err.count("parse error: ") == 2
+
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
     def test_non_finite_weight_file(self, tmp_path, capsys, weight):
         target = tmp_path / "bad.graph"

@@ -334,6 +334,15 @@ class TestFileFormat:
         with pytest.raises(ValueError):
             G.scale_weights(G.cycle(4), weight)
 
+    def test_norm_over_the_limit_rejected(self):
+        # the max row sum of |A|: 1e308 alone, and two entries of 4e153
+        # whose sum passes sqrt(float max) / 2, about 6.7e153
+        for w in ([[0.0, 1e308], [1e308, 0.0]], [[0.0, 4e153, 4e153], [4e153, 0.0, 0.0], [4e153, 0.0, 0.0]]):
+            with pytest.raises(ValueError, match="above the limit"):
+                G.WeightedGraph(np.array(w), tuple("012"[: len(w)]))
+        assert G.WeightedGraph(np.array([[0.0, 6e153], [6e153, 0.0]]), ("0", "1")).weights[0, 1] == 6e153
+        assert G.parse_graph_text("n 2\n0 1 5e-324\n").weights[0, 1] == 5e-324
+
     def test_diagonal_entries_allowed(self):
         g = G.parse_graph_text("n 2\n0 0 0.5\n0 1 2.0\n")
         assert g.weights[0, 0] == 0.5 and g.weights[0, 1] == 2.0

@@ -179,6 +179,12 @@ class TestClassify:
         assert err.value.witness is not None
         assert not err.value.witness.holds
 
+    @pytest.mark.parametrize("g", [4 * 1234.5678, 3000.0, 4e150, 4e200])
+    def test_large_generator_has_no_integer_square(self, g):
+        # above g^2 = 5e6 the tolerance CLASS_TOL g^2 reaches 1/2, so g^2 is
+        # never read as an integer, even 9e6, and its square may overflow
+        assert lattice_step([g / 2, -g / 2], [0.0]) == (2 * math.pi / g, None)
+
     def test_singleton_irrational_rejected(self):
         # singletons constrain no time, so there is a lattice but no description
         assert lattice_step([math.sqrt(3)], [0.0]) == (None, 1)

@@ -18,6 +18,7 @@ from ctqw.spectral import (
     TOL_SPEC,
     TOL_SUPPORT,
     PairProfile,
+    SpectralDecomposition,
     decompose,
     default_group_tol,
     pair_profile,
@@ -136,6 +137,10 @@ class TestDecompose:
     def test_rejects_non_finite(self, weight):
         with pytest.raises(ValueError, match="finite"):
             decompose(np.array([[0.0, weight], [weight, 0.0]]))
+
+    def test_rejects_norm_over_limit(self):
+        with pytest.raises(ValueError, match="above the limit"):
+            decompose(np.array([[0.0, 1e308], [1e308, 0.0]]))
 
     def test_rejects_order_over_limit(self, monkeypatch):
         monkeypatch.setattr(G, "MAX_ORDER", 10)
@@ -324,9 +329,8 @@ def loop_pair_profile(dec, a, b):
         if not (sup_a[r] or sup_b[r]):
             continue
         va, vb = cols_a[r], cols_b[r]
-        k = int(np.argmax(np.abs(va)))
-        sign = 1.0 if va[k] * vb[k] >= 0 else -1.0
-        if np.abs(va - sign * vb).max() <= TOL_SPEC:
+        sign = 1.0 if float(va @ vb) >= 0 else -1.0
+        if np.linalg.norm(va - sign * vb) <= TOL_SPEC:
             (plus if sign > 0 else minus).add(int(r))
         else:
             strongly = False
@@ -527,14 +531,13 @@ class TestStrongCospectralityScreen:
         assert strongly_cospectral_candidates(dec) == brute_force_strongly_cospectral(dec)
 
     def test_pair_just_inside_tolerance_survives(self):
-        # C6 antipodes with row 0 of E_1 scaled so that E_1 e_0 moves away
-        # from -E_1 e_3 by just under TOL_SPEC: pair_profile still accepts
-        # the pair, so the screen must keep it
-        good = decompose(G.cycle(6))
-        eps = 0.99 * TOL_SPEC / np.abs(good.rows(0)[1]).max()
-        nudged = scale_vertex_in_group(good, 0, 1, 1 + eps)
+        # C6 antipodes with a coordinate of vertex 3 in E_1's basis moved so
+        # that E_1 e_0 lies just under TOL_SPEC from -E_1 e_3 in the
+        # Euclidean norm: pair_profile still accepts the pair, so the screen
+        # must keep it
+        nudged = nudge_vertex_in_group(decompose(G.cycle(6)), 3, 1, 0.99 * TOL_SPEC)
         projs = reference_tensor(nudged)
-        worst = max(min(np.abs(e[0] - sign * e[3]).max() for sign in (1, -1)) for e in projs)
+        worst = max(min(np.linalg.norm(e[0] - sign * e[3]) for sign in (1, -1)) for e in projs)
         assert 0.98 * TOL_SPEC <= worst <= TOL_SPEC
         assert pair_profile(nudged, 0, 3).strongly_cospectral
         assert (0, 3) in strongly_cospectral_candidates(nudged)
@@ -597,21 +600,20 @@ class TestParallelScreen:
 
 
 def row_rule_profile(dec, a, b):
-    """A copy of spectral._row_profile: the profile read from the rows E_r e_a
-    and E_r e_b, each row's sign taken at the first largest entry of |E_r e_a|."""
+    """The rule of pair_profiles read from the rows E_r e_a and E_r e_b: the
+    norms of the rows, their inner product and its sign s, and ||E_r e_a - s
+    E_r e_b||_2."""
     cols_a, cols_b = dec.rows(a), dec.rows(b)
     norms_a = np.linalg.norm(cols_a, axis=1)
     norms_b = np.linalg.norm(cols_b, axis=1)
     sup_a = norms_a > TOL_SUPPORT
     live = np.nonzero(sup_a | (norms_b > TOL_SUPPORT))[0]
     ua, ub = cols_a[live], cols_b[live]
-    ip = np.abs((ua * ub).sum(axis=1))
-    parallel = bool((np.abs(ip - norms_a[live] * norms_b[live]) <= TOL_SPEC).all())
+    ip = (ua * ub).sum(axis=1)
+    parallel = bool((np.abs(np.abs(ip) - norms_a[live] * norms_b[live]) <= TOL_SPEC).all())
     cospectral = bool(np.abs(dec.diagonals[:, a] - dec.diagonals[:, b]).max() <= TOL_SPEC)
-    k = np.argmax(np.abs(ua), axis=1)
-    rows = np.arange(len(live))
-    sign = np.where(ua[rows, k] * ub[rows, k] >= 0, 1.0, -1.0)
-    strongly = bool((np.abs(ua - sign[:, None] * ub).max(axis=1) <= TOL_SPEC).all())
+    sign = np.where(ip >= 0, 1.0, -1.0)
+    strongly = bool((np.linalg.norm(ua - sign[:, None] * ub, axis=1) <= TOL_SPEC).all())
     plus = frozenset(live[sign > 0].tolist()) if strongly else frozenset()
     minus = frozenset(live[sign < 0].tolist()) if strongly else frozenset()
     return PairProfile(
@@ -625,6 +627,19 @@ def row_rule_profile(dec, a, b):
         phi_minus=minus,
         perron_anchor_valid=bool(strongly and dec.nonnegative and 0 in plus),
     )
+
+
+def coordinate_profiles(dec, pairs):
+    """pair_profiles(dec, pairs) with the readers of projector rows and
+    projectors patched to raise."""
+
+    def no_rows(*args):
+        raise AssertionError("pair_profiles read a projector row")
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(SpectralDecomposition, "rows", no_rows)
+        m.setattr(SpectralDecomposition, "projector", no_rows)
+        return pair_profiles(dec, pairs)
 
 
 _SIGNED_WEIGHTS = [-2.0, -1.0, -0.5, 0.0, 0.0, 0.0, 0.5, 1.0, 1.5]
@@ -649,27 +664,17 @@ def signed_graphs_with_twins(draw, min_order=2):
 
 def nudge_vertex_in_group(dec, b, r, delta):
     """dec with delta added to the first coordinate of vertex b in the basis
-    of group r: for a strongly cospectral pair (a, b), ||V_r^T (e_a - s
-    e_b)|| becomes delta, and the largest entry of E_r (e_a - s e_b) lies
-    in [delta / sqrt(n), delta]."""
+    of group r: for a strongly cospectral pair (a, b), D_r = ||V_r^T (e_a -
+    s e_b)|| becomes delta, and so does ||E_r (e_a - s e_b)|| to a relative
+    O(delta), as V_r stays orthonormal to O(delta)."""
     vectors = dec.vectors.copy()
     vectors[b, np.flatnonzero(dec.group_of == r)[0]] += delta
     return dataclasses.replace(dec, vectors=vectors)
 
 
-def counting_row_rule(calls):
-    """spectral._row_profile, recording each pair it decides in calls."""
-    row_rule = spectral_mod._row_profile
-
-    def counting(dec, a, b):
-        calls.append((a, b))
-        return row_rule(dec, a, b)
-
-    return counting
-
-
 class TestPairProfiles:
-    """pair_profiles against the row rule, on every pair and near each threshold."""
+    """pair_profiles, which reads coordinates only, against the same rule
+    read from the rows, on every pair and at each threshold."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(signed_graphs_with_twins(), random_weighted_graphs(_SIGNED_WEIGHTS)))
@@ -677,6 +682,13 @@ class TestPairProfiles:
         dec = decompose(g)
         pairs = [(a, b) for a in range(g.order) for b in range(g.order) if a != b]
         assert pair_profiles(dec, pairs) == [row_rule_profile(dec, a, b) for a, b in pairs]
+
+    @pytest.mark.parametrize("g", _FAMILY_GRAPHS, ids=lambda g: g.name)
+    def test_reads_no_rows_on_families(self, g):
+        dec = decompose(g)
+        pairs = [(a, b) for a in range(g.order) for b in range(g.order) if a != b]
+        expected = [row_rule_profile(dec, a, b) for a, b in pairs]
+        assert coordinate_profiles(dec, pairs) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(signed_graphs_with_twins(min_order=4), st.data())
@@ -686,52 +698,46 @@ class TestPairProfiles:
         good = row_rule_profile(dec, a, b)
         assume(good.strongly_cospectral)
         r = data.draw(st.sampled_from(sorted(good.phi_plus | good.phi_minus)))
-        root_n = math.sqrt(g.order)
-        assert root_n > 2.02
-        # (deviation of E_r (e_a - s e_b), whether it falls in the row rule's band)
-        cases = [(f * TOL_SPEC, f > 1) for f in (0.5, 0.99, 1.01, 2.0)] + [(1.01 * root_n * TOL_SPEC, False)]
-        row_calls = []
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(spectral_mod, "_row_profile", counting_row_rule(row_calls))
-            for delta, banded in cases:
-                nudged = nudge_vertex_in_group(dec, b, r, delta)
-                row_calls.clear()
-                assert pair_profiles(nudged, [(a, b)]) == [row_rule_profile(nudged, a, b)]
-                assert bool(row_calls) == banded, delta
-            # the support test: a's coordinates in group r scaled to norm
-            # TOL_SUPPORT +- 1e-13, inside the band of 1e-12
-            norm = math.sqrt(dec.diagonals[r, a])
-            for target in (TOL_SUPPORT - 1e-13, TOL_SUPPORT + 1e-13):
-                nudged = scale_vertex_in_group(dec, a, r, target / norm)
-                row_calls.clear()
-                assert pair_profiles(nudged, [(a, b), (b, a)]) == [
-                    row_rule_profile(nudged, a, b), row_rule_profile(nudged, b, a)
-                ]
-                assert row_calls == [(a, b), (b, a)]
-            # a and b scaled alike to 2 TOL_SUPPORT in group r: the deviation
-            # stays near 0, but ||E_r e_a|| <= sqrt(n) TOL_SPEC leaves the sign
-            # of the row to the row rule
-            f = 2 * TOL_SUPPORT / norm
-            nudged = scale_vertex_in_group(scale_vertex_in_group(dec, a, r, f), b, r, f)
-            row_calls.clear()
-            assert pair_profiles(nudged, [(a, b)]) == [row_rule_profile(nudged, a, b)]
-            assert row_calls == [(a, b)]
+        # D_r = ||E_r (e_a - s e_b)|| moved to each side of TOL_SPEC
+        for f in (0.5, 0.99, 1.01, 2.0):
+            nudged = nudge_vertex_in_group(dec, b, r, f * TOL_SPEC)
+            [prof] = coordinate_profiles(nudged, [(a, b)])
+            assert prof == row_rule_profile(nudged, a, b)
+            assert prof.strongly_cospectral == (f < 1), f
+        # the support test: a's coordinates in group r scaled to norm
+        # TOL_SUPPORT +- 1e-13. Scaling leaves the basis far from
+        # orthonormal, so the rows are no reference: the stored diagonal
+        # decides
+        norm = math.sqrt(dec.diagonals[r, a])
+        for target in (TOL_SUPPORT - 1e-13, TOL_SUPPORT + 1e-13):
+            nudged = scale_vertex_in_group(dec, a, r, target / norm)
+            assert abs(math.sqrt(nudged.diagonals[r, a]) - target) <= 1e-20
+            prof_ab, prof_ba = coordinate_profiles(nudged, [(a, b), (b, a)])
+            assert (r in prof_ab.support) == (target > TOL_SUPPORT)
+            assert r in prof_ba.support
+            assert not prof_ab.strongly_cospectral and not prof_ba.strongly_cospectral
+        # a and b scaled alike to 2 TOL_SUPPORT in group r: the group stays
+        # live, D_r stays near 0 and E_ab keeps its sign
+        f = 2 * TOL_SUPPORT / norm
+        nudged = scale_vertex_in_group(scale_vertex_in_group(dec, a, r, f), b, r, f)
+        [prof] = coordinate_profiles(nudged, [(a, b)])
+        assert prof.strongly_cospectral and r in prof.support
+        assert (prof.phi_plus, prof.phi_minus) == (good.phi_plus, good.phi_minus)
 
     @pytest.mark.parametrize("offset", [-1e-13, 1e-13])
-    def test_parallel_band_takes_row_rule(self, monkeypatch, offset):
+    def test_parallel_gap_at_threshold(self, offset):
         # C6 antipodes with the coordinates of 0 turned in a two-dimensional
         # eigenspace until |E_03| falls short of sqrt(E_00 E_33) by TOL_SPEC
-        # + offset, inside the band of 1e-12
+        # + offset
         good = decompose(G.cycle(6))
         r = int(np.argmax(np.abs(good.entries(0, 3))))
         e = abs(good.entries(0, 3)[r])
         nudged = rotate_vertex_in_group(good, 0, r, math.acos(1 - (TOL_SPEC + offset) / e))
         gap = math.sqrt(nudged.diagonals[r, 0] * nudged.diagonals[r, 3]) - abs(nudged.entries(0, 3)[r])
         assert abs(gap - TOL_SPEC - offset) <= 1e-15
-        row_calls = []
-        monkeypatch.setattr(spectral_mod, "_row_profile", counting_row_rule(row_calls))
-        assert pair_profiles(nudged, [(0, 3)]) == [row_rule_profile(nudged, 0, 3)]
-        assert row_calls == [(0, 3)]
+        [prof] = coordinate_profiles(nudged, [(0, 3)])
+        assert prof == row_rule_profile(nudged, 0, 3)
+        assert prof.parallel == (offset < 0)
 
     def test_blocks_equal_one_pass(self, monkeypatch):
         dec = decompose(G.cycle(32))
