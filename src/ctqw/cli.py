@@ -12,6 +12,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import logging
 import math
@@ -349,21 +350,23 @@ def validate_report(payload: dict, graph: WeightedGraph | None = None) -> bool:
         taus.setdefault(a, []).append(tau)
     # one product per source; its rows come in the order of its certificates
     columns = {a: iter(walk_columns(dec, a, np.array(ts))) for a, ts in taus.items()}
-    for c in certs:
-        tau, a, b = float(c["tau"]), c["a"], c["b"]
-        alpha, beta = complex(*c["alpha"]), complex(*c["beta"])
-        residual = _residual(next(columns[a]), a, alpha, b, beta)
-        if not residual <= max(2.0 * c["residual"], 1e-11 * max(1.0, tau * norm)):  # NaN fails
-            return False
-        kind = _kind_of(alpha, beta, cfg)
-        if c["kind"] != kind or (b == a) != (kind == KIND_PERIODIC):
-            return False
-        if (c["gamma"] is None) != (c["zeta"] is None):
-            return False
-        if c["gamma"] is not None:
-            derived = _gamma_zeta(alpha, beta, cfg.tol_walk)
-            if derived is None or not _same_angles((c["gamma"], c["zeta"]), derived):
+    # a forged amplitude near float max gives an inf residual, which fails, and no warning
+    with np.errstate(over="ignore"):
+        for c in certs:
+            tau, a, b = float(c["tau"]), c["a"], c["b"]
+            alpha, beta = complex(*c["alpha"]), complex(*c["beta"])
+            residual = _residual(next(columns[a]), a, alpha, b, beta)
+            if not residual <= max(2.0 * c["residual"], 1e-11 * max(1.0, tau * norm)):  # NaN fails
                 return False
+            kind = _kind_of(alpha, beta, cfg)
+            if c["kind"] != kind or (b == a) != (kind == KIND_PERIODIC):
+                return False
+            if (c["gamma"] is None) != (c["zeta"] is None):
+                return False
+            if c["gamma"] is not None:
+                derived = _gamma_zeta(alpha, beta, cfg.tol_walk)
+                if derived is None or not _same_angles((c["gamma"], c["zeta"]), derived):
+                    return False
     return True
 
 
@@ -430,13 +433,13 @@ def run_analysis(
             if pc.classification is not None:
                 entry["classification"] = pc.classification.kind
                 entry["delta"] = pc.classification.delta
-            elif pc.tau_step is not None:
+            elif pc.has_lattice:
                 entry["classification"] = f"no quadratic-integer description: {pc.failure}"
             else:
                 entry["classification"] = f"not classifiable: {pc.failure}"
                 if pc.witness is not None and pc.witness.witness_ratio is not None:
                     entry["witness_ratio"] = _round_float(pc.witness.witness_ratio)
-            if pc.classification is not None or pc.tau_step is not None:
+            if pc.has_lattice:
                 entry["tau_step"] = None if pc.tau_step is None else _round_float(pc.tau_step)
             predicates[f"pair({prof.a},{prof.b})"] = entry
             keep(pc.certificates)
@@ -485,15 +488,27 @@ def _health_exit(health: list[str]) -> int:
     return EXIT_HEALTH if health else EXIT_OK
 
 
+def _write(text: str) -> None:
+    """Write text to stdout and flush it. When the reader has closed stdout
+    (``ctqw analyze cube:7 | head -3``), point stdout at devnull, so that the
+    interpreter's final flush stays quiet, and go on: the command still
+    returns its own exit code."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit(payload: dict, args) -> None:
     """Write a JSON report to the --json file, or print it."""
     text = _dumps(payload)
     if args.json:
         with open(args.json, "w", encoding="ascii") as fh:
             fh.write(text + "\n")
-        print(f"report written to {args.json}")
+        _write(f"report written to {args.json}\n")
     else:
-        print(text)
+        _write(text + "\n")
 
 
 def cmd_analyze(args) -> int:
@@ -550,12 +565,12 @@ def cmd_quotient(args) -> int:
     except ValueError as exc:
         raise ParseError(f"quotient of {graph.name}: {exc}") from None
 
-    print(f"quotient of {graph.name} has {q.order} cells:")
+    lines = [f"quotient of {graph.name} has {q.order} cells:"]
     for i, cell in enumerate(part.cells):
-        print(f"  cell {i}: {{{', '.join(graph.labels[v] for v in cell)}}}")
-    print("quotient matrix:")
+        lines.append(f"  cell {i}: {{{', '.join(graph.labels[v] for v in cell)}}}")
+    lines.append("quotient matrix:")
     for row in q.weights:
-        print("  [" + ", ".join(f"{x:.6g}" for x in row) + "]")
+        lines.append("  [" + ", ".join(f"{x:.6g}" for x in row) + "]")
 
     predicates = {}
     if len(pins) >= 2:
@@ -567,15 +582,16 @@ def cmd_quotient(args) -> int:
                 "holds": rep["holds"],
                 "max_entry_difference": rep["max_entry_difference"],
             }
-            print(
+            lines.append(
                 f"transport entries match on the sample grid: {rep['entries_ok']} "
                 f"(max dev {rep['max_entry_difference']:.2e}); "
                 f"certificate correspondence: {rep['correspondence_ok']}"
             )
         else:
             predicates["quotient_transport"] = {"holds": False, "error": "pinned cells are not singletons"}
-            print("pinned vertices are not singleton cells; transport check skipped")
+            lines.append("pinned vertices are not singleton cells; transport check skipped")
 
+    _write("".join(line + "\n" for line in lines))
     report = run_analysis(q, cfg)
     report.predicates.update(_jsonify(predicates))
     _emit(report.payload(), args)
@@ -586,9 +602,11 @@ def cmd_construct(args) -> int:
     graph = parse_graph_spec(args.graph)
     if args.out:
         G.write_graph(graph, args.out)
-        print(f"{graph.name}: order {graph.order}, written to {args.out}")
+        _write(f"{graph.name}: order {graph.order}, written to {args.out}\n")
     else:
-        G.write_graph(graph, sys.stdout)
+        text = io.StringIO()
+        G.write_graph(graph, text)
+        _write(text.getvalue())
     return EXIT_OK
 
 
@@ -597,12 +615,9 @@ def cmd_paper_suite(args) -> int:
     groups = [args.only] if args.only else None
     rows = run_groups(groups, cfg)
     width = max(len(r.name) for r in rows)
-    failures = 0
-    for r in rows:
-        status = "PASS" if r.ok else "FAIL"
-        print(f"[{status}] {r.group:<18} {r.name:<{width}}  {r.detail if not r.ok else ''}".rstrip())
-        failures += 0 if r.ok else 1
-    print(f"{len(rows) - failures}/{len(rows)} rows pass")
+    failures = sum(not r.ok for r in rows)
+    lines = [f"[{'PASS' if r.ok else 'FAIL'}] {r.group:<18} {r.name:<{width}}  {'' if r.ok else r.detail}" for r in rows]
+    _write("".join(line.rstrip() + "\n" for line in lines) + f"{len(rows) - failures}/{len(rows)} rows pass\n")
     return EXIT_OK if failures == 0 else EXIT_SUITE
 
 
@@ -617,12 +632,13 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"),
                       help="log ctqw's reasons at this level and above to stderr (default WARNING)")
 
-    def add_common(p):
+    def add_common(p, report=True):
         p.add_argument("--tmax", type=float, default=None, help="scan horizon (default 50)")
         p.add_argument("--tol", type=float, default=None, help="walk residual tolerance (default 1e-8)")
         p.add_argument("--grid", type=int, default=None,
                        help="kept in the report's config; no longer changes results (default 20000)")
-        p.add_argument("--json", type=str, default=None, help="write the JSON report to this file")
+        if report:
+            p.add_argument("--json", type=str, default=None, help="write the JSON report to this file")
 
     p = sub.add_parser("analyze", parents=[logs], help="decompose, profile pairs, certify transport events")
     p.add_argument("graph", help="graph spec, e.g. cycle:6 or prod(star:16,path:2)")
@@ -653,7 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("paper-suite", parents=[logs], help="run the built-in reproduction suite")
     p.add_argument("--only", type=str, default=None, choices=list(ALL_GROUPS),
                    help="run a single group")
-    add_common(p)
+    add_common(p, report=False)
     p.set_defaults(func=cmd_paper_suite)
 
     return parser

@@ -12,13 +12,9 @@ from ctqw.graphs import WeightedGraph, _check_norm, _check_order
 TOL_SPEC = 1e-9
 #: threshold on ||E_r e_a|| below which a is outside the eigenvalue's support
 TOL_SUPPORT = 1e-9
-#: slack of the strong-cospectrality screen; ten times the largest entry
-#: deviation a pair accepted by pair_profiles can show (see
-#: strongly_cospectral_candidates)
+#: margin of both pair screens (see parallel_pairs, strongly_cospectral_candidates)
 _SCREEN_TOL = 10 * max(TOL_SPEC, TOL_SUPPORT)
-#: slack of the parallel screen on top of its own (see parallel_partners)
-_PARALLEL_MARGIN = 10 * TOL_SPEC
-#: byte budget of one (n, pairs) array of pair_profiles
+#: byte budget of one (n or rows, pairs) array of the pair routines
 _PAIR_BLOCK_BYTES = 2**18
 
 
@@ -42,7 +38,7 @@ class SpectralDecomposition:
     theta[0] is the largest eigenvalue. The columns of ``vectors`` are unit
     eigenvectors in runs of ``multiplicities``, one run V_r per eigenvalue,
     so E_r = V_r V_r^T and E_r e_a = V_r (V_r^T e_a). No projector is stored:
-    ``rows``, ``entries`` and ``projector`` read them from the basis in O(n^2)
+    ``entries`` and ``projector`` read them from the basis in O(n^2)
     memory, and ``diagonals[r, a]`` = (E_r)_aa is formed once, with the
     decomposition. ``ambiguous_clustering`` is set when some raw eigenvalue
     gap falls within a factor 10 of the grouping tolerance, i.e. the grouping
@@ -108,12 +104,6 @@ class SpectralDecomposition:
             out[groups] = np.add.reduce(x[idx], axis=1)
         return out
 
-    def rows(self, a: int) -> np.ndarray:
-        """(d, n) array whose row r is E_r e_a = V_r (V_r^T e_a). Entry b of
-        row r is bit-equal to entry a of rows(b)[r], and to diagonals[r, a]
-        when b == a."""
-        return self._group_sums(self._basis * self._basis[:, a, None])
-
     def entries(self, a: int, b: int) -> np.ndarray:
         """(d,) array of (E_r)_ab, bit-equal to entries(b, a)."""
         return self._group_sums(self._basis[:, a] * self._basis[:, b])
@@ -168,55 +158,18 @@ def decompose(a) -> SpectralDecomposition:
     )
 
 
-def strongly_cospectral_candidates(dec: SpectralDecomposition) -> list[tuple[int, int]]:
-    """Pairs a < b, in lexicographic order, that may be strongly cospectral.
+def parallel_pairs(dec: SpectralDecomposition, slack: float) -> np.ndarray:
+    """(n, n) mask, True at [a, b] (a != b) when every E_r e_b lies within
+    sqrt(slack) of the line through E_r e_a.
 
-    a and b are strongly cospectral iff (E_r)_aa = (E_r)_bb = +/-(E_r)_ab
-    for every r (Godsil & Smith, "Strongly cospectral vertices", 2017), as
-    ||E_r e_a - s E_r e_b||^2 = E_aa + E_bb - 2 s E_ab. The screen keeps the
-    pairs whose worst entry deviation max_r max(||E_ab| - E_aa|,
-    ||E_ab| - E_bb|) is within _SCREEN_TOL. It never drops a pair that
-    pair_profiles accepts, which stays the judge:
-
-    - pair_profiles accepts only when every r in the support of a or b has
-      D_r = ||E_r (e_a - s e_b)||_2 <= TOL_SPEC, s = sign(E_ab). Entries a
-      and b of E_r (e_a - s e_b) are E_aa - |E_ab| and s (|E_ab| - E_bb),
-      each at most D_r in size, so both deviations are at most TOL_SPEC;
-    - for r outside both supports E_aa and E_bb are at most TOL_SUPPORT^2,
-      and so is |E_ab| <= sqrt(E_aa E_bb), hence each deviation;
-    - SpectralDecomposition.projector forms E_r exactly symmetric, so the
-      E_bb half is the transpose of the E_aa half; its entries and the
-      coordinate sums pair_profiles reads are two roundings of the same sums
-      over the basis, ulps apart, well inside the factor 10 of _SCREEN_TOL.
-
-    The maximum is accumulated one eigenvalue group at a time in (n, n)
-    arrays, each E_r formed from the basis and dropped: O(n^3) work, O(n^2)
-    memory.
-    """
-    worst = np.zeros((dec.order, dec.order))
-    dev = np.empty_like(worst)
-    for r in range(dec.n_distinct):
-        e = dec.projector(r)
-        np.abs(e, out=dev)
-        dev -= np.diagonal(e)[:, None]
-        np.abs(dev, out=dev)
-        np.maximum(worst, dev, out=worst)
-    np.maximum(worst, worst.T, out=dev)
-    a_idx, b_idx = np.nonzero(np.triu(dev <= _SCREEN_TOL, 1))
-    return list(zip(a_idx.tolist(), b_idx.tolist()))
-
-
-def parallel_partners(dec: SpectralDecomposition, a: int, slack: float) -> np.ndarray:
-    """Sorted vertices b != a with E_r e_b parallel to E_r e_a for every r, up to slack.
-
-    With u = E_r e_a and v = E_r e_b (real vectors), the Gram determinant
-    (E_r)_aa (E_r)_bb - (E_r)_ab^2 = ||u||^2 ||v||^2 - (u.v)^2 equals
-    ||u||^2 dist(v, span u)^2: it is nonnegative, and zero exactly when u and
-    v are parallel. b is kept when max_r [E_aa E_bb - E_ab^2 - slack E_aa] is
-    at most _PARALLEL_MARGIN, that is when every E_r e_b lies within
-    sqrt(slack) of span(E_r e_a). Projector entries are at most 1 in size, so
-    entries off by up to TOL_SPEC move the determinant by about 4 TOL_SPEC,
-    which the margin covers.
+    With u = E_r e_a and v = E_r e_b, the Gram determinant E_aa E_bb - E_ab^2
+    = ||u||^2 ||v||^2 - (u.v)^2 = ||u||^2 dist(v, span u)^2 is nonnegative and
+    zero exactly when u and v are parallel; [a, b] is kept when max_r [E_aa
+    (E_bb - slack) - E_ab^2] <= _SCREEN_TOL. Entries off by up to TOL_SPEC
+    move a determinant by about 4 TOL_SPEC, which the margin covers. A
+    rank-one E_r = w w^T has determinant w_a^2 w_b^2 - (w_a w_b)^2 = 0, so
+    only the groups of multiplicity two or more are read, one (n, n)
+    projector at a time: O(n^3) work, O(n^2) memory.
 
     The revival scan passes slack = (tol_walk / beta_min)^2, which keeps
     every partner detect_at can accept: if ||U(tau) e_a - alpha e_a - beta
@@ -224,15 +177,42 @@ def parallel_partners(dec: SpectralDecomposition, a: int, slack: float) -> np.nd
     exp(-i tau theta_r) u = alpha u + beta v + E_r delta with ||E_r delta|| <=
     tol_walk, so v = c u + delta' with ||delta'|| < tol_walk / beta_min; for
     real u and v the nearest complex multiple of u is a real one.
-
-    Reads the rows E_r e_a and the stored diagonals: O(n^2) work.
     """
-    rows = dec.rows(a)
-    e_aa = rows[:, a : a + 1]
-    worst = (e_aa * dec.diagonals - rows**2 - slack * e_aa).max(axis=0)
-    keep = worst <= _PARALLEL_MARGIN
-    keep[a] = False
-    return np.nonzero(keep)[0]
+    worst = np.zeros((dec.order, dec.order))
+    gram, e = np.empty_like(worst), np.empty_like(worst)
+    for r in np.flatnonzero(np.array(dec.multiplicities) > 1).tolist():
+        cols = dec.group_of == r
+        # general products: several times faster here than v.T @ v and an outer product
+        np.matmul(dec.vectors[:, cols], dec._basis[cols], out=e)
+        np.copyto(gram, dec.diagonals[r] - slack)
+        gram *= dec.diagonals[r, :, None]
+        gram -= np.square(e, out=e)
+        np.maximum(worst, gram, out=worst)
+    np.fill_diagonal(worst, np.inf)
+    return worst <= _SCREEN_TOL
+
+
+def strongly_cospectral_candidates(dec: SpectralDecomposition) -> list[tuple[int, int]]:
+    """Pairs a < b, in lexicographic order, that may be strongly cospectral:
+    the pairs of parallel_pairs(dec, 0) whose diagonals (E_r)_aa and (E_r)_bb
+    agree to _SCREEN_TOL for every r, since strong cospectrality is parallel
+    plus cospectral (Godsil & Smith, "Strongly cospectral vertices", 2017).
+
+    The screen keeps every pair pair_profiles accepts, which stays the judge.
+    That needs D_r = ||E_r (e_a - s e_b)||_2 <= TOL_SPEC, s = sign(E_ab), on
+    every r in the support of a or b. With p = sqrt(E_aa) and q = sqrt(E_bb),
+    both at most 1, D_r^2 = (p - q)^2 + 2 (pq - |E_ab|), so the determinant
+    p^2 q^2 - E_ab^2 = (pq - |E_ab|)(pq + |E_ab|) is at most D_r^2 and
+    |E_aa - E_bb| = |p - q| (p + q) at most 2 D_r. Outside both supports,
+    p, q <= TOL_SUPPORT bound both by TOL_SUPPORT^2. _SCREEN_TOL covers these
+    and the ulps between projector entries and pair_profiles' coordinate sums.
+    """
+    a, b = np.nonzero(np.triu(parallel_pairs(dec, 0.0)))
+    step = max(1, _PAIR_BLOCK_BYTES // (8 * len(a) + 8))  # (rows, pairs) blocks within the budget
+    for diag in np.split(dec.diagonals, range(step, dec.n_distinct, step)):
+        close = (np.abs(diag[:, a] - diag[:, b]) <= _SCREEN_TOL).all(axis=0)
+        a, b = a[close], b[close]
+    return list(zip(a.tolist(), b.tolist()))
 
 
 @dataclass(frozen=True)
@@ -242,8 +222,8 @@ class PairProfile:
     ``phi_plus``/``phi_minus`` partition the common support by the sign in
     E_r e_a = +/- E_r e_b and are nonempty only when strongly cospectral.
     ``perron_anchor_valid`` records whether the top eigenvalue landed in
-    phi_plus, which the certification grid relies on; it is False for
-    signed graphs where the Perron argument does not apply.
+    phi_plus; it is only reported, no certification step reads it. It is
+    False for signed graphs where the Perron argument does not apply.
     """
 
     a: int

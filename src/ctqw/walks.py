@@ -28,7 +28,7 @@ from ctqw.numtheory import (
     lattice_step,
     rationalize,
 )
-from ctqw.spectral import TOL_SUPPORT, PairProfile, SpectralDecomposition, decompose, pair_profile, parallel_partners
+from ctqw.spectral import TOL_SUPPORT, PairProfile, SpectralDecomposition, decompose, pair_profile, parallel_pairs
 
 logger = logging.getLogger(__name__)
 
@@ -407,11 +407,14 @@ def certify_strongly_cospectral(
 
 @dataclass(frozen=True)
 class PairCertification:
-    """Full certification outcome for one vertex pair. ``failure`` says why
-    there is no lattice (``tau_step``), or else why no ``classification``."""
+    """Full certification outcome for one vertex pair. ``has_lattice`` says
+    whether the revival lattice exists; ``tau_step`` is its step, None when
+    both parts are singletons. ``failure`` says why there is no lattice, or
+    else why no ``classification``."""
 
     profile: PairProfile
     classification: EigenvalueClassification | None
+    has_lattice: bool
     tau_step: float | None
     certificates: tuple[FrCertificate, ...]
     failure: str | None
@@ -424,48 +427,37 @@ def certify_pair(
     """lattice -> certify, then classify the support of a profiled pair,
     capturing failures."""
     if not prof.strongly_cospectral:
-        return PairCertification(prof, None, None, (), "not strongly cospectral", None)
-    solved, step, cls, failure, witness = _solve_parts(dec, prof.phi_plus, prof.phi_minus)
-    certs = tuple(certify_strongly_cospectral(dec, prof, step, cfg)) if solved else ()
-    return PairCertification(prof, cls, step, certs, failure, witness)
+        return PairCertification(prof, None, False, None, (), "not strongly cospectral", None)
+    lattice, cls = _lattice(dec, tuple(sorted(prof.phi_plus)), tuple(sorted(prof.phi_minus)))
+    if isinstance(lattice, NotClassifiable):
+        return PairCertification(prof, None, False, None, (), lattice.reason, lattice.witness)
+    certs = tuple(certify_strongly_cospectral(dec, prof, lattice[0], cfg))
+    if isinstance(cls, str):
+        return PairCertification(prof, None, True, lattice[0], certs, cls, None)
+    return PairCertification(prof, cls, True, lattice[0], certs, None, None)
 
 
-def _solve_parts(dec: SpectralDecomposition, phi_plus: frozenset, phi_minus: frozenset) -> tuple:
-    """(lattice found, tau_step, classification, failure, witness) of the two
-    support parts of a strongly cospectral pair, as PairCertification reads
-    them. They depend on the parts alone, so they are solved once per
-    decomposition and part pair."""
-    memo = dec._time_memo.setdefault("parts", {})
-    key = (phi_plus, phi_minus)
-    if key not in memo:
-        plus, minus = tuple(sorted(phi_plus)), tuple(sorted(phi_minus))
-        lattice = _lattice(dec, plus, minus)
-        if isinstance(lattice, NotClassifiable):
-            memo[key] = (False, None, None, lattice.reason, lattice.witness)
-        else:
-            step, delta = lattice
-            theta = dec.eigenvalues
-            try:
-                memo[key] = (True, step, classify(theta[list(plus)], theta[list(minus)], delta), None, None)
-            except NotClassifiable as exc:
-                memo[key] = (True, step, None, exc.reason, None)
-    return memo[key]
-
-
-def _lattice(dec: SpectralDecomposition, plus: tuple, minus: tuple):
-    """lattice_step on the eigenvalues of the sorted groups plus and minus, or
-    the NotClassifiable it raises; solved once per decomposition and ordered
-    pair (plus, minus). lattice_step sorts the values of each part itself,
-    so the times of every caller are bit-equal to a direct call."""
+def _lattice(dec: SpectralDecomposition, plus: tuple, minus: tuple) -> tuple:
+    """(lattice, classification) of the eigenvalues of the sorted groups plus
+    and minus: lattice_step's (tau_step, delta) or the NotClassifiable it
+    raises, then classify's result or the reason it fails (None without a
+    lattice). Solved once per decomposition and ordered pair (plus, minus);
+    lattice_step sorts each part itself, so every caller's times are
+    bit-equal to a direct call."""
     memo = dec._time_memo.setdefault("lattice", {})
     key = (plus, minus)
     if key not in memo:
-        theta = dec.eigenvalues
+        theta_plus, theta_minus = dec.eigenvalues[list(plus)], dec.eigenvalues[list(minus)]
         try:
-            memo[key] = lattice_step(theta[list(plus)], theta[list(minus)])
+            lattice = lattice_step(theta_plus, theta_minus)
         except NotClassifiable as exc:
             # without its traceback, whose frames would hold dec in a cycle
-            memo[key] = exc.with_traceback(None)
+            memo[key] = (exc.with_traceback(None), None)
+        else:
+            try:
+                memo[key] = (lattice, classify(theta_plus, theta_minus, lattice[1]))
+            except NotClassifiable as exc:
+                memo[key] = (lattice, exc.reason)
     return memo[key]
 
 
@@ -503,7 +495,7 @@ def _revival_times(dec: SpectralDecomposition, a: int, b: int, norm: float, cfg:
         return np.empty(0)
     plus, minus = np.split(order, cut)
     groups = np.flatnonzero(sup)
-    lattice = _lattice(dec, tuple(groups[np.sort(plus)].tolist()), tuple(groups[np.sort(minus)].tolist()))
+    lattice, _ = _lattice(dec, tuple(groups[np.sort(plus)].tolist()), tuple(groups[np.sort(minus)].tolist()))
     if isinstance(lattice, NotClassifiable):
         logger.debug("no revival from %d to %d: %s", a, b, lattice.reason)
         return np.empty(0)
@@ -529,8 +521,8 @@ def scan_fr(
 ) -> list[FrCertificate]:
     """Revival from each vertex of sources, solved exactly pair by pair.
 
-    Only a parallel partner of a can receive revival, and
-    spectral.parallel_partners keeps every partner detect_at can accept; the
+    Only a parallel partner of a can receive revival, and row a of
+    spectral.parallel_pairs keeps every partner detect_at can accept; the
     scan takes each of them (only b, when given) and the times
     _revival_times solves for. detect_at, with its residual and oracle
     gates, judges those times in order, and a source keeps its earliest
@@ -542,11 +534,11 @@ def scan_fr(
     """
     if b is not None and b in sources:
         raise ValueError("the scan target must differ from its source")
-    slack = (cfg.tol_walk / cfg.beta_min) ** 2
+    partners = parallel_pairs(dec, (cfg.tol_walk / cfg.beta_min) ** 2)
     norm = phase_norm(dec)
     certs: list[FrCertificate] = []
     for a in sources:
-        par = parallel_partners(dec, a, slack)
+        par = np.flatnonzero(partners[a])
         if b is not None:
             par = par[par == b]
         times = sorted((tau, p) for p in par.tolist() for tau in _revival_times(dec, a, p, norm, cfg).tolist())
@@ -782,8 +774,9 @@ def verify_quotient_transport(
 ) -> dict:
     """Walk entries between singleton cells survive the quotient, exactly.
 
-    Samples |U_x(t)_{a,b} - U_{x/p}(t)_{ia,ib}| at QUOTIENT_TIMES, then checks
-    revival correspondence both ways on the certificates found for the pair.
+    Samples |U_x(t)_{a,b} - U_{x/p}(t)_{ia,ib}| at QUOTIENT_TIMES, or at
+    QUOTIENT_TIMES / ||A|| when ||A|| > MAX_PHASE / 10, then checks revival
+    correspondence both ways on the certificates found for the pair.
     """
     ia, ib = p.cell_of(a), p.cell_of(b)
     if len(p.cells[ia]) != 1 or len(p.cells[ib]) != 1:
@@ -792,7 +785,13 @@ def verify_quotient_transport(
     dec_x = decompose(x)
     dec_q = decompose(q)
 
-    diff = walk_columns(dec_x, a, QUOTIENT_TIMES)[:, b] - walk_columns(dec_q, ia, QUOTIENT_TIMES)[:, ib]
+    # the two eigensolves agree to about eps ||A||, so the walks' phases part
+    # by a few eps t ||A||: below eps MAX_PHASE ~ 2e-11 for t <= 10 while
+    # ||A|| <= MAX_PHASE / 10 = 1e4. Past that the phases keep no digits
+    # (1e151 rad at ||A|| = 1e150), so the times shrink by 1/||A||
+    norm = phase_norm(dec_x)
+    times = QUOTIENT_TIMES if 10 * norm <= MAX_PHASE else QUOTIENT_TIMES / norm
+    diff = walk_columns(dec_x, a, times)[:, b] - walk_columns(dec_q, ia, times)[:, ib]
     # hypot rounds as abs() of one complex entry does; np.abs of an array may not
     worst = float(np.hypot(diff.real, diff.imag).max())
     entries_ok = worst <= cfg.tol_walk

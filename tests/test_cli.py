@@ -3,6 +3,9 @@
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import types
 import warnings
@@ -27,7 +30,8 @@ from ctqw.cli import (
     run_analysis,
     validate_report,
 )
-from ctqw.spectral import SpectralDecomposition, decompose, pair_profile
+from ctqw import spectral as spectral_mod
+from ctqw.spectral import SpectralDecomposition, decompose, pair_profile, parallel_pairs
 from ctqw.walks import DetectionConfig, NumericalHealthWarning, certify_pair
 
 
@@ -169,6 +173,7 @@ class TestReports:
             {"tau": 1.0, "residual": 1.0},  # a stored residual above tol_walk
             {"tau": 1e11, "residual": 0.0},  # a rounding floor 1e-11 tau ||A|| above 1
             {"tau": 1e308},  # tau theta overflows and the column is NaN
+            {"alpha": [1e308, 1e308]},  # the residual overflows to inf
         ],
     )
     def test_forged_certificate_fails_validation(self, forged):
@@ -300,13 +305,24 @@ class TestReports:
 
     @pytest.mark.parametrize("spec", ["cycle:128", "cube:7"])
     def test_analysis_reads_no_projector_rows(self, monkeypatch, spec):
-        def refuse(self, a):
-            raise AssertionError("run_analysis read the rows E_r e_a")
+        # the one screen forms each projector from the basis in place and
+        # runs once; no per-vertex row reader is left
+        def refuse(self, r):
+            raise AssertionError("run_analysis read a projector")
+
+        screens = []
+
+        def counting(dec, slack):
+            screens.append(slack)
+            return parallel_pairs(dec, slack)
 
         graph = parse_graph_spec(spec)
-        monkeypatch.setattr(SpectralDecomposition, "rows", refuse)
+        monkeypatch.setattr(SpectralDecomposition, "projector", refuse)
+        monkeypatch.setattr(spectral_mod, "parallel_pairs", counting)
         report = run_analysis(graph, DetectionConfig())
         assert sum(k.startswith("pair(") for k in report.predicates) == 64
+        assert screens == [0.0]
+        assert not hasattr(SpectralDecomposition, "rows")
 
     def test_deterministic(self):
         a = run_analysis(parse_graph_spec("cocktail:3"), DetectionConfig()).payload()
@@ -604,6 +620,66 @@ class TestCommands:
         assert main(["analyze", str(target)]) == EXIT_PARSE
         err = capsys.readouterr().err
         assert "line 2" in err and "not finite" in err
+
+    def test_singleton_parts_without_integer_description(self, tmp_path, capsys):
+        # P2 with weight 0.7: two singleton parts, so the lattice exists with
+        # no step and the gap times certify, but +-0.7 are not integers
+        target = tmp_path / "p2.graph"
+        target.write_text("n 2\n0 1 0.7\n")
+        assert main(["analyze", str(target)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        entry = report["predicates"]["pair(0,1)"]
+        reason = "delta is 1 but the values are not all integers"
+        assert entry["classification"] == f"no quadratic-integer description: {reason}"
+        assert "tau_step" in entry and entry["tau_step"] is None
+        kinds = {c["kind"]: c["tau"] for c in report["certificates"]}
+        assert kinds["balanced_fr"] == pytest.approx(math.pi / 2.8, rel=1e-9)
+        assert kinds["perfect_state_transfer"] == pytest.approx(math.pi / 1.4, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "argv, first_line",
+        [
+            # a report of 290 kB outgrows the pipe's buffer, so writing it
+            # meets the reader's closed end
+            (["analyze", "cycle:128"], b"{\n"),
+            # outputs written after the reader has gone
+            (["construct", "complete:600"], None),
+            (["paper-suite", "--only", "weighted-p3"], None),
+        ],
+        ids=["analyze", "construct", "paper-suite"],
+    )
+    def test_closed_stdout_ends_quietly(self, argv, first_line):
+        src = str(Path(cli_mod.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ctqw.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        if first_line is not None:
+            assert proc.stdout.readline() == first_line
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == EXIT_OK
+        assert err == b""
+
+    def test_quotient_transport_holds_at_huge_weight(self, tmp_path, capsys):
+        # C4 with weight 1e150: at the fixed sample times the phases carry no
+        # digits, so the samples shrink by 1/||A||
+        target = tmp_path / "c4.graph"
+        target.write_text("n 4\n0 1 1e150\n1 2 1e150\n2 3 1e150\n0 3 1e150\n")
+        assert main(["quotient", "--pin", "0", "--pin", "2", str(target)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "transport entries match on the sample grid: True" in out
+        report = json.loads(out[out.index("\n{") + 1 :])
+        assert report["predicates"]["quotient_transport"]["holds"] is True
+
+    def test_paper_suite_has_no_json_option(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["paper-suite", "--only", "weighted-p3", "--json", str(out)])
+        assert exc.value.code == EXIT_PARSE
+        assert "unrecognized arguments: --json" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_log_level_debug_reports_screen(self, capsys):
         assert main(["analyze", "cube:3", "--log-level", "debug"]) == EXIT_OK

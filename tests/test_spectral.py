@@ -13,7 +13,6 @@ from ctqw import graphs as G
 from ctqw import spectral as spectral_mod
 from ctqw.cli import parse_graph_spec
 from ctqw.spectral import (
-    _PARALLEL_MARGIN,
     _SCREEN_TOL,
     TOL_SPEC,
     TOL_SUPPORT,
@@ -23,7 +22,7 @@ from ctqw.spectral import (
     default_group_tol,
     pair_profile,
     pair_profiles,
-    parallel_partners,
+    parallel_pairs,
     strongly_cospectral_candidates,
 )
 from ctqw.walks import DetectionConfig, transition_column, transition_matrix
@@ -52,6 +51,16 @@ def reference_tensor(dec):
         proj /= 2.0
         start += k
     return projs
+
+
+def projector_rows(dec, a):
+    """(d, n) array whose row r is E_r e_a, row a of projector(r)."""
+    return np.stack([dec.projector(r)[a] for r in range(dec.n_distinct)])
+
+
+def partners(dec, a, slack):
+    """The partners of a that row a of parallel_pairs keeps, ascending."""
+    return np.flatnonzero(parallel_pairs(dec, slack)[a]).tolist()
 
 
 def projector_invariants_ok(dec, atol=1e-9):
@@ -356,7 +365,8 @@ _REFERENCE_GRAPHS = _FAMILY_GRAPHS + [
 
 _SCREEN_SPECS = [
     "path:4", "path:5", "cycle:6", "cycle:32", "cycle:64", "cycle:128", "cube:3", "cube:4", "cube:5", "cube:6",
-    "cube:7", "cocktail:4", "cocktail:20", "cone2:cocktail:10", "prod(star:16,path:2)",
+    "cube:7", "cocktail:4", "cocktail:20", "cone2:cocktail:10", "prod(star:16,path:2)", "prod(cycle:12,cycle:12)",
+    "prod(path:3,path:2)",
 ]
 
 
@@ -380,7 +390,7 @@ def tensor_parallel_partners(projs, a, slack):
     rows = projs[:, a, :]
     diag = np.diagonal(projs, axis1=1, axis2=2)
     e_aa = rows[:, a : a + 1]
-    keep = (e_aa * diag - rows**2 - slack * e_aa).max(axis=0) <= _PARALLEL_MARGIN
+    keep = (e_aa * diag - rows**2 - slack * e_aa).max(axis=0) <= _SCREEN_TOL
     keep[a] = False
     return np.nonzero(keep)[0]
 
@@ -472,8 +482,9 @@ class TestProjectorTensor:
         dec = decompose(g)
         projs = reference_tensor(dec)
         assert np.abs(dec.diagonals - np.diagonal(projs, axis1=1, axis2=2)).max() <= 1e-13
+        for r in range(dec.n_distinct):
+            assert np.abs(dec.projector(r) - projs[r]).max() <= 1e-13
         for a in range(g.order):
-            assert np.abs(dec.rows(a) - projs[:, a, :]).max() <= 1e-13
             for b in range(g.order):
                 assert np.abs(dec.entries(a, b) - projs[:, a, b]).max() <= 1e-13
         for t in (0.3, 2.9, 41.0):
@@ -484,18 +495,17 @@ class TestProjectorTensor:
 
     @pytest.mark.parametrize("g", _REFERENCE_GRAPHS, ids=lambda g: g.name)
     def test_readers_are_bit_symmetric(self, g):
-        # the screens' superset arguments read (E_r)_ab and (E_r)_ba as one number
+        # pair_profiles reads (E_r)_ab and (E_r)_ba as one number; the
+        # projectors' diagonals are the stored ones to rounding
         dec = decompose(g)
         n = g.order
-        rows = np.stack([dec.rows(a) for a in range(n)])  # rows[a, r, b] = (E_r)_ab
-        assert np.array_equal(rows, rows.transpose(2, 1, 0))
-        assert np.array_equal(dec.diagonals, rows[np.arange(n), :, np.arange(n)].T)
         for a in range(n):
             for b in range(a + 1, n):
                 assert np.array_equal(dec.entries(a, b), dec.entries(b, a))
         for r in range(dec.n_distinct):
             e = dec.projector(r)
             assert np.array_equal(e, e.T)
+            assert np.abs(np.diagonal(e) - dec.diagonals[r]).max() <= 1e-15
 
     @pytest.mark.parametrize("spec", _SCREEN_SPECS)
     def test_screens_equal_tensor_screens(self, spec):
@@ -503,9 +513,10 @@ class TestProjectorTensor:
         projs = reference_tensor(dec)
         assert strongly_cospectral_candidates(dec) == tensor_strongly_cospectral_candidates(projs)
         slack = (DetectionConfig().tol_walk / DetectionConfig().beta_min) ** 2
-        for a in range(dec.order):
-            for sl in (0.0, slack):
-                assert parallel_partners(dec, a, sl).tolist() == tensor_parallel_partners(projs, a, sl).tolist()
+        for sl in (0.0, slack):
+            mask = parallel_pairs(dec, sl)
+            for a in range(dec.order):
+                assert np.flatnonzero(mask[a]).tolist() == tensor_parallel_partners(projs, a, sl).tolist()
 
 
 class TestStrongCospectralityScreen:
@@ -542,6 +553,17 @@ class TestStrongCospectralityScreen:
         assert pair_profile(nudged, 0, 3).strongly_cospectral
         assert (0, 3) in strongly_cospectral_candidates(nudged)
 
+    @pytest.mark.parametrize("spec", ["cycle:32", "path:12", "cube:4"])
+    def test_diagonal_blocks_equal_one_pass(self, monkeypatch, spec):
+        # budgets of 8 (k + 1) bytes a pair make blocks of k = 1 and 2 rows of
+        # the diagonals, which give the one-block result
+        dec = decompose(parse_graph_spec(spec))
+        whole = strongly_cospectral_candidates(dec)
+        pairs = int(np.triu(parallel_pairs(dec, 0.0)).sum())
+        for rows in (1, 2):
+            monkeypatch.setattr(spectral_mod, "_PAIR_BLOCK_BYTES", 8 * (rows + 1) * pairs)
+            assert strongly_cospectral_candidates(dec) == whole == brute_force_strongly_cospectral(dec)
+
     def test_random_weighting_has_no_candidates(self):
         rng = np.random.default_rng(7)
         w = np.triu(rng.uniform(0.5, 2.0, size=(12, 12)), 1)
@@ -566,23 +588,23 @@ class TestParallelScreen:
     )
     def test_keeps_every_parallel_pair(self, g, slack):
         dec = decompose(g)
+        mask = parallel_pairs(dec, slack)
+        assert mask.shape == (g.order, g.order) and not mask.diagonal().any()
         for a in range(g.order):
-            kept = parallel_partners(dec, a, slack).tolist()
-            assert kept == sorted(kept) and a not in kept
-            assert set(brute_force_parallel(dec, a)) <= set(kept)
+            assert set(brute_force_parallel(dec, a)) <= set(np.flatnonzero(mask[a]).tolist())
 
     @pytest.mark.parametrize("g", _FAMILY_GRAPHS + [G.double_cone(G.cycle(5)), G.star(5), G.complete(5)])
     def test_exact_on_families(self, g):
         dec = decompose(g)
         for a in range(g.order):
-            assert parallel_partners(dec, a, 0.0).tolist() == brute_force_parallel(dec, a)
+            assert partners(dec, a, 0.0) == brute_force_parallel(dec, a)
 
     def test_known_partners(self):
-        assert parallel_partners(decompose(G.cycle(6)), 0, 0.0).tolist() == [3]
-        assert parallel_partners(decompose(G.cycle(7)), 0, 0.0).tolist() == []
-        assert parallel_partners(decompose(G.path(5)), 2, 0.0).tolist() == [0, 1, 3, 4]
+        assert partners(decompose(G.cycle(6)), 0, 0.0) == [3]
+        assert partners(decompose(G.cycle(7)), 0, 0.0) == []
+        assert partners(decompose(G.path(5)), 2, 0.0) == [0, 1, 3, 4]
         # the paper's non-cospectral revival pair is parallel
-        assert 2 in parallel_partners(decompose(weighted_p3(math.sqrt(2) - 1)), 0, 0.0).tolist()
+        assert 2 in partners(decompose(weighted_p3(math.sqrt(2) - 1)), 0, 0.0)
 
     def test_slack_admits_near_parallel_pairs(self):
         # C6 with the (0, 3) entry of one projector (E_00 = E_33 = 1/3) shrunk
@@ -595,15 +617,15 @@ class TestParallelScreen:
         e = reference_tensor(nudged)[r]
         assert e[0, 3] == pytest.approx(good.entries(0, 3)[r] * (1 - 1e-5), rel=1e-9)
         assert e[0, 0] * e[3, 3] - e[0, 3] ** 2 == pytest.approx((1 - (1 - 1e-5) ** 2) / 9, rel=1e-6)
-        assert 3 not in parallel_partners(nudged, 0, 0.0).tolist()
-        assert 3 in parallel_partners(nudged, 0, 1e-4).tolist()
+        assert 3 not in partners(nudged, 0, 0.0)
+        assert 3 in partners(nudged, 0, 1e-4)
 
 
 def row_rule_profile(dec, a, b):
     """The rule of pair_profiles read from the rows E_r e_a and E_r e_b: the
     norms of the rows, their inner product and its sign s, and ||E_r e_a - s
     E_r e_b||_2."""
-    cols_a, cols_b = dec.rows(a), dec.rows(b)
+    cols_a, cols_b = projector_rows(dec, a), projector_rows(dec, b)
     norms_a = np.linalg.norm(cols_a, axis=1)
     norms_b = np.linalg.norm(cols_b, axis=1)
     sup_a = norms_a > TOL_SUPPORT
@@ -630,14 +652,12 @@ def row_rule_profile(dec, a, b):
 
 
 def coordinate_profiles(dec, pairs):
-    """pair_profiles(dec, pairs) with the readers of projector rows and
-    projectors patched to raise."""
+    """pair_profiles(dec, pairs) with the projector reader patched to raise."""
 
     def no_rows(*args):
-        raise AssertionError("pair_profiles read a projector row")
+        raise AssertionError("pair_profiles read a projector")
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(SpectralDecomposition, "rows", no_rows)
         m.setattr(SpectralDecomposition, "projector", no_rows)
         return pair_profiles(dec, pairs)
 
