@@ -175,21 +175,31 @@ def _jsonify(value):
         return {str(k): _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
-    if isinstance(value, (complex, np.complexfloating)):
-        return [_round_float(float(value.real)), _round_float(float(value.imag))]
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
         return _round_float(float(value))
-    if isinstance(value, np.ndarray):
-        return [_jsonify(v) for v in value.tolist()]
     return value
 
 
 def certificate_to_json(cert: FrCertificate, graph_name: str) -> dict:
-    return _jsonify({"graph": graph_name, **vars(cert)})
+    """The certificate's fields in order after "graph": floats rounded as
+    _jsonify rounds them, amplitudes as [re, im]."""
+    return {
+        "graph": graph_name,
+        "a": int(cert.a),
+        "b": int(cert.b),
+        "tau": _round_float(cert.tau),
+        "alpha": [_round_float(cert.alpha.real), _round_float(cert.alpha.imag)],
+        "beta": [_round_float(cert.beta.real), _round_float(cert.beta.imag)],
+        "gamma": None if cert.gamma is None else _round_float(cert.gamma),
+        "zeta": None if cert.zeta is None else _round_float(cert.zeta),
+        "kind": cert.kind,
+        "residual": _round_float(cert.residual),
+        "method": cert.method,
+    }
 
 
 def _dumps(value, pad: str = "\n") -> str:
@@ -197,14 +207,24 @@ def _dumps(value, pad: str = "\n") -> str:
     indent encoder (taken for any indent), which makes one generator step per value.
 
     A list whose items are all plain finite floats, all plain ints or all
-    strings is written as one join. Strings and keys go through json's C
-    string encoder, and every other scalar (NaN, +-inf, None, bools) through
-    json's own encoder. A key that is not a string raises TypeError: json's
-    coercion of int, float, bool and None keys is not copied, since every
-    report key is a literal or has passed through _jsonify.
+    strings is written as one join. A finite float64 ndarray is written as
+    json.dumps(value.tolist(), indent=2) would write it: each distinct value,
+    told apart by its bits so that -0.0 keeps its sign, is formatted once,
+    and the rows are joined from that table. Any other ndarray goes through
+    tolist(). Strings and keys go through json's C string encoder, and every
+    other scalar (NaN, +-inf, None, bools) through json's own encoder. A key
+    that is not a string raises TypeError: json's coercion of int, float,
+    bool and None keys is not copied, since every report key is a literal or
+    has passed through _jsonify.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
+    if isinstance(value, np.ndarray):
+        if value.dtype != np.float64 or value.ndim == 0 or value.size == 0 or not np.isfinite(value).all():
+            return _dumps(value.tolist(), pad)
+        distinct, index = np.unique(np.ascontiguousarray(value).view(np.int64), return_inverse=True)
+        text = list(map(float.__repr__, distinct.view(np.float64).tolist()))
+        return _join_rows(index.reshape(value.shape), text, pad)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -233,12 +253,25 @@ def _dumps(value, pad: str = "\n") -> str:
     return json.dumps(value)
 
 
+def _join_rows(index: np.ndarray, text: list[str], pad: str) -> str:
+    """_dumps of the array whose entries are text[i] for i in index."""
+    inner = pad + "  "
+    if index.ndim == 1:
+        items = map(text.__getitem__, index.tolist())
+    else:
+        items = (_join_rows(row, text, inner) for row in index)
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+
 @dataclass
 class RunReport:
     """One analysis run: input, configuration, certificates, named checks.
 
-    All numeric payload is rounded to JSON_DIGITS significant digits at
-    construction so that emitting and re-parsing the JSON is an identity.
+    Every float is rounded to JSON_DIGITS significant digits at construction,
+    so that emitting and re-parsing the JSON is an identity, except the
+    weights: graph["weights"] is the graph's own frozen float64 array,
+    exact, since JSON doubles round-trip. to_json writes it from the array;
+    payload() returns it as nested lists, like every other value.
     """
 
     input_spec: str
@@ -250,10 +283,11 @@ class RunReport:
     health_warnings: list = field(default_factory=list)
 
     def payload(self) -> dict:
-        return dict(vars(self))
+        """The report as plain JSON values, the weights as nested lists."""
+        return {**vars(self), "graph": {**self.graph, "weights": self.graph["weights"].tolist()}}
 
     def to_json(self) -> str:
-        return _dumps(self.payload())
+        return _dumps(vars(self))
 
 
 def _is_number(v) -> bool:
@@ -460,7 +494,7 @@ def run_analysis(
             "labels": list(graph.labels),
             # exact weights (JSON doubles round-trip), so certificates can be
             # re-validated even when the spec names a derived graph
-            "weights": graph.weights.tolist(),
+            "weights": graph.weights,
         },
         certificates=[certificate_to_json(c, graph.name) for c in certificates],
         predicates=predicates,
@@ -500,9 +534,8 @@ def _write(text: str) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _emit(payload: dict, args) -> None:
-    """Write a JSON report to the --json file, or print it."""
-    text = _dumps(payload)
+def _emit(text: str, args) -> None:
+    """Write a JSON report's text to the --json file, or print it."""
     if args.json:
         with open(args.json, "w", encoding="ascii") as fh:
             fh.write(text + "\n")
@@ -515,7 +548,7 @@ def cmd_analyze(args) -> int:
     graph = parse_graph_spec(args.graph)
     cfg = _config_from_args(args)
     report = run_analysis(graph, cfg, do_scan=args.scan)
-    _emit(report.payload(), args)
+    _emit(report.to_json(), args)
     return _health_exit(report.health_warnings)
 
 
@@ -535,7 +568,7 @@ def cmd_scan(args) -> int:
         "input_spec": graph.name,
         "certificates": [certificate_to_json(c, graph.name) for c in certs],
     }
-    _emit(payload, args)
+    _emit(_dumps(payload), args)
     return _health_exit(health)
 
 
@@ -594,7 +627,7 @@ def cmd_quotient(args) -> int:
     _write("".join(line + "\n" for line in lines))
     report = run_analysis(q, cfg)
     report.predicates.update(_jsonify(predicates))
-    _emit(report.payload(), args)
+    _emit(report.to_json(), args)
     return _health_exit(report.health_warnings)
 
 

@@ -158,9 +158,10 @@ def decompose(a) -> SpectralDecomposition:
     )
 
 
-def parallel_pairs(dec: SpectralDecomposition, slack: float) -> np.ndarray:
+def parallel_pairs(dec: SpectralDecomposition, slack: float, sources=None) -> np.ndarray:
     """(n, n) mask, True at [a, b] (a != b) when every E_r e_b lies within
-    sqrt(slack) of the line through E_r e_a.
+    sqrt(slack) of the line through E_r e_a; given sources, only their rows,
+    in their order, in O(len(sources) n) memory.
 
     With u = E_r e_a and v = E_r e_b, the Gram determinant E_aa E_bb - E_ab^2
     = ||u||^2 ||v||^2 - (u.v)^2 = ||u||^2 dist(v, span u)^2 is nonnegative and
@@ -168,8 +169,8 @@ def parallel_pairs(dec: SpectralDecomposition, slack: float) -> np.ndarray:
     (E_bb - slack) - E_ab^2] <= _SCREEN_TOL. Entries off by up to TOL_SPEC
     move a determinant by about 4 TOL_SPEC, which the margin covers. A
     rank-one E_r = w w^T has determinant w_a^2 w_b^2 - (w_a w_b)^2 = 0, so
-    only the groups of multiplicity two or more are read, one (n, n)
-    projector at a time: O(n^3) work, O(n^2) memory.
+    only the groups of multiplicity two or more are read, one (rows, n) block
+    of projector rows at a time: O(rows n^2) work.
 
     The revival scan passes slack = (tol_walk / beta_min)^2, which keeps
     every partner detect_at can accept: if ||U(tau) e_a - alpha e_a - beta
@@ -178,17 +179,18 @@ def parallel_pairs(dec: SpectralDecomposition, slack: float) -> np.ndarray:
     tol_walk, so v = c u + delta' with ||delta'|| < tol_walk / beta_min; for
     real u and v the nearest complex multiple of u is a real one.
     """
-    worst = np.zeros((dec.order, dec.order))
+    rows = np.arange(dec.order) if sources is None else np.asarray(sources, dtype=np.intp)
+    worst = np.zeros((len(rows), dec.order))
     gram, e = np.empty_like(worst), np.empty_like(worst)
     for r in np.flatnonzero(np.array(dec.multiplicities) > 1).tolist():
         cols = dec.group_of == r
         # general products: several times faster here than v.T @ v and an outer product
-        np.matmul(dec.vectors[:, cols], dec._basis[cols], out=e)
+        np.matmul(dec.vectors[:, cols][rows], dec._basis[cols], out=e)
         np.copyto(gram, dec.diagonals[r] - slack)
-        gram *= dec.diagonals[r, :, None]
+        gram *= dec.diagonals[r, rows, None]
         gram -= np.square(e, out=e)
         np.maximum(worst, gram, out=worst)
-    np.fill_diagonal(worst, np.inf)
+    worst[np.arange(len(rows)), rows] = np.inf
     return worst <= _SCREEN_TOL
 
 

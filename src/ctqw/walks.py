@@ -521,7 +521,7 @@ def scan_fr(
 ) -> list[FrCertificate]:
     """Revival from each vertex of sources, solved exactly pair by pair.
 
-    Only a parallel partner of a can receive revival, and row a of
+    Only a parallel partner of a can receive revival, and the row of a in
     spectral.parallel_pairs keeps every partner detect_at can accept; the
     scan takes each of them (only b, when given) and the times
     _revival_times solves for. detect_at, with its residual and oracle
@@ -532,13 +532,14 @@ def scan_fr(
     bounded evidence, since lattice_step rationalizes eigenvalue ratios
     with denominators up to numtheory.MAX_DEN.
     """
+    sources = list(sources)
     if b is not None and b in sources:
         raise ValueError("the scan target must differ from its source")
-    partners = parallel_pairs(dec, (cfg.tol_walk / cfg.beta_min) ** 2)
+    partners = parallel_pairs(dec, (cfg.tol_walk / cfg.beta_min) ** 2, sources)
     norm = phase_norm(dec)
     certs: list[FrCertificate] = []
-    for a in sources:
-        par = np.flatnonzero(partners[a])
+    for a, row in zip(sources, partners):
+        par = np.flatnonzero(row)
         if b is not None:
             par = par[par == b]
         times = sorted((tau, p) for p in par.tolist() for tau in _revival_times(dec, a, p, norm, cfg).tolist())

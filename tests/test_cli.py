@@ -363,6 +363,24 @@ _TREES = st.recursive(
 )
 
 
+#: weights with repeats, both zeros, the extremes and values whose repr is long
+_WEIGHTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1.7e308, -1.7e308, 1 / 3, -1 / 3]),
+    st.integers(-6, 6).map(lambda k: k * math.pi),
+    st.integers(-(10**6), 10**6).map(float),
+)
+
+
+@st.composite
+def _weight_arrays(draw):
+    """Float64 arrays of shapes 1x1 to 12x12 (and rows of 1 to 12), drawn
+    from a pool of a few values, so that values repeat."""
+    shape = draw(st.tuples(st.integers(1, 12), st.integers(1, 12)) | st.tuples(st.integers(1, 12)))
+    pool = draw(st.lists(_WEIGHTS, min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.array([pool[i] for i in picks], dtype=np.float64).reshape(shape)
+
+
 def _is_indent2_json(text: str) -> bool:
     return text == json.dumps(json.loads(text), indent=2) + "\n"
 
@@ -396,11 +414,56 @@ class TestReportWriter:
         with pytest.raises(TypeError):
             cli_mod._dumps(tree)
 
+    @settings(max_examples=200, deadline=None)
+    @given(_weight_arrays(), st.integers(0, 3))
+    def test_array_equals_json_of_its_list(self, arr, depth):
+        # the array nested depth lists deep, where its rows are indented further
+        value, listed = arr, arr.tolist()
+        for _ in range(depth):
+            value, listed = [value], [listed]
+        assert cli_mod._dumps(value) == json.dumps(listed, indent=2)
+
+    @pytest.mark.parametrize(
+        "arr",
+        [
+            np.array([[0.0, -0.0], [-0.0, 0.0]]),
+            np.array([[math.nan, 1.0], [math.inf, -math.inf]]),
+            np.array([[1, 2], [3, 4]]),
+            np.zeros((2, 0)),
+            np.zeros(0),
+            np.array(2.5),
+        ],
+        ids=["signed-zeros", "non-finite", "int", "empty-rows", "empty", "0-d"],
+    )
+    def test_other_arrays_equal_json_of_their_list(self, arr):
+        assert cli_mod._dumps({"w": arr}) == json.dumps({"w": arr.tolist()}, indent=2)
+
     def test_weights_are_exact(self):
         rng = np.random.default_rng(3)
         w = rng.uniform(0.1, 3.0, (5, 5)) * np.pi
         graph = G.WeightedGraph(w + w.T, tuple("abcde"), "random")
         assert run_analysis(graph).payload()["graph"]["weights"] == graph.weights.tolist()
+
+    def test_report_holds_the_graphs_weights(self):
+        graph = parse_graph_spec("cycle:6")
+        report = run_analysis(graph)
+        assert report.graph["weights"] is graph.weights
+        payload = report.payload()
+        assert type(payload["graph"]["weights"]) is list
+        assert report.graph["weights"] is graph.weights  # payload() leaves the report as it was
+
+    def test_report_retains_little_memory(self):
+        # the report holds the graph's weight array, not 16,384 Python floats (about 0.6 MB)
+        graph = parse_graph_spec("cycle:128")
+        run_analysis(graph)  # lazy imports and caches
+        tracemalloc.start()
+        try:
+            report = run_analysis(graph)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert report.certificates == []
+        assert retained < 0.2e6, retained
 
     def test_peak_memory_is_a_few_times_the_output(self):
         report = run_analysis(parse_graph_spec("cycle:128"))

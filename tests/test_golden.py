@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from ctqw import cli
 from ctqw.cli import parse_graph_spec, run_analysis
 from ctqw.walks import DetectionConfig
 
@@ -69,6 +70,34 @@ def golden() -> dict:
 @pytest.mark.parametrize("spec, scan", CASES, ids=[_key(s, c) for s, c in CASES])
 def test_analyze_matches_golden(golden, spec, scan):
     _assert_same(_payload(spec, scan), golden[_key(spec, scan)])
+
+
+@pytest.mark.parametrize("spec, scan", CASES, ids=[_key(s, c) for s, c in CASES])
+def test_report_text_is_json_of_its_payload(spec, scan):
+    # to_json writes the weights from the array, payload() as lists
+    report = run_analysis(parse_graph_spec(spec), DetectionConfig(), do_scan=scan)
+    assert report.to_json() == json.dumps(report.payload(), indent=2)
+
+
+@pytest.mark.parametrize("spec, scan", CASES, ids=[_key(s, c) for s, c in CASES])
+def test_certificates_convert_as_jsonify_did(monkeypatch, golden, spec, scan):
+    # certificate_to_json builds each dict field by field; the reference is
+    # the recursive _jsonify of the certificate's fields, each complex
+    # amplitude as its [re, im] pair. json.dumps tells 1 from 1.0 and keeps
+    # the key order.
+    convert = cli.certificate_to_json
+    converted = []
+
+    def recording(cert, graph_name):
+        converted.append((cert, graph_name, convert(cert, graph_name)))
+        return converted[-1][2]
+
+    monkeypatch.setattr(cli, "certificate_to_json", recording)
+    _payload(spec, scan)
+    assert len(converted) == len(golden[_key(spec, scan)]["certificates"])
+    for cert, name, got in converted:
+        fields = {k: [v.real, v.imag] if isinstance(v, complex) else v for k, v in vars(cert).items()}
+        assert json.dumps(got) == json.dumps(cli._jsonify({"graph": name, **fields}))
 
 
 def test_comparison_is_strict_on_non_floats():

@@ -370,6 +370,28 @@ _SCREEN_SPECS = [
 ]
 
 
+#: the slack at which the revival scan reads parallel_pairs
+_SCAN_SLACK = (DetectionConfig().tol_walk / DetectionConfig().beta_min) ** 2
+
+
+def seeded_weighted_graph(seed):
+    """A graph with random real weights and eigenvalues of multiplicity two
+    or more: for even seeds a circulant of order 8..40 (its eigenvalues pair
+    up), for odd seeds the Cartesian square of a graph of order 3..6."""
+    rng = np.random.default_rng([seed, 19])
+    if seed % 2 == 0:
+        n = int(rng.integers(8, 41))
+        c = np.where(rng.random(n) < 0.4, rng.uniform(0.1, 3.0, n), 0.0)
+        c[0] = 0.0
+        c = (c + np.roll(c[::-1], 1)) / 2.0  # c[k] = c[n - k]
+        w = c[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
+        return G.WeightedGraph(w, tuple(str(i) for i in range(n)), f"circulant:{seed}")
+    n = int(rng.integers(3, 7))
+    w = np.triu(rng.uniform(0.1, 3.0, (n, n)), 1)
+    g = G.WeightedGraph(w + w.T, tuple(str(i) for i in range(n)), f"random:{seed}")
+    return G.cartesian_product(g, g)
+
+
 def tensor_strongly_cospectral_candidates(projs):
     """The strong-cospectrality screen as it read the projector tensor."""
     n = projs.shape[1]
@@ -592,6 +614,38 @@ class TestParallelScreen:
         assert mask.shape == (g.order, g.order) and not mask.diagonal().any()
         for a in range(g.order):
             assert set(brute_force_parallel(dec, a)) <= set(np.flatnonzero(mask[a]).tolist())
+
+    @pytest.mark.parametrize(
+        "g",
+        [parse_graph_spec(s) for s in _SCREEN_SPECS + ["cycle:300"]] + [seeded_weighted_graph(s) for s in range(12)],
+        ids=lambda g: g.name,
+    )
+    def test_source_rows_equal_full_mask(self, g):
+        # the rows of given sources are bit for bit the full mask's rows: the
+        # dot products of a few rows, k = 2 terms on cycles, round as in the
+        # full product
+        dec = decompose(g)
+        n = g.order
+        order = np.random.default_rng(n).permutation(n)
+        singles = range(n) if n <= 150 else order[:40].tolist()
+        for slack in (0.0, _SCAN_SLACK):
+            full = parallel_pairs(dec, slack)
+            assert np.array_equal(parallel_pairs(dec, slack, order), full[order])
+            assert np.array_equal(parallel_pairs(dec, slack, order[:3]), full[order[:3]])
+            for a in singles:
+                assert np.array_equal(parallel_pairs(dec, slack, [a]), full[a : a + 1])
+
+    def test_source_rows_stay_small(self):
+        # one source reads (n, k) blocks of the basis and never forms an (n, n) array
+        dec = decompose(G.cycle(300))
+        tracemalloc.start()
+        try:
+            row = parallel_pairs(dec, _SCAN_SLACK, [7])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert row.shape == (1, 300) and np.flatnonzero(row).tolist() == [157]
+        assert peak < 300 * 300, peak
 
     @pytest.mark.parametrize("g", _FAMILY_GRAPHS + [G.double_cone(G.cycle(5)), G.star(5), G.complete(5)])
     def test_exact_on_families(self, g):

@@ -393,6 +393,22 @@ class TestScan:
         for x, tau in zip(certs, [math.pi / (4 * c), math.pi / (2 * c)] * 2):
             assert math.isclose(x.tau, tau, rel_tol=1e-12)
 
+    @pytest.mark.parametrize("sources", [[7], [7, 150], range(300)], ids=["one", "two", "all"])
+    def test_screen_forms_the_rows_of_its_sources(self, monkeypatch, sources):
+        # a scan from a few sources builds their rows of the parallel mask,
+        # never the (n, n) mask, and reads the same partners
+        dec = decompose(G.cycle(300))
+        masks = []
+
+        def recording(dec, slack, rows=None):
+            masks.append(parallel_pairs(dec, slack, rows))
+            return masks[-1]
+
+        monkeypatch.setattr(walks_mod, "parallel_pairs", recording)
+        assert scan_fr(dec, sources, None, CFG) == []
+        assert [m.shape for m in masks] == [(len(sources), 300)]
+        assert np.array_equal(masks[0], parallel_pairs(dec, _scan_slack())[list(sources)])
+
     def test_partner_outside_the_support_has_no_times(self):
         # the parallel screen passes 0 for source 2, where every (E_r)_22 outside
         # the support is 0, but E_r e_0 reaches eigenvalues that e_2 does not
