@@ -211,11 +211,12 @@ def _dumps(value, pad: str = "\n") -> str:
     json.dumps(value.tolist(), indent=2) would write it: each distinct value,
     told apart by its bits so that -0.0 keeps its sign, is formatted once,
     and the rows are joined from that table. Any other ndarray goes through
-    tolist(). Strings and keys go through json's C string encoder, and every
-    other scalar (NaN, +-inf, None, bools) through json's own encoder. A key
-    that is not a string raises TypeError: json's coercion of int, float,
-    bool and None keys is not copied, since every report key is a literal or
-    has passed through _jsonify.
+    tolist(). Strings and keys go through json's C string encoder, None and
+    the bools are written as null, true and false, and every other scalar
+    (NaN, +-inf) goes through json's own encoder. A key that is not a string
+    raises TypeError: json's coercion of int, float, bool and None keys is
+    not copied, since every report key is a literal or has passed through
+    _jsonify.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -250,6 +251,12 @@ def _dumps(value, pad: str = "\n") -> str:
         return float.__repr__(value)
     if type(value) is int:
         return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
     return json.dumps(value)
 
 
@@ -481,7 +488,9 @@ def run_analysis(
 
         if do_scan:
             t0 = time.perf_counter()
-            keep(scan_fr(dec, range(n), None, cfg))
+            # the grid's certificates stand for the scan's events at their
+            # (a, tau), which keep() would drop as duplicates
+            keep(scan_fr(dec, range(n), None, cfg, known=certificates))
             timing["scan"] = (time.perf_counter() - t0) * 1000.0
 
     certificates.sort(key=lambda c: (c.a, c.b, c.tau, c.kind))

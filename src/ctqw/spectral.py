@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,20 +67,14 @@ class SpectralDecomposition:
     _time_memo: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        mult = np.array(self.multiplicities)
-        starts = np.cumsum(mult) - mult
-        runs = []
-        for k in sorted(set(self.multiplicities)):
-            groups = np.flatnonzero(mult == k)
-            runs.append((groups, starts[groups, None] + np.arange(k)))
-        object.__setattr__(self, "_runs", tuple(runs))
+        object.__setattr__(self, "_runs", _size_runs(self.multiplicities))
         basis = np.ascontiguousarray(np.asarray(self.vectors, dtype=float).T)
         arrays = {
             "matrix": np.asarray(self.matrix, dtype=float),
             "eigenvalues": np.asarray(self.eigenvalues, dtype=float),
             "vectors": basis.T,
             "diagonals": self._group_sums(basis * basis),
-            "group_of": np.repeat(np.arange(len(mult)), mult),
+            "group_of": np.repeat(np.arange(len(self.multiplicities)), self.multiplicities),
             "_basis": basis,
         }
         for name, arr in arrays.items():
@@ -116,6 +111,19 @@ class SpectralDecomposition:
         return v.T @ v
 
 
+def _size_runs(sizes) -> tuple:
+    """Per size k, ascending, of consecutive groups of the given sizes: the
+    groups of size k and the (groups, k) array of their members."""
+    starts = list(itertools.accumulate(sizes, initial=0))
+    groups_of_size: dict[int, list[int]] = {}
+    for r, k in enumerate(sizes):
+        groups_of_size.setdefault(k, []).append(r)
+    return tuple(
+        (np.array(groups), np.array([starts[r] for r in groups])[:, None] + np.arange(k))
+        for k, groups in sorted(groups_of_size.items())
+    )
+
+
 def decompose(a) -> SpectralDecomposition:
     """Eigendecompose a symmetric matrix into distinct eigenvalues and a grouped eigenbasis.
 
@@ -128,30 +136,38 @@ def decompose(a) -> SpectralDecomposition:
     """
     m = _as_matrix(a)
     _check_order(m.shape[0])
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
-    _check_norm(m)
-    asym = float(np.abs(m - m.T).max())
-    if asym > 1e-12:
-        raise ValueError(f"matrix must be symmetric (max asymmetry {asym:.3e})")
-    m = (m + m.T) / 2.0
+    if not isinstance(a, WeightedGraph):  # a graph's matrix passed these checks when it was built
+        if not np.isfinite(m).all():
+            raise ValueError("matrix entries must be finite")
+        _check_norm(m)
+        asym = float(np.abs(m - m.T).max())
+        if asym > 1e-12:
+            raise ValueError(f"matrix must be symmetric (max asymmetry {asym:.3e})")
+        m = (m + m.T) / 2.0
     gt = default_group_tol(m)
 
     evals, evecs = np.linalg.eigh(m)
-    gaps = np.diff(evals)
-    breaks = np.nonzero(gaps >= gt)[0]
-    ambiguous = bool(np.any((gaps > gt / 10.0) & (gaps < gt * 10.0)))
+    gaps = evals[1:] - evals[:-1]
+    ambiguous = bool(((gaps > gt / 10.0) & (gaps < gt * 10.0)).any())
 
     # the groups are runs of ascending eigenvalues split by gaps of at least
-    # gt, so their means strictly increase: reversed, they are descending
-    groups = np.split(np.arange(len(evals)), breaks + 1)[::-1]
+    # gt, so their means strictly increase: reversed, they are descending.
+    # A mean is np.add.reduce over the group over its size, as ndarray.mean
+    starts = [0, *(np.flatnonzero(gaps >= gt) + 1).tolist()]
+    sizes = [j - i for i, j in zip(starts, [*starts[1:], len(evals)])]
+    means = evals[starts]
+    for groups, members in _size_runs(sizes):
+        if members.shape[1] > 1:
+            means[groups] = np.add.reduce(evals[members], axis=1) / members.shape[1]
+    # the eigenvectors by descending group, in eigh's order within a group
+    columns = np.argsort(np.repeat(np.arange(len(sizes), 0, -1), sizes), kind="stable")
     return SpectralDecomposition(
         matrix=m,
-        eigenvalues=np.array([evals[g].mean() for g in groups]),
+        eigenvalues=means[::-1],
         # a transposed view of the reordered rows of evecs.T, which the
         # decomposition keeps as its contiguous basis without a copy
-        vectors=evecs.T[np.concatenate(groups)].T,
-        multiplicities=tuple(len(g) for g in groups),
+        vectors=evecs.T[columns].T,
+        multiplicities=tuple(sizes[::-1]),
         group_tolerance=gt,
         ambiguous_clustering=ambiguous,
         nonnegative=bool(m.min() >= 0.0),

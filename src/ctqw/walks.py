@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ctqw.graphs import WeightedGraph, cartesian_product, quotient, union_overlay, x_theta
+from ctqw.graphs import WeightedGraph, _freeze, cartesian_product, quotient, union_overlay, x_theta
 from ctqw.numtheory import (
     EigenvalueClassification,
     NotClassifiable,
@@ -55,7 +55,15 @@ _CLASS_TOL = 1e-7
 _TAYLOR_CS = np.array(
     [[(-1) ** j / math.factorial(2 * j), (-1) ** (j + 1) / math.factorial(2 * j + 1)] for j in range(10)]
 )
+#: the (2, 3) coefficients of Y, Y^2 and Y^3 in the blocks D_0, D_1, D_2 of
+#: _taylor_exp, rows 1-3, 4-6 and 7-9 of _TAYLOR_CS: a row for C, one for q
+_TAYLOR_BLOCKS = tuple(_freeze(np.ascontiguousarray(_TAYLOR_CS[j : j + 3].T)) for j in (1, 4, 7))
+#: the (2, 1) coefficients of I, row 0 of _TAYLOR_CS
+_TAYLOR_EYE = _freeze(_TAYLOR_CS[0, :, None].copy())
 _TAYLOR_CS.setflags(write=False)
+#: working set of one stack of times in matrix_exp_oracle, at about 56 n^2
+#: bytes per time: the times of a matrix of order above 48 run one at a time
+_STACK_BYTES = 2**18
 #: byte budget of the oracle exponentials kept per decomposition; past it the
 #: oldest are dropped first
 _ORACLE_MEMO_BYTES = 64 * 2**20
@@ -129,9 +137,12 @@ class FrCertificate:
 # ---------------------------------------------------------------------------
 
 
-def transition_matrix(dec: SpectralDecomposition, t: float) -> np.ndarray:
-    """U(t) = V diag(exp(-i t theta)) V^T, as one real product with V."""
-    right = np.exp(-1j * t * dec.eigenvalues)[dec.group_of, None] * dec.vectors.T
+def transition_matrix(dec: SpectralDecomposition, t) -> np.ndarray:
+    """U(t) = V diag(exp(-i t theta)) V^T, as one real product with V. A 1-D
+    array of times gives their (T, n, n) stack, whose slices are the (n, n)
+    @ (n, 2n) products of the times alone, bit for bit."""
+    phase = np.exp(-1j * np.asarray(t)[..., None] * dec.eigenvalues)
+    right = phase[..., dec.group_of, None] * dec.vectors.T
     return (dec.vectors @ right.view(float)).view(complex)
 
 
@@ -157,53 +168,118 @@ def walk_columns(dec: SpectralDecomposition, a: int, times: np.ndarray) -> np.nd
     return (dec.vectors @ coef.view(float).reshape(len(times), -1, 2)).view(complex)[..., 0]
 
 
-def matrix_exp_oracle(a, t: float) -> np.ndarray:
+def matrix_exp_oracle(a, t) -> np.ndarray:
     """exp(-itA) by scaling-and-squaring on a Taylor form; no eigensolver.
 
     Independent verification route for certificates: shares nothing with the
     spectral path beyond the input matrix. With s the smallest integer for
-    which X = tA / 2^s has ||X||_inf <= 1/2, the degree-19 Taylor polynomial
-    of exp(-iX) is evaluated in real arithmetic (_taylor_exp) and squared s
-    times.
+    which X = tA / 2^s has |t| ||A||_inf / 2^s <= 1/2, the degree-19 Taylor
+    polynomial of exp(-iX) is evaluated in real arithmetic (_taylor_exp) and
+    squared s times. A time t gives the (n, n) exponential; a 1-D array of
+    times gives their (T, n, n) stack in its order, each slice bit-equal to
+    the call at that time alone. The times run in stacks of at most
+    _STACK_BYTES of working set.
     """
     m = a.weights if isinstance(a, WeightedGraph) else np.asarray(a, dtype=float)
-    x = t * m
-    nrm = float(np.linalg.norm(x, np.inf))
-    if not math.isfinite(nrm):
-        raise ValueError("t * A must be finite")
-    s = 0 if nrm <= 0.5 else int(math.ceil(math.log2(nrm / 0.5)))
-    x /= 2.0**s
-    out = _taylor_exp(x)
-    for _ in range(s):
-        out = out @ out
+    times = np.asarray(t, dtype=float)
+    if times.ndim == 0:
+        return _taylor_exp(m, [float(times)])
+    return _oracle_stack(m, times)
+
+
+def _oracle_stack(m: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """matrix_exp_oracle of the matrix m at a 1-D array of times."""
+    if times.ndim != 1:
+        raise ValueError("expected a time or a 1-D array of times")
+    out = np.empty(times.shape + m.shape, dtype=complex)
+    step = max(1, _STACK_BYTES // (56 * max(1, m.size)))
+    ts = times.tolist()
+    for lo in range(0, len(ts), step):
+        out[lo : lo + step] = _taylor_exp(m, ts[lo : lo + step])
     return out
 
 
-def _taylor_exp(x: np.ndarray) -> np.ndarray:
-    """sum_{k <= 19} (-iX)^k / k! for a real symmetric X, as C - iS.
+def _taylor_exp(m: np.ndarray, ts: list[float]) -> np.ndarray:
+    """exp(-i t m) for each of the times ts: the (n, n) exponential for one
+    time, else their (T, n, n) stack in its order.
 
-    The even terms give C and the odd ones S = X q(Y), and C and q are both
-    degree 9 in Y = X^2 (_TAYLOR_CS). Paterson and Stockmeyer's scheme
-    evaluates them as B_0 + Y^3 (B_1 + Y^3 B_2), each block B_i a
-    combination of I, Y and Y^2 (and, in B_2, Y^3), so six real products
-    replace nineteen complex ones. Polynomials in Y commute, so C and q run
-    as one (2n, n) stack multiplied by Y^3 from the right.
+    With X = t m / 2^s, sum_{k <= 19} (-iX)^k / k! = C - iS: the even terms
+    give C and the odd ones S = X q(Y), and C and q are both degree 9 in Y =
+    X^2 (_TAYLOR_CS). Paterson and Stockmeyer's scheme evaluates each as c_0 I
+    + D_0 + Y^3 (D_1 + Y^3 D_2), where D_k combines Y, Y^2 and Y^3 (one
+    (2, 3) @ (3, n^2) product, _TAYLOR_BLOCKS) and c_0 I is added on the
+    diagonal, so six real (n, n) products replace nineteen complex ones.
+    Polynomials in Y commute, so C and q run as one (2n, n) stack multiplied
+    by Y^3 from the right.
+
+    Every buffer is allocated once and every product written into one, so a
+    time holds at most 7 n^2 floats: Y, Y^2, Y^3 and two (2n, n) Horner
+    buffers. X is dropped once Y is formed and formed again for S. The times
+    are sorted by s, largest first, so that each squaring is one product
+    over a prefix of the stack.
     """
-    n = len(x)
-    powers = np.empty((4, n, n))  # I, Y, Y^2, Y^3
-    powers[0] = np.eye(n)
-    np.matmul(x, x, out=powers[1])
-    np.matmul(powers[1], powers[1], out=powers[2])
-    np.matmul(powers[2], powers[1], out=powers[3])
-    flat = powers.reshape(4, n * n)
-    stack = (_TAYLOR_CS[6:].T @ flat).reshape(2 * n, n)
-    for i in (3, 0):
-        stack = stack @ powers[3]
-        stack += (_TAYLOR_CS[i : i + 3].T @ flat[:3]).reshape(2 * n, n)
-    out = np.empty((n, n), dtype=complex)
-    out.real = stack[:n]
-    out.imag = x @ stack[n:]
-    return out
+    count, n = len(ts), len(m)
+    bound = float(np.add.reduce(np.abs(m), axis=1).max())  # ||A||_inf
+    norms = [abs(t) * bound for t in ts]
+    if not all(map(math.isfinite, norms)):
+        raise ValueError("t * A must be finite")
+    s = [0 if v <= 0.5 else math.ceil(math.log2(v / 0.5)) for v in norms]
+    if count > 1:
+        order = sorted(range(count), key=s.__getitem__, reverse=True)
+        ts, s = [ts[i] for i in order], [s[i] for i in order]
+    # one time is kept 2-D: numpy dispatches 2-D products with less
+    # overhead, and each slice of a stack makes the same BLAS call
+    lead = (count,) if count > 1 else ()
+    scaled = [t / 2.0**k for t, k in zip(ts, s)]
+    scaled = np.array(scaled)[:, None, None] if lead else scaled[0]
+
+    # small products are dominated by call overhead: each view is named
+    # once and every output passed positionally
+    x = scaled * m
+    powers = np.empty((3, *lead, n, n))
+    y, y2, y3 = powers[0], powers[1], powers[2]
+    np.matmul(x, x, y)
+    del x
+    np.matmul(y, y, y2)
+    np.matmul(y2, y, y3)
+    flat = powers.reshape(3, count, n * n).transpose(1, 0, 2) if lead else powers.reshape(3, n * n)
+    horner = np.empty((2, *lead, 2 * n, n))  # C over q, twice
+    h0, h1 = horner[0], horner[1]
+    rows = horner.reshape(2, *lead, 2, n * n)  # C and q of each time as rows
+    d_0, d_1, d_2 = _TAYLOR_BLOCKS
+    np.matmul(d_2, flat, rows[0])
+    np.matmul(h0, y3, h1)
+    np.matmul(d_1, flat, rows[0])
+    h1 += h0
+    np.matmul(h1, y3, h0)
+    np.matmul(d_0, flat, rows[1])
+    h0 += h1
+    diagonals = rows[0, ..., :: n + 1]
+    diagonals += _TAYLOR_EYE
+    del powers, y, y2, y3, flat, rows, diagonals
+
+    x = scaled * m
+    np.matmul(x, h0[..., n:, :], h1[..., :n, :])
+    del x
+    u = np.empty((*lead, n, n), dtype=complex)
+    u.real = h0[..., :n, :]
+    u.imag = h1[..., :n, :]
+    del horner, h0, h1
+
+    if count == 1:
+        for _ in range(s[0]):
+            u = u @ u
+        return u
+    done = []  # the times squared often enough, the last first
+    for k in range(s[0]):
+        head = len(u)
+        while s[head - 1] == k:
+            head -= 1
+        if head < len(u):
+            done.append(u[head:].copy())
+            u = u[:head]
+        u = u @ u
+    return np.concatenate([u, *done[::-1]])[np.argsort(order)]
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +594,7 @@ def scan_fr(
     sources,
     b: int | None = None,
     cfg: DetectionConfig = DetectionConfig(),
+    known=(),
 ) -> list[FrCertificate]:
     """Revival from each vertex of sources, solved exactly pair by pair.
 
@@ -531,10 +608,16 @@ def scan_fr(
     two-vertex transport, so b in sources is rejected. An empty result is
     bounded evidence, since lattice_step rationalizes eigenvalue ratios
     with denominators up to numtheory.MAX_DEN.
+
+    known holds certificates the caller already has, such as
+    certify_pair's: detect_at's event at (cert.a, cert.tau) is that
+    certificate up to its method, so the scan takes it instead of judging
+    the column again.
     """
     sources = list(sources)
     if b is not None and b in sources:
         raise ValueError("the scan target must differ from its source")
+    judged = {(c.a, c.tau): c for c in known}
     partners = parallel_pairs(dec, (cfg.tol_walk / cfg.beta_min) ** 2, sources)
     norm = phase_norm(dec)
     certs: list[FrCertificate] = []
@@ -547,7 +630,7 @@ def scan_fr(
         for tau, p in times:
             if found == _SCAN_MAX_EVENTS:
                 break
-            cert = detect_at(dec, a, tau, cfg)
+            cert = judged.get((a, tau)) or detect_at(dec, a, tau, cfg)
             if cert is not None and cert.kind != KIND_PERIODIC and cert.b == p:
                 certs.append(cert)
                 found += 1
