@@ -1,4 +1,5 @@
-"""Golden reports: `analyze` payloads, timings removed, pinned to a fixture.
+"""Golden outputs: `analyze` payloads, timings removed, and the stdout of
+`paper-suite`, pinned to fixtures.
 
 Keys, ints, strings and bools must match exactly; floats match to
 rel 1e-9 / abs 1e-12, so a different BLAS build does not trip the test.
@@ -7,10 +8,18 @@ name the same amplitudes, and rounding picks either side of the branch cut.
 Regenerate the fixture from a source tree with
 
     PYTHONPATH=src python tests/test_golden.py
+
+The paper-suite rows carry no float, so their fixture is matched byte for
+byte; it is the output of
+
+    PYTHONPATH=src python -m ctqw.cli paper-suite > tests/data/paper_suite.txt
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +29,7 @@ from ctqw.cli import parse_graph_spec, run_analysis
 from ctqw.walks import DetectionConfig
 
 FIXTURE = Path(__file__).parent / "data" / "golden_analyze.json"
+SUITE_FIXTURE = Path(__file__).parent / "data" / "paper_suite.txt"
 
 #: (spec, run the scan too)
 CASES = [
@@ -98,6 +108,17 @@ def test_certificates_convert_as_jsonify_did(monkeypatch, golden, spec, scan):
     for cert, name, got in converted:
         fields = {k: [v.real, v.imag] if isinstance(v, complex) else v for k, v in vars(cert).items()}
         assert json.dumps(got) == json.dumps(cli._jsonify({"graph": name, **fields}))
+
+
+def test_paper_suite_stdout():
+    # a fresh process, as a user runs it: no cache of another test is warm
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ctqw.cli", "paper-suite"], capture_output=True, env=env, timeout=600, check=False
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == SUITE_FIXTURE.read_bytes()
 
 
 def test_comparison_is_strict_on_non_floats():

@@ -319,6 +319,15 @@ def list_and_stack_decomposition(m):
     return np.array([thetas[i] for i in order]), np.stack([projs[i] for i in order]), tuple(mults[i] for i in order)
 
 
+def split_grouping(m):
+    """(eigenvalues, vectors, multiplicities) grouped as decompose once did:
+    np.split at the gaps, one ndarray.mean per group, the groups reversed."""
+    evals, evecs = np.linalg.eigh(m)
+    breaks = np.nonzero(np.diff(evals) >= default_group_tol(m))[0]
+    groups = np.split(np.arange(len(evals)), breaks + 1)[::-1]
+    return np.array([evals[g].mean() for g in groups]), evecs[:, np.concatenate(groups)], tuple(map(len, groups))
+
+
 def loop_pair_profile(dec, a, b):
     """pair_profile's fields as a loop over the eigenvalues, read from the
     reference tensor."""
@@ -456,6 +465,36 @@ class TestProjectorTensor:
     )
     def test_decompose_equals_list_and_stack_random(self, m):
         self.assert_same_decomposition(m)
+
+    @pytest.mark.parametrize("spec", _SCREEN_SPECS + ["path:12"])
+    def test_graph_and_matrix_inputs_equal_the_split_grouping(self, spec):
+        self.assert_graph_input_exact(parse_graph_spec(spec))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            random_weighted_graphs([0.0, 0.5, 1.25, 2.0]),
+            random_weighted_graphs([-1.0, 0.0, 0.0, 1.0]),
+            relabelled_families(),
+        )
+    )
+    def test_graph_and_matrix_inputs_equal_the_split_grouping_random(self, g):
+        self.assert_graph_input_exact(g)
+
+    @staticmethod
+    def assert_graph_input_exact(g):
+        # a graph skips the checks and the symmetrization its matrix has
+        # passed; every field equals that of its matrix as a raw array, and
+        # the grouping equals np.split with one mean per group, bit for bit
+        dec, raw = decompose(g), decompose(np.array(g.weights))
+        for name in ("matrix", "eigenvalues", "vectors", "diagonals", "group_of", "_basis"):
+            assert np.array_equal(getattr(dec, name), getattr(raw, name)), name
+        assert dec.multiplicities == raw.multiplicities
+        assert dec.ambiguous_clustering == raw.ambiguous_clustering
+        thetas, vectors, mults = split_grouping(g.weights)
+        assert np.array_equal(dec.eigenvalues, thetas)
+        assert np.array_equal(dec.vectors, vectors)
+        assert dec.multiplicities == mults
 
     @staticmethod
     def assert_same_decomposition(m):

@@ -127,6 +127,19 @@ class TestWalkColumns:
                 assert np.abs(col - _column_route(dec, a, t)).max() <= 1e-13, (a, t)
 
 
+@pytest.mark.parametrize("spec", ["cycle:6", "cube:4", "cocktail:20", "prod(star:16,path:2)", "path:5"])
+def test_transition_matrix_stack_bit_for_bit(spec):
+    # each slice of the stack is the walk at its time alone, and column a of
+    # a walk is transition_column's
+    dec = decompose(parse_graph_spec(spec))
+    times = np.random.default_rng(3).uniform(0.0, 10.0, 10)
+    stack = transition_matrix(dec, times)
+    assert stack.shape == (10, dec.order, dec.order)
+    for t, u in zip(times.tolist(), stack):
+        assert np.array_equal(u, transition_matrix(dec, t)), t
+        assert np.abs(u[:, 0] - transition_column(dec, 0, t)).max() <= 1e-13
+
+
 def _horner_oracle(a, t):
     """The oracle as it was before the Paterson-Stockmeyer form: the same
     degree-19 Taylor polynomial and scaling, as 19 complex Horner steps."""
@@ -199,7 +212,58 @@ class TestOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * 16 * n * n, peak
+        assert peak <= 4 * 16 * n * n, peak
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 24, 40])
+    def test_stack_equals_each_time_alone(self, n):
+        rng = np.random.default_rng(n)
+        w = rng.uniform(-1.0, 1.0, (n, n))
+        w = w + w.T
+        norm = float(np.abs(w).sum(axis=1).max())
+        # phases |t| ||A|| from 0 to 2^13: s from 0 to 15, mixed within a stack
+        phases = np.concatenate([[0.0, 0.2, 0.5, 0.7, 2.0**13], 2.0 ** rng.uniform(-1.0, 13.0, 11)])
+        times = rng.permutation(phases) / norm * rng.choice([-1.0, 1.0], len(phases))
+        s = [0 if p <= 0.5 else math.ceil(math.log2(p / 0.5)) for p in phases]
+        assert min(s) == 0 and max(s) >= 12
+        stack = matrix_exp_oracle(w, times)
+        assert stack.shape == (len(times), n, n)
+        for t, u in zip(times.tolist(), stack):
+            assert np.array_equal(u, matrix_exp_oracle(w, t)), t
+
+    @pytest.mark.parametrize("n", [2, 24, 49, 128])
+    def test_stacks_fit_the_byte_budget(self, monkeypatch, n):
+        # at 56 n^2 bytes of working set per time; an order above 48 runs
+        # every time alone
+        sizes = []
+        kernel = walks_mod._taylor_exp
+
+        def recording(m, ts):
+            sizes.append(len(ts))
+            return kernel(m, ts)
+
+        monkeypatch.setattr(walks_mod, "_taylor_exp", recording)
+        matrix_exp_oracle(G.cycle(n), np.linspace(0.1, 5.0, 30))
+        per_stack = max(1, walks_mod._STACK_BYTES // (56 * n * n))
+        assert sum(sizes) == 30 and max(sizes) == min(per_stack, 30)
+        assert (per_stack == 1) == (n > 48)
+
+    def test_stack_peak_memory(self):
+        # the (T, n, n) result and one stack's working set, with room for
+        # numpy's small temporaries
+        g = G.cycle(24)
+        times = np.linspace(0.1, 50.0, 40)
+        matrix_exp_oracle(g, times)
+        tracemalloc.start()
+        try:
+            matrix_exp_oracle(g, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 16 * 24 * 24 + 1.1 * walks_mod._STACK_BYTES, peak
+
+    def test_rejects_times_of_two_dimensions(self):
+        with pytest.raises(ValueError, match="1-D"):
+            matrix_exp_oracle(G.cycle(4), np.ones((2, 2)))
 
     def test_matches_spectral_on_c6(self):
         g = G.cycle(6)
@@ -421,6 +485,29 @@ class TestScan:
         calls = _count_detections(monkeypatch)
         certs = scan_fr(dec, range(dec.order), None, CFG)
         assert len(certs) == len(calls) == 512
+
+    @pytest.mark.parametrize("spec", ["path:4", "cube:5", "cocktail:4"])
+    def test_known_certificates_are_not_judged_again(self, monkeypatch, spec):
+        # the grid's certificate at (a, tau) is detect_at's event there, so a
+        # scan given it skips that column and keeps the same events
+        dec = decompose(parse_graph_spec(spec))
+        known = [c for a, b in strongly_cospectral_candidates(dec) for c in _certify(dec, a, b).certificates]
+        plain = scan_fr(dec, range(dec.order), None, CFG)
+        calls = []
+        detect = walks_mod.detect_at
+
+        def recording(dec_, a, tau, *args, **kwargs):
+            calls.append((a, tau))
+            return detect(dec_, a, tau, *args, **kwargs)
+
+        monkeypatch.setattr(walks_mod, "detect_at", recording)
+        reused = scan_fr(dec, range(dec.order), None, CFG, known=known)
+        judged = {(c.a, c.tau) for c in known}
+        assert known and not judged & set(calls)
+        assert len(calls) < len(plain)
+        assert [(c.a, c.b, c.tau, c.kind, c.alpha, c.beta) for c in reused] == [
+            (c.a, c.b, c.tau, c.kind, c.alpha, c.beta) for c in plain
+        ]
 
     def test_event_cap_keeps_the_earliest(self, monkeypatch):
         dec = decompose(G.cocktail_party(4))
