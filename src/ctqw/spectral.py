@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,14 +66,20 @@ class SpectralDecomposition:
     _time_memo: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_runs", _size_runs(self.multiplicities))
+        mult = np.array(self.multiplicities)
+        starts = np.cumsum(mult) - mult
+        runs = []
+        for k in sorted(set(self.multiplicities)):
+            groups = np.flatnonzero(mult == k)
+            runs.append((groups, starts[groups, None] + np.arange(k)))
+        object.__setattr__(self, "_runs", tuple(runs))
         basis = np.ascontiguousarray(np.asarray(self.vectors, dtype=float).T)
         arrays = {
             "matrix": np.asarray(self.matrix, dtype=float),
             "eigenvalues": np.asarray(self.eigenvalues, dtype=float),
             "vectors": basis.T,
             "diagonals": self._group_sums(basis * basis),
-            "group_of": np.repeat(np.arange(len(self.multiplicities)), self.multiplicities),
+            "group_of": np.repeat(np.arange(len(mult)), mult),
             "_basis": basis,
         }
         for name, arr in arrays.items():
@@ -111,19 +116,6 @@ class SpectralDecomposition:
         return v.T @ v
 
 
-def _size_runs(sizes) -> tuple:
-    """Per size k, ascending, of consecutive groups of the given sizes: the
-    groups of size k and the (groups, k) array of their members."""
-    starts = list(itertools.accumulate(sizes, initial=0))
-    groups_of_size: dict[int, list[int]] = {}
-    for r, k in enumerate(sizes):
-        groups_of_size.setdefault(k, []).append(r)
-    return tuple(
-        (np.array(groups), np.array([starts[r] for r in groups])[:, None] + np.arange(k))
-        for k, groups in sorted(groups_of_size.items())
-    )
-
-
 def decompose(a) -> SpectralDecomposition:
     """Eigendecompose a symmetric matrix into distinct eigenvalues and a grouped eigenbasis.
 
@@ -151,23 +143,18 @@ def decompose(a) -> SpectralDecomposition:
     ambiguous = bool(((gaps > gt / 10.0) & (gaps < gt * 10.0)).any())
 
     # the groups are runs of ascending eigenvalues split by gaps of at least
-    # gt, so their means strictly increase: reversed, they are descending.
-    # A mean is np.add.reduce over the group over its size, as ndarray.mean
-    starts = [0, *(np.flatnonzero(gaps >= gt) + 1).tolist()]
-    sizes = [j - i for i, j in zip(starts, [*starts[1:], len(evals)])]
-    means = evals[starts]
-    for groups, members in _size_runs(sizes):
-        if members.shape[1] > 1:
-            means[groups] = np.add.reduce(evals[members], axis=1) / members.shape[1]
-    # the eigenvectors by descending group, in eigh's order within a group
-    columns = np.argsort(np.repeat(np.arange(len(sizes), 0, -1), sizes), kind="stable")
+    # gt, so their means strictly increase: reversed, they are descending
+    bounds = [0, *(np.flatnonzero(gaps >= gt) + 1).tolist(), len(evals)]
+    groups = list(zip(bounds, bounds[1:]))[::-1]
+    order = np.arange(len(evals))
     return SpectralDecomposition(
         matrix=m,
-        eigenvalues=means[::-1],
+        # the means ndarray.mean takes, in fewer calls
+        eigenvalues=np.array([np.add.reduce(evals[i:j]) / (j - i) for i, j in groups]),
         # a transposed view of the reordered rows of evecs.T, which the
         # decomposition keeps as its contiguous basis without a copy
-        vectors=evecs.T[columns].T,
-        multiplicities=tuple(sizes[::-1]),
+        vectors=evecs.T[np.concatenate([order[i:j] for i, j in groups])].T,
+        multiplicities=tuple(j - i for i, j in groups),
         group_tolerance=gt,
         ambiguous_clustering=ambiguous,
         nonnegative=bool(m.min() >= 0.0),

@@ -633,6 +633,13 @@ def health_rows(cfg: DetectionConfig) -> list[RowResult]:
     for _ in range(50):
         g = _random_connected_graph(rng)
         dec = decompose(g)
+        # the ten walks and the ten exponentials, each as one stack, before
+        # the projectors are formed; the exponentials go through
+        # _oracle_stack, matrix_exp_oracle's stacked route, since the
+        # benchmark's tracer reads matrix_exp_oracle's time as one float
+        times = rng.uniform(0.0, 10.0, size=10)
+        dev = np.abs(transition_matrix(dec, times) - _oracle_stack(g.weights, times)).max()
+        worst_walk = max(worst_walk, float(dev))
         # every E_r of a graph of order at most 24, formed once
         projs = np.stack([dec.projector(r) for r in range(dec.n_distinct)])
         worst_proj = max(worst_proj, float(np.abs(projs.sum(axis=0) - np.eye(g.order)).max()))
@@ -642,13 +649,6 @@ def health_rows(cfg: DetectionConfig) -> list[RowResult]:
             prods = projs[r] @ projs[r:]  # E_r E_s for every s >= r, one stacked product
             prods[0] -= projs[r]
             worst_proj = max(worst_proj, float(np.abs(prods).max()))
-        # the ten walks and the ten exponentials, each as one stack; the
-        # exponentials go through _oracle_stack, matrix_exp_oracle's stacked
-        # route, since the benchmark's tracer reads matrix_exp_oracle's time
-        # as one float
-        times = rng.uniform(0.0, 10.0, size=10)
-        dev = np.abs(transition_matrix(dec, times) - _oracle_stack(g.weights, times)).max()
-        worst_walk = max(worst_walk, float(dev))
     return [
         _row(
             "health",

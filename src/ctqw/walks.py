@@ -52,15 +52,14 @@ _CLASS_TOL = 1e-7
 #: row j holds the coefficients of Y^j, Y = X^2, in the real and imaginary
 #: parts of the degree-19 Taylor polynomial of exp(-iX): (-1)^j / (2j)! and,
 #: times X, -(-1)^j / (2j+1)!
-_TAYLOR_CS = np.array(
-    [[(-1) ** j / math.factorial(2 * j), (-1) ** (j + 1) / math.factorial(2 * j + 1)] for j in range(10)]
+_TAYLOR_CS = _freeze(
+    np.array([[(-1) ** j / math.factorial(2 * j), (-1) ** (j + 1) / math.factorial(2 * j + 1)] for j in range(10)])
 )
 #: the (2, 3) coefficients of Y, Y^2 and Y^3 in the blocks D_0, D_1, D_2 of
 #: _taylor_exp, rows 1-3, 4-6 and 7-9 of _TAYLOR_CS: a row for C, one for q
 _TAYLOR_BLOCKS = tuple(_freeze(np.ascontiguousarray(_TAYLOR_CS[j : j + 3].T)) for j in (1, 4, 7))
 #: the (2, 1) coefficients of I, row 0 of _TAYLOR_CS
-_TAYLOR_EYE = _freeze(_TAYLOR_CS[0, :, None].copy())
-_TAYLOR_CS.setflags(write=False)
+_TAYLOR_EYE = _TAYLOR_CS[0, :, None]
 #: working set of one stack of times in matrix_exp_oracle, at about 56 n^2
 #: bytes per time: the times of a matrix of order above 48 run one at a time
 _STACK_BYTES = 2**18

@@ -9,6 +9,7 @@ import hashlib
 import math
 
 import numpy as np
+import pytest
 
 from ctqw import graphs as G
 from ctqw import suite
@@ -100,6 +101,26 @@ def test_health_catches_a_perturbed_eigenvector(monkeypatch):
     row = rows["projector completeness / idempotence / orthogonality / reconstruction < 1e-9"]
     assert not row.ok
     assert float(row.detail.removeprefix("worst=")) >= 4e-9
+
+
+@pytest.mark.parametrize("mutation", ["slices reversed", "one entry nudged"])
+def test_health_catches_a_broken_oracle_stack(monkeypatch, mutation):
+    # each walk is compared with the exponential of its own time: a stack
+    # out of the order of its times, or one entry moved by 2e-9, fails
+    real = suite._oracle_stack
+
+    def broken(m, times):
+        stack = real(m, times)
+        if mutation == "slices reversed":
+            return stack[::-1]
+        stack[3, 0, 0] += 2e-9
+        return stack
+
+    monkeypatch.setattr(suite, "_oracle_stack", broken)
+    rows = {r.name: r for r in health_rows(CFG)}
+    row = rows["spectral walk vs exponential oracle < 1e-9 on 50 random graphs x 10 times"]
+    assert not row.ok
+    assert float(row.detail.removeprefix("worst=")) >= 2e-9
 
 
 def test_criterion_9_classification():
