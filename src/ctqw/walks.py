@@ -180,10 +180,10 @@ def matrix_exp_oracle(a, t) -> np.ndarray:
     _STACK_BYTES of working set.
     """
     m = a.weights if isinstance(a, WeightedGraph) else np.asarray(a, dtype=float)
-    times = np.asarray(t, dtype=float)
-    if times.ndim == 0:
-        return _taylor_exp(m, [float(times)])
-    return _oracle_stack(m, times)
+    # a float (numpy's float64 too) skips np.ndim, a tenth of a small call
+    if isinstance(t, float) or np.ndim(t) == 0:
+        return _taylor_exp(m, [float(t)])
+    return _oracle_stack(m, np.asarray(t, dtype=float))
 
 
 def _oracle_stack(m: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -219,10 +219,12 @@ def _taylor_exp(m: np.ndarray, ts: list[float]) -> np.ndarray:
     """
     count, n = len(ts), len(m)
     bound = float(np.add.reduce(np.abs(m), axis=1).max())  # ||A||_inf
-    norms = [abs(t) * bound for t in ts]
-    if not all(map(math.isfinite, norms)):
-        raise ValueError("t * A must be finite")
-    s = [0 if v <= 0.5 else math.ceil(math.log2(v / 0.5)) for v in norms]
+    s = []
+    for t in ts:
+        norm = abs(t) * bound
+        if not math.isfinite(norm):
+            raise ValueError("t * A must be finite")
+        s.append(0 if norm <= 0.5 else math.ceil(math.log2(norm / 0.5)))
     if count > 1:
         order = sorted(range(count), key=s.__getitem__, reverse=True)
         ts, s = [ts[i] for i in order], [s[i] for i in order]
