@@ -220,7 +220,7 @@ class TestOracle:
         w = rng.uniform(-1.0, 1.0, (n, n))
         w = w + w.T
         norm = float(np.abs(w).sum(axis=1).max())
-        # phases |t| ||A|| from 0 to 2^13: s from 0 to 15, mixed within a stack
+        # phases |t| ||A|| from 0 to 2^13: s from 0 to 14, mixed within a stack
         phases = np.concatenate([[0.0, 0.2, 0.5, 0.7, 2.0**13], 2.0 ** rng.uniform(-1.0, 13.0, 11)])
         times = rng.permutation(phases) / norm * rng.choice([-1.0, 1.0], len(phases))
         s = [0 if p <= 0.5 else math.ceil(math.log2(p / 0.5)) for p in phases]
