@@ -224,7 +224,7 @@ def _dumps(value, pad: str = "\n") -> str:
         if value.dtype != np.float64 or value.ndim == 0 or value.size == 0 or not np.isfinite(value).all():
             return _dumps(value.tolist(), pad)
         distinct, index = np.unique(np.ascontiguousarray(value).view(np.int64), return_inverse=True)
-        text = list(map(float.__repr__, distinct.view(np.float64).tolist()))
+        text = np.array(list(map(float.__repr__, distinct.view(np.float64).tolist())), dtype=object)
         return _join_rows(index.reshape(value.shape), text, pad)
     if isinstance(value, (list, tuple)):
         if not value:
@@ -260,11 +260,12 @@ def _dumps(value, pad: str = "\n") -> str:
     return json.dumps(value)
 
 
-def _join_rows(index: np.ndarray, text: list[str], pad: str) -> str:
-    """_dumps of the array whose entries are text[i] for i in index."""
+def _join_rows(index: np.ndarray, text: np.ndarray, pad: str) -> str:
+    """_dumps of the array whose entries are text[i] for i in index, text
+    an object array of strings; one row of text is gathered at a time."""
     inner = pad + "  "
     if index.ndim == 1:
-        items = map(text.__getitem__, index.tolist())
+        items = text[index].tolist()
     else:
         items = (_join_rows(row, text, inner) for row in index)
     return "[" + inner + ("," + inner).join(items) + pad + "]"
@@ -378,9 +379,8 @@ def validate_report(payload: dict, graph: WeightedGraph | None = None) -> bool:
         return False
     n = graph.order
     norm = phase_norm(dec)
-    certs = payload["certificates"]
-    taus: dict[int, list[float]] = {}
-    for c in certs:
+    by_source: dict[int, list[dict]] = {}
+    for c in payload["certificates"]:
         if not isinstance(c, dict) or not all(k in c and ok(c[k]) for k, ok in _CERTIFICATE_SCHEMA.items()):
             return False
         tau, a, b = float(c["tau"]), c["a"], c["b"]
@@ -388,26 +388,28 @@ def validate_report(payload: dict, graph: WeightedGraph | None = None) -> bool:
             return False
         if c["residual"] > cfg.tol_walk or tau * norm > MAX_PHASE:
             return False
-        taus.setdefault(a, []).append(tau)
-    # one product per source; its rows come in the order of its certificates
-    columns = {a: iter(walk_columns(dec, a, np.array(ts))) for a, ts in taus.items()}
+        by_source.setdefault(a, []).append(c)
     # a forged amplitude near float max gives an inf residual, which fails, and no warning
     with np.errstate(over="ignore"):
-        for c in certs:
-            tau, a, b = float(c["tau"]), c["a"], c["b"]
-            alpha, beta = complex(*c["alpha"]), complex(*c["beta"])
-            residual = _residual(next(columns[a]), a, alpha, b, beta)
-            if not residual <= max(2.0 * c["residual"], 1e-11 * max(1.0, tau * norm)):  # NaN fails
-                return False
-            kind = _kind_of(alpha, beta, cfg)
-            if c["kind"] != kind or (b == a) != (kind == KIND_PERIODIC):
-                return False
-            if (c["gamma"] is None) != (c["zeta"] is None):
-                return False
-            if c["gamma"] is not None:
-                derived = _gamma_zeta(alpha, beta, cfg.tol_walk)
-                if derived is None or not _same_angles((c["gamma"], c["zeta"]), derived):
+        # one product per source, held only while its certificates are checked
+        for a, group in by_source.items():
+            columns = walk_columns(dec, a, np.array([float(c["tau"]) for c in group]))
+            for c, column in zip(group, columns):
+                tau, b = float(c["tau"]), c["b"]
+                alpha, beta = complex(*c["alpha"]), complex(*c["beta"])
+                residual = _residual(column, a, alpha, b, beta)
+                if not residual <= max(2.0 * c["residual"], 1e-11 * max(1.0, tau * norm)):  # NaN fails
                     return False
+                kind = _kind_of(alpha, beta, cfg)
+                if c["kind"] != kind or (b == a) != (kind == KIND_PERIODIC):
+                    return False
+                if (c["gamma"] is None) != (c["zeta"] is None):
+                    return False
+                if c["gamma"] is not None:
+                    derived = _gamma_zeta(alpha, beta, cfg.tol_walk)
+                    if derived is None or not _same_angles((c["gamma"], c["zeta"]), derived):
+                        return False
+            del columns, column
     return True
 
 

@@ -39,8 +39,11 @@ class WeightedGraph:
     """Symmetric real weight matrix with vertex labels.
 
     The matrix is symmetrized exactly on construction (tiny float asymmetry
-    from products is averaged away) and then frozen. Diagonal entries are
-    allowed: they act as vertex potentials in the walk generator.
+    from products is averaged away) and then frozen. A matrix that equals
+    its transpose bit for bit is not averaged, since (w + w^T) / 2 would
+    return it unchanged; a 0.0 facing a -0.0 differs in its bits, so such a
+    matrix is averaged, to 0.0. Diagonal entries are allowed: they act as
+    vertex potentials in the walk generator.
     """
 
     weights: np.ndarray
@@ -57,10 +60,12 @@ class WeightedGraph:
         if not np.isfinite(w).all():
             raise ValueError("weights must be finite")
         _check_norm(w)
-        asym = np.abs(w - w.T).max()
-        if asym > 1e-12:
-            raise ValueError(f"weights must be symmetric (max asymmetry {asym:.3e})")
-        w = (w + w.T) / 2.0
+        bits = w.view(np.int64)
+        if not (bits == bits.T).all():
+            asym = np.abs(w - w.T).max()
+            if asym > 1e-12:
+                raise ValueError(f"weights must be symmetric (max asymmetry {asym:.3e})")
+            w = (w + w.T) / 2.0
         labels = tuple(str(l) for l in self.labels)
         if len(labels) != n:
             raise ValueError("label count must match order")
@@ -118,8 +123,9 @@ def _check_norm(w: np.ndarray) -> None:
     under the bound. Tiny weights, down to 5e-324, pass.
     """
     limit = math.sqrt(sys.float_info.max) / 2
+    step = max(1, len(w) // 8)  # row blocks of an eighth of the matrix, not a full copy of |A|
     with np.errstate(over="ignore"):
-        norm = float(np.abs(w).sum(axis=1).max())
+        norm = max(float(np.abs(w[i : i + step]).sum(axis=1).max()) for i in range(0, len(w), step))
     if norm > limit:
         raise ValueError(f"the weights have norm {norm:.3g} (max row sum of |A|), above the limit {limit:.2g}")
 
@@ -296,17 +302,19 @@ def x_theta(y: WeightedGraph, perm, theta: float) -> WeightedGraph:
 
 
 def is_connected(x: WeightedGraph) -> bool:
-    n = x.order
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
+    """True when every vertex is reached from vertex 0 along nonzero weights.
+
+    Breadth-first frontier sweeps over the boolean adjacency matrix: each
+    sweep reads the rows of the vertices first reached in the sweep before,
+    so every row is read once, O(n^2) work in all.
+    """
     adj = x.weights != 0.0
-    while stack:
-        u = stack.pop()
-        for v in np.nonzero(adj[u])[0]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(int(v))
+    seen = np.zeros(x.order, dtype=bool)
+    seen[0] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~seen
+        seen |= frontier
     return bool(seen.all())
 
 

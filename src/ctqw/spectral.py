@@ -74,11 +74,19 @@ class SpectralDecomposition:
             runs.append((groups, starts[groups, None] + np.arange(k)))
         object.__setattr__(self, "_runs", tuple(runs))
         basis = np.ascontiguousarray(np.asarray(self.vectors, dtype=float).T)
+        if len(mult) == len(basis):
+            diagonals = np.square(basis)
+        else:
+            # one run's squares at a time, not a full square of the basis
+            diagonals = np.empty((len(mult), len(basis)))
+            for groups, idx in runs:
+                x = basis[idx]
+                diagonals[groups] = np.add.reduce(np.square(x, out=x), axis=1)
         arrays = {
             "matrix": np.asarray(self.matrix, dtype=float),
             "eigenvalues": np.asarray(self.eigenvalues, dtype=float),
             "vectors": basis.T,
-            "diagonals": self._group_sums(basis * basis),
+            "diagonals": diagonals,
             "group_of": np.repeat(np.arange(len(mult)), mult),
             "_basis": basis,
         }
@@ -147,13 +155,15 @@ def decompose(a) -> SpectralDecomposition:
     bounds = [0, *(np.flatnonzero(gaps >= gt) + 1).tolist(), len(evals)]
     groups = list(zip(bounds, bounds[1:]))[::-1]
     order = np.arange(len(evals))
+    # the reordered rows of evecs.T, which the decomposition keeps as its
+    # contiguous basis without a copy; eigh's own array is dropped first
+    basis = evecs.T[np.concatenate([order[i:j] for i, j in groups])]
+    del evecs
     return SpectralDecomposition(
         matrix=m,
         # the means ndarray.mean takes, in fewer calls
         eigenvalues=np.array([np.add.reduce(evals[i:j]) / (j - i) for i, j in groups]),
-        # a transposed view of the reordered rows of evecs.T, which the
-        # decomposition keeps as its contiguous basis without a copy
-        vectors=evecs.T[np.concatenate([order[i:j] for i, j in groups])].T,
+        vectors=basis.T,
         multiplicities=tuple(j - i for i, j in groups),
         group_tolerance=gt,
         ambiguous_clustering=ambiguous,
@@ -168,12 +178,20 @@ def parallel_pairs(dec: SpectralDecomposition, slack: float, sources=None) -> np
 
     With u = E_r e_a and v = E_r e_b, the Gram determinant E_aa E_bb - E_ab^2
     = ||u||^2 ||v||^2 - (u.v)^2 = ||u||^2 dist(v, span u)^2 is nonnegative and
-    zero exactly when u and v are parallel; [a, b] is kept when max_r [E_aa
-    (E_bb - slack) - E_ab^2] <= _SCREEN_TOL. Entries off by up to TOL_SPEC
+    zero exactly when u and v are parallel; [a, b] is kept when E_aa (E_bb -
+    slack) - E_ab^2 <= _SCREEN_TOL for every r. Entries off by up to TOL_SPEC
     move a determinant by about 4 TOL_SPEC, which the margin covers. A
-    rank-one E_r = w w^T has determinant w_a^2 w_b^2 - (w_a w_b)^2 = 0, so
-    only the groups of multiplicity two or more are read, one (rows, n) block
-    of projector rows at a time: O(rows n^2) work.
+    rank-one E_r = w w^T has determinant w_a^2 w_b^2 - (w_a w_b)^2 = 0, up
+    to a few ulps far below the margin, so it keeps every pair.
+
+    The screen is a sieve over the groups from the first of multiplicity two
+    or more to the last. The first is tested on the whole (rows, n) block,
+    its E_ab one product of basis rows, in two float arrays of that size and
+    a boolean one; on cycles and tori it leaves about one partner per vertex.
+    The later groups are tested only on the entries that survive the groups
+    before them, a run of consecutive groups at a time, in blocks whose
+    arrays fit _PAIR_BLOCK_BYTES: O(rows n k) work for the first group, of
+    multiplicity k, and O(n) per survivor for the rest.
 
     The revival scan passes slack = (tol_walk / beta_min)^2, which keeps
     every partner detect_at can accept: if ||U(tau) e_a - alpha e_a - beta
@@ -182,19 +200,57 @@ def parallel_pairs(dec: SpectralDecomposition, slack: float, sources=None) -> np
     tol_walk, so v = c u + delta' with ||delta'|| < tol_walk / beta_min; for
     real u and v the nearest complex multiple of u is a real one.
     """
-    rows = np.arange(dec.order) if sources is None else np.asarray(sources, dtype=np.intp)
-    worst = np.zeros((len(rows), dec.order))
-    gram, e = np.empty_like(worst), np.empty_like(worst)
-    for r in np.flatnonzero(np.array(dec.multiplicities) > 1).tolist():
-        cols = dec.group_of == r
-        # general products: several times faster here than v.T @ v and an outer product
-        np.matmul(dec.vectors[:, cols][rows], dec._basis[cols], out=e)
-        np.copyto(gram, dec.diagonals[r] - slack)
-        gram *= dec.diagonals[r, rows, None]
-        gram -= np.square(e, out=e)
-        np.maximum(worst, gram, out=worst)
-    worst[np.arange(len(rows)), rows] = np.inf
-    return worst <= _SCREEN_TOL
+    n = dec.order
+    rows = np.arange(n) if sources is None else np.asarray(sources, dtype=np.intp)
+    mult = np.array(dec.multiplicities)
+    shared = np.flatnonzero(mult > 1)
+    if not len(shared):
+        keep = np.ones((len(rows), n), dtype=bool)
+        keep[np.arange(len(rows)), rows] = False
+        return keep
+    first, last = int(shared[0]), int(shared[-1])
+    cols = dec.group_of == first
+    # general products: several times faster here than v.T @ v and an outer product
+    e = np.matmul(dec.vectors[:, cols][rows], dec._basis[cols])
+    gram = np.multiply(dec.diagonals[first] - slack, dec.diagonals[first, rows, None])
+    gram -= np.square(e, out=e)
+    keep = gram <= _SCREEN_TOL
+    del e, gram
+    keep[np.arange(len(rows)), rows] = False
+    flat = np.flatnonzero(keep)  # the survivors, as indices into keep
+
+    # the later groups, a run of consecutive ones at a time, whose basis rows
+    # are a contiguous slice. A block reads (basis rows, entries) arrays of at
+    # most an eighth of _PAIR_BLOCK_BYTES: the coordinates of a and of b and
+    # the block's (groups, entries) terms are alive at once
+    bounds = np.concatenate([[0], np.cumsum(mult)])  # group r is basis rows bounds[r]:bounds[r + 1]
+    cells = _PAIR_BLOCK_BYTES // 64
+    g = first + 1
+    while g <= last and len(flat):
+        step = min(len(flat), max(1, cells // mult[g]))
+        end = int(np.searchsorted(bounds, bounds[g] + cells // step, side="right")) - 1
+        end = min(max(end, g + 1), last + 1)
+        part, offsets = dec._basis[bounds[g] : bounds[end]], bounds[g:end] - bounds[g]
+        diag = dec.diagonals[g:end]
+        kept = []
+        for lo in range(0, len(flat), step):
+            f = flat[lo : lo + step]
+            i, b = np.divmod(f, n)
+            a = rows[i]
+            x = part[:, a]
+            x *= part[:, b]
+            e_sq = np.square(np.add.reduceat(x, offsets, axis=0))
+            del x
+            gram = diag[:, b]
+            gram -= slack
+            gram *= diag[:, a]
+            gram -= e_sq
+            kept.append(f[(gram <= _SCREEN_TOL).all(axis=0)])
+        flat = np.concatenate(kept)
+        g = end
+    keep.fill(False)
+    keep.flat[flat] = True
+    return keep
 
 
 def strongly_cospectral_candidates(dec: SpectralDecomposition) -> list[tuple[int, int]]:

@@ -95,6 +95,25 @@ class TestReports:
         loaded = json.loads(rep.to_json())
         assert validate_report(loaded)
 
+    def test_scan_report_validates_one_source_at_a_time(self):
+        # 12,140 certificates from 40 sources: the walk columns of all of
+        # them take 7.8 MB, one source's stack about 0.2 MB
+        loaded = json.loads(run_analysis(parse_graph_spec("cocktail:20"), DetectionConfig(), do_scan=True).to_json())
+        certs = loaded["certificates"]
+        assert len(certs) > 12000 and len({c["a"] for c in certs}) == 40
+        tracemalloc.start()
+        try:
+            assert validate_report(loaded)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, peak
+        # a tampered certificate fails wherever its source comes in the report
+        for i in (len(certs) // 2, len(certs) - 1):
+            tampered = json.loads(json.dumps(loaded))
+            tampered["certificates"][i]["tau"] *= 1.01
+            assert not validate_report(tampered)
+
     def test_tampered_report_fails_validation(self):
         rep = run_analysis(parse_graph_spec("cycle:6"), DetectionConfig())
         loaded = json.loads(rep.to_json())

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctqw import graphs as G
 
@@ -286,6 +288,96 @@ class TestOrbitSignature:
         assert set(orbit_partition(g, 0).cells) == set(orbit_partition(g, 3).cells)
 
 
+def averaged(w):
+    """The weights WeightedGraph built from w before a bit-symmetric matrix
+    skipped the average: (w + w^T) / 2 of every matrix within 1e-12 of its
+    transpose; None for one further off."""
+    if np.abs(w - w.T).max() > 1e-12:
+        return None
+    return (w + w.T) / 2.0
+
+
+#: signed zeros, subnormals, entries near the norm bound and plain weights
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e150, -1e150, 1.0, -2.5]),
+    st.floats(-1e3, 1e3),
+)
+
+
+@st.composite
+def near_symmetric_matrices(draw):
+    """A matrix whose upper triangle is mirrored bit for bit, then one entry
+    below the diagonal changed: left as it is, its zero's sign flipped, moved
+    by at most 1e-12 or moved by more."""
+    n = draw(st.integers(1, 6))
+    w = np.array(draw(st.lists(_ENTRIES, min_size=n * n, max_size=n * n))).reshape(n, n)
+    upper = np.triu_indices(n, 1)
+    w[upper[::-1]] = w[upper]
+    mode = draw(st.sampled_from(["exact", "signed-zero", "within", "beyond"]))
+    if n > 1 and mode != "exact":
+        i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+        if mode == "signed-zero":
+            w[i, j] = draw(st.sampled_from([0.0, -0.0]))
+            w[j, i] = -w[i, j]
+        elif mode == "within":
+            w[j, i] += draw(st.floats(-1e-12, 1e-12))
+        else:
+            w[j, i] += draw(st.sampled_from([2e-12, -1e-9, 0.5, 1e140]))
+    return w
+
+
+def dfs_connected(g):
+    """Depth-first search from vertex 0 along nonzero weights, one vertex at a time."""
+    seen, stack = {0}, [0]
+    while stack:
+        u = stack.pop()
+        for v in range(g.order):
+            if g.weights[u, v] != 0.0 and v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == g.order
+
+
+def disjoint_union(x, y):
+    w = np.zeros((x.order + y.order,) * 2)
+    w[: x.order, : x.order] = x.weights
+    w[x.order :, x.order :] = y.weights
+    return G.WeightedGraph(w, [f"x{l}" for l in x.labels] + [f"y{l}" for l in y.labels], "union")
+
+
+@st.composite
+def sparse_signed_graphs(draw):
+    """Orders 1..12, weights from {-1, 0, 0.5}, mostly 0, loops included."""
+    n = draw(st.integers(1, 12))
+    values = st.sampled_from([0.0, 0.0, 0.0, 0.0, -1.0, 0.5])
+    w = np.array(draw(st.lists(values, min_size=n * n, max_size=n * n))).reshape(n, n)
+    w = np.triu(w) + np.triu(w, 1).T
+    return G.WeightedGraph(w, tuple(str(i) for i in range(n)), "sparse")
+
+
+class TestWeights:
+    @settings(max_examples=300, deadline=None)
+    @given(near_symmetric_matrices())
+    def test_weights_equal_the_average_bit_for_bit(self, w):
+        expected = averaged(w)
+        if expected is None:
+            with pytest.raises(ValueError, match="symmetric"):
+                G.WeightedGraph(w, tuple(str(i) for i in range(len(w))))
+            return
+        g = G.WeightedGraph(w, tuple(str(i) for i in range(len(w))))
+        assert np.array_equal(g.weights.view(np.int64), expected.view(np.int64))
+
+    def test_signed_zero_pair_is_averaged_to_zero(self):
+        w = np.array([[0.0, -0.0], [0.0, 0.0]])
+        assert np.signbit(G.WeightedGraph(w, ("0", "1")).weights).sum() == 0
+
+    def test_bit_symmetric_weights_are_kept(self):
+        w = np.array([[-0.0, 0.1, 5e-324], [0.1, 2.0, -1e150], [5e-324, -1e150, -0.0]])
+        g = G.WeightedGraph(w, ("0", "1", "2"))
+        assert np.array_equal(g.weights.view(np.int64), w.view(np.int64))
+        assert not g.weights.flags.writeable and g.weights is not w
+
+
 class TestStructure:
     def test_bipartition(self):
         parts = G.bipartition(G.cycle(6))
@@ -301,6 +393,32 @@ class TestStructure:
     def test_connectivity(self):
         assert G.is_connected(G.cycle(5))
         assert not G.is_connected(G.empty(3))
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            G.empty(1),
+            G.path(1),
+            G.WeightedGraph([[2.0]], ("0",)),
+            G.empty(2),
+            G.path(600),
+            disjoint_union(G.cycle(4), G.path(3)),
+            disjoint_union(G.path(1), G.cycle(5)),
+            disjoint_union(G.cycle(5), G.empty(1)),
+            G.WeightedGraph(np.diag([1.0, 1.0, -1.0]), ("0", "1", "2")),
+            G.x_theta(G.cycle(4), (2, 3, 0, 1), 0.3),
+            G.x_theta(G.cycle(4), (2, 3, 0, 1), math.pi / 4),
+            G.double_cone(G.cycle(5)),
+        ],
+        ids=lambda g: g.name,
+    )
+    def test_connectivity_equals_depth_first_search(self, g):
+        assert G.is_connected(g) == dfs_connected(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_signed_graphs())
+    def test_connectivity_of_sparse_signed_graphs(self, g):
+        assert G.is_connected(g) == dfs_connected(g)
 
 
 class TestFileFormat:

@@ -170,6 +170,21 @@ class TestDecompose:
         signed = G.x_theta(G.cycle(4), (2, 3, 0, 1), 0.3)
         assert not decompose(signed).nonnegative
 
+    def test_peak_memory_on_cube7(self):
+        # eigh's own basis is dropped once reordered and the diagonals are
+        # squared one run at a time: the output (0.144 MB) and one (n, n)
+        # array more, not eigh's basis, the reordered one and their squares
+        g = G.hypercube(7)
+        decompose(g)
+        tracemalloc.start()
+        try:
+            dec = decompose(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dec.order == 128
+        assert peak <= 0.3e6, peak
+
 
 class TestSupport:
     def test_path_endpoint_sees_everything(self):
@@ -636,6 +651,42 @@ def brute_force_parallel(dec, a):
     return [b for b in range(dec.order) if b != a and pair_profile(dec, a, b).parallel]
 
 
+def per_group_parallel_pairs(dec, slack, sources=None):
+    """parallel_pairs as one (rows, n) pass per group of multiplicity two or
+    more, keeping the running maximum of the Gram determinants: the screen
+    before the sieve, the reference for it."""
+    rows = np.arange(dec.order) if sources is None else np.asarray(sources, dtype=np.intp)
+    worst = np.zeros((len(rows), dec.order))
+    gram, e = np.empty_like(worst), np.empty_like(worst)
+    for r in np.flatnonzero(np.array(dec.multiplicities) > 1).tolist():
+        cols = dec.group_of == r
+        np.matmul(dec.vectors[:, cols][rows], dec._basis[cols], out=e)
+        np.copyto(gram, dec.diagonals[r] - slack)
+        gram *= dec.diagonals[r, rows, None]
+        gram -= np.square(e, out=e)
+        np.maximum(worst, gram, out=worst)
+    worst[np.arange(len(rows)), rows] = np.inf
+    return worst <= _SCREEN_TOL
+
+
+def signed_circulant_product(seed):
+    """The Cartesian product of a circulant of order 5..16 with random signed
+    weights, whose eigenvalues pair up, and a path of order 2..4."""
+    rng = np.random.default_rng([seed, 23])
+    n = int(rng.integers(5, 17))
+    c = np.where(rng.random(n) < 0.5, rng.uniform(-2.0, 2.0, n), 0.0)
+    c[0] = 0.0
+    c = (c + np.roll(c[::-1], 1)) / 2.0  # c[k] = c[n - k]
+    w = c[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
+    circulant = G.WeightedGraph(w, tuple(str(i) for i in range(n)), f"signed-circulant:{seed}")
+    return G.cartesian_product(circulant, G.path(int(rng.integers(2, 5))))
+
+
+_SIEVE_GRAPHS = [parse_graph_spec(s) for s in _SCREEN_SPECS + ["cycle:300"]] + [
+    signed_circulant_product(s) for s in range(10)
+]
+
+
 class TestParallelScreen:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -673,6 +724,38 @@ class TestParallelScreen:
             assert np.array_equal(parallel_pairs(dec, slack, order[:3]), full[order[:3]])
             for a in singles:
                 assert np.array_equal(parallel_pairs(dec, slack, [a]), full[a : a + 1])
+
+    @pytest.mark.parametrize("g", _SIEVE_GRAPHS, ids=lambda g: g.name)
+    def test_sieve_equals_per_group_loop(self, g):
+        # path:4, path:5 and prod(path:3,path:2) have simple spectra: every pair is parallel
+        dec = decompose(g)
+        sources = np.random.default_rng(g.order).permutation(g.order)[: max(1, g.order // 3)]
+        for slack in (0.0, _SCAN_SLACK):
+            assert np.array_equal(parallel_pairs(dec, slack), per_group_parallel_pairs(dec, slack))
+            assert np.array_equal(parallel_pairs(dec, slack, sources), per_group_parallel_pairs(dec, slack, sources))
+
+    @pytest.mark.parametrize("budget", [64, 64 * 7, 64 * 40])
+    @pytest.mark.parametrize("spec", ["cycle:64", "cube:5", "prod(cycle:12,cycle:12)", "cone2:cocktail:10"])
+    def test_small_blocks_equal_the_per_group_loop(self, monkeypatch, spec, budget):
+        # blocks of one entry and one group, and of a few of each, sieve the
+        # later groups as one pass does
+        dec = decompose(parse_graph_spec(spec))
+        monkeypatch.setattr(spectral_mod, "_PAIR_BLOCK_BYTES", budget)
+        for slack in (0.0, _SCAN_SLACK):
+            assert np.array_equal(parallel_pairs(dec, slack), per_group_parallel_pairs(dec, slack))
+
+    def test_peak_memory_on_cycle300(self):
+        # the first shared group on the whole block: two (n, n) float arrays
+        # and a boolean one; the later groups only on the survivors
+        dec = decompose(G.cycle(300))
+        tracemalloc.start()
+        try:
+            mask = parallel_pairs(dec, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mask.sum() == 300
+        assert peak < 2.5 * 300 * 300 * 8, peak
 
     def test_source_rows_stay_small(self):
         # one source reads (n, k) blocks of the basis and never forms an (n, n) array
