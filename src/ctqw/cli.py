@@ -42,7 +42,6 @@ from ctqw.walks import (
     _residual,
     _wrap_angle,
     certify_pair,
-    phase_norm,
     scan_fr,
     verify_quotient_transport,
     walk_columns,
@@ -223,9 +222,12 @@ def _dumps(value, pad: str = "\n") -> str:
     if isinstance(value, np.ndarray):
         if value.dtype != np.float64 or value.ndim == 0 or value.size == 0 or not np.isfinite(value).all():
             return _dumps(value.tolist(), pad)
-        distinct, index = np.unique(np.ascontiguousarray(value).view(np.int64), return_inverse=True)
+        bits = np.ascontiguousarray(value).view(np.int64)
+        # a sort, not np.unique, whose first call imports numpy.ma (1.1 MB)
+        distinct = np.sort(bits, axis=None)
+        distinct = distinct[np.append(True, distinct[1:] != distinct[:-1])]
         text = np.array(list(map(float.__repr__, distinct.view(np.float64).tolist())), dtype=object)
-        return _join_rows(index.reshape(value.shape), text, pad)
+        return _join_rows(bits, distinct, text, pad)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -260,14 +262,14 @@ def _dumps(value, pad: str = "\n") -> str:
     return json.dumps(value)
 
 
-def _join_rows(index: np.ndarray, text: np.ndarray, pad: str) -> str:
-    """_dumps of the array whose entries are text[i] for i in index, text
-    an object array of strings; one row of text is gathered at a time."""
+def _join_rows(bits: np.ndarray, distinct: np.ndarray, text: np.ndarray, pad: str) -> str:
+    """_dumps of the float64 array whose int64 view is bits, text[i] the text
+    of the value of bits distinct[i]; one row is looked up at a time."""
     inner = pad + "  "
-    if index.ndim == 1:
-        items = text[index].tolist()
+    if bits.ndim == 1:
+        items = text[np.searchsorted(distinct, bits)].tolist()
     else:
-        items = (_join_rows(row, text, inner) for row in index)
+        items = (_join_rows(row, distinct, text, inner) for row in bits)
     return "[" + inner + ("," + inner).join(items) + pad + "]"
 
 
@@ -378,7 +380,6 @@ def validate_report(payload: dict, graph: WeightedGraph | None = None) -> bool:
     except (KeyError, TypeError, ValueError, OSError):
         return False
     n = graph.order
-    norm = phase_norm(dec)
     by_source: dict[int, list[dict]] = {}
     for c in payload["certificates"]:
         if not isinstance(c, dict) or not all(k in c and ok(c[k]) for k, ok in _CERTIFICATE_SCHEMA.items()):
@@ -386,7 +387,7 @@ def validate_report(payload: dict, graph: WeightedGraph | None = None) -> bool:
         tau, a, b = float(c["tau"]), c["a"], c["b"]
         if not (0 <= a < n and 0 <= b < n):
             return False
-        if c["residual"] > cfg.tol_walk or tau * norm > MAX_PHASE:
+        if c["residual"] > cfg.tol_walk or tau * dec.norm > MAX_PHASE:
             return False
         by_source.setdefault(a, []).append(c)
     # a forged amplitude near float max gives an inf residual, which fails, and no warning
@@ -398,7 +399,7 @@ def validate_report(payload: dict, graph: WeightedGraph | None = None) -> bool:
                 tau, b = float(c["tau"]), c["b"]
                 alpha, beta = complex(*c["alpha"]), complex(*c["beta"])
                 residual = _residual(column, a, alpha, b, beta)
-                if not residual <= max(2.0 * c["residual"], 1e-11 * max(1.0, tau * norm)):  # NaN fails
+                if not residual <= max(2.0 * c["residual"], 1e-11 * max(1.0, tau * dec.norm)):  # NaN fails
                     return False
                 kind = _kind_of(alpha, beta, cfg)
                 if c["kind"] != kind or (b == a) != (kind == KIND_PERIODIC):

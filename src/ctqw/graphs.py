@@ -43,12 +43,14 @@ class WeightedGraph:
     its transpose bit for bit is not averaged, since (w + w^T) / 2 would
     return it unchanged; a 0.0 facing a -0.0 differs in its bits, so such a
     matrix is averaged, to 0.0. Diagonal entries are allowed: they act as
-    vertex potentials in the walk generator.
+    vertex potentials in the walk generator. ``norm`` is ||A||, the max row
+    sum of |A| of the stored matrix, which the decomposition carries.
     """
 
     weights: np.ndarray
     labels: tuple[str, ...]
     name: str = "graph"
+    norm: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         w = np.array(self.weights, dtype=float)
@@ -59,13 +61,14 @@ class WeightedGraph:
             raise ValueError("graph must have at least one vertex")
         if not np.isfinite(w).all():
             raise ValueError("weights must be finite")
-        _check_norm(w)
+        norm = _check_norm(w)
         bits = w.view(np.int64)
         if not (bits == bits.T).all():
             asym = np.abs(w - w.T).max()
             if asym > 1e-12:
                 raise ValueError(f"weights must be symmetric (max asymmetry {asym:.3e})")
             w = (w + w.T) / 2.0
+            norm = _check_norm(w)
         labels = tuple(str(l) for l in self.labels)
         if len(labels) != n:
             raise ValueError("label count must match order")
@@ -73,6 +76,7 @@ class WeightedGraph:
             raise ValueError("labels must be unique")
         object.__setattr__(self, "weights", _freeze(w))
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "norm", norm)
 
     @property
     def order(self) -> int:
@@ -111,9 +115,9 @@ def _check_order(n: int, order: int | None = None) -> None:
         )
 
 
-def _check_norm(w: np.ndarray) -> None:
-    """Reject a finite weight matrix whose norm ||A||, the max row sum of
-    |A|, exceeds sqrt(float max) / 2, about 6.7e153.
+def _check_norm(w: np.ndarray) -> float:
+    """||A||, the max row sum of |A|, of a finite weight matrix; one above
+    sqrt(float max) / 2, about 6.7e153, is rejected.
 
     Every number the analysis forms at the scale of A is at most 2 ||A|| in
     size: an entry of A + A^T, an eigenvalue difference, a cell sum. The
@@ -128,6 +132,7 @@ def _check_norm(w: np.ndarray) -> None:
         norm = max(float(np.abs(w[i : i + step]).sum(axis=1).max()) for i in range(0, len(w), step))
     if norm > limit:
         raise ValueError(f"the weights have norm {norm:.3g} (max row sum of |A|), above the limit {limit:.2g}")
+    return norm
 
 
 def _cube_order(d: int) -> int:

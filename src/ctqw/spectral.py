@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ctqw.graphs import WeightedGraph, _check_norm, _check_order
+from ctqw.graphs import WeightedGraph, _check_order
 
 #: residual tolerance on projector identities and entrywise comparisons
 TOL_SPEC = 1e-9
@@ -18,17 +18,9 @@ _SCREEN_TOL = 10 * max(TOL_SPEC, TOL_SUPPORT)
 _PAIR_BLOCK_BYTES = 2**18
 
 
-def default_group_tol(a: np.ndarray) -> float:
-    return 1e-8 * max(1.0, float(np.abs(a).sum(axis=1).max()))
-
-
-def _as_matrix(a) -> np.ndarray:
-    if isinstance(a, WeightedGraph):
-        return a.weights
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix or a WeightedGraph")
-    return m
+def default_group_tol(norm: float) -> float:
+    """The grouping tolerance of a matrix of norm ||A|| (max row sum of |A|)."""
+    return 1e-8 * max(1.0, norm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,7 +34,8 @@ class SpectralDecomposition:
     memory, and ``diagonals[r, a]`` = (E_r)_aa is formed once, with the
     decomposition. ``ambiguous_clustering`` is set when some raw eigenvalue
     gap falls within a factor 10 of the grouping tolerance, i.e. the grouping
-    could plausibly have gone the other way. ``_time_memo`` holds work that
+    could plausibly have gone the other way. ``norm`` is the graph's ||A||,
+    the max row sum of |A|. ``_time_memo`` holds work that
     depends only on the matrix and a time (the oracle exponentials) or a pair
     of support parts (their lattice and classification), see
     :mod:`ctqw.walks`; it lives and dies with the decomposition.
@@ -55,6 +48,7 @@ class SpectralDecomposition:
     group_tolerance: float
     ambiguous_clustering: bool
     nonnegative: bool
+    norm: float
     #: (E_r)_aa at [r, a]
     diagonals: np.ndarray = field(init=False, repr=False)
     #: the group r of each eigenvector, that is of each column of vectors
@@ -125,28 +119,21 @@ class SpectralDecomposition:
 
 
 def decompose(a) -> SpectralDecomposition:
-    """Eigendecompose a symmetric matrix into distinct eigenvalues and a grouped eigenbasis.
+    """Eigendecompose a graph, or a matrix taken as the weights of a graph on
+    vertices "0".."n-1", into distinct eigenvalues and a grouped eigenbasis.
 
     Raw eigenvalues are clustered by a single sorted-gap scan: a new group
-    starts wherever the gap reaches ``default_group_tol``. Works for weighted
-    matrices; no integrality is assumed. The eigh basis is kept as it is,
-    its columns reordered by group, in O(n^2) memory. Orders above
-    graphs.MAX_ORDER and norms above the bound of graphs._check_norm are
-    rejected before eigh runs.
+    starts wherever the gap reaches ``default_group_tol`` of the graph's
+    ``norm``. Works for weighted matrices; no integrality is assumed. The
+    eigh basis is kept as it is, its columns reordered by group, in O(n^2)
+    memory. Orders above graphs.MAX_ORDER are rejected before eigh runs.
     """
-    m = _as_matrix(a)
-    _check_order(m.shape[0])
-    if not isinstance(a, WeightedGraph):  # a graph's matrix passed these checks when it was built
-        if not np.isfinite(m).all():
-            raise ValueError("matrix entries must be finite")
-        _check_norm(m)
-        asym = float(np.abs(m - m.T).max())
-        if asym > 1e-12:
-            raise ValueError(f"matrix must be symmetric (max asymmetry {asym:.3e})")
-        m = (m + m.T) / 2.0
-    gt = default_group_tol(m)
+    if not isinstance(a, WeightedGraph):
+        a = WeightedGraph(a, tuple(map(str, range(len(a)))) if np.ndim(a) else ())
+    _check_order(a.order)
+    gt = default_group_tol(a.norm)
 
-    evals, evecs = np.linalg.eigh(m)
+    evals, evecs = np.linalg.eigh(a.weights)
     gaps = evals[1:] - evals[:-1]
     ambiguous = bool(((gaps > gt / 10.0) & (gaps < gt * 10.0)).any())
 
@@ -160,14 +147,15 @@ def decompose(a) -> SpectralDecomposition:
     basis = evecs.T[np.concatenate([order[i:j] for i, j in groups])]
     del evecs
     return SpectralDecomposition(
-        matrix=m,
+        matrix=a.weights,
         # the means ndarray.mean takes, in fewer calls
         eigenvalues=np.array([np.add.reduce(evals[i:j]) / (j - i) for i, j in groups]),
         vectors=basis.T,
         multiplicities=tuple(j - i for i, j in groups),
         group_tolerance=gt,
         ambiguous_clustering=ambiguous,
-        nonnegative=bool(m.min() >= 0.0),
+        nonnegative=not a.signed,
+        norm=a.norm,
     )
 
 

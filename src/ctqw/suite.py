@@ -94,7 +94,7 @@ def _first_event(certs, kinds=None):
 
 @functools.lru_cache(maxsize=16)
 def _shared_decomposition(weights: bytes, order: int) -> SpectralDecomposition:
-    return decompose(np.frombuffer(weights).reshape(order, order).copy())
+    return decompose(np.frombuffer(weights).reshape(order, order))
 
 
 def _decomposition(g: G.WeightedGraph) -> SpectralDecomposition:

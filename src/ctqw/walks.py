@@ -332,11 +332,6 @@ def _kind_of(alpha: complex, beta: complex, cfg: DetectionConfig) -> str:
     return KIND_FR
 
 
-def phase_norm(dec: SpectralDecomposition) -> float:
-    """||A||, the max row sum of |A|, against which MAX_PHASE bounds tau."""
-    return float(np.abs(dec.matrix).sum(axis=1).max())
-
-
 def _oracle_exp(dec: SpectralDecomposition, tau: float) -> np.ndarray:
     """exp(-i tau A) of dec.matrix, computed once per decomposition and exact tau."""
     exps = dec._time_memo.setdefault("oracle", {})
@@ -465,10 +460,9 @@ def certify_strongly_cospectral(
         theta = dec.eigenvalues
         taus = _gap_times(abs(float(theta[min(profile.phi_plus)] - theta[min(profile.phi_minus)])))
 
-    norm = phase_norm(dec)
     certs: list[FrCertificate] = []
     for tau in taus:
-        if tau * norm > MAX_PHASE:
+        if tau * dec.norm > MAX_PHASE:
             break
         cert = detect_at(dec, profile.a, tau, cfg, method="equiv_cond_solve")
         if cert is None:
@@ -543,7 +537,7 @@ def _lattice(dec: SpectralDecomposition, plus: tuple, minus: tuple) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _revival_times(dec: SpectralDecomposition, a: int, b: int, norm: float, cfg: DetectionConfig) -> np.ndarray:
+def _revival_times(dec: SpectralDecomposition, a: int, b: int, cfg: DetectionConfig) -> np.ndarray:
     """The times in (0, t_max], none past tau ||A|| = MAX_PHASE, at which the
     walk from a can revive at its parallel partner b.
 
@@ -580,8 +574,8 @@ def _revival_times(dec: SpectralDecomposition, a: int, b: int, norm: float, cfg:
     if step is None:
         taus = np.array(_gap_times(abs(float(theta[plus[0]] - theta[minus[0]]))))
     else:
-        taus = step * np.arange(1, int(min(cfg.t_max, MAX_PHASE / norm) / step) + 1)
-    taus = taus[(taus <= cfg.t_max) & (taus * norm <= MAX_PHASE)]
+        taus = step * np.arange(1, int(min(cfg.t_max, MAX_PHASE / dec.norm) / step) + 1)
+    taus = taus[(taus <= cfg.t_max) & (taus * dec.norm <= MAX_PHASE)]
     w_plus = np.exp(-1j * taus * theta[plus[0]])
     w_minus = np.exp(-1j * taus * theta[minus[0]])
     beta = np.abs(w_plus - w_minus) / (c[plus].mean() - c[minus].mean())
@@ -620,13 +614,12 @@ def scan_fr(
         raise ValueError("the scan target must differ from its source")
     judged = {(c.a, c.tau): c for c in known}
     partners = parallel_pairs(dec, (cfg.tol_walk / cfg.beta_min) ** 2, sources)
-    norm = phase_norm(dec)
     certs: list[FrCertificate] = []
     for a, row in zip(sources, partners):
         par = np.flatnonzero(row)
         if b is not None:
             par = par[par == b]
-        times = sorted((tau, p) for p in par.tolist() for tau in _revival_times(dec, a, p, norm, cfg).tolist())
+        times = sorted((tau, p) for p in par.tolist() for tau in _revival_times(dec, a, p, cfg).tolist())
         found = 0
         for tau, p in times:
             if found == _SCAN_MAX_EVENTS:
@@ -874,7 +867,7 @@ def verify_quotient_transport(
     # by a few eps t ||A||: below eps MAX_PHASE ~ 2e-11 for t <= 10 while
     # ||A|| <= MAX_PHASE / 10 = 1e4. Past that the phases keep no digits
     # (1e151 rad at ||A|| = 1e150), so the times shrink by 1/||A||
-    norm = phase_norm(dec_x)
+    norm = dec_x.norm
     times = QUOTIENT_TIMES if 10 * norm <= MAX_PHASE else QUOTIENT_TIMES / norm
     diff = walk_columns(dec_x, a, times)[:, b] - walk_columns(dec_q, ia, times)[:, ib]
     # hypot rounds as abs() of one complex entry does; np.abs of an array may not

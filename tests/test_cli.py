@@ -267,7 +267,7 @@ class TestReports:
         shifted = G.WeightedGraph(g.weights + 1e4 * np.eye(4), g.labels, "path:4+1e4")
         cfg = DetectionConfig(t_max=6e4)
         dec = decompose(shifted)
-        limit = walks_mod.MAX_PHASE / walks_mod.phase_norm(dec)
+        limit = walks_mod.MAX_PHASE / dec.norm
         last = walks_mod.scan_fr(dec, range(4), None, cfg)[-1]
         assert limit - 2 * math.pi / math.sqrt(5) < last.tau <= limit
         loaded = json.loads(run_analysis(shifted, cfg, do_scan=True).to_json())
@@ -456,6 +456,25 @@ class TestReportWriter:
     )
     def test_other_arrays_equal_json_of_their_list(self, arr):
         assert cli_mod._dumps({"w": arr}) == json.dumps({"w": arr.tolist()}, indent=2)
+
+    def test_torus_weights_write_in_little_memory(self):
+        # 0.19 MB of text. Each row is looked up in the table of distinct
+        # values, where np.unique's inverse held several (n, n) int64 arrays
+        # (0.85 MB). The table comes from a sort: the first np.unique call
+        # imports numpy.ma (1.1 MB), so the first call is measured, in a fresh process
+        code = (
+            "import json, tracemalloc; from ctqw import cli; "
+            "w = cli.parse_graph_spec('prod(cycle:12,cycle:12)').weights; "
+            "tracemalloc.start(); text = cli._dumps(w); peak = tracemalloc.get_traced_memory()[1]; "
+            "tracemalloc.stop(); print(peak, text == json.dumps(w.tolist(), indent=2))"
+        )
+        src = str(Path(cli_mod.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src}
+        )
+        peak, same = proc.stdout.split()
+        assert same == "True"
+        assert int(peak) < 0.5e6, peak
 
     def test_weights_are_exact(self):
         rng = np.random.default_rng(3)

@@ -367,6 +367,24 @@ class TestWeights:
         g = G.WeightedGraph(w, tuple(str(i) for i in range(len(w))))
         assert np.array_equal(g.weights.view(np.int64), expected.view(np.int64))
 
+    @settings(max_examples=300, deadline=None)
+    @given(near_symmetric_matrices())
+    def test_norm_is_the_max_row_sum_of_the_stored_weights(self, w):
+        if averaged(w) is None:
+            return
+        g = G.WeightedGraph(w, tuple(str(i) for i in range(len(w))))
+        assert g.norm.hex() == float(np.abs(g.weights).sum(axis=1).max()).hex()
+
+    @pytest.mark.parametrize("n", [9, 16, 17, 64, 129])
+    def test_norm_over_row_blocks_is_the_max_row_sum(self, n):
+        # orders of one, several and a ragged last block of n // 8 rows
+        rng = np.random.default_rng(n)
+        pool = np.array([0.0, -0.0, 5e-324, 2.5e-310, 1e150 / n, -1e150 / n, 1.0, -2.5, 0.1, 1 / 3])
+        w = np.where(rng.random((n, n)) < 0.5, rng.choice(pool, (n, n)), rng.uniform(-1e3, 1e3, (n, n)))
+        w = np.triu(w) + np.triu(w, 1).T
+        g = G.WeightedGraph(w, tuple(str(i) for i in range(n)))
+        assert g.norm.hex() == float(np.abs(g.weights).sum(axis=1).max()).hex()
+
     def test_signed_zero_pair_is_averaged_to_zero(self):
         w = np.array([[0.0, -0.0], [0.0, 0.0]])
         assert np.signbit(G.WeightedGraph(w, ("0", "1")).weights).sum() == 0

@@ -38,6 +38,12 @@ def weighted_p3(omega):
     return G.WeightedGraph(w, ("a", "m", "b"), f"p3w:{omega:g}")
 
 
+def random_symmetric(rng, n):
+    """A symmetric (n, n) matrix with entries in [-6, 6]."""
+    u = rng.uniform(-3.0, 3.0, (n, n))
+    return u + u.T
+
+
 def reference_tensor(dec):
     """The (d, n, n) projector tensor decompose used to store, built as it
     was: E_r = V_r V_r^T of the grouped basis, made exactly symmetric. The
@@ -147,6 +153,38 @@ class TestDecompose:
         with pytest.raises(ValueError, match="finite"):
             decompose(np.array([[0.0, weight], [weight, 0.0]]))
 
+    @pytest.mark.parametrize(
+        "m", [np.zeros(3), np.zeros((2, 3)), np.zeros((0, 0)), np.array(1.0), [[0.0, 1.0]]], ids=repr
+    )
+    def test_rejects_a_matrix_that_is_not_square(self, m):
+        with pytest.raises(ValueError):
+            decompose(m)
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            G.cycle(6).weights,
+            G.path(5).weights,
+            G.x_theta(G.cycle(4), (2, 3, 0, 1), 0.3).weights,
+            G.hypercube(4).weights.T,  # Fortran order
+            np.array([[-0.0, 0.0, 5e-324], [-0.0, 2.0, -1e150], [5e-324, -1e150, -0.0]]),  # a 0.0/-0.0 pair
+            np.array([[0.0, 1.0 + 1e-13, 0.5], [1.0, 0.0, 0.25], [0.5, 0.25, 0.0]]),  # averaged
+            random_symmetric(np.random.default_rng(7), 9),
+            [[0.0, 2.0], [2.0, 0.0]],
+        ],
+        ids=["cycle:6", "path:5", "x_theta", "cube:4 transposed", "signed zeros", "asymmetric", "random", "list"],
+    )
+    def test_matrix_equals_its_graph_bit_for_bit(self, m):
+        raw = decompose(m)
+        dec = decompose(G.WeightedGraph(m, tuple(map(str, range(len(m))))))
+        for name in ("matrix", "eigenvalues", "vectors", "diagonals"):
+            got, want = getattr(raw, name), getattr(dec, name)
+            assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64)), name
+        for name in ("multiplicities", "group_tolerance", "ambiguous_clustering", "nonnegative", "norm"):
+            assert repr(getattr(raw, name)) == repr(getattr(dec, name)), name
+        assert raw.norm == float(np.abs(raw.matrix).sum(axis=1).max())
+        assert raw.group_tolerance == default_group_tol(raw.norm)
+
     def test_rejects_norm_over_limit(self):
         with pytest.raises(ValueError, match="above the limit"):
             decompose(np.array([[0.0, 1e308], [1e308, 0.0]]))
@@ -159,10 +197,10 @@ class TestDecompose:
 
     def test_ambiguous_clustering_flag(self):
         # two eigenvalues straddling the grouping tolerance
-        gt = default_group_tol(np.diag([0.0, 0.0, 1.0]))
-        m = np.diag([0.0, 3 * gt, 1.0])
-        assert default_group_tol(m) == gt
-        assert decompose(m).ambiguous_clustering
+        gt = default_group_tol(1.0)
+        dec = decompose(np.diag([0.0, 3 * gt, 1.0]))
+        assert (dec.norm, dec.group_tolerance) == (1.0, gt)
+        assert dec.ambiguous_clustering
         assert not decompose(np.diag([0.0, 1.0, 2.0])).ambiguous_clustering
 
     def test_nonnegative_flag(self):
@@ -322,7 +360,7 @@ def list_and_stack_decomposition(m):
     in a list, ordered by argsort and copied into a stacked tensor."""
     m = (m + m.T) / 2.0
     evals, evecs = np.linalg.eigh(m)
-    breaks = np.nonzero(np.diff(evals) >= default_group_tol(m))[0]
+    breaks = np.nonzero(np.diff(evals) >= default_group_tol(float(np.abs(m).sum(axis=1).max())))[0]
     thetas, projs, mults = [], [], []
     for g in np.split(np.arange(len(evals)), breaks + 1):
         thetas.append(float(evals[g].mean()))
@@ -338,7 +376,7 @@ def split_grouping(m):
     """(eigenvalues, vectors, multiplicities) grouped as decompose once did:
     np.split at the gaps, one ndarray.mean per group, the groups reversed."""
     evals, evecs = np.linalg.eigh(m)
-    breaks = np.nonzero(np.diff(evals) >= default_group_tol(m))[0]
+    breaks = np.nonzero(np.diff(evals) >= default_group_tol(float(np.abs(m).sum(axis=1).max())))[0]
     groups = np.split(np.arange(len(evals)), breaks + 1)[::-1]
     return np.array([evals[g].mean() for g in groups]), evecs[:, np.concatenate(groups)], tuple(map(len, groups))
 

@@ -400,6 +400,21 @@ class TestCertify:
         fr = [c for c in pc.certificates if c.kind != KIND_PERIODIC][0]
         assert fr.tau == pytest.approx(tau, rel=1e-12)
 
+    def test_grid_of_cube7_stays_small(self):
+        # ||A|| is the decomposition's: no (n, n) copy of |A| (0.13 MB) per call
+        dec = decompose(G.hypercube(7))
+        prof = pair_profile(dec, 0, 127)
+        pc = certify_pair(dec, prof, CFG)  # fills the oracle memo
+        assert pc.certificates
+        tracemalloc.start()
+        try:
+            certs = certify_strongly_cospectral(dec, prof, pc.tau_step, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tuple(certs) == pc.certificates
+        assert peak < 0.05e6, peak
+
 
 class TestLatticeGrid:
     def test_step_equals_the_quadratic_integer_grid(self):
@@ -417,7 +432,7 @@ class TestLatticeGrid:
         g = G.path(4)
         dec = decompose(G.WeightedGraph(g.weights + 1e4 * np.eye(4), g.labels, "path:4+1e4"))
         pc = _certify(dec, 0, 3)
-        limit = walks_mod.MAX_PHASE / walks_mod.phase_norm(dec)
+        limit = walks_mod.MAX_PHASE / dec.norm
         assert pc.tau_step == pytest.approx(2 * math.pi / math.sqrt(5))
         assert len(pc.certificates) == int(limit / pc.tau_step)
         assert pc.certificates[-1].tau <= limit
@@ -473,12 +488,24 @@ class TestScan:
         assert [m.shape for m in masks] == [(len(sources), 300)]
         assert np.array_equal(masks[0], parallel_pairs(dec, _scan_slack())[list(sources)])
 
+    def test_scan_of_cycle600_stays_small(self):
+        # ||A|| is the decomposition's: no (n, n) copy of |A| (2.9 MB) per call
+        dec = decompose(G.cycle(600))
+        scan_fr(dec, [0], None, CFG)
+        tracemalloc.start()
+        try:
+            scan_fr(dec, [0], None, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e6, peak
+
     def test_partner_outside_the_support_has_no_times(self):
         # the parallel screen passes 0 for source 2, where every (E_r)_22 outside
         # the support is 0, but E_r e_0 reaches eigenvalues that e_2 does not
         dec = decompose(G.path(5))
         assert parallel_pairs(dec, _scan_slack())[2, 0]
-        assert len(walks_mod._revival_times(dec, 2, 0, walks_mod.phase_norm(dec), CFG)) == 0
+        assert len(walks_mod._revival_times(dec, 2, 0, CFG)) == 0
 
     def test_periodic_lattice_points_are_not_detected(self, monkeypatch):
         dec = decompose(G.hypercube(5))
@@ -799,6 +826,7 @@ def _tampered_c6(good):
         group_tolerance=good.group_tolerance,
         ambiguous_clustering=False,
         nonnegative=True,
+        norm=2.002,  # two weights of 1.001 a row
     )
 
 
