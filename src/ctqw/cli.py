@@ -41,7 +41,7 @@ from ctqw.walks import (
     _kind_of,
     _residual,
     _wrap_angle,
-    certify_pair,
+    certify_pairs,
     scan_fr,
     verify_quotient_transport,
     walk_columns,
@@ -462,10 +462,8 @@ def run_analysis(
         n = graph.order
         pairs = strongly_cospectral_candidates(dec)
         logger.debug("screened %d pairs to %d candidates", n * (n - 1) // 2, len(pairs))
-        for prof in pair_profiles(dec, pairs):
-            if not prof.strongly_cospectral:
-                continue
-            pc = certify_pair(dec, prof, cfg)
+        profiles = [prof for prof in pair_profiles(dec, pairs) if prof.strongly_cospectral]
+        for prof, pc in zip(profiles, certify_pairs(dec, profiles, cfg)):
             entry: dict = {
                 "strongly_cospectral": True,
                 "parallel": prof.parallel,

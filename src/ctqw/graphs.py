@@ -19,6 +19,8 @@ TOL_EQ = 1e-9
 
 #: decimal digits used to hash weight sums during partition refinement
 _SIG_DIGITS = 12
+#: bytes of |A| that _check_norm holds at once: whole rows, at least one
+_NORM_BLOCK_BYTES = 2**16
 
 #: real flops one complex (n, n) matrix product may take: 8 n^3
 WORK_BUDGET = 2 * 2**30
@@ -127,7 +129,7 @@ def _check_norm(w: np.ndarray) -> float:
     under the bound. Tiny weights, down to 5e-324, pass.
     """
     limit = math.sqrt(sys.float_info.max) / 2
-    step = max(1, len(w) // 8)  # row blocks of an eighth of the matrix, not a full copy of |A|
+    step = max(1, _NORM_BLOCK_BYTES // (8 * max(1, len(w))))  # blocks of whole rows, not a full copy of |A|
     with np.errstate(over="ignore"):
         norm = max(float(np.abs(w[i : i + step]).sum(axis=1).max()) for i in range(0, len(w), step))
     if norm > limit:

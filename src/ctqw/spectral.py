@@ -36,9 +36,11 @@ class SpectralDecomposition:
     gap falls within a factor 10 of the grouping tolerance, i.e. the grouping
     could plausibly have gone the other way. ``norm`` is the graph's ||A||,
     the max row sum of |A|. ``_time_memo`` holds work that
-    depends only on the matrix and a time (the oracle exponentials) or a pair
-    of support parts (their lattice and classification), see
-    :mod:`ctqw.walks`; it lives and dies with the decomposition.
+    depends only on the matrix and a time or a pair of support parts, see
+    :mod:`ctqw.walks`: the oracle window, the exponentials of one stack of
+    times, replaced by the next stack a caller needs, and the lattice and
+    classification of each part pair. It lives and dies with the
+    decomposition.
     """
 
     matrix: np.ndarray = field(repr=False)

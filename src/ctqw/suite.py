@@ -30,6 +30,7 @@ from ctqw.walks import (
     _oracle_stack,
     _wrap_angle,
     certify_pair,
+    certify_pairs,
     check_gamma_consequences,
     check_pst,
     check_symmetry,
@@ -266,8 +267,8 @@ def path_rows(cfg: DetectionConfig) -> list[RowResult]:
         dec = decompose(G.path(n))
         events = []
         # the screen never drops a pair that pair_profile accepts
-        for prof in pair_profiles(dec, strongly_cospectral_candidates(dec)):
-            events.extend(c for c in certify_pair(dec, prof, cfg).certificates if c.kind != KIND_PERIODIC)
+        for pc in certify_pairs(dec, pair_profiles(dec, strongly_cospectral_candidates(dec)), cfg):
+            events.extend(c for c in pc.certificates if c.kind != KIND_PERIODIC)
         rows.append(_row("paths", f"P{n}: no certificate from any pair", len(events) == 0, f"found {len(events)}"))
 
     for n in (5, 7, 9):

@@ -5,17 +5,20 @@ mixing; solves for revival times on the lattice of eigenvalue differences,
 for strongly cospectral pairs and, in scan_fr, for every parallel pair;
 verifies the product / overlay / rotation constructions and quotient
 transport. Every certificate is double-checked against an eigensolver-free
-matrix exponential before being reported; that exponential is computed once
-per decomposition and time.
+matrix exponential before being reported; the callers walk their times in
+increasing order, so that exponential is computed once per decomposition and
+time.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
+import heapq
 import logging
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,11 +64,9 @@ _TAYLOR_BLOCKS = tuple(_freeze(np.ascontiguousarray(_TAYLOR_CS[j : j + 3].T)) fo
 #: the (2, 1) coefficients of I, row 0 of _TAYLOR_CS
 _TAYLOR_EYE = _TAYLOR_CS[0, :, None]
 #: working set of one stack of times in matrix_exp_oracle, at about 56 n^2
-#: bytes per time: the times of a matrix of order above 48 run one at a time
+#: bytes per time: the times of a matrix of order above 48 run one at a time.
+#: A decomposition's oracle window holds one such stack (_oracle_exp)
 _STACK_BYTES = 2**18
-#: byte budget of the oracle exponentials kept per decomposition; past it the
-#: oldest are dropped first
-_ORACLE_MEMO_BYTES = 64 * 2**20
 #: horizon of the approximate-transfer scan in check_gamma_consequences
 PGST_T_MAX = 1e4
 #: sample times of the walk-entry comparison in verify_quotient_transport
@@ -191,11 +192,16 @@ def _oracle_stack(m: np.ndarray, times: np.ndarray) -> np.ndarray:
     if times.ndim != 1:
         raise ValueError("expected a time or a 1-D array of times")
     out = np.empty(times.shape + m.shape, dtype=complex)
-    step = max(1, _STACK_BYTES // (56 * max(1, m.size)))
+    step = _stack_len(m)
     ts = times.tolist()
     for lo in range(0, len(ts), step):
         out[lo : lo + step] = _taylor_exp(m, ts[lo : lo + step])
     return out
+
+
+def _stack_len(m: np.ndarray) -> int:
+    """The times of one stack of the matrix m: at most _STACK_BYTES of working set."""
+    return max(1, _STACK_BYTES // (56 * max(1, m.size)))
 
 
 def _taylor_exp(m: np.ndarray, ts: list[float]) -> np.ndarray:
@@ -332,23 +338,35 @@ def _kind_of(alpha: complex, beta: complex, cfg: DetectionConfig) -> str:
     return KIND_FR
 
 
-def _oracle_exp(dec: SpectralDecomposition, tau: float) -> np.ndarray:
-    """exp(-i tau A) of dec.matrix, computed once per decomposition and exact tau."""
-    exps = dec._time_memo.setdefault("oracle", {})
-    u = exps.get(tau)
+def _oracle_exp(dec: SpectralDecomposition, tau: float, plan=()) -> np.ndarray:
+    """exp(-i tau A) of dec.matrix, read from the decomposition's oracle window.
+
+    The window holds the exponentials of one stack of times. A tau outside it
+    replaces it, the old stack dropped first, with the stack of tau and the
+    times of plan (the caller's times to come, sorted and distinct) that
+    follow it, as many as _stack_len allows: one time is one
+    matrix_exp_oracle call, more are one _oracle_stack call, whose slices are
+    bit-equal to single calls. A caller that walks its times in increasing
+    order, with every time it will judge in its plan, computes each once.
+    """
+    window = dec._time_memo.setdefault("oracle", {})
+    u = window.get(tau)
     if u is None:
-        u = matrix_exp_oracle(dec.matrix, tau)
-        u.setflags(write=False)
-        # every entry of one decomposition has the shape of its matrix
-        while exps and (len(exps) + 1) * u.nbytes > _ORACLE_MEMO_BYTES:
-            del exps[next(iter(exps))]
-        if u.nbytes <= _ORACLE_MEMO_BYTES:
-            exps[tau] = u
+        window.clear()
+        start = bisect.bisect_right(plan, tau)
+        times = [tau, *plan[start : start + _stack_len(dec.matrix) - 1]]
+        if len(times) > 1:
+            stack = _oracle_stack(dec.matrix, np.array(times))
+        else:
+            stack = matrix_exp_oracle(dec.matrix, tau)[None]
+        stack.setflags(write=False)
+        window.update(zip(times, stack))
+        u = window[tau]
     return u
 
 
-def _oracle_agrees(dec: SpectralDecomposition, a: int, tau: float, col: np.ndarray, cfg: DetectionConfig) -> bool:
-    oracle_col = _oracle_exp(dec, float(tau))[:, a]
+def _oracle_agrees(dec: SpectralDecomposition, a: int, tau: float, col: np.ndarray, cfg: DetectionConfig, plan) -> bool:
+    oracle_col = _oracle_exp(dec, float(tau), plan)[:, a]
     diff = float(np.abs(col - oracle_col).max())
     if diff > cfg.tol_walk:
         warnings.warn(
@@ -366,12 +384,14 @@ def detect_at(
     tau: float,
     cfg: DetectionConfig = DetectionConfig(),
     method: str = "grid_scan",
+    plan=(),
 ) -> FrCertificate | None:
     """Examine U(tau) e_a for two-vertex concentration.
 
     Returns a certificate when the column mass sits on {a} and at most one
     other vertex within tol_walk; an ambiguous column (two off-vertices above
-    beta_min) yields None.
+    beta_min) yields None. plan, the caller's sorted distinct times to come,
+    lets the oracle stack them with tau (_oracle_exp).
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -399,7 +419,7 @@ def detect_at(
         return None
     if b == a and abs(abs(alpha) - 1.0) > cfg.tol_walk:
         return None
-    if not _oracle_agrees(dec, a, tau, col, cfg):
+    if not _oracle_agrees(dec, a, tau, col, cfg, plan):
         return None
     gz = _gamma_zeta(alpha, beta, cfg.tol_walk)
     gamma, zeta = gz if gz is not None else (None, None)
@@ -454,25 +474,66 @@ def certify_strongly_cospectral(
     """
     if not profile.strongly_cospectral:
         raise ValueError("pair is not strongly cospectral")
+    return _walk_grids(dec, [(profile, *_grid(dec, profile, tau_step, cfg))], cfg)[0]
+
+
+def _grid(dec: SpectralDecomposition, profile: PairProfile, tau_step: float | None, cfg: DetectionConfig) -> tuple:
+    """The times certify_strongly_cospectral examines, in increasing order,
+    and how many of them its walk is predicted to judge: up to the first
+    periodic one. On the grid U(tau) e_a = (w+ + w-)/2 e_a + (w+ - w-)/2 e_b,
+    with w+ and w- the phases of the two parts, so the walk is periodic
+    where |w+ - w-| / 2 <= beta_min."""
+    theta = dec.eigenvalues
+    plus, minus = theta[min(profile.phi_plus)], theta[min(profile.phi_minus)]
     if tau_step is not None:
         taus = [k * tau_step for k in range(1, CERTIFY_GRID_K + 1)]
     else:
-        theta = dec.eigenvalues
-        taus = _gap_times(abs(float(theta[min(profile.phi_plus)] - theta[min(profile.phi_minus)])))
+        taus = _gap_times(abs(float(plus - minus)))
+    taus = [tau for tau in taus if tau * dec.norm <= MAX_PHASE]
+    t = np.array(taus)
+    periodic = np.flatnonzero(np.abs(np.exp(-1j * t * plus) - np.exp(-1j * t * minus)) / 2 <= cfg.beta_min)
+    return taus, int(periodic[0]) + 1 if len(periodic) else len(taus)
 
-    certs: list[FrCertificate] = []
-    for tau in taus:
-        if tau * dec.norm > MAX_PHASE:
-            break
-        cert = detect_at(dec, profile.a, tau, cfg, method="equiv_cond_solve")
+
+def _walk_by_tau(times: list[list], judge) -> None:
+    """Call judge(i, k) at entry k of each increasing list times[i] of times
+    (or of tuples that lead with a time), all the lists merged by entry,
+    ties by i: list i goes on past k only while judge returns True. Each
+    list keeps its own order, one cursor per list."""
+    heap = [(t[0], i, 0) for i, t in enumerate(times) if t]
+    heapq.heapify(heap)
+    while heap:
+        _, i, k = heapq.heappop(heap)
+        if judge(i, k) and k + 1 < len(times[i]):
+            heapq.heappush(heap, (times[i][k + 1], i, k + 1))
+
+
+def _walk_grids(dec: SpectralDecomposition, grids: list, cfg: DetectionConfig) -> list[list[FrCertificate]]:
+    """The certificates of each (profile, times, planned) of grids: the walk
+    from a judged at each time in order, kept when periodic or on b, up to
+    and including the first periodic one.
+
+    The grids run as one walk by tau, with a plan of the first planned times
+    of each (_grid), so that the oracle window (_oracle_exp) computes each
+    time the pairs judge once, shared by the pairs that judge it. The plan
+    only sizes the oracle's stacks: a prediction that misses costs an
+    exponential computed twice or in vain, never a certificate.
+    """
+    plan = sorted({tau for _, taus, planned in grids for tau in taus[:planned]})
+    certs: list[list[FrCertificate]] = [[] for _ in grids]
+
+    def judge(i: int, k: int) -> bool:
+        prof, taus, _ = grids[i]
+        cert = detect_at(dec, prof.a, taus[k], cfg, method="equiv_cond_solve", plan=plan)
         if cert is None:
-            continue
-        if cert.kind != KIND_PERIODIC and cert.b != profile.b:
-            logger.debug("grid time %r concentrated on %d, not the profiled partner %d", tau, cert.b, profile.b)
-            continue
-        certs.append(cert)
-        if cert.kind == KIND_PERIODIC:
-            break
+            return True
+        if cert.kind != KIND_PERIODIC and cert.b != prof.b:
+            logger.debug("grid time %r concentrated on %d, not the profiled partner %d", taus[k], cert.b, prof.b)
+            return True
+        certs[i].append(cert)
+        return cert.kind != KIND_PERIODIC
+
+    _walk_by_tau([taus for _, taus, _ in grids], judge)
     return certs
 
 
@@ -495,17 +556,39 @@ class PairCertification:
 def certify_pair(
     dec: SpectralDecomposition, prof: PairProfile, cfg: DetectionConfig = DetectionConfig()
 ) -> PairCertification:
-    """lattice -> certify, then classify the support of a profiled pair,
-    capturing failures."""
-    if not prof.strongly_cospectral:
-        return PairCertification(prof, None, False, None, (), "not strongly cospectral", None)
-    lattice, cls = _lattice(dec, tuple(sorted(prof.phi_plus)), tuple(sorted(prof.phi_minus)))
-    if isinstance(lattice, NotClassifiable):
-        return PairCertification(prof, None, False, None, (), lattice.reason, lattice.witness)
-    certs = tuple(certify_strongly_cospectral(dec, prof, lattice[0], cfg))
-    if isinstance(cls, str):
-        return PairCertification(prof, None, True, lattice[0], certs, cls, None)
-    return PairCertification(prof, cls, True, lattice[0], certs, None, None)
+    """certify_pairs of the one pair prof."""
+    return certify_pairs(dec, [prof], cfg)[0]
+
+
+def certify_pairs(
+    dec: SpectralDecomposition, profiles, cfg: DetectionConfig = DetectionConfig()
+) -> list[PairCertification]:
+    """The PairCertification of each profiled pair, in the order of profiles:
+    lattice -> certify, then classify its support, capturing failures.
+
+    The grids of all the pairs run as one walk by tau (_walk_grids), so the
+    pairs that share a tau_step share each oracle exponential; each pair's
+    certificates are those of its own walk.
+    """
+    out: list[PairCertification] = []
+    grids: list = []
+    shared: dict = {}  # the grid of each part pair
+    for prof in profiles:
+        if not prof.strongly_cospectral:
+            out.append(PairCertification(prof, None, False, None, (), "not strongly cospectral", None))
+            continue
+        parts = (tuple(sorted(prof.phi_plus)), tuple(sorted(prof.phi_minus)))
+        lattice, cls = _lattice(dec, *parts)
+        if isinstance(lattice, NotClassifiable):
+            out.append(PairCertification(prof, None, False, None, (), lattice.reason, lattice.witness))
+            continue
+        if parts not in shared:
+            shared[parts] = _grid(dec, prof, lattice[0], cfg)
+        grids.append((prof, *shared[parts]))
+        failure = cls if isinstance(cls, str) else None
+        out.append(PairCertification(prof, None if failure else cls, True, lattice[0], (), failure, None))
+    walked = iter(_walk_grids(dec, grids, cfg))
+    return [replace(pc, certificates=tuple(next(walked))) if pc.has_lattice else pc for pc in out]
 
 
 def _lattice(dec: SpectralDecomposition, plus: tuple, minus: tuple) -> tuple:
@@ -598,11 +681,12 @@ def scan_fr(
     scan takes each of them (only b, when given) and the times
     _revival_times solves for. detect_at, with its residual and oracle
     gates, judges those times in order, and a source keeps its earliest
-    _SCAN_MAX_EVENTS events. Certificates come source by source, sorted by
-    tau. Periodic events are not reported: the scan looks for genuine
-    two-vertex transport, so b in sources is rejected. An empty result is
-    bounded evidence, since lattice_step rationalizes eigenvalue ratios
-    with denominators up to numtheory.MAX_DEN.
+    _SCAN_MAX_EVENTS events. The sources' times run as one walk by tau, so
+    the oracle window computes each time once. Certificates come source by
+    source, sorted by tau. Periodic events are not reported: the scan looks
+    for genuine two-vertex transport, so b in sources is rejected. An empty
+    result is bounded evidence, since lattice_step rationalizes eigenvalue
+    ratios with denominators up to numtheory.MAX_DEN.
 
     known holds certificates the caller already has, such as
     certify_pair's: detect_at's event at (cert.a, cert.tau) is that
@@ -614,21 +698,24 @@ def scan_fr(
         raise ValueError("the scan target must differ from its source")
     judged = {(c.a, c.tau): c for c in known}
     partners = parallel_pairs(dec, (cfg.tol_walk / cfg.beta_min) ** 2, sources)
-    certs: list[FrCertificate] = []
+    events = []  # per source: its (tau, partner) in order
     for a, row in zip(sources, partners):
         par = np.flatnonzero(row)
         if b is not None:
             par = par[par == b]
-        times = sorted((tau, p) for p in par.tolist() for tau in _revival_times(dec, a, p, cfg).tolist())
-        found = 0
-        for tau, p in times:
-            if found == _SCAN_MAX_EVENTS:
-                break
-            cert = judged.get((a, tau)) or detect_at(dec, a, tau, cfg)
-            if cert is not None and cert.kind != KIND_PERIODIC and cert.b == p:
-                certs.append(cert)
-                found += 1
-    return certs
+        events.append(sorted((tau, p) for p in par.tolist() for tau in _revival_times(dec, a, p, cfg).tolist()))
+    plan = sorted({tau for a, times in zip(sources, events) for tau, _ in times if (a, tau) not in judged})
+    found: list[list[FrCertificate]] = [[] for _ in sources]
+
+    def judge(i: int, k: int) -> bool:
+        a, (tau, p) = sources[i], events[i][k]
+        cert = judged.get((a, tau)) or detect_at(dec, a, tau, cfg, plan=plan)
+        if cert is not None and cert.kind != KIND_PERIODIC and cert.b == p:
+            found[i].append(cert)
+        return len(found[i]) < _SCAN_MAX_EVENTS
+
+    _walk_by_tau(events, judge)
+    return [cert for certs in found for cert in certs]
 
 
 # ---------------------------------------------------------------------------

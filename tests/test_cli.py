@@ -503,6 +503,23 @@ class TestReportWriter:
         assert report.certificates == []
         assert retained < 0.2e6, retained
 
+    @pytest.mark.parametrize("spec, limit", [("cocktail:40", 3.0e6), ("cube:7", 1.3e6)])
+    def test_analysis_holds_one_stack_of_exponentials(self, spec, limit):
+        # the oracle keeps one stack of times per decomposition: cocktail:40
+        # (n = 80) holds one exponential of 0.1 MB at a time, not all 40 (4.1
+        # MB), and cube:7 forms its second exponential (a 0.92 MB working
+        # set) with the first already dropped
+        graph = parse_graph_spec(spec)
+        run_analysis(parse_graph_spec("cycle:6"))  # lazy imports and caches
+        tracemalloc.start()
+        try:
+            report = run_analysis(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.certificates
+        assert peak < limit, peak
+
     def test_peak_memory_is_a_few_times_the_output(self):
         report = run_analysis(parse_graph_spec("cycle:128"))
         tracemalloc.start()

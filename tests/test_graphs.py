@@ -375,9 +375,10 @@ class TestWeights:
         g = G.WeightedGraph(w, tuple(str(i) for i in range(len(w))))
         assert g.norm.hex() == float(np.abs(g.weights).sum(axis=1).max()).hex()
 
-    @pytest.mark.parametrize("n", [9, 16, 17, 64, 129])
+    @pytest.mark.parametrize("n", [*range(1, 17), 64, 129, 300])
     def test_norm_over_row_blocks_is_the_max_row_sum(self, n):
-        # orders of one, several and a ragged last block of n // 8 rows
+        # orders of one block (up to 90) and of several, with a ragged last
+        # block (129: 63 + 63 + 3 rows; 300: 27 rows per block)
         rng = np.random.default_rng(n)
         pool = np.array([0.0, -0.0, 5e-324, 2.5e-310, 1e150 / n, -1e150 / n, 1.0, -2.5, 0.1, 1 / 3])
         w = np.where(rng.random((n, n)) < 0.5, rng.choice(pool, (n, n)), rng.uniform(-1e3, 1e3, (n, n)))

@@ -1,6 +1,7 @@
 """Walk evaluation, detection, certification, scans, and angle consequences."""
 
 import gc
+import hashlib
 import json
 import math
 import tracemalloc
@@ -15,13 +16,14 @@ from hypothesis import strategies as st
 
 from ctqw import graphs as G
 from ctqw import walks as walks_mod
-from ctqw.cli import parse_graph_spec
+from ctqw.cli import parse_graph_spec, run_analysis
 from ctqw.numtheory import lattice_step
 from ctqw.spectral import (
     TOL_SUPPORT,
     SpectralDecomposition,
     decompose,
     pair_profile,
+    pair_profiles,
     parallel_pairs,
     strongly_cospectral_candidates,
 )
@@ -34,6 +36,7 @@ from ctqw.walks import (
     FrCertificate,
     NumericalHealthWarning,
     certify_pair,
+    certify_pairs,
     certify_strongly_cospectral,
     check_gamma_consequences,
     check_periodic,
@@ -400,12 +403,22 @@ class TestCertify:
         fr = [c for c in pc.certificates if c.kind != KIND_PERIODIC][0]
         assert fr.tau == pytest.approx(tau, rel=1e-12)
 
-    def test_grid_of_cube7_stays_small(self):
+    def test_grid_of_cube7_stays_small(self, monkeypatch):
         # ||A|| is the decomposition's: no (n, n) copy of |A| (0.13 MB) per call
         dec = decompose(G.hypercube(7))
         prof = pair_profile(dec, 0, 127)
-        pc = certify_pair(dec, prof, CFG)  # fills the oracle memo
+        held = {}
+        window = walks_mod._oracle_exp
+
+        def keeping(dec, tau, plan=()):
+            held[tau] = window(dec, tau, plan)
+            return held[tau]
+
+        monkeypatch.setattr(walks_mod, "_oracle_exp", keeping)
+        pc = certify_pair(dec, prof, CFG)
         assert pc.certificates
+        # the walk again, with the exponentials computed above: its own memory
+        monkeypatch.setattr(walks_mod, "_oracle_exp", lambda dec, tau, plan=(): held[tau])
         tracemalloc.start()
         try:
             certs = certify_strongly_cospectral(dec, prof, pc.tau_step, CFG)
@@ -809,11 +822,28 @@ class TestGammaConsequences:
 
 
 def _all_pair_certificates(dec):
-    certs = []
-    for a in range(dec.order):
-        for b in range(a + 1, dec.order):
-            certs.extend(_certify(dec, a, b).certificates)
-    return certs
+    profiles = [pair_profile(dec, a, b) for a in range(dec.order) for b in range(a + 1, dec.order)]
+    return [c for pc in certify_pairs(dec, profiles, CFG) for c in pc.certificates]
+
+
+def _counting_oracle(monkeypatch):
+    """Record every time the oracle computes, as (matrix digest, tau), through
+    matrix_exp_oracle and, for each time of a stack, _oracle_stack."""
+    keys = []
+    single, stack = walks_mod.matrix_exp_oracle, walks_mod._oracle_stack
+
+    def counting_single(a, t):
+        keys.append((hashlib.blake2b(a.tobytes()).hexdigest(), t))
+        return single(a, t)
+
+    def counting_stack(m, times):
+        digest = hashlib.blake2b(m.tobytes()).hexdigest()
+        keys.extend((digest, t) for t in times.tolist())
+        return stack(m, times)
+
+    monkeypatch.setattr(walks_mod, "matrix_exp_oracle", counting_single)
+    monkeypatch.setattr(walks_mod, "_oracle_stack", counting_stack)
+    return keys
 
 
 def _tampered_c6(good):
@@ -841,6 +871,100 @@ class TestHealthGate:
         assert any(issubclass(w.category, NumericalHealthWarning) for w in caught)
 
 
+def _grid_reference(dec, prof, tau_step, cfg):
+    """certify_strongly_cospectral as one pair's own loop over its grid."""
+    if tau_step is not None:
+        taus = [k * tau_step for k in range(1, walks_mod.CERTIFY_GRID_K + 1)]
+    else:
+        theta = dec.eigenvalues
+        taus = walks_mod._gap_times(abs(float(theta[min(prof.phi_plus)] - theta[min(prof.phi_minus)])))
+    certs = []
+    for tau in taus:
+        if tau * dec.norm > walks_mod.MAX_PHASE:
+            break
+        cert = detect_at(dec, prof.a, tau, cfg, method="equiv_cond_solve")
+        if cert is None or (cert.kind != KIND_PERIODIC and cert.b != prof.b):
+            continue
+        certs.append(cert)
+        if cert.kind == KIND_PERIODIC:
+            break
+    return certs
+
+
+def _scan_reference(dec, sources, b, cfg, known=()):
+    """scan_fr as a loop over one source at a time, each over its own times."""
+    judged = {(c.a, c.tau): c for c in known}
+    partners = parallel_pairs(dec, (cfg.tol_walk / cfg.beta_min) ** 2, sources)
+    certs = []
+    for a, row in zip(sources, partners):
+        par = np.flatnonzero(row)
+        if b is not None:
+            par = par[par == b]
+        times = sorted((tau, p) for p in par.tolist() for tau in walks_mod._revival_times(dec, a, p, cfg).tolist())
+        found = 0
+        for tau, p in times:
+            if found == walks_mod._SCAN_MAX_EVENTS:
+                break
+            cert = judged.get((a, tau)) or detect_at(dec, a, tau, cfg)
+            if cert is not None and cert.kind != KIND_PERIODIC and cert.b == p:
+                certs.append(cert)
+                found += 1
+    return certs
+
+
+class TestTimeWalk:
+    @pytest.mark.parametrize("spec", ["cycle:6", "cube:4", "cocktail:20", "prod(star:16,path:2)", "path:3"])
+    def test_pair_walks_on_when_the_oracle_voids_its_periodic_time(self, monkeypatch, spec):
+        g = parse_graph_spec(spec)
+        dec = decompose(g)
+        profiles = [p for p in pair_profiles(dec, strongly_cospectral_candidates(dec)) if p.strongly_cospectral]
+        plain = certify_pairs(dec, profiles, CFG)
+        bad = next(c.tau for c in plain[0].certificates if c.kind == KIND_PERIODIC)
+        single, stack = walks_mod.matrix_exp_oracle, walks_mod._oracle_stack
+
+        # the oracle is off by 1e-6 at the first pair's first periodic time
+        def off_single(a, t):
+            u = single(a, t)
+            return u + 1e-6 if t == bad else u
+
+        def off_stack(m, times):
+            u = stack(m, times)
+            u[times == bad] += 1e-6
+            return u
+
+        monkeypatch.setattr(walks_mod, "matrix_exp_oracle", off_single)
+        monkeypatch.setattr(walks_mod, "_oracle_stack", off_stack)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", NumericalHealthWarning)
+            got = certify_pairs(decompose(g), profiles, CFG)
+            fresh = decompose(g)
+            want = [_grid_reference(fresh, prof, pc.tau_step, CFG) for prof, pc in zip(profiles, plain)]
+        assert any(issubclass(w.category, NumericalHealthWarning) for w in caught)
+        assert [list(pc.certificates) for pc in got] == want
+        # the first pair judged past its voided periodic time
+        assert bad not in {c.tau for c in got[0].certificates}
+        assert max(c.tau for c in got[0].certificates) > bad
+
+    @pytest.mark.parametrize("cap", [None, 3])
+    @pytest.mark.parametrize(
+        "spec", ["cube:5", "cocktail:6", "path:4", "cone2:cycle:5", "prod(star:4,path:2)", "cycle:12"]
+    )
+    def test_merged_scan_equals_the_per_source_walk(self, monkeypatch, spec, cap):
+        if cap is not None:
+            monkeypatch.setattr(walks_mod, "_SCAN_MAX_EVENTS", cap)
+        g = parse_graph_spec(spec)
+        dec = decompose(g)
+        pcs = certify_pairs(dec, pair_profiles(dec, strongly_cospectral_candidates(dec)), CFG)
+        known = [c for pc in pcs for c in pc.certificates]
+        for given_known in ((), known):
+            want = _scan_reference(decompose(g), list(range(g.order)), None, CFG, given_known)
+            assert scan_fr(dec, range(g.order), None, CFG, known=given_known) == want
+        if cap is None and spec != "cycle:12":
+            assert want
+        want = _scan_reference(decompose(g), [g.order - 1, 0], 1, CFG)
+        assert scan_fr(dec, [g.order - 1, 0], 1, CFG) == want
+
+
 class TestTimeMemo:
     def test_perturbed_matrix_caught_with_memo_warm(self):
         good = decompose(G.cycle(6))
@@ -854,36 +978,37 @@ class TestTimeMemo:
         assert any(issubclass(w.category, NumericalHealthWarning) for w in caught)
 
     def test_oracle_once_per_distinct_tau(self, monkeypatch):
-        seen = []
-
-        def counting(a, t):
-            seen.append(t)
-            return matrix_exp_oracle(a, t)
-
-        monkeypatch.setattr(walks_mod, "matrix_exp_oracle", counting)
+        keys = _counting_oracle(monkeypatch)
         certs = _all_pair_certificates(decompose(G.hypercube(4)))
+        seen = [t for _, t in keys]
         assert len(certs) > len(set(seen))
         assert len(seen) == len(set(seen))
         assert set(seen) == {c.tau for c in certs}
 
-    @pytest.mark.parametrize("entries", [0.5, 2.5])
-    def test_byte_cap_bounds_memo(self, monkeypatch, entries):
-        g = G.cocktail_party(5)  # certificates at 5 distinct tau
-        expected = _all_pair_certificates(decompose(g))
-        cap = int(entries * g.order**2 * 16)  # one exponential is n x n complex
-        seen = []
+    @pytest.mark.parametrize(
+        "spec, scan, times",
+        [("cube:7", False, 2), ("cocktail:20", False, 20), ("cube:5", True, 17), ("cocktail:80", False, 64)],
+    )
+    def test_analysis_computes_each_time_once(self, monkeypatch, spec, scan, times):
+        # the grid walks every pair, and the scan every source, by tau
+        keys = _counting_oracle(monkeypatch)
+        assert run_analysis(parse_graph_spec(spec), CFG, do_scan=scan).certificates
+        assert len(keys) == len(set(keys)) == times
 
-        def counting(a, t):
-            seen.append(t)
-            return matrix_exp_oracle(a, t)
-
-        monkeypatch.setattr(walks_mod, "_ORACLE_MEMO_BYTES", cap)
-        monkeypatch.setattr(walks_mod, "matrix_exp_oracle", counting)
+    @pytest.mark.parametrize("spec", ["cycle:6", "cube:4", "cocktail:20", "cube:7", "path:5", "cone2:cycle:5"])
+    def test_window_holds_one_stack(self, spec):
+        g = parse_graph_spec(spec)
         dec = decompose(g)
-        assert _all_pair_certificates(dec) == expected
-        held = dec._time_memo.get("oracle", {})
-        assert sum(u.nbytes for u in held.values()) <= cap
-        assert list(held) == seen[len(seen) - int(entries):]  # the oldest went first
+        step = walks_mod._stack_len(dec.matrix)
+        certify_pairs(dec, pair_profiles(dec, strongly_cospectral_candidates(dec)), CFG)
+        for _ in range(2):
+            window = dec._time_memo.get("oracle", {})
+            stacks = {id(u.base) for u in window.values()}
+            assert len(window) <= step and len(stacks) <= 1
+            for tau, u in window.items():
+                assert not u.flags.writeable
+                assert np.array_equal(u, matrix_exp_oracle(g, tau))
+            scan_fr(dec, range(g.order), None, CFG)
 
     @pytest.mark.parametrize("spec", ["cube:5", "path:6", "prod(star:16,path:2)"])
     def test_lattice_once_per_part_pair(self, monkeypatch, spec):
@@ -925,10 +1050,13 @@ class TestTimeMemo:
         dec = decompose(G.cycle(6))
         detect_at(dec, 0, 2 * math.pi / 3, CFG)
         scan_fr(dec, [0], None, DetectionConfig(t_max=10.0, grid_points=2000))
-        # the scan keeps only its lattices, immutable tuples
+        # the scan keeps only its lattices, immutable tuples, and the oracle
+        # window of its last stack, read-only
         assert list(dec._time_memo) == ["oracle", "lattice"]
         assert all(type(v) is tuple for v in dec._time_memo["lattice"].values())
-        for arr in dec._time_memo["oracle"].values():
+        window = dec._time_memo["oracle"]
+        assert 0 < len(window) <= walks_mod._stack_len(dec.matrix)
+        for arr in window.values():
             assert not arr.flags.writeable
 
     def test_memo_holds_no_reference_cycle(self):
