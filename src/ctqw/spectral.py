@@ -37,8 +37,8 @@ class SpectralDecomposition:
     could plausibly have gone the other way. ``norm`` is the graph's ||A||,
     the max row sum of |A|. ``_time_memo`` holds work that
     depends only on the matrix and a time or a pair of support parts, see
-    :mod:`ctqw.walks`: the oracle window, the exponentials of one stack of
-    times, replaced by the next stack a caller needs, and the lattice and
+    :mod:`ctqw.walks`: the oracle window, the exponentials of the latest
+    times, as many as one stack of them takes, and the lattice and
     classification of each part pair. It lives and dies with the
     decomposition.
     """

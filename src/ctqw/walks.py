@@ -12,12 +12,13 @@ time.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import heapq
+import itertools
 import logging
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,6 +51,9 @@ MAX_PHASE = 1e5
 
 #: cap on the events scan_fr keeps per source, the earliest first
 _SCAN_MAX_EVENTS = 512
+#: lattice points _revival_times solves at once: a scan holds one such chunk
+#: per (source, partner) it walks
+_REVIVAL_CHUNK = 64
 #: c_r closer than this fall in one class (see _revival_times)
 _CLASS_TOL = 1e-7
 #: row j holds the coefficients of Y^j, Y = X^2, in the real and imaginary
@@ -64,8 +68,7 @@ _TAYLOR_BLOCKS = tuple(_freeze(np.ascontiguousarray(_TAYLOR_CS[j : j + 3].T)) fo
 #: the (2, 1) coefficients of I, row 0 of _TAYLOR_CS
 _TAYLOR_EYE = _TAYLOR_CS[0, :, None]
 #: working set of one stack of times in matrix_exp_oracle, at about 56 n^2
-#: bytes per time: the times of a matrix of order above 48 run one at a time.
-#: A decomposition's oracle window holds one such stack (_oracle_exp)
+#: bytes per time: the times of a matrix of order above 48 run one at a time
 _STACK_BYTES = 2**18
 #: horizon of the approximate-transfer scan in check_gamma_consequences
 PGST_T_MAX = 1e4
@@ -192,16 +195,11 @@ def _oracle_stack(m: np.ndarray, times: np.ndarray) -> np.ndarray:
     if times.ndim != 1:
         raise ValueError("expected a time or a 1-D array of times")
     out = np.empty(times.shape + m.shape, dtype=complex)
-    step = _stack_len(m)
+    step = max(1, _STACK_BYTES // (56 * max(1, m.size)))
     ts = times.tolist()
     for lo in range(0, len(ts), step):
         out[lo : lo + step] = _taylor_exp(m, ts[lo : lo + step])
     return out
-
-
-def _stack_len(m: np.ndarray) -> int:
-    """The times of one stack of the matrix m: at most _STACK_BYTES of working set."""
-    return max(1, _STACK_BYTES // (56 * max(1, m.size)))
 
 
 def _taylor_exp(m: np.ndarray, ts: list[float]) -> np.ndarray:
@@ -338,35 +336,27 @@ def _kind_of(alpha: complex, beta: complex, cfg: DetectionConfig) -> str:
     return KIND_FR
 
 
-def _oracle_exp(dec: SpectralDecomposition, tau: float, plan=()) -> np.ndarray:
+def _oracle_exp(dec: SpectralDecomposition, tau: float) -> np.ndarray:
     """exp(-i tau A) of dec.matrix, read from the decomposition's oracle window.
 
-    The window holds the exponentials of one stack of times. A tau outside it
-    replaces it, the old stack dropped first, with the stack of tau and the
-    times of plan (the caller's times to come, sorted and distinct) that
-    follow it, as many as _stack_len allows: one time is one
-    matrix_exp_oracle call, more are one _oracle_stack call, whose slices are
-    bit-equal to single calls. A caller that walks its times in increasing
-    order, with every time it will judge in its plan, computes each once.
+    The window holds the exponentials of the latest times, as many as one
+    stack of _STACK_BYTES holds: one time for orders above 48. A new tau
+    drops the oldest first, before its exponential is formed. A caller that
+    walks its times in increasing order computes each once.
     """
     window = dec._time_memo.setdefault("oracle", {})
     u = window.get(tau)
     if u is None:
-        window.clear()
-        start = bisect.bisect_right(plan, tau)
-        times = [tau, *plan[start : start + _stack_len(dec.matrix) - 1]]
-        if len(times) > 1:
-            stack = _oracle_stack(dec.matrix, np.array(times))
-        else:
-            stack = matrix_exp_oracle(dec.matrix, tau)[None]
-        stack.setflags(write=False)
-        window.update(zip(times, stack))
-        u = window[tau]
+        while window and (len(window) + 1) * 56 * dec.matrix.size > _STACK_BYTES:
+            del window[next(iter(window))]
+        u = matrix_exp_oracle(dec.matrix, tau)
+        u.setflags(write=False)
+        window[tau] = u
     return u
 
 
-def _oracle_agrees(dec: SpectralDecomposition, a: int, tau: float, col: np.ndarray, cfg: DetectionConfig, plan) -> bool:
-    oracle_col = _oracle_exp(dec, float(tau), plan)[:, a]
+def _oracle_agrees(dec: SpectralDecomposition, a: int, tau: float, col: np.ndarray, cfg: DetectionConfig) -> bool:
+    oracle_col = _oracle_exp(dec, float(tau))[:, a]
     diff = float(np.abs(col - oracle_col).max())
     if diff > cfg.tol_walk:
         warnings.warn(
@@ -384,14 +374,12 @@ def detect_at(
     tau: float,
     cfg: DetectionConfig = DetectionConfig(),
     method: str = "grid_scan",
-    plan=(),
 ) -> FrCertificate | None:
     """Examine U(tau) e_a for two-vertex concentration.
 
     Returns a certificate when the column mass sits on {a} and at most one
     other vertex within tol_walk; an ambiguous column (two off-vertices above
-    beta_min) yields None. plan, the caller's sorted distinct times to come,
-    lets the oracle stack them with tau (_oracle_exp).
+    beta_min) yields None.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -419,7 +407,7 @@ def detect_at(
         return None
     if b == a and abs(abs(alpha) - 1.0) > cfg.tol_walk:
         return None
-    if not _oracle_agrees(dec, a, tau, col, cfg, plan):
+    if not _oracle_agrees(dec, a, tau, col, cfg):
         return None
     gz = _gamma_zeta(alpha, beta, cfg.tol_walk)
     gamma, zeta = gz if gz is not None else (None, None)
@@ -474,66 +462,75 @@ def certify_strongly_cospectral(
     """
     if not profile.strongly_cospectral:
         raise ValueError("pair is not strongly cospectral")
-    return _walk_grids(dec, [(profile, *_grid(dec, profile, tau_step, cfg))], cfg)[0]
+    return _walk_grids(dec, [(profile, _grid(dec, profile, tau_step))], cfg)[0]
 
 
-def _grid(dec: SpectralDecomposition, profile: PairProfile, tau_step: float | None, cfg: DetectionConfig) -> tuple:
-    """The times certify_strongly_cospectral examines, in increasing order,
-    and how many of them its walk is predicted to judge: up to the first
-    periodic one. On the grid U(tau) e_a = (w+ + w-)/2 e_a + (w+ - w-)/2 e_b,
-    with w+ and w- the phases of the two parts, so the walk is periodic
-    where |w+ - w-| / 2 <= beta_min."""
-    theta = dec.eigenvalues
-    plus, minus = theta[min(profile.phi_plus)], theta[min(profile.phi_minus)]
+def _grid(dec: SpectralDecomposition, profile: PairProfile, tau_step: float | None) -> list[float]:
+    """The times certify_strongly_cospectral examines, in increasing order."""
     if tau_step is not None:
         taus = [k * tau_step for k in range(1, CERTIFY_GRID_K + 1)]
     else:
-        taus = _gap_times(abs(float(plus - minus)))
-    taus = [tau for tau in taus if tau * dec.norm <= MAX_PHASE]
-    t = np.array(taus)
-    periodic = np.flatnonzero(np.abs(np.exp(-1j * t * plus) - np.exp(-1j * t * minus)) / 2 <= cfg.beta_min)
-    return taus, int(periodic[0]) + 1 if len(periodic) else len(taus)
+        theta = dec.eigenvalues
+        taus = _gap_times(abs(float(theta[min(profile.phi_plus)] - theta[min(profile.phi_minus)])))
+    return [tau for tau in taus if tau * dec.norm <= MAX_PHASE]
 
 
-def _walk_by_tau(times: list[list], judge) -> None:
-    """Call judge(i, k) at entry k of each increasing list times[i] of times
-    (or of tuples that lead with a time), all the lists merged by entry,
-    ties by i: list i goes on past k only while judge returns True. Each
-    list keeps its own order, one cursor per list."""
-    heap = [(t[0], i, 0) for i, t in enumerate(times) if t]
-    heapq.heapify(heap)
-    while heap:
-        _, i, k = heapq.heappop(heap)
-        if judge(i, k) and k + 1 < len(times[i]):
-            heapq.heappush(heap, (times[i][k + 1], i, k + 1))
+def _walk_by_tau(streams: list, judge) -> None:
+    """Call judge(i, x) at each entry x of the increasing iterables
+    streams[i] (times, or tuples that lead with a time), all of them merged
+    by entry, ties by i: stream i goes on past x only while judge returns
+    True. Each keeps its own order and is read one entry ahead.
+
+    The warnings raised in the walk come out after it, stream by stream and
+    each in its own order, as a walk of one stream after another raises them.
+    """
+    its = [iter(s) for s in streams]
+    held: list[list] = [[] for _ in its]
+    heap: list = []
+
+    def read_on(i: int) -> None:  # the next entry of stream i onto the heap
+        for x in itertools.islice(its[i], 1):
+            heapq.heappush(heap, (x, i))
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for i in range(len(its)):
+            read_on(i)
+            held[i].extend(caught)
+            caught.clear()
+        while heap:
+            x, i = heapq.heappop(heap)
+            if judge(i, x):
+                read_on(i)
+            held[i].extend(caught)
+            caught.clear()
+    for w in itertools.chain.from_iterable(held):
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
 
 
 def _walk_grids(dec: SpectralDecomposition, grids: list, cfg: DetectionConfig) -> list[list[FrCertificate]]:
-    """The certificates of each (profile, times, planned) of grids: the walk
-    from a judged at each time in order, kept when periodic or on b, up to
-    and including the first periodic one.
+    """The certificates of each (profile, times) of grids: the walk from a
+    judged at each time in order, kept when periodic or on b, up to and
+    including the first periodic one.
 
-    The grids run as one walk by tau, with a plan of the first planned times
-    of each (_grid), so that the oracle window (_oracle_exp) computes each
-    time the pairs judge once, shared by the pairs that judge it. The plan
-    only sizes the oracle's stacks: a prediction that misses costs an
-    exponential computed twice or in vain, never a certificate.
+    The grids run as one walk by tau, so that the oracle window
+    (_oracle_exp) computes each time the pairs judge once, shared by the
+    pairs that judge it.
     """
-    plan = sorted({tau for _, taus, planned in grids for tau in taus[:planned]})
     certs: list[list[FrCertificate]] = [[] for _ in grids]
 
-    def judge(i: int, k: int) -> bool:
-        prof, taus, _ = grids[i]
-        cert = detect_at(dec, prof.a, taus[k], cfg, method="equiv_cond_solve", plan=plan)
+    def judge(i: int, tau: float) -> bool:
+        prof = grids[i][0]
+        cert = detect_at(dec, prof.a, tau, cfg, method="equiv_cond_solve")
         if cert is None:
             return True
         if cert.kind != KIND_PERIODIC and cert.b != prof.b:
-            logger.debug("grid time %r concentrated on %d, not the profiled partner %d", taus[k], cert.b, prof.b)
+            logger.debug("grid time %r concentrated on %d, not the profiled partner %d", tau, cert.b, prof.b)
             return True
         certs[i].append(cert)
         return cert.kind != KIND_PERIODIC
 
-    _walk_by_tau([taus for _, taus, _ in grids], judge)
+    _walk_by_tau([taus for _, taus in grids], judge)
     return certs
 
 
@@ -583,8 +580,8 @@ def certify_pairs(
             out.append(PairCertification(prof, None, False, None, (), lattice.reason, lattice.witness))
             continue
         if parts not in shared:
-            shared[parts] = _grid(dec, prof, lattice[0], cfg)
-        grids.append((prof, *shared[parts]))
+            shared[parts] = _grid(dec, prof, lattice[0])
+        grids.append((prof, shared[parts]))
         failure = cls if isinstance(cls, str) else None
         out.append(PairCertification(prof, None if failure else cls, True, lattice[0], (), failure, None))
     walked = iter(_walk_grids(dec, grids, cfg))
@@ -620,9 +617,10 @@ def _lattice(dec: SpectralDecomposition, plus: tuple, minus: tuple) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _revival_times(dec: SpectralDecomposition, a: int, b: int, cfg: DetectionConfig) -> np.ndarray:
+def _revival_times(dec: SpectralDecomposition, a: int, b: int, cfg: DetectionConfig) -> Iterator[float]:
     """The times in (0, t_max], none past tau ||A|| = MAX_PHASE, at which the
-    walk from a can revive at its parallel partner b.
+    walk from a can revive at its parallel partner b, in increasing order and
+    solved _REVIVAL_CHUNK lattice points at a time.
 
     Write E_r e_b = c_r E_r e_a on the support of a; that of b must lie
     inside it. Then U(tau) e_a = alpha e_a + beta e_b iff exp(-i tau
@@ -639,32 +637,33 @@ def _revival_times(dec: SpectralDecomposition, a: int, b: int, cfg: DetectionCon
     sup = np.sqrt(e_aa) > TOL_SUPPORT
     if (np.sqrt(dec.diagonals[~sup, b]) > TOL_SUPPORT).any():
         logger.debug("no revival from %d to %d: the support of %d is not inside that of %d", a, b, b, a)
-        return np.empty(0)
+        return
     theta = dec.eigenvalues[sup]
     c = dec.entries(a, b)[sup] / e_aa[sup]
     order = np.argsort(-c, kind="stable")
     cut = np.flatnonzero(np.diff(c[order]) < -_CLASS_TOL) + 1
     if len(cut) != 1:
         logger.debug("no revival from %d to %d: c_r takes %d values, not 2", a, b, len(cut) + 1)
-        return np.empty(0)
+        return
     plus, minus = np.split(order, cut)
     groups = np.flatnonzero(sup)
     lattice, _ = _lattice(dec, tuple(groups[np.sort(plus)].tolist()), tuple(groups[np.sort(minus)].tolist()))
     if isinstance(lattice, NotClassifiable):
         logger.debug("no revival from %d to %d: %s", a, b, lattice.reason)
-        return np.empty(0)
+        return
     step, _ = lattice
     if step is None:
-        taus = np.array(_gap_times(abs(float(theta[plus[0]] - theta[minus[0]]))))
+        chunks = [np.array(_gap_times(abs(float(theta[plus[0]] - theta[minus[0]]))))]
     else:
-        taus = step * np.arange(1, int(min(cfg.t_max, MAX_PHASE / dec.norm) / step) + 1)
-    taus = taus[(taus <= cfg.t_max) & (taus * dec.norm <= MAX_PHASE)]
-    w_plus = np.exp(-1j * taus * theta[plus[0]])
-    w_minus = np.exp(-1j * taus * theta[minus[0]])
-    beta = np.abs(w_plus - w_minus) / (c[plus].mean() - c[minus].mean())
-    # detect_at names b only when |U(tau)_ba| = |beta| exceeds beta_min; half
-    # of it leaves room for the rounding of the predicted beta
-    return taus[beta >= cfg.beta_min / 2]
+        top = int(min(cfg.t_max, MAX_PHASE / dec.norm) / step) + 1
+        chunks = (step * np.arange(k, min(k + _REVIVAL_CHUNK, top)) for k in range(1, top, _REVIVAL_CHUNK))
+    spread = c[plus].mean() - c[minus].mean()
+    for taus in chunks:
+        taus = taus[(taus <= cfg.t_max) & (taus * dec.norm <= MAX_PHASE)]
+        beta = np.abs(np.exp(-1j * taus * theta[plus[0]]) - np.exp(-1j * taus * theta[minus[0]])) / spread
+        # detect_at names b only when |U(tau)_ba| = |beta| exceeds beta_min;
+        # half of it leaves room for the rounding of the predicted beta
+        yield from taus[beta >= cfg.beta_min / 2].tolist()
 
 
 def scan_fr(
@@ -698,18 +697,17 @@ def scan_fr(
         raise ValueError("the scan target must differ from its source")
     judged = {(c.a, c.tau): c for c in known}
     partners = parallel_pairs(dec, (cfg.tol_walk / cfg.beta_min) ** 2, sources)
-    events = []  # per source: its (tau, partner) in order
+    events = []  # per source: its (tau, partner) in increasing order, solved as the walk reads on
     for a, row in zip(sources, partners):
         par = np.flatnonzero(row)
         if b is not None:
             par = par[par == b]
-        events.append(sorted((tau, p) for p in par.tolist() for tau in _revival_times(dec, a, p, cfg).tolist()))
-    plan = sorted({tau for a, times in zip(sources, events) for tau, _ in times if (a, tau) not in judged})
+        events.append(heapq.merge(*(zip(_revival_times(dec, a, p, cfg), itertools.repeat(p)) for p in par.tolist())))
     found: list[list[FrCertificate]] = [[] for _ in sources]
 
-    def judge(i: int, k: int) -> bool:
-        a, (tau, p) = sources[i], events[i][k]
-        cert = judged.get((a, tau)) or detect_at(dec, a, tau, cfg, plan=plan)
+    def judge(i: int, event: tuple) -> bool:
+        a, (tau, p) = sources[i], event
+        cert = judged.get((a, tau)) or detect_at(dec, a, tau, cfg)
         if cert is not None and cert.kind != KIND_PERIODIC and cert.b == p:
             found[i].append(cert)
         return len(found[i]) < _SCAN_MAX_EVENTS

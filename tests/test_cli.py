@@ -505,8 +505,9 @@ class TestReportWriter:
 
     @pytest.mark.parametrize("spec, limit", [("cocktail:40", 3.0e6), ("cube:7", 1.3e6)])
     def test_analysis_holds_one_stack_of_exponentials(self, spec, limit):
-        # the oracle keeps one stack of times per decomposition: cocktail:40
-        # (n = 80) holds one exponential of 0.1 MB at a time, not all 40 (4.1
+        # the oracle window keeps the latest times within one stack's working
+        # set: cocktail:40 (n = 80) holds one exponential of 0.1 MB at a
+        # time, not all 40 (4.1
         # MB), and cube:7 forms its second exponential (a 0.92 MB working
         # set) with the first already dropped
         graph = parse_graph_spec(spec)

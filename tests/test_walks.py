@@ -403,22 +403,15 @@ class TestCertify:
         fr = [c for c in pc.certificates if c.kind != KIND_PERIODIC][0]
         assert fr.tau == pytest.approx(tau, rel=1e-12)
 
-    def test_grid_of_cube7_stays_small(self, monkeypatch):
-        # ||A|| is the decomposition's: no (n, n) copy of |A| (0.13 MB) per call
+    def test_grid_of_cube7_stays_small(self):
+        # ||A|| is the decomposition's: no (n, n) copy of |A| (0.13 MB) per
+        # call. The oracle window holds the last time alone, so the walk again
+        # forms its first exponential anew, one working set of 56 n^2 bytes
+        # (0.92 MB) at a time, with the old exponential dropped first
         dec = decompose(G.hypercube(7))
         prof = pair_profile(dec, 0, 127)
-        held = {}
-        window = walks_mod._oracle_exp
-
-        def keeping(dec, tau, plan=()):
-            held[tau] = window(dec, tau, plan)
-            return held[tau]
-
-        monkeypatch.setattr(walks_mod, "_oracle_exp", keeping)
         pc = certify_pair(dec, prof, CFG)
         assert pc.certificates
-        # the walk again, with the exponentials computed above: its own memory
-        monkeypatch.setattr(walks_mod, "_oracle_exp", lambda dec, tau, plan=(): held[tau])
         tracemalloc.start()
         try:
             certs = certify_strongly_cospectral(dec, prof, pc.tau_step, CFG)
@@ -426,7 +419,7 @@ class TestCertify:
         finally:
             tracemalloc.stop()
         assert tuple(certs) == pc.certificates
-        assert peak < 0.05e6, peak
+        assert peak < 56 * 128**2 + 0.05e6, peak
 
 
 class TestLatticeGrid:
@@ -518,7 +511,7 @@ class TestScan:
         # the support is 0, but E_r e_0 reaches eigenvalues that e_2 does not
         dec = decompose(G.path(5))
         assert parallel_pairs(dec, _scan_slack())[2, 0]
-        assert len(walks_mod._revival_times(dec, 2, 0, CFG)) == 0
+        assert list(walks_mod._revival_times(dec, 2, 0, CFG)) == []
 
     def test_periodic_lattice_points_are_not_detected(self, monkeypatch):
         dec = decompose(G.hypercube(5))
@@ -900,7 +893,7 @@ def _scan_reference(dec, sources, b, cfg, known=()):
         par = np.flatnonzero(row)
         if b is not None:
             par = par[par == b]
-        times = sorted((tau, p) for p in par.tolist() for tau in walks_mod._revival_times(dec, a, p, cfg).tolist())
+        times = sorted((tau, p) for p in par.tolist() for tau in walks_mod._revival_times(dec, a, p, cfg))
         found = 0
         for tau, p in times:
             if found == walks_mod._SCAN_MAX_EVENTS:
@@ -920,20 +913,14 @@ class TestTimeWalk:
         profiles = [p for p in pair_profiles(dec, strongly_cospectral_candidates(dec)) if p.strongly_cospectral]
         plain = certify_pairs(dec, profiles, CFG)
         bad = next(c.tau for c in plain[0].certificates if c.kind == KIND_PERIODIC)
-        single, stack = walks_mod.matrix_exp_oracle, walks_mod._oracle_stack
+        single = walks_mod.matrix_exp_oracle
 
         # the oracle is off by 1e-6 at the first pair's first periodic time
         def off_single(a, t):
             u = single(a, t)
             return u + 1e-6 if t == bad else u
 
-        def off_stack(m, times):
-            u = stack(m, times)
-            u[times == bad] += 1e-6
-            return u
-
         monkeypatch.setattr(walks_mod, "matrix_exp_oracle", off_single)
-        monkeypatch.setattr(walks_mod, "_oracle_stack", off_stack)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", NumericalHealthWarning)
             got = certify_pairs(decompose(g), profiles, CFG)
@@ -963,6 +950,53 @@ class TestTimeWalk:
             assert want
         want = _scan_reference(decompose(g), [g.order - 1, 0], 1, CFG)
         assert scan_fr(dec, [g.order - 1, 0], 1, CFG) == want
+
+    @pytest.mark.parametrize("spec", ["cocktail:4", "cube:3", "cycle:6"])
+    def test_warnings_come_pair_by_pair_and_source_by_source(self, monkeypatch, spec):
+        # an oracle off at every time voids every event, so each pair warns
+        # along its whole grid and each source along all its times; the pairs
+        # share their times, yet the warnings come as from one walk after
+        # another
+        g = parse_graph_spec(spec)
+        dec = decompose(g)
+        profiles = [p for p in pair_profiles(dec, strongly_cospectral_candidates(dec)) if p.strongly_cospectral]
+        steps = [pc.tau_step for pc in certify_pairs(dec, profiles, CFG)]
+        single = walks_mod.matrix_exp_oracle
+        monkeypatch.setattr(walks_mod, "matrix_exp_oracle", lambda a, t: single(a, t) + 1e-6)
+
+        def messages(run):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", NumericalHealthWarning)
+                run()
+            assert all(issubclass(w.category, NumericalHealthWarning) for w in caught)
+            return [str(w.message) for w in caught]
+
+        got = messages(lambda: certify_pairs(decompose(g), profiles, CFG))
+        fresh = decompose(g)
+        assert got == messages(lambda: [_grid_reference(fresh, p, s, CFG) for p, s in zip(profiles, steps)])
+        assert len({m.rsplit("vertex", 1)[1] for m in got}) > 1
+        sources = list(range(g.order))
+        got = messages(lambda: scan_fr(decompose(g), sources, None, CFG))
+        assert got == messages(lambda: _scan_reference(decompose(g), sources, None, CFG))
+        assert len({m.rsplit("vertex", 1)[1] for m in got}) > 1
+
+    def test_scan_at_a_long_horizon_holds_a_chunk_per_source(self, monkeypatch):
+        # cube:5 to t_max = 3000: each of the 32 sources has 955 solved times.
+        # The walk solves them _REVIVAL_CHUNK at a time as it reads on, and
+        # holds a chunk per source, not every (tau, partner) of every source
+        # (3 MB as tuples)
+        monkeypatch.setattr(walks_mod, "_SCAN_MAX_EVENTS", 3)
+        cfg = DetectionConfig(t_max=3000.0)
+        scan_fr(decompose(G.cycle(6)), range(6), None, cfg)  # lazy imports and caches
+        dec = decompose(G.hypercube(5))
+        tracemalloc.start()
+        try:
+            certs = scan_fr(dec, range(32), None, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert certs == _scan_reference(decompose(G.hypercube(5)), list(range(32)), None, cfg)
+        assert peak < 0.4e6, peak
 
 
 class TestTimeMemo:
@@ -997,14 +1031,15 @@ class TestTimeMemo:
 
     @pytest.mark.parametrize("spec", ["cycle:6", "cube:4", "cocktail:20", "cube:7", "path:5", "cone2:cycle:5"])
     def test_window_holds_one_stack(self, spec):
+        # as many times as one stack of _STACK_BYTES holds, at 56 n^2 bytes
+        # each: one for cube:7 (n = 128), two for cocktail:20 (n = 40)
         g = parse_graph_spec(spec)
         dec = decompose(g)
-        step = walks_mod._stack_len(dec.matrix)
+        size = max(1, walks_mod._STACK_BYTES // (56 * g.order**2))
         certify_pairs(dec, pair_profiles(dec, strongly_cospectral_candidates(dec)), CFG)
         for _ in range(2):
             window = dec._time_memo.get("oracle", {})
-            stacks = {id(u.base) for u in window.values()}
-            assert len(window) <= step and len(stacks) <= 1
+            assert len(window) <= size
             for tau, u in window.items():
                 assert not u.flags.writeable
                 assert np.array_equal(u, matrix_exp_oracle(g, tau))
@@ -1051,11 +1086,11 @@ class TestTimeMemo:
         detect_at(dec, 0, 2 * math.pi / 3, CFG)
         scan_fr(dec, [0], None, DetectionConfig(t_max=10.0, grid_points=2000))
         # the scan keeps only its lattices, immutable tuples, and the oracle
-        # window of its last stack, read-only
+        # window of its last time, read-only
         assert list(dec._time_memo) == ["oracle", "lattice"]
         assert all(type(v) is tuple for v in dec._time_memo["lattice"].values())
         window = dec._time_memo["oracle"]
-        assert 0 < len(window) <= walks_mod._stack_len(dec.matrix)
+        assert 0 < len(window) <= walks_mod._STACK_BYTES // (56 * 36)
         for arr in window.values():
             assert not arr.flags.writeable
 
