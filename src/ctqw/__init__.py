@@ -35,7 +35,8 @@ from ctqw.spectral import PairProfile, SpectralDecomposition, decompose, pair_pr
 from ctqw.walks import (
     DetectionConfig,
     FrCertificate,
-    certify_strongly_cospectral,
+    certify_pair,
+    certify_pairs,
     check_periodic,
     check_pst,
     check_symmetry,

@@ -80,6 +80,10 @@ _FAMILIES = {
 #: combinator prefixes in the order they are tried; those ending in "(" take
 #: two specs, "<a>,<b>)", and cone2: takes one
 _COMBINATORS = (("prod(", G.cartesian_product), ("overlay(", G.union_overlay), ("cone2:", G.double_cone))
+#: combinators a spec may nest, one parser frame each: well inside Python's
+#: recursion limit, and past the deepest cone2: chain that builds (each
+#: level adds two vertices, so (MAX_ORDER - 1) / 2 = 322)
+_MAX_NESTING = 400
 
 
 def _built(build, args, start: int) -> WeightedGraph:
@@ -117,15 +121,17 @@ class _SpecParser:
         if not self._try(token):
             raise ParseError(f"expected {token!r}", self.pos)
 
-    def _spec(self) -> WeightedGraph:
+    def _spec(self, depth: int = 0) -> WeightedGraph:
         self._skip_ws()
         start = self.pos
         for prefix, build in _COMBINATORS:
             if self._try(prefix):
-                args = [self._spec()]
+                if depth == _MAX_NESTING:
+                    raise ParseError(f"combinators nested more than {_MAX_NESTING} deep", start)
+                args = [self._spec(depth + 1)]
                 if prefix.endswith("("):
                     self._expect(",")
-                    args.append(self._spec())
+                    args.append(self._spec(depth + 1))
                     self._expect(")")
                 return _built(build, args, start)
         token = self._leaf_token()
@@ -544,11 +550,20 @@ def _write(text: str) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
+def _to_file(path: str, option: str, text: str) -> None:
+    """Write text to the file path, given as option; a path that cannot be
+    written is a bad value of that option."""
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {option} {path}: {exc.strerror or exc}") from None
+
+
 def _emit(text: str, args) -> None:
     """Write a JSON report's text to the --json file, or print it."""
     if args.json:
-        with open(args.json, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
+        _to_file(args.json, "--json", text + "\n")
         _write(f"report written to {args.json}\n")
     else:
         _write(text + "\n")
@@ -643,12 +658,12 @@ def cmd_quotient(args) -> int:
 
 def cmd_construct(args) -> int:
     graph = parse_graph_spec(args.graph)
+    text = io.StringIO()
+    G.write_graph(graph, text)
     if args.out:
-        G.write_graph(graph, args.out)
+        _to_file(args.out, "--out", text.getvalue())
         _write(f"{graph.name}: order {graph.order}, written to {args.out}\n")
     else:
-        text = io.StringIO()
-        G.write_graph(graph, text)
         _write(text.getvalue())
     return EXIT_OK
 

@@ -43,17 +43,6 @@ from ctqw.walks import (
     verify_quotient_transport,
 )
 
-ALL_GROUPS = (
-    "cycles",
-    "paths",
-    "weighted-p3",
-    "double-cones",
-    "constructions",
-    "theorem-properties",
-    "classification",
-    "health",
-)
-
 #: comparison slack on stated amplitudes (1e-6 relative on O(1) quantities)
 AMP_TOL = 1e-6
 REL_TOL = 1e-6
@@ -676,6 +665,7 @@ _GROUP_FUNCS = {
     "classification": classification_rows,
     "health": health_rows,
 }
+ALL_GROUPS = tuple(_GROUP_FUNCS)
 
 
 def run_groups(groups=None, cfg: DetectionConfig = DetectionConfig()) -> list[RowResult]:

@@ -42,8 +42,8 @@ KIND_PERIODIC = "periodic"
 KIND_BALANCED = "balanced_fr"
 VALID_KINDS = frozenset({KIND_FR, KIND_PST, KIND_PERIODIC, KIND_BALANCED})
 
-#: grid truncation in certify_strongly_cospectral: multiples of the
-#: fundamental candidate period examined before giving up
+#: grid truncation in certify_pairs: multiples of the fundamental candidate
+#: period examined before giving up
 CERTIFY_GRID_K = 64
 #: largest tau * ||A|| of a certificate: the 12 digits of tau in a report move
 #: the column by up to 1e-11 tau ||A||, kept at most 1e-6, the default beta_min
@@ -51,7 +51,7 @@ MAX_PHASE = 1e5
 
 #: cap on the events scan_fr keeps per source, the earliest first
 _SCAN_MAX_EVENTS = 512
-#: lattice points _revival_times solves at once: a scan holds one such chunk
+#: lattice points _lattice_times yields at once: a scan holds one such chunk
 #: per (source, partner) it walks
 _REVIVAL_CHUNK = 64
 #: c_r closer than this fall in one class (see _revival_times)
@@ -438,43 +438,6 @@ def _residual(col: np.ndarray, a: int, alpha: complex, b: int, beta: complex) ->
 # ---------------------------------------------------------------------------
 
 
-def _gap_times(gap: float) -> list[float]:
-    """The balanced, transfer and periodic times pi/(2D), pi/D, 2pi/D of a
-    two-level pair whose eigenvalues lie D = gap apart; every time revives."""
-    return [math.pi / (2 * gap), math.pi / gap, 2 * math.pi / gap]
-
-
-def certify_strongly_cospectral(
-    dec: SpectralDecomposition,
-    profile: PairProfile,
-    tau_step: float | None,
-    cfg: DetectionConfig = DetectionConfig(),
-) -> list[FrCertificate]:
-    """Solve for revival times of a strongly cospectral pair.
-
-    Walks the candidate grid tau_k = k * tau_step of numtheory.lattice_step.
-    On the grid the phase factors are constant on each support part, so each
-    k yields an event; certificates are emitted up to and including the
-    first periodic time, after which the pattern repeats up to a global
-    phase, and none past tau ||A|| = MAX_PHASE. When both parts are
-    singletons (tau_step None) the grid is unconstrained and the gap times
-    of the two-level pair are examined instead.
-    """
-    if not profile.strongly_cospectral:
-        raise ValueError("pair is not strongly cospectral")
-    return _walk_grids(dec, [(profile, _grid(dec, profile, tau_step))], cfg)[0]
-
-
-def _grid(dec: SpectralDecomposition, profile: PairProfile, tau_step: float | None) -> list[float]:
-    """The times certify_strongly_cospectral examines, in increasing order."""
-    if tau_step is not None:
-        taus = [k * tau_step for k in range(1, CERTIFY_GRID_K + 1)]
-    else:
-        theta = dec.eigenvalues
-        taus = _gap_times(abs(float(theta[min(profile.phi_plus)] - theta[min(profile.phi_minus)])))
-    return [tau for tau in taus if tau * dec.norm <= MAX_PHASE]
-
-
 def _walk_by_tau(streams: list, judge) -> None:
     """Call judge(i, x) at each entry x of the increasing iterables
     streams[i] (times, or tuples that lead with a time), all of them merged
@@ -508,32 +471,6 @@ def _walk_by_tau(streams: list, judge) -> None:
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
 
 
-def _walk_grids(dec: SpectralDecomposition, grids: list, cfg: DetectionConfig) -> list[list[FrCertificate]]:
-    """The certificates of each (profile, times) of grids: the walk from a
-    judged at each time in order, kept when periodic or on b, up to and
-    including the first periodic one.
-
-    The grids run as one walk by tau, so that the oracle window
-    (_oracle_exp) computes each time the pairs judge once, shared by the
-    pairs that judge it.
-    """
-    certs: list[list[FrCertificate]] = [[] for _ in grids]
-
-    def judge(i: int, tau: float) -> bool:
-        prof = grids[i][0]
-        cert = detect_at(dec, prof.a, tau, cfg, method="equiv_cond_solve")
-        if cert is None:
-            return True
-        if cert.kind != KIND_PERIODIC and cert.b != prof.b:
-            logger.debug("grid time %r concentrated on %d, not the profiled partner %d", tau, cert.b, prof.b)
-            return True
-        certs[i].append(cert)
-        return cert.kind != KIND_PERIODIC
-
-    _walk_by_tau([taus for _, taus in grids], judge)
-    return certs
-
-
 @dataclass(frozen=True)
 class PairCertification:
     """Full certification outcome for one vertex pair. ``has_lattice`` says
@@ -563,13 +500,21 @@ def certify_pairs(
     """The PairCertification of each profiled pair, in the order of profiles:
     lattice -> certify, then classify its support, capturing failures.
 
-    The grids of all the pairs run as one walk by tau (_walk_grids), so the
-    pairs that share a tau_step share each oracle exponential; each pair's
+    A strongly cospectral pair walks the grid tau_k = k * tau_step, k <=
+    CERTIFY_GRID_K, of numtheory.lattice_step (_lattice_times). On the grid
+    the phase factors are constant on each support part, so each k yields an
+    event; certificates are those judged periodic or on b, up to and
+    including the first periodic time, after which the pattern repeats up to
+    a global phase. When both parts are singletons (tau_step None) the grid
+    is unconstrained and the gap times of the two-level pair are walked
+    instead. The grids of all the pairs run as one walk by tau, so the pairs
+    that share a tau_step share each oracle exponential; each pair's
     certificates are those of its own walk.
     """
     out: list[PairCertification] = []
     grids: list = []
     shared: dict = {}  # the grid of each part pair
+    theta = dec.eigenvalues
     for prof in profiles:
         if not prof.strongly_cospectral:
             out.append(PairCertification(prof, None, False, None, (), "not strongly cospectral", None))
@@ -579,12 +524,29 @@ def certify_pairs(
         if isinstance(lattice, NotClassifiable):
             out.append(PairCertification(prof, None, False, None, (), lattice.reason, lattice.witness))
             continue
+        step = lattice[0]
         if parts not in shared:
-            shared[parts] = _grid(dec, prof, lattice[0])
+            stop = math.inf if step is None else CERTIFY_GRID_K * step
+            times = _lattice_times(dec, step, abs(float(theta[parts[0][0]] - theta[parts[1][0]])), stop)
+            shared[parts] = [tau for taus in times for tau in taus.tolist()]
         grids.append((prof, shared[parts]))
         failure = cls if isinstance(cls, str) else None
-        out.append(PairCertification(prof, None if failure else cls, True, lattice[0], (), failure, None))
-    walked = iter(_walk_grids(dec, grids, cfg))
+        out.append(PairCertification(prof, None if failure else cls, True, step, (), failure, None))
+    certs: list[list[FrCertificate]] = [[] for _ in grids]
+
+    def judge(i: int, tau: float) -> bool:
+        prof = grids[i][0]
+        cert = detect_at(dec, prof.a, tau, cfg, method="equiv_cond_solve")
+        if cert is None:
+            return True
+        if cert.kind != KIND_PERIODIC and cert.b != prof.b:
+            logger.debug("grid time %r concentrated on %d, not the profiled partner %d", tau, cert.b, prof.b)
+            return True
+        certs[i].append(cert)
+        return cert.kind != KIND_PERIODIC
+
+    _walk_by_tau([taus for _, taus in grids], judge)
+    walked = iter(certs)
     return [replace(pc, certificates=tuple(next(walked))) if pc.has_lattice else pc for pc in out]
 
 
@@ -612,6 +574,25 @@ def _lattice(dec: SpectralDecomposition, plus: tuple, minus: tuple) -> tuple:
     return memo[key]
 
 
+def _lattice_times(dec: SpectralDecomposition, step: float | None, gap: float, stop: float) -> Iterator[np.ndarray]:
+    """The times k * step in (0, stop], none past tau ||A|| = MAX_PHASE, in
+    increasing order, in arrays of at most _REVIVAL_CHUNK. Without a step,
+    the balanced, transfer and periodic times pi/(2D), pi/D, 2pi/D of a
+    two-level pair whose eigenvalues lie D = gap apart, which all revive.
+
+    The candidates run one k past min(stop, MAX_PHASE / ||A||) / step,
+    rounded down, where a time that rounds onto a bound may still lie; the
+    two bounds decide.
+    """
+    if step is None:
+        chunks = [np.array([math.pi / (2 * gap), math.pi / gap, 2 * math.pi / gap])]
+    else:
+        top = int(min(stop, MAX_PHASE / dec.norm) / step) + 2
+        chunks = (step * np.arange(k, min(k + _REVIVAL_CHUNK, top)) for k in range(1, top, _REVIVAL_CHUNK))
+    for taus in chunks:
+        yield taus[(taus <= stop) & (taus * dec.norm <= MAX_PHASE)]
+
+
 # ---------------------------------------------------------------------------
 # revival times of parallel pairs
 # ---------------------------------------------------------------------------
@@ -630,8 +611,8 @@ def _revival_times(dec: SpectralDecomposition, a: int, b: int, cfg: DetectionCon
     c+ > c-, each class at one phase w+ or w-, and beta = (w+ - w-) / (c+ -
     c-). The phase is constant on each class exactly on the lattice of
     numtheory.lattice_step, or at every time when both classes are
-    singletons, where the gap times are taken. Lattice points whose beta is
-    clearly below beta_min are periodic and dropped.
+    singletons, where the gap times are taken (_lattice_times). Lattice
+    points whose beta is clearly below beta_min are periodic and dropped.
     """
     e_aa = dec.diagonals[:, a]
     sup = np.sqrt(e_aa) > TOL_SUPPORT
@@ -651,15 +632,8 @@ def _revival_times(dec: SpectralDecomposition, a: int, b: int, cfg: DetectionCon
     if isinstance(lattice, NotClassifiable):
         logger.debug("no revival from %d to %d: %s", a, b, lattice.reason)
         return
-    step, _ = lattice
-    if step is None:
-        chunks = [np.array(_gap_times(abs(float(theta[plus[0]] - theta[minus[0]]))))]
-    else:
-        top = int(min(cfg.t_max, MAX_PHASE / dec.norm) / step) + 1
-        chunks = (step * np.arange(k, min(k + _REVIVAL_CHUNK, top)) for k in range(1, top, _REVIVAL_CHUNK))
     spread = c[plus].mean() - c[minus].mean()
-    for taus in chunks:
-        taus = taus[(taus <= cfg.t_max) & (taus * dec.norm <= MAX_PHASE)]
+    for taus in _lattice_times(dec, lattice[0], abs(float(theta[plus[0]] - theta[minus[0]])), cfg.t_max):
         beta = np.abs(np.exp(-1j * taus * theta[plus[0]]) - np.exp(-1j * taus * theta[minus[0]])) / spread
         # detect_at names b only when |U(tau)_ba| = |beta| exceeds beta_min;
         # half of it leaves room for the rounding of the predicted beta

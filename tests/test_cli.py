@@ -78,6 +78,30 @@ class TestSpecParsing:
         with pytest.raises(ParseError):
             parse_graph_spec("overlay(path:2,path:3)")
 
+    @pytest.mark.parametrize("prefix, suffix", [("cone2:", ""), ("prod(", ",path:1)")], ids=["cone2", "prod"])
+    def test_deep_nesting_exits_2(self, capsys, prefix, suffix):
+        # 5,000 levels would overflow the parser's recursion; the bound is
+        # crossed at the combinator one past _MAX_NESTING
+        spec = prefix * 5000 + "path:1" + suffix * 5000
+        assert main(["analyze", spec]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"parse error: at position {len(prefix) * cli_mod._MAX_NESTING}: "
+            f"combinators nested more than {cli_mod._MAX_NESTING} deep"
+        ]
+
+    def test_nesting_up_to_the_bound_builds(self, capsys):
+        def nested(depth):
+            return "prod(" * depth + "path:1" + ",path:1)" * depth
+
+        assert parse_graph_spec(nested(cli_mod._MAX_NESTING)).order == 1
+        with pytest.raises(ParseError, match="nested more than"):
+            parse_graph_spec(nested(cli_mod._MAX_NESTING + 1))
+        assert main(["analyze", nested(200)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["graph"]["order"] == 1
+        # the deepest cone2: chain that builds is not cut short by the bound
+        assert parse_graph_spec("cone2:" * 322 + "path:1").order == G.MAX_ORDER
+
 
 class TestReports:
     def test_json_round_trip_and_schema(self):
@@ -791,6 +815,31 @@ class TestCommands:
         assert "transport entries match on the sample grid: True" in out
         report = json.loads(out[out.index("\n{") + 1 :])
         assert report["predicates"]["quotient_transport"]["holds"] is True
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "path:3", "--json"],
+            ["scan", "path:3", "--json"],
+            ["quotient", "path:3", "--pin", "0", "--pin", "2", "--json"],
+            ["construct", "path:3", "--out"],
+        ],
+        ids=["analyze", "scan", "quotient", "construct"],
+    )
+    def test_unwritable_output_path_exits_2(self, tmp_path, capsys, argv):
+        missing = tmp_path / "missing" / "x.out"
+        for path, reason in ((missing, "No such file or directory"), (tmp_path, "Is a directory")):
+            assert main(argv + [str(path)]) == EXIT_PARSE
+            err = capsys.readouterr().err
+            assert err.splitlines() == [f"parse error: cannot write {argv[-1]} {path}: {reason}"]
+
+    def test_scan_keeps_a_time_equal_to_its_horizon(self, capsys):
+        # t_max / tau_step rounds just below 11 on cocktail:4, yet 11 tau_step
+        # <= t_max: the 9th time lies on the horizon and is reported
+        assert main(["scan", "cocktail:4", "--source", "0", "--tmax", "8.63937979737193"]) == EXIT_OK
+        certs = json.loads(capsys.readouterr().out)["certificates"]
+        assert len(certs) == 9
+        assert certs[-1]["tau"] == 8.63937979737
 
     def test_paper_suite_has_no_json_option(self, tmp_path, capsys):
         out = tmp_path / "x.json"

@@ -3,8 +3,9 @@
 Every run of ``cli.main`` ends with 0, 2, 3 or 4; no exception escapes it
 (argparse's usage error is its SystemExit(2)); and every report it writes
 validates on reload. Inputs: spec strings built from the grammar's tokens,
-graph files with extreme and subnormal weights, extreme option values, and
-tampered or truncated reports through ``validate_report``. Runs are
+graph files with extreme and subnormal weights, extreme option values,
+output paths that cannot be written, and tampered or truncated reports
+through ``validate_report``. Runs are
 in-process; graphs have at most 12 vertices, apart from specs past
 graphs.MAX_ORDER, which exit 2 before anything is allocated.
 """
@@ -111,6 +112,12 @@ def graph_files(draw) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _output_path(draw, path) -> str:
+    """path, or one time in eight a path that cannot be written: in a
+    missing directory, or a directory."""
+    return _mostly(draw, [str(path)], [str(path.parent / "missing" / path.name), str(path.parent)])
+
+
 def _options(draw) -> list[str]:
     argv = []
     for option, good, bad in (("--tol", _TOL, _BAD_TOL), ("--tmax", _TMAX, _BAD_TMAX)):
@@ -145,7 +152,7 @@ class TestExitCodes:
         argv = data.draw(commands(spec))
         json_path = tmp_path_factory.getbasetemp() / "fuzz_spec.json"
         if to_file:
-            argv += ["--json", str(json_path)]
+            argv += ["--json", _output_path(data.draw, json_path)]
         code, stdout = _run(argv)
         _assert_reports_validate(argv, code, stdout, json_path)
 
@@ -170,7 +177,7 @@ class TestExitCodes:
         elif command == "construct":
             argv.append(data.draw(st.one_of(_token_specs, _grammar_specs)))
             if data.draw(st.booleans()):
-                argv += ["--out", str(tmp_path_factory.getbasetemp() / "fuzz_out.graph")]
+                argv += ["--out", _output_path(data.draw, tmp_path_factory.getbasetemp() / "fuzz_out.graph")]
         _run(argv)
 
 

@@ -2,9 +2,11 @@
 
 import gc
 import hashlib
+import itertools
 import json
 import math
 import tracemalloc
+import types
 import warnings
 import weakref
 from pathlib import Path
@@ -37,7 +39,6 @@ from ctqw.walks import (
     NumericalHealthWarning,
     certify_pair,
     certify_pairs,
-    certify_strongly_cospectral,
     check_gamma_consequences,
     check_periodic,
     check_symmetry,
@@ -383,8 +384,8 @@ class TestCertify:
     def test_requires_strong_cospectrality(self):
         dec = decompose(weighted_p3(2.0))
         prof = pair_profile(dec, 0, 2)
-        with pytest.raises(ValueError):
-            certify_strongly_cospectral(dec, prof, None, CFG)
+        pc = certify_pair(dec, prof, CFG)
+        assert (pc.has_lattice, pc.certificates, pc.failure) == (False, (), "not strongly cospectral")
 
     def test_unclassifiable_pairs_produce_nothing(self):
         for n in (5, 6, 8):
@@ -414,11 +415,11 @@ class TestCertify:
         assert pc.certificates
         tracemalloc.start()
         try:
-            certs = certify_strongly_cospectral(dec, prof, pc.tau_step, CFG)
+            again = certify_pair(dec, prof, CFG)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert tuple(certs) == pc.certificates
+        assert again.certificates == pc.certificates
         assert peak < 56 * 128**2 + 0.05e6, peak
 
 
@@ -442,6 +443,30 @@ class TestLatticeGrid:
         assert pc.tau_step == pytest.approx(2 * math.pi / math.sqrt(5))
         assert len(pc.certificates) == int(limit / pc.tau_step)
         assert pc.certificates[-1].tau <= limit
+
+    def test_lattice_times_equal_the_grid_at_the_phase_bound(self):
+        # the grid as k * tau_step for k <= CERTIFY_GRID_K with tau ||A|| <=
+        # MAX_PHASE, bit for bit, on norms within a few ulps of the bound at
+        # some k, where a time may round onto the bound
+        rng = np.random.default_rng(24)
+        big_k, limit = walks_mod.CERTIFY_GRID_K, walks_mod.MAX_PHASE
+        for step, k, ulps in zip(rng.uniform(1e-3, 1e3, 20000), rng.integers(1, big_k + 2, 20000),
+                                 rng.integers(-4, 5, 20000)):
+            step = float(step)
+            norm = limit / (int(k) * step) * (1 + int(ulps) * 2.0**-52)
+            want = [tau for tau in (j * step for j in range(1, big_k + 1)) if tau * norm <= limit]
+            chunks = walks_mod._lattice_times(types.SimpleNamespace(norm=norm), step, 0.0, big_k * step)
+            got = [tau for taus in chunks for tau in taus.tolist()]
+            assert [x.hex() for x in got] == [x.hex() for x in want], (step, norm)
+
+    def test_lattice_times_without_a_step_are_the_gap_times(self):
+        dec = types.SimpleNamespace(norm=2.0)
+        gap = 0.7
+        gap_times = [math.pi / (2 * gap), math.pi / gap, 2 * math.pi / gap]
+        got = [taus.tolist() for taus in walks_mod._lattice_times(dec, None, gap, math.inf)]
+        assert got == [gap_times]
+        got = [taus.tolist() for taus in walks_mod._lattice_times(dec, None, gap, gap_times[1])]
+        assert got == [gap_times[:2]]
 
 
 class TestScan:
@@ -505,6 +530,20 @@ class TestScan:
         finally:
             tracemalloc.stop()
         assert peak < 0.5e6, peak
+
+    @pytest.mark.parametrize(
+        "spec, a, b",
+        [("cycle:6", 0, 3), ("cocktail:4", 0, 1), ("path:4", 0, 3), ("cube:3", 0, 7), ("prod(star:16,path:2)", 0, 1)],
+    )
+    def test_horizon_at_a_solved_time_keeps_it(self, spec, a, b):
+        # with t_max set to each of its first 300 times, the solver ends at
+        # that time: t_max / tau_step may round below the k of the time
+        dec = decompose(parse_graph_spec(spec))
+        wide = DetectionConfig(t_max=walks_mod.MAX_PHASE)
+        times = list(itertools.islice(walks_mod._revival_times(dec, a, b, wide), 300))
+        assert len(times) == 300
+        for i, tau in enumerate(times):
+            assert list(walks_mod._revival_times(dec, a, b, DetectionConfig(t_max=tau))) == times[: i + 1]
 
     def test_partner_outside_the_support_has_no_times(self):
         # the parallel screen passes 0 for source 2, where every (E_r)_22 outside
@@ -865,12 +904,13 @@ class TestHealthGate:
 
 
 def _grid_reference(dec, prof, tau_step, cfg):
-    """certify_strongly_cospectral as one pair's own loop over its grid."""
+    """certify_pair's walk as one pair's own loop over its grid."""
     if tau_step is not None:
         taus = [k * tau_step for k in range(1, walks_mod.CERTIFY_GRID_K + 1)]
     else:
         theta = dec.eigenvalues
-        taus = walks_mod._gap_times(abs(float(theta[min(prof.phi_plus)] - theta[min(prof.phi_minus)])))
+        gap = abs(float(theta[min(prof.phi_plus)] - theta[min(prof.phi_minus)]))
+        taus = [math.pi / (2 * gap), math.pi / gap, 2 * math.pi / gap]
     certs = []
     for tau in taus:
         if tau * dec.norm > walks_mod.MAX_PHASE:
