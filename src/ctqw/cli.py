@@ -191,7 +191,8 @@ def _jsonify(value):
 
 def certificate_to_json(cert: FrCertificate, graph_name: str) -> dict:
     """The certificate's fields in order after "graph": floats rounded as
-    _jsonify rounds them, amplitudes as [re, im]."""
+    _jsonify rounds them, amplitudes as [re, im]. The one dict form of a
+    certificate; Certificates.to_json writes the same text without it."""
     return {
         "graph": graph_name,
         "a": int(cert.a),
@@ -207,6 +208,78 @@ def certificate_to_json(cert: FrCertificate, graph_name: str) -> dict:
     }
 
 
+def _float_text(x: float) -> str:
+    """The JSON text of _round_float(x); NaN and +-inf as json writes them."""
+    x = _round_float(x)
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+
+
+def _certificate_template(pad: str) -> str:
+    """The %-template of a certificate_to_json dict as _dumps writes it at
+    pad: one slot a field, two an amplitude."""
+    inner, deeper = pad + "  ", pad + "    "
+    pair = f"[{deeper}%s,{deeper}%s{inner}]"
+    slots = ("%s", "%d", "%d", "%s", pair, pair, "%s", "%s", "%s", "%s", "%s")
+    return "{" + inner + ("," + inner).join(f'"{k}": {v}' for k, v in zip(_CERTIFICATE_SCHEMA, slots)) + pad + "}"
+
+
+#: a row of Certificates: an FrCertificate's fields, gamma and zeta 0.0 and
+#: angles False where they are None, kind and method the certificate's strings
+_CERTIFICATE_ROW = np.dtype([
+    ("a", np.int64), ("b", np.int64), ("tau", np.float64), ("alpha", np.complex128), ("beta", np.complex128),
+    ("angles", np.bool_), ("gamma", np.float64), ("zeta", np.float64), ("kind", object),
+    ("residual", np.float64), ("method", object),
+])
+
+
+def _row(c: FrCertificate) -> tuple:
+    angles = c.gamma is not None
+    return (c.a, c.b, c.tau, c.alpha, c.beta, angles, c.gamma if angles else 0.0, c.zeta if angles else 0.0,
+            c.kind, c.residual, c.method)
+
+
+def _certificate(row: tuple) -> FrCertificate:
+    a, b, tau, alpha, beta, angles, gamma, zeta, *rest = row
+    return FrCertificate(a, b, tau, alpha, beta, *((gamma, zeta) if angles else (None, None)), *rest)
+
+
+class Certificates:
+    """The FrCertificates of the graph named graph, in order, kept as the
+    rows of one structured array until they are written: 97 bytes a
+    certificate, where an FrCertificate with its numbers takes about 330.
+    Iterating gives FrCertificates; _dumps writes them through to_json."""
+
+    __slots__ = ("graph", "rows")
+
+    def __init__(self, certs, graph: str):
+        self.graph = graph
+        self.rows = np.fromiter(map(_row, certs), _CERTIFICATE_ROW)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        return map(_certificate, self.rows.tolist())
+
+    def to_json(self, pad: str = "\n") -> str:
+        """_dumps([certificate_to_json(c, self.graph) for c in self], pad),
+        byte for byte, with no dict: each row fills one template from its
+        fields, each float written as _float_text writes it."""
+        if not len(self.rows):
+            return "[]"
+        inner = pad + "  "
+        template, graph, text = _certificate_template(inner), encode_basestring_ascii(self.graph), _float_text
+        items = (
+            template % (
+                graph, a, b, text(tau), text(alpha.real), text(alpha.imag), text(beta.real), text(beta.imag),
+                text(gamma) if angles else "null", text(zeta) if angles else "null",
+                encode_basestring_ascii(kind), text(residual), encode_basestring_ascii(method),
+            )
+            for a, b, tau, alpha, beta, angles, gamma, zeta, kind, residual, method in self.rows.tolist()
+        )
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+
 def _dumps(value, pad: str = "\n") -> str:
     """json.dumps(value, indent=2), byte for byte, without json's pure-Python
     indent encoder (taken for any indent), which makes one generator step per value.
@@ -218,13 +291,16 @@ def _dumps(value, pad: str = "\n") -> str:
     and the rows are joined from that table. Any other ndarray goes through
     tolist(). Strings and keys go through json's C string encoder, None and
     the bools are written as null, true and false, and every other scalar
-    (NaN, +-inf) goes through json's own encoder. A key that is not a string
+    (NaN, +-inf) goes through json's own encoder. Certificates write
+    themselves (Certificates.to_json). A key that is not a string
     raises TypeError: json's coercion of int, float, bool and None keys is
     not copied, since every report key is a literal or has passed through
     _jsonify.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
+    if isinstance(value, Certificates):
+        return value.to_json(pad)
     if isinstance(value, np.ndarray):
         if value.dtype != np.float64 or value.ndim == 0 or value.size == 0 or not np.isfinite(value).all():
             return _dumps(value.tolist(), pad)
@@ -285,22 +361,28 @@ class RunReport:
 
     Every float is rounded to JSON_DIGITS significant digits at construction,
     so that emitting and re-parsing the JSON is an identity, except the
-    weights: graph["weights"] is the graph's own frozen float64 array,
-    exact, since JSON doubles round-trip. to_json writes it from the array;
-    payload() returns it as nested lists, like every other value.
+    weights and the certificates. graph["weights"] is the graph's own frozen
+    float64 array, exact, since JSON doubles round-trip, and certificates
+    holds the FrCertificates, unrounded. to_json writes both straight from
+    them; payload() returns the weights as nested lists and each
+    certificate as its certificate_to_json dict, like every other value.
     """
 
     input_spec: str
     config: dict
     graph: dict
-    certificates: list
+    certificates: Certificates
     predicates: dict
     timing_ms: dict
     health_warnings: list = field(default_factory=list)
 
     def payload(self) -> dict:
-        """The report as plain JSON values, the weights as nested lists."""
-        return {**vars(self), "graph": {**self.graph, "weights": self.graph["weights"].tolist()}}
+        """The report as plain JSON values, as json.loads(to_json()) reads it."""
+        return {
+            **vars(self),
+            "graph": {**self.graph, "weights": self.graph["weights"].tolist()},
+            "certificates": [certificate_to_json(c, self.certificates.graph) for c in self.certificates],
+        }
 
     def to_json(self) -> str:
         return _dumps(vars(self))
@@ -512,7 +594,7 @@ def run_analysis(
             # re-validated even when the spec names a derived graph
             "weights": graph.weights,
         },
-        certificates=[certificate_to_json(c, graph.name) for c in certificates],
+        certificates=Certificates(certificates, graph.name),
         predicates=predicates,
         timing_ms=_jsonify(timing),
         health_warnings=health,
@@ -550,12 +632,17 @@ def _write(text: str) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _to_file(path: str, option: str, text: str) -> None:
+def _to_file(path: str | None, option: str, text: str | None = None) -> None:
     """Write text to the file path, given as option; a path that cannot be
-    written is a bad value of that option."""
+    written is a bad value of that option. Without text, only check that
+    the path can be written, by opening it for appending, which leaves the
+    file as it is: each command does so before any work. An empty or
+    missing path, which names stdout, is never opened."""
+    if not path:
+        return
     try:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
+        with open(path, "a" if text is None else "w", encoding="ascii") as fh:
+            fh.write(text or "")
     except OSError as exc:
         raise ParseError(f"cannot write {option} {path}: {exc.strerror or exc}") from None
 
@@ -572,6 +659,7 @@ def _emit(text: str, args) -> None:
 def cmd_analyze(args) -> int:
     graph = parse_graph_spec(args.graph)
     cfg = _config_from_args(args)
+    _to_file(args.json, "--json")
     report = run_analysis(graph, cfg, do_scan=args.scan)
     _emit(report.to_json(), args)
     return _health_exit(report.health_warnings)
@@ -585,13 +673,14 @@ def cmd_scan(args) -> int:
             raise ParseError(f"{option} {v} is out of range for a graph of order {graph.order}")
     if args.target is not None and args.source == args.target:
         raise ParseError("--source and --target must differ")
+    _to_file(args.json, "--json")
     dec = decompose(graph)
     sources = [args.source] if args.source is not None else [a for a in range(graph.order) if a != args.target]
     with _health_capture() as health:
         certs = scan_fr(dec, sources, args.target, cfg)
     payload = {
         "input_spec": graph.name,
-        "certificates": [certificate_to_json(c, graph.name) for c in certs],
+        "certificates": Certificates(certs, graph.name),
     }
     _emit(_dumps(payload), args)
     return _health_exit(health)
@@ -622,6 +711,7 @@ def cmd_quotient(args) -> int:
         q = G.quotient(graph, part)
     except ValueError as exc:
         raise ParseError(f"quotient of {graph.name}: {exc}") from None
+    _to_file(args.json, "--json")
 
     lines = [f"quotient of {graph.name} has {q.order} cells:"]
     for i, cell in enumerate(part.cells):
@@ -658,6 +748,7 @@ def cmd_quotient(args) -> int:
 
 def cmd_construct(args) -> int:
     graph = parse_graph_spec(args.graph)
+    _to_file(args.out, "--out")
     text = io.StringIO()
     G.write_graph(graph, text)
     if args.out:

@@ -108,10 +108,11 @@ class DetectionConfig:
 class FrCertificate:
     """A verified transport event U(tau) e_a = alpha e_a + beta e_b.
 
-    ``gamma``/``zeta`` are set when the amplitudes have the strongly
-    cospectral form alpha = e^{i zeta} cos(gamma), beta = i e^{i zeta}
-    sin(gamma), with gamma reported in (-pi/2, pi/2]. Periodic events store
-    b == a and beta == 0; they are recorded but are not fractional revival.
+    ``gamma``/``zeta`` are set, together, when the amplitudes have the
+    strongly cospectral form alpha = e^{i zeta} cos(gamma), beta = i e^{i
+    zeta} sin(gamma), with gamma reported in (-pi/2, pi/2]. Periodic events
+    store b == a and beta == 0; they are recorded but are not fractional
+    revival.
     """
 
     a: int
@@ -130,6 +131,8 @@ class FrCertificate:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
+        if (self.gamma is None) != (self.zeta is None):
+            raise ValueError("gamma and zeta are set together")
         norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
         if abs(norm - 1.0) > 1e-6:
             raise ValueError(f"amplitudes not normalized (|a|^2+|b|^2 = {norm})")
@@ -446,7 +449,13 @@ def _walk_by_tau(streams: list, judge) -> None:
 
     The warnings raised in the walk come out after it, stream by stream and
     each in its own order, as a walk of one stream after another raises them.
+    A single stream is walked directly, its warnings raised as they come.
     """
+    if len(streams) == 1:
+        for x in streams[0]:
+            if not judge(0, x):
+                break
+        return
     its = [iter(s) for s in streams]
     held: list[list] = [[] for _ in its]
     heap: list = []

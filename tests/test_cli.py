@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctqw import cli as cli_mod
@@ -32,7 +32,7 @@ from ctqw.cli import (
 )
 from ctqw import spectral as spectral_mod
 from ctqw.spectral import SpectralDecomposition, decompose, pair_profile, parallel_pairs
-from ctqw.walks import DetectionConfig, NumericalHealthWarning, certify_pair
+from ctqw.walks import VALID_KINDS, DetectionConfig, FrCertificate, NumericalHealthWarning, certify_pair
 
 
 class TestSpecParsing:
@@ -320,7 +320,7 @@ class TestReports:
                     certs |= {(c.a, c.b, round(c.tau, 9), c.kind) for c in pc.certificates}
         report = run_analysis(g, cfg)
         assert [k for k in report.predicates if k.startswith("pair(")] == pairs
-        assert {(c["a"], c["b"], round(c["tau"], 9), c["kind"]) for c in report.certificates} == certs
+        assert {(c.a, c.b, round(c.tau, 9), c.kind) for c in report.certificates} == certs
 
     @pytest.mark.parametrize(
         "graph",
@@ -376,7 +376,7 @@ class TestReports:
 
     def test_scan_pipeline_path5_empty(self):
         rep = run_analysis(parse_graph_spec("path:5"), DetectionConfig(), do_scan=True)
-        assert rep.certificates == []
+        assert list(rep.certificates) == []
         entry = rep.predicates["pair(0,4)"]
         assert entry["classification"].startswith("not classifiable")
 
@@ -428,6 +428,48 @@ def _is_indent2_json(text: str) -> bool:
     return text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
+#: floats a certificate may hold: signed zeros, the extremes, values that
+#: round at 12 digits and the non-finite ones
+_CERT_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1234567890125, 123456789012.5, 0.99999999999996]),
+)
+#: phases of an amplitude, with those whose cosine or sine is a signed zero
+_PHASES = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi]))
+
+
+@st.composite
+def _fr_certificates(draw):
+    """Any FrCertificate: vertices of int64, every kind, angles both None or
+    both set, amplitudes on the unit sphere or NaN, non-ASCII strings."""
+    g, za, zb = draw(_PHASES), draw(_PHASES), draw(_PHASES)
+    alpha = complex(math.cos(g) * math.cos(za), math.cos(g) * math.sin(za))
+    beta = draw(st.sampled_from([0j, complex(math.sin(g) * math.cos(zb), math.sin(g) * math.sin(zb))]))
+    if beta == 0:
+        alpha = draw(st.sampled_from([1 + 0j, complex(-1.0, -0.0), complex(math.nan, 0.0)]))
+    angles = draw(st.none() | st.tuples(_CERT_FLOATS, _CERT_FLOATS))
+    return FrCertificate(
+        draw(st.integers(-(2**63), 2**63 - 1)),
+        draw(st.integers(0, 645)),
+        draw(st.floats(min_value=5e-324, allow_infinity=True) | st.just(math.nan)),
+        alpha,
+        beta,
+        *(angles or (None, None)),
+        draw(st.sampled_from(sorted(VALID_KINDS))),
+        draw(_CERT_FLOATS),
+        draw(_TEXT),
+    )
+
+
+#: certificates that hold each edge case the writer must keep
+_EDGE_CERTIFICATES = [
+    FrCertificate(0, 3, 5e-324, complex(-0.0, 1.0), 0j, None, None, "periodic", -0.0, "grid_scan"),
+    FrCertificate(7, 7, 1e300, complex(0.6, -0.0), complex(-0.0, 0.8), -0.0, 5e-324, "fractional_revival", 1e300, "é"),
+    FrCertificate(1, 2, 0.1234567890125, 1 + 0j, 0j, 1e300, -1e300, "perfect_state_transfer", math.inf, "\u2028"),
+    FrCertificate(2, 1, 123456789012.5, complex(math.nan, 0.0), 0j, math.nan, math.inf, "balanced_fr", 0.99999999999996, "x"),
+]
+
+
 class TestReportWriter:
     """cli._dumps writes exactly what json.dumps(value, indent=2) writes."""
 
@@ -465,6 +507,24 @@ class TestReportWriter:
         for _ in range(depth):
             value, listed = [value], [listed]
         assert cli_mod._dumps(value) == json.dumps(listed, indent=2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_fr_certificates(), max_size=4), _TEXT, st.integers(1, 3))
+    @example(_EDGE_CERTIFICATES, "κύβος:5 \u2713", 1)
+    @example(_EDGE_CERTIFICATES, "\U0001f600", 3)
+    def test_certificates_equal_json_of_their_dicts(self, certs, name, depth):
+        # the list at a pad depth levels deep, as in a report (depth 1)
+        pad = "\n" + "  " * depth
+        table = cli_mod.Certificates(certs, name)
+        want = json.dumps([cli_mod.certificate_to_json(c, name) for c in certs], indent=2).replace("\n", pad)
+        assert cli_mod._dumps(table, pad) == want
+        assert [repr(c) for c in table] == [repr(c) for c in certs]
+
+    @pytest.mark.parametrize("spec", ["cube:5", "cocktail:20"])
+    def test_scan_report_text_is_its_payload(self, spec):
+        report = run_analysis(parse_graph_spec(spec), do_scan=True)
+        assert report.payload() == json.loads(report.to_json())
+        assert len(report.payload()["certificates"]) == len(report.certificates) > 500
 
     @pytest.mark.parametrize(
         "arr",
@@ -524,8 +584,23 @@ class TestReportWriter:
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert report.certificates == []
+        assert list(report.certificates) == []
         assert retained < 0.2e6, retained
+
+    def test_scan_report_holds_its_certificates_as_rows(self):
+        # cocktail:20 --scan has 12,140 certificates: as one structured array
+        # they take 1.2 MB, as certificate_to_json dicts 9.98 MB and as
+        # FrCertificates about 4 MB
+        graph = parse_graph_spec("cocktail:20")
+        run_analysis(parse_graph_spec("cycle:6"), do_scan=True)  # lazy imports and caches
+        tracemalloc.start()
+        try:
+            report = run_analysis(graph, do_scan=True)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(report.certificates) == 12140
+        assert retained <= 2.5e6, retained
 
     @pytest.mark.parametrize("spec, limit", [("cocktail:40", 3.0e6), ("cube:7", 1.3e6)])
     def test_analysis_holds_one_stack_of_exponentials(self, spec, limit):
@@ -832,6 +907,40 @@ class TestCommands:
             assert main(argv + [str(path)]) == EXIT_PARSE
             err = capsys.readouterr().err
             assert err.splitlines() == [f"parse error: cannot write {argv[-1]} {path}: {reason}"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--scan", "cocktail:20", "--json"],
+            ["scan", "cocktail:20", "--json"],
+            ["quotient", "cone2:cycle:5", "--pin", "a", "--pin", "b", "--json"],
+            ["construct", "cube:3", "--out"],
+        ],
+        ids=["analyze", "scan", "quotient", "construct"],
+    )
+    def test_unwritable_output_path_fails_before_the_work(self, monkeypatch, tmp_path, capsys, argv):
+        def work(*args, **kwargs):
+            raise AssertionError("the command worked before it checked its output path")
+
+        for name in ("run_analysis", "decompose", "scan_fr", "verify_quotient_transport"):
+            monkeypatch.setattr(cli_mod, name, work)
+        monkeypatch.setattr(G, "write_graph", work)
+        path = tmp_path / "missing" / "x.out"
+        assert main(argv + [str(path)]) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"parse error: cannot write {argv[-1]} {path}: No such file or directory"]
+
+    def test_output_path_check_leaves_a_file_as_it_is(self, monkeypatch, tmp_path):
+        # the check opens the path for appending; a bad option found after it
+        # leaves the file untouched, and a run that ends writes it whole
+        out = tmp_path / "x.json"
+        out.write_text("earlier report, longer than the next one" * 1000)
+        before = out.read_text()
+        assert main(["scan", "path:3", "--source", "7", "--json", str(out)]) == EXIT_PARSE
+        assert out.read_text() == before
+        assert main(["analyze", "path:3", "--json", str(out)]) == EXIT_OK
+        assert _is_indent2_json(out.read_text())
 
     def test_scan_keeps_a_time_equal_to_its_horizon(self, capsys):
         # t_max / tau_step rounds just below 11 on cocktail:4, yet 11 tau_step

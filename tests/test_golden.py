@@ -103,7 +103,7 @@ def test_certificates_convert_as_jsonify_did(monkeypatch, golden, spec, scan):
         return converted[-1][2]
 
     monkeypatch.setattr(cli, "certificate_to_json", recording)
-    _payload(spec, scan)
+    run_analysis(parse_graph_spec(spec), DetectionConfig(), do_scan=scan).payload()
     assert len(converted) == len(golden[_key(spec, scan)]["certificates"])
     for cert, name, got in converted:
         fields = {k: [v.real, v.imag] if isinstance(v, complex) else v for k, v in vars(cert).items()}

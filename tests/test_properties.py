@@ -224,7 +224,7 @@ def _events(report, perm):
             partners[a].add(b)
             partners[b].add(a)
     keys = []
-    for c in report.certificates:
+    for c in report.payload()["certificates"]:
         a, b = c["a"], c["b"]
         ends = {a, b} if a != b else {a} | partners[a]
         keys.append((tuple(sorted(int(perm[v]) for v in ends)), c["kind"], c["tau"]))
