@@ -12,6 +12,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import json
 import logging
@@ -632,17 +633,34 @@ def _write(text: str) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _to_file(path: str | None, option: str, text: str | None = None) -> None:
-    """Write text to the file path, given as option; a path that cannot be
-    written is a bad value of that option. Without text, only check that
-    the path can be written, by opening it for appending, which leaves the
-    file as it is: each command does so before any work. An empty or
-    missing path, which names stdout, is never opened."""
+def _check_out(path: str | None, option: str) -> None:
+    """Raise the error _to_file would raise if path, given as option, cannot
+    be written, without opening it: each command checks so before any work,
+    and a run that ends early leaves no new file behind. An empty or
+    missing path, which names stdout, is never checked."""
     if not path:
         return
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif os.path.exists(path):
+        code = None if os.access(path, os.W_OK) else errno.EACCES
+    elif not os.path.exists(parent):
+        code = errno.ENOENT
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR
+    else:
+        code = None if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
+    if code is not None:
+        raise ParseError(f"cannot write {option} {path}: {os.strerror(code)}")
+
+
+def _to_file(path: str, option: str, text: str) -> None:
+    """Write text to the file path, given as option; a path that cannot be
+    written is a bad value of that option."""
     try:
-        with open(path, "a" if text is None else "w", encoding="ascii") as fh:
-            fh.write(text or "")
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
     except OSError as exc:
         raise ParseError(f"cannot write {option} {path}: {exc.strerror or exc}") from None
 
@@ -659,7 +677,7 @@ def _emit(text: str, args) -> None:
 def cmd_analyze(args) -> int:
     graph = parse_graph_spec(args.graph)
     cfg = _config_from_args(args)
-    _to_file(args.json, "--json")
+    _check_out(args.json, "--json")
     report = run_analysis(graph, cfg, do_scan=args.scan)
     _emit(report.to_json(), args)
     return _health_exit(report.health_warnings)
@@ -673,7 +691,7 @@ def cmd_scan(args) -> int:
             raise ParseError(f"{option} {v} is out of range for a graph of order {graph.order}")
     if args.target is not None and args.source == args.target:
         raise ParseError("--source and --target must differ")
-    _to_file(args.json, "--json")
+    _check_out(args.json, "--json")
     dec = decompose(graph)
     sources = [args.source] if args.source is not None else [a for a in range(graph.order) if a != args.target]
     with _health_capture() as health:
@@ -711,7 +729,7 @@ def cmd_quotient(args) -> int:
         q = G.quotient(graph, part)
     except ValueError as exc:
         raise ParseError(f"quotient of {graph.name}: {exc}") from None
-    _to_file(args.json, "--json")
+    _check_out(args.json, "--json")
 
     lines = [f"quotient of {graph.name} has {q.order} cells:"]
     for i, cell in enumerate(part.cells):
@@ -748,7 +766,7 @@ def cmd_quotient(args) -> int:
 
 def cmd_construct(args) -> int:
     graph = parse_graph_spec(args.graph)
-    _to_file(args.out, "--out")
+    _check_out(args.out, "--out")
     text = io.StringIO()
     G.write_graph(graph, text)
     if args.out:

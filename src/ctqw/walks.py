@@ -449,13 +449,7 @@ def _walk_by_tau(streams: list, judge) -> None:
 
     The warnings raised in the walk come out after it, stream by stream and
     each in its own order, as a walk of one stream after another raises them.
-    A single stream is walked directly, its warnings raised as they come.
     """
-    if len(streams) == 1:
-        for x in streams[0]:
-            if not judge(0, x):
-                break
-        return
     its = [iter(s) for s in streams]
     held: list[list] = [[] for _ in its]
     heap: list = []

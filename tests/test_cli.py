@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import types
 import warnings
@@ -932,8 +933,8 @@ class TestCommands:
         assert err.splitlines() == [f"parse error: cannot write {argv[-1]} {path}: No such file or directory"]
 
     def test_output_path_check_leaves_a_file_as_it_is(self, monkeypatch, tmp_path):
-        # the check opens the path for appending; a bad option found after it
-        # leaves the file untouched, and a run that ends writes it whole
+        # a bad option found after the check leaves the file untouched, and a
+        # run that ends writes it whole
         out = tmp_path / "x.json"
         out.write_text("earlier report, longer than the next one" * 1000)
         before = out.read_text()
@@ -941,6 +942,41 @@ class TestCommands:
         assert out.read_text() == before
         assert main(["analyze", "path:3", "--json", str(out)]) == EXIT_OK
         assert _is_indent2_json(out.read_text())
+
+    @pytest.mark.parametrize("stop", [RuntimeError, KeyboardInterrupt])
+    def test_a_run_that_ends_early_leaves_no_new_file(self, monkeypatch, tmp_path, stop):
+        # the check does not create the path: a run stopped by an error or
+        # Ctrl-C after it leaves nothing at a path that did not exist
+        def work(*args, **kwargs):
+            raise stop("stopped in the analysis")
+
+        monkeypatch.setattr(cli_mod, "run_analysis", work)
+        monkeypatch.setattr(cli_mod, "scan_fr", work)
+        for argv in (["analyze", "--scan", "cocktail:20"], ["scan", "cube:3"]):
+            out = tmp_path / f"{argv[0]}.json"
+            with pytest.raises(stop):
+                main(argv + ["--json", str(out)])
+            assert not out.exists()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_output_path_check_leaves_a_fifo_to_its_reader(self, tmp_path, capsys):
+        # the check does not open the path: a reader already waiting on a
+        # named pipe gets the report, not the end of file of an empty open
+        fifo = tmp_path / "report"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        writer = threading.Thread(target=lambda: got.append(main(["analyze", "path:3", "--json", str(fifo)])), daemon=True)
+        writer.start()
+        writer.join(30)
+        if writer.is_alive():  # stuck opening the pipe: give it a reader
+            fifo.read_text()
+        reader.join(30)
+        assert not writer.is_alive()
+        text, rc = sorted(got, key=lambda v: isinstance(v, int))
+        assert rc == EXIT_OK
+        assert _is_indent2_json(text) and json.loads(text)["input_spec"] == "path:3"
 
     def test_scan_keeps_a_time_equal_to_its_horizon(self, capsys):
         # t_max / tau_step rounds just below 11 on cocktail:4, yet 11 tau_step

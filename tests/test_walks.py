@@ -1020,44 +1020,6 @@ class TestTimeWalk:
         assert got == messages(lambda: _scan_reference(decompose(g), sources, None, CFG))
         assert len({m.rsplit("vertex", 1)[1] for m in got}) > 1
 
-    @pytest.mark.parametrize("voided", [False, True])
-    def test_one_stream_walks_as_the_merged_walk(self, monkeypatch, voided):
-        # certify_pair and a scan from one source walk a single stream, with
-        # no heap; padded with an empty second stream, the same walk takes
-        # the merged path. Certificates and warnings come out the same. With
-        # voided, the oracle is off by 1e-6 at every other certificate's
-        # time, so both walks warn and walk on past those times
-        def run():
-            dec = decompose(G.cycle(6))
-            return _certify(dec, 0, 3).certificates, scan_fr(decompose(G.hypercube(5)), [0], None, CFG)
-
-        bad = set()
-        if voided:
-            bad = {c.tau for certs in run() for c in certs[::2]}
-            single = walks_mod.matrix_exp_oracle
-            monkeypatch.setattr(walks_mod, "matrix_exp_oracle", lambda a, t: single(a, t) + (1e-6 if t in bad else 0))
-
-        def walked():
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", NumericalHealthWarning)
-                out = run()
-            assert all(issubclass(w.category, NumericalHealthWarning) for w in caught)
-            return out, [str(w.message) for w in caught]
-
-        def no_heap(*args):
-            raise AssertionError("a single stream went through the heap")
-
-        with monkeypatch.context() as m:
-            m.setattr(walks_mod.heapq, "heappush", no_heap)
-            direct = walked()
-        merge = walks_mod._walk_by_tau
-        monkeypatch.setattr(walks_mod, "_walk_by_tau", lambda streams, judge: merge([*streams, ()], judge))
-        assert walked() == direct
-        (grid, scan), messages = direct
-        assert grid and scan
-        assert len(messages) == (len(bad) if voided else 0)
-        assert not bad & {c.tau for c in (*grid, *scan)}
-
     def test_scan_at_a_long_horizon_holds_a_chunk_per_source(self, monkeypatch):
         # cube:5 to t_max = 3000: each of the 32 sources has 955 solved times.
         # The walk solves them _REVIVAL_CHUNK at a time as it reads on, and
