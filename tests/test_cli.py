@@ -903,8 +903,14 @@ class TestCommands:
         ids=["analyze", "scan", "quotient", "construct"],
     )
     def test_unwritable_output_path_exits_2(self, tmp_path, capsys, argv):
+        (tmp_path / "file").write_text("")
         missing = tmp_path / "missing" / "x.out"
-        for path, reason in ((missing, "No such file or directory"), (tmp_path, "Is a directory")):
+        under_a_file = tmp_path / "file" / "x.out"
+        for path, reason in (
+            (missing, "No such file or directory"),
+            (tmp_path, "Is a directory"),
+            (under_a_file, "Not a directory"),
+        ):
             assert main(argv + [str(path)]) == EXIT_PARSE
             err = capsys.readouterr().err
             assert err.splitlines() == [f"parse error: cannot write {argv[-1]} {path}: {reason}"]
@@ -967,7 +973,8 @@ class TestCommands:
         got = []
         reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
         reader.start()
-        writer = threading.Thread(target=lambda: got.append(main(["analyze", "path:3", "--json", str(fifo)])), daemon=True)
+        argv = ["analyze", "path:3", "--json", str(fifo)]
+        writer = threading.Thread(target=lambda: got.append(main(argv)), daemon=True)
         writer.start()
         writer.join(30)
         if writer.is_alive():  # stuck opening the pipe: give it a reader
