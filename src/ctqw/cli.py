@@ -24,6 +24,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
@@ -38,10 +39,9 @@ from ctqw.walks import (
     DetectionConfig,
     FrCertificate,
     NumericalHealthWarning,
-    _gamma_zeta,
+    _STACK_BYTES,
     _kind_of,
     _residual,
-    _wrap_angle,
     certify_pairs,
     scan_fr,
     verify_quotient_transport,
@@ -244,17 +244,38 @@ def _certificate(row: tuple) -> FrCertificate:
     return FrCertificate(a, b, tau, alpha, beta, *((gamma, zeta) if angles else (None, None)), *rest)
 
 
+def _rows(certs) -> np.ndarray:
+    """The FrCertificates certs as rows of _CERTIFICATE_ROW."""
+    return np.fromiter(map(_row, certs), _CERTIFICATE_ROW)
+
+
+def _distinct(rows: np.ndarray) -> np.ndarray:
+    """rows sorted by (a, b, tau, kind), stably, keeping of each (a, b, tau
+    rounded to 9 places, kind) the first row only."""
+    if len(rows) < 2:
+        return rows
+    rank = {kind: r for r, kind in enumerate(sorted(VALID_KINDS))}
+    kinds = np.array([rank[kind] for kind in rows["kind"].tolist()], dtype=int)
+    rounded = np.array([round(tau, 9) for tau in rows["tau"].tolist()])
+    key = (kinds, rounded, rows["b"], rows["a"])
+    order = np.lexsort(key)  # stable: each key's rows in their order
+    same = np.logical_and.reduce([k[order[1:]] == k[order[:-1]] for k in key])
+    first = np.sort(order[np.append(True, ~same)])
+    return rows[first[np.lexsort((kinds[first], rows["tau"][first], rows["b"][first], rows["a"][first]))]]
+
+
 class Certificates:
     """The FrCertificates of the graph named graph, in order, kept as the
     rows of one structured array until they are written: 97 bytes a
     certificate, where an FrCertificate with its numbers takes about 330.
-    Iterating gives FrCertificates; _dumps writes them through to_json."""
+    certs are FrCertificates or their rows (_rows). Iterating gives
+    FrCertificates; _dumps writes them through to_json."""
 
     __slots__ = ("graph", "rows")
 
     def __init__(self, certs, graph: str):
         self.graph = graph
-        self.rows = np.fromiter(map(_row, certs), _CERTIFICATE_ROW)
+        self.rows = certs if isinstance(certs, np.ndarray) else _rows(certs)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -265,20 +286,36 @@ class Certificates:
     def to_json(self, pad: str = "\n") -> str:
         """_dumps([certificate_to_json(c, self.graph) for c in self], pad),
         byte for byte, with no dict: each row fills one template from its
-        fields, each float written as _float_text writes it."""
-        if not len(self.rows):
+        fields, each float written as _float_text writes it, once for each
+        distinct value (_distinct_texts)."""
+        rows = self.rows
+        if not len(rows):
             return "[]"
         inner = pad + "  "
-        template, graph, text = _certificate_template(inner), encode_basestring_ascii(self.graph), _float_text
+        template, text, alpha, beta = _certificate_template(inner), encode_basestring_ascii, rows["alpha"], rows["beta"]
+        columns = [rows["tau"], alpha.real, alpha.imag, beta.real, beta.imag, rows["gamma"], rows["zeta"], rows["residual"]]
+        bits, distinct, written = _distinct_texts(np.stack(columns), _float_text)
+        tau, ar, ai, br, bi, gamma, zeta, residual = written[np.searchsorted(distinct, bits)].tolist()
+        graph = text(self.graph)
         items = (
-            template % (
-                graph, a, b, text(tau), text(alpha.real), text(alpha.imag), text(beta.real), text(beta.imag),
-                text(gamma) if angles else "null", text(zeta) if angles else "null",
-                encode_basestring_ascii(kind), text(residual), encode_basestring_ascii(method),
+            template % (graph, a, b, *floats, g if angles else "null", z if angles else "null", text(kind), r, text(m))
+            for a, b, angles, kind, m, g, z, r, *floats in zip(
+                rows["a"].tolist(), rows["b"].tolist(), rows["angles"].tolist(), rows["kind"].tolist(),
+                rows["method"].tolist(), gamma, zeta, residual, tau, ar, ai, br, bi,
             )
-            for a, b, tau, alpha, beta, angles, gamma, zeta, kind, residual, method in self.rows.tolist()
         )
         return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+
+def _distinct_texts(values: np.ndarray, write) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(bits, distinct, text) of the finite or not float64 array values: its
+    int64 view, the distinct bits sorted, and write of each distinct value,
+    told apart by its bits so that -0.0 keeps its sign. A sort, not
+    np.unique, whose first call imports numpy.ma (1.1 MB)."""
+    bits = np.ascontiguousarray(values).view(np.int64)
+    distinct = np.sort(bits, axis=None)
+    distinct = distinct[np.append(True, distinct[1:] != distinct[:-1])]
+    return bits, distinct, np.array(list(map(write, distinct.view(np.float64).tolist())), dtype=object)
 
 
 def _dumps(value, pad: str = "\n") -> str:
@@ -305,12 +342,7 @@ def _dumps(value, pad: str = "\n") -> str:
     if isinstance(value, np.ndarray):
         if value.dtype != np.float64 or value.ndim == 0 or value.size == 0 or not np.isfinite(value).all():
             return _dumps(value.tolist(), pad)
-        bits = np.ascontiguousarray(value).view(np.int64)
-        # a sort, not np.unique, whose first call imports numpy.ma (1.1 MB)
-        distinct = np.sort(bits, axis=None)
-        distinct = distinct[np.append(True, distinct[1:] != distinct[:-1])]
-        text = np.array(list(map(float.__repr__, distinct.view(np.float64).tolist())), dtype=object)
-        return _join_rows(bits, distinct, text, pad)
+        return _join_rows(*_distinct_texts(value, float.__repr__), pad)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -390,6 +422,8 @@ class RunReport:
 
 
 def _is_number(v) -> bool:
+    if type(v) is float:  # the common value: finite exactly when v - v is 0
+        return v - v == 0.0
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
@@ -398,7 +432,7 @@ def _is_vertex(v) -> bool:
 
 
 def _is_amplitude(v) -> bool:
-    return isinstance(v, list) and len(v) == 2 and all(_is_number(x) for x in v)
+    return isinstance(v, list) and len(v) == 2 and _is_number(v[0]) and _is_number(v[1])
 
 
 #: certificate fields of a report and the JSON values each accepts
@@ -429,11 +463,36 @@ def _report_graph(payload: dict) -> WeightedGraph:
     return parse_graph_spec(spec)
 
 
-def _same_angles(stored: tuple[float, float], derived: tuple[float, float], tol: float = 1e-9) -> bool:
-    """(gamma, zeta) pairs equal mod 2pi; (gamma + pi, zeta + pi) gives the same
-    amplitudes, which matters at gamma = pi/2, the edge of its range."""
-    dg, dz = stored[0] - derived[0], stored[1] - derived[1]
-    return any(abs(_wrap_angle(dg + s)) <= tol and abs(_wrap_angle(dz + s)) <= tol for s in (0.0, math.pi))
+def _wrap(x: np.ndarray) -> np.ndarray:
+    """walks._wrap_angle of each entry, by the same operations."""
+    y = np.fmod(x + math.pi, 2.0 * math.pi)
+    return np.where(y <= 0, y + 2.0 * math.pi, y) - math.pi
+
+
+def _same_angles(stored: tuple, derived: tuple, tol: float = 1e-9):
+    """(gamma, zeta) pairs equal mod 2pi, entry by entry; (gamma + pi, zeta +
+    pi) gives the same amplitudes, which matters at gamma = pi/2, the edge of
+    its range."""
+    dg, dz = np.subtract(stored[0], derived[0]), np.subtract(stored[1], derived[1])
+    return ((np.abs(_wrap(dg)) <= tol) & (np.abs(_wrap(dz)) <= tol)) | (
+        (np.abs(_wrap(dg + math.pi)) <= tol) & (np.abs(_wrap(dz + math.pi)) <= tol)
+    )
+
+
+def _angles_agree(alpha: np.ndarray, beta: np.ndarray, gamma: np.ndarray, zeta: np.ndarray, tol: float) -> np.ndarray:
+    """Per certificate, whether its amplitudes have the strongly cospectral
+    form and the angles of that form, as walks._gamma_zeta derives them, are
+    (gamma, zeta) by _same_angles. Every check is a tolerance, which numpy's
+    last bits, apart from cmath's, do not reach."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cp, cm = alpha + beta, alpha - beta
+        g = 0.5 * np.angle(cp / cm)
+        turn = np.where(g <= -math.pi / 2, math.pi, np.where(g > math.pi / 2, -math.pi, 0.0))
+        g, z = g + turn, _wrap(np.angle(cp) - g + turn)
+        e = np.exp(1j * z)
+        gaps = (np.abs(cp) - 1.0, np.abs(cm) - 1.0, e * np.cos(g) - alpha, 1j * e * np.sin(g) - beta)
+        form = np.logical_and.reduce([np.abs(x) <= 100 * tol for x in gaps])
+    return form & _same_angles((gamma, zeta), (g, z))
 
 
 def validate_report(payload: dict, graph: WeightedGraph | None = None) -> bool:
@@ -455,6 +514,9 @@ def validate_report(payload: dict, graph: WeightedGraph | None = None) -> bool:
       config (the default when the report carries none): periodic exactly
       when b == a;
     - ``gamma``/``zeta`` where set, from the amplitudes, to 1e-9 mod 2pi.
+
+    The certificates are checked a block at a time: one walk_columns product
+    over the block's (a, tau), then each check, a tolerance, on all of them.
     """
     if not isinstance(payload, dict) or not isinstance(payload.get("certificates"), list):
         return False
@@ -468,38 +530,39 @@ def validate_report(payload: dict, graph: WeightedGraph | None = None) -> bool:
         dec = decompose(graph)
     except (KeyError, TypeError, ValueError, OSError):
         return False
+    certs = payload["certificates"]
+    if not all(isinstance(c, dict) and c.keys() >= _CERTIFICATE_SCHEMA.keys() for c in certs):
+        return False
+    if not all(all(map(ok, map(itemgetter(k), certs))) for k, ok in _CERTIFICATE_SCHEMA.items()):
+        return False
     n = graph.order
-    by_source: dict[int, list[dict]] = {}
-    for c in payload["certificates"]:
-        if not isinstance(c, dict) or not all(k in c and ok(c[k]) for k, ok in _CERTIFICATE_SCHEMA.items()):
-            return False
-        tau, a, b = float(c["tau"]), c["a"], c["b"]
-        if not (0 <= a < n and 0 <= b < n):
-            return False
-        if c["residual"] > cfg.tol_walk or tau * dec.norm > MAX_PHASE:
-            return False
-        by_source.setdefault(a, []).append(c)
-    # a forged amplitude near float max gives an inf residual, which fails, and no warning
+    if not all(0 <= c["a"] < n and 0 <= c["b"] < n for c in certs):
+        return False
+    step = max(1, _STACK_BYTES // (128 * n))  # columns of an eighth of _STACK_BYTES at a time
+    # a forged tau or amplitude near float max overflows to inf, which fails, and no warning
     with np.errstate(over="ignore"):
-        # one product per source, held only while its certificates are checked
-        for a, group in by_source.items():
-            columns = walk_columns(dec, a, np.array([float(c["tau"]) for c in group]))
-            for c, column in zip(group, columns):
-                tau, b = float(c["tau"]), c["b"]
-                alpha, beta = complex(*c["alpha"]), complex(*c["beta"])
-                residual = _residual(column, a, alpha, b, beta)
-                if not residual <= max(2.0 * c["residual"], 1e-11 * max(1.0, tau * dec.norm)):  # NaN fails
-                    return False
-                kind = _kind_of(alpha, beta, cfg)
-                if c["kind"] != kind or (b == a) != (kind == KIND_PERIODIC):
+        for lo in range(0, len(certs), step):
+            chunk = certs[lo : lo + step]
+            a, b, tau, stored, alpha, beta = (
+                np.array(list(map(itemgetter(k), chunk)), dtype=int if k in "ab" else float)
+                for k in ("a", "b", "tau", "residual", "alpha", "beta")
+            )
+            if not ((stored <= cfg.tol_walk) & (tau * dec.norm <= MAX_PHASE)).all():
+                return False
+            alpha, beta = alpha.view(complex)[:, 0], beta.view(complex)[:, 0]
+            residual = _residual(walk_columns(dec, a, tau), a, alpha, b, beta)
+            if not (residual <= np.maximum(2.0 * stored, 1e-11 * np.maximum(1.0, tau * dec.norm))).all():  # NaN fails
+                return False
+            for c, x, y in zip(chunk, alpha.tolist(), beta.tolist()):
+                kind = _kind_of(x, y, cfg)
+                if c["kind"] != kind or (c["b"] == c["a"]) != (kind == KIND_PERIODIC):
                     return False
                 if (c["gamma"] is None) != (c["zeta"] is None):
                     return False
-                if c["gamma"] is not None:
-                    derived = _gamma_zeta(alpha, beta, cfg.tol_walk)
-                    if derived is None or not _same_angles((c["gamma"], c["zeta"]), derived):
-                        return False
-            del columns, column
+            angled = [j for j, c in enumerate(chunk) if c["gamma"] is not None]
+            gamma, zeta = (np.array([chunk[j][k] for j in angled], dtype=float) for k in ("gamma", "zeta"))
+            if not _angles_agree(alpha[angled], beta[angled], gamma, zeta, cfg.tol_walk).all():
+                return False
     return True
 
 
@@ -527,16 +590,7 @@ def run_analysis(
     """
     timing: dict[str, float] = {}
     predicates: dict[str, dict] = {}
-    certificates: list[FrCertificate] = []
-    seen: set[tuple] = set()
-
-    def keep(certs) -> None:
-        for cert in certs:
-            key = (cert.a, cert.b, round(cert.tau, 9), cert.kind)
-            if key not in seen:
-                seen.add(key)
-                certificates.append(cert)
-
+    grid: list[FrCertificate] = []
     with _health_capture() as health:
         t0 = time.perf_counter()
         dec = decompose(graph)
@@ -573,17 +627,19 @@ def run_analysis(
             if pc.has_lattice:
                 entry["tau_step"] = None if pc.tau_step is None else _round_float(pc.tau_step)
             predicates[f"pair({prof.a},{prof.b})"] = entry
-            keep(pc.certificates)
+            grid.extend(pc.certificates)
         timing["certify"] = (time.perf_counter() - t0) * 1000.0
 
+        # each batch is packed as it comes, and the rows made distinct once
+        rows = _rows(grid)
         if do_scan:
             t0 = time.perf_counter()
             # the grid's certificates stand for the scan's events at their
-            # (a, tau), which keep() would drop as duplicates
-            keep(scan_fr(dec, range(n), None, cfg, known=certificates))
+            # (a, tau), which _distinct would drop as duplicates
+            rows = np.concatenate([rows, _rows(scan_fr(dec, range(n), None, cfg, known=grid))])
             timing["scan"] = (time.perf_counter() - t0) * 1000.0
+        del grid
 
-    certificates.sort(key=lambda c: (c.a, c.b, c.tau, c.kind))
     return RunReport(
         input_spec=graph.name,
         config=_jsonify(asdict(cfg)),
@@ -595,7 +651,7 @@ def run_analysis(
             # re-validated even when the spec names a derived graph
             "weights": graph.weights,
         },
-        certificates=Certificates(certificates, graph.name),
+        certificates=Certificates(_distinct(rows), graph.name),
         predicates=predicates,
         timing_ms=_jsonify(timing),
         health_warnings=health,

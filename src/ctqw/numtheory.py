@@ -20,7 +20,8 @@ MAX_DEN = 10**6
 #: A generic irrational's best convergent p/q has residual ~ 1/q^2 (quality
 #: ~ 1), while a float holding a true rational sits many orders below.
 QUALITY_GATE = 1e-3
-#: tolerance for integer / quadratic-integer recognition of eigenvalues
+#: tolerance for integer / quadratic-integer recognition of eigenvalues; the
+#: c_r of walks._revival_times closer than this fall in one class
 CLASS_TOL = 1e-7
 
 

@@ -26,7 +26,7 @@ from ctqw.walks import (
     DetectionConfig,
     FrCertificate,
     PairCertification,
-    _oracle_exp,
+    _oracle_exps,
     _oracle_stack,
     _wrap_angle,
     certify_pair,
@@ -300,7 +300,7 @@ def weighted_p3_rows(cfg: DetectionConfig) -> list[RowResult]:
         u = transition_matrix(dec, tau)
         closed = _p3_closed_form(omega)
         dev = float(np.abs(u - closed).max())
-        oracle_dev = float(np.abs(u - _oracle_exp(dec, tau)).max())
+        oracle_dev = float(np.abs(u - _oracle_exps(dec, [tau])[0]).max())
         ok = dev <= 1e-9 and oracle_dev <= 1e-9
         detail = f"closed-form dev={dev:.2e}"
         cert = detect_at(dec, 0, tau, cfg)

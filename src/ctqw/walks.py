@@ -25,6 +25,7 @@ import numpy as np
 
 from ctqw.graphs import WeightedGraph, _freeze, cartesian_product, quotient, union_overlay, x_theta
 from ctqw.numtheory import (
+    CLASS_TOL,
     EigenvalueClassification,
     NotClassifiable,
     RatioReport,
@@ -54,8 +55,6 @@ _SCAN_MAX_EVENTS = 512
 #: lattice points _lattice_times yields at once: a scan holds one such chunk
 #: per (source, partner) it walks
 _REVIVAL_CHUNK = 64
-#: c_r closer than this fall in one class (see _revival_times)
-_CLASS_TOL = 1e-7
 #: row j holds the coefficients of Y^j, Y = X^2, in the real and imaginary
 #: parts of the degree-19 Taylor polynomial of exp(-iX): (-1)^j / (2j)! and,
 #: times X, -(-1)^j / (2j+1)!
@@ -159,19 +158,22 @@ def transition_column(dec: SpectralDecomposition, a: int, t: float) -> np.ndarra
     return (dec.vectors @ coef.view(float).reshape(-1, 2)).view(complex)[:, 0]
 
 
-def walk_columns(dec: SpectralDecomposition, a: int, times: np.ndarray) -> np.ndarray:
+def walk_columns(dec: SpectralDecomposition, a, times: np.ndarray) -> np.ndarray:
     """(T, n) array whose row k is U(times[k]) e_a = V (phase_k * V^T e_a),
-    with exp(-i t theta_r) repeated for each eigenvector of theta_r.
+    with exp(-i t theta_r) repeated for each eigenvector of theta_r; a is
+    one source for all times or a sequence of one per time.
 
     The complex coefficients are read as (n, 2) real matrices, real and
     imaginary parts side by side, so one stacked (n, n) @ (T, n, 2) real
     product applies V without a complex copy of it. Each slice of the stack
     is the (n, n) @ (n, 2) product transition_column takes, so row k equals
-    transition_column(dec, a, times[k]) bit for bit.
+    transition_column(dec, a_k, times[k]) bit for bit; one time is kept
+    2-D, where numpy dispatches the same product with less overhead.
     """
     coef = np.exp(-1j * times[:, None] * dec.eigenvalues).take(dec.group_of, axis=1)
     coef *= dec.vectors[a]
-    return (dec.vectors @ coef.view(float).reshape(len(times), -1, 2)).view(complex)[..., 0]
+    pairs = coef.view(float).reshape(len(times), -1, 2)
+    return (dec.vectors @ (pairs if len(times) > 1 else pairs[0])).view(complex).reshape(len(times), -1)
 
 
 def matrix_exp_oracle(a, t) -> np.ndarray:
@@ -197,9 +199,11 @@ def _oracle_stack(m: np.ndarray, times: np.ndarray) -> np.ndarray:
     """matrix_exp_oracle of the matrix m at a 1-D array of times."""
     if times.ndim != 1:
         raise ValueError("expected a time or a 1-D array of times")
-    out = np.empty(times.shape + m.shape, dtype=complex)
     step = max(1, _STACK_BYTES // (56 * max(1, m.size)))
     ts = times.tolist()
+    if 0 < len(ts) <= step:  # one stack, kept without a copy
+        return _taylor_exp(m, ts).reshape(times.shape + m.shape)
+    out = np.empty(times.shape + m.shape, dtype=complex)
     for lo in range(0, len(ts), step):
         out[lo : lo + step] = _taylor_exp(m, ts[lo : lo + step])
     return out
@@ -339,36 +343,104 @@ def _kind_of(alpha: complex, beta: complex, cfg: DetectionConfig) -> str:
     return KIND_FR
 
 
-def _oracle_exp(dec: SpectralDecomposition, tau: float) -> np.ndarray:
-    """exp(-i tau A) of dec.matrix, read from the decomposition's oracle window.
+def _oracle_exps(dec: SpectralDecomposition, taus: list[float]) -> list[np.ndarray]:
+    """exp(-i tau A) of dec.matrix at each of the distinct times taus, no more
+    than one stack of _STACK_BYTES holds, read from the decomposition's
+    oracle window.
 
-    The window holds the exponentials of the latest times, as many as one
-    stack of _STACK_BYTES holds: one time for orders above 48. A new tau
-    drops the oldest first, before its exponential is formed. A caller that
-    walks its times in increasing order computes each once.
+    The window keeps the latest times used, as many as one stack holds: one
+    for orders above 48. The times it lacks are formed in one _oracle_stack
+    call, with the oldest dropped first, so a caller that walks its times in
+    increasing order computes each once.
     """
     window = dec._time_memo.setdefault("oracle", {})
-    u = window.get(tau)
-    if u is None:
-        while window and (len(window) + 1) * 56 * dec.matrix.size > _STACK_BYTES:
+    for t in taus:  # the times asked for are the newest
+        if t in window:
+            window[t] = window.pop(t)
+    missing = [t for t in taus if t not in window]
+    if missing:
+        while window and len(window) + len(missing) > _window_size(dec):
             del window[next(iter(window))]
-        u = matrix_exp_oracle(dec.matrix, tau)
-        u.setflags(write=False)
-        window[tau] = u
-    return u
+        for t, u in zip(missing, _oracle_stack(dec.matrix, np.array(missing))):
+            u.setflags(write=False)
+            window[t] = u
+    return [window[t] for t in taus]
 
 
-def _oracle_agrees(dec: SpectralDecomposition, a: int, tau: float, col: np.ndarray, cfg: DetectionConfig) -> bool:
-    oracle_col = _oracle_exp(dec, float(tau))[:, a]
-    diff = float(np.abs(col - oracle_col).max())
+def _window_size(dec: SpectralDecomposition) -> int:
+    return max(1, _STACK_BYTES // (56 * dec.matrix.size))
+
+
+def _judge(
+    dec: SpectralDecomposition, a: list[int], taus: list[float], cfg: DetectionConfig
+) -> tuple[list, np.ndarray]:
+    """The spectral test of detect_at on the walks from the sources a at the
+    times taus, one source per time, as one block: per time None, or (kind,
+    b, alpha, beta, residual) of a column on {a, b} within tol_walk (b = a,
+    beta = 0 for a column on a alone); and the (T, n) columns.
+
+    One walk_columns product gives the columns, each bit-equal to
+    transition_column at its source and time. The mass off a, the vertices
+    above beta_min and the residual are found for the whole block; each row
+    is then read as detect_at reads its column, with Python's abs.
+    """
+    taus, src = np.asarray(taus, dtype=float), np.asarray(a)
+    cols, rows = walk_columns(dec, src, taus), np.arange(len(taus))
+    mass = np.abs(cols)  # |col_j|^2, then its root, as detect_at took them
+    mass *= mass
+    hit = np.sqrt(mass, out=mass) > cfg.beta_min
+    hit[rows, src] = True  # not a partner, but left out of the residual as they are
+    off = np.where(hit, 0.0, cols)
+    hits: list[list] = [[] for _ in rows]
+    for k, j in zip(*(x.tolist() for x in np.nonzero(hit))):
+        hits[k].append(j)
+    out: list = []
+    for k, (on, s, alpha, residual) in enumerate(
+        zip(hits, src.tolist(), cols[rows, src].tolist(), _norms(off).tolist())
+    ):
+        on.remove(s)
+        if len(on) > 1:
+            if logger.isEnabledFor(logging.DEBUG):
+                spread = mass[k].copy()
+                spread[s] = 0.0
+                top = np.argsort(spread)[::-1][:2]
+                logger.debug(
+                    "ambiguous concentration at tau=%r from %d: vertices %s carry %s",
+                    taus[k].item(), s, top.tolist(), spread[top].tolist(),
+                )
+            out.append(None)
+            continue
+        b, beta = (on[0], complex(cols[k, on[0]])) if on else (s, 0j)
+        if residual > cfg.tol_walk or (b == s and abs(abs(alpha) - 1.0) > cfg.tol_walk):
+            out.append(None)
+        else:
+            out.append((_kind_of(alpha, beta, cfg), b, alpha, beta, residual))
+    return out, cols
+
+
+def _gate(a: list[int], exps: list[np.ndarray], cols: np.ndarray) -> list[float]:
+    """max_j |col_j - U_{j a}| of each row col of cols, its source in a and
+    U = exp(-i tau A) at its time in exps."""
+    return np.abs(cols - np.array([u[:, s] for s, u in zip(a, exps)])).max(axis=1).tolist()
+
+
+def _certificate(
+    a: int, tau: float, row: tuple, diff: float, cfg: DetectionConfig, method: str
+) -> FrCertificate | None:
+    """The certificate of a row that passed _judge at tau, diff its distance
+    from the oracle's column (_gate): None, with a NumericalHealthWarning,
+    when that exceeds tol_walk."""
     if diff > cfg.tol_walk:
         warnings.warn(
             f"spectral/oracle disagreement {diff:.3e} at tau={tau!r}, vertex {a}",
             NumericalHealthWarning,
             stacklevel=3,
         )
-        return False
-    return True
+        return None
+    kind, b, alpha, beta, residual = row
+    gz = _gamma_zeta(alpha, beta, cfg.tol_walk)
+    gamma, zeta = gz if gz is not None else (None, None)
+    return FrCertificate(a, b, float(tau), alpha, beta, gamma, zeta, kind, residual, method)
 
 
 def detect_at(
@@ -378,7 +450,8 @@ def detect_at(
     cfg: DetectionConfig = DetectionConfig(),
     method: str = "grid_scan",
 ) -> FrCertificate | None:
-    """Examine U(tau) e_a for two-vertex concentration.
+    """Examine U(tau) e_a for two-vertex concentration: _judge on a block of
+    one time, then the oracle gate.
 
     Returns a certificate when the column mass sits on {a} and at most one
     other vertex within tol_walk; an ambiguous column (two off-vertices above
@@ -386,54 +459,31 @@ def detect_at(
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    col = transition_column(dec, a, tau)
-    alpha = complex(col[a])
-    off = np.abs(col) ** 2
-    off[a] = 0.0
-    candidates = np.nonzero(np.sqrt(off) > cfg.beta_min)[0]
-    if len(candidates) > 1:
-        order = np.argsort(off[candidates])[::-1]
-        top = candidates[order[:2]]
-        logger.debug(
-            "ambiguous concentration at tau=%r from %d: vertices %s carry %s",
-            tau, a, top.tolist(), np.sqrt(off[top]).tolist(),
-        )
+    (row,), col = _judge(dec, [a], [tau], cfg)
+    if row is None:
         return None
-    if len(candidates) == 1:
-        b = int(candidates[0])
-        beta = complex(col[b])
-    else:
-        b = a
-        beta = 0.0 + 0.0j
-    residual = _residual(col, a, alpha, b, beta)
-    if residual > cfg.tol_walk:
-        return None
-    if b == a and abs(abs(alpha) - 1.0) > cfg.tol_walk:
-        return None
-    if not _oracle_agrees(dec, a, tau, col, cfg):
-        return None
-    gz = _gamma_zeta(alpha, beta, cfg.tol_walk)
-    gamma, zeta = gz if gz is not None else (None, None)
-    return FrCertificate(
-        a=a,
-        b=b,
-        tau=float(tau),
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        zeta=zeta,
-        kind=_kind_of(alpha, beta, cfg),
-        residual=residual,
-        method=method,
-    )
+    return _certificate(a, tau, row, _gate([a], _oracle_exps(dec, [float(tau)]), col)[0], cfg, method)
 
 
-def _residual(col: np.ndarray, a: int, alpha: complex, b: int, beta: complex) -> float:
-    """||col - alpha e_a - beta e_b||, with col left untouched; beta = 0 when b == a."""
-    diff = col.copy()
-    diff[a] -= alpha
-    diff[b] -= beta
-    return float(np.linalg.norm(diff))
+def _residual(cols: np.ndarray, a: int, alpha, b, beta) -> np.ndarray:
+    """||col - alpha e_a - beta e_b|| of each row col of the (T, n) cols, left
+    untouched, with a, b, alpha and beta one for all rows or one per row;
+    beta = 0 where b == a."""
+    diff, rows = cols.copy(), np.arange(len(cols))
+    diff[rows, a] -= alpha
+    diff[rows, b] -= beta
+    return _norms(diff)
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """The norm of each row of the (T, n) complex x, as np.linalg.norm takes
+    it, bit for bit: the BLAS dot products of its real and of its imaginary
+    part, each a (1, n) @ (n, 1) slice of a stacked product."""
+    if len(x) == 1:  # the same dot products, with less overhead
+        re, im = x[0].real, x[0].imag
+        return np.array([math.sqrt(re.dot(re) + im.dot(im))])
+    re, im = x.real[:, None], x.imag[:, None]
+    return np.sqrt(np.matmul(re, re.swapaxes(1, 2)) + np.matmul(im, im.swapaxes(1, 2))).reshape(len(x))
 
 
 # ---------------------------------------------------------------------------
@@ -441,37 +491,129 @@ def _residual(col: np.ndarray, a: int, alpha: complex, b: int, beta: complex) ->
 # ---------------------------------------------------------------------------
 
 
-def _walk_by_tau(streams: list, judge) -> None:
-    """Call judge(i, x) at each entry x of the increasing iterables
-    streams[i] (times, or tuples that lead with a time), all of them merged
-    by entry, ties by i: stream i goes on past x only while judge returns
-    True. Each keeps its own order and is read one entry ahead.
+def _counts(kind: str, b: int, target: int, periodic_ends: bool) -> tuple[bool, bool]:
+    """Whether an event of kind on b is kept, and whether it counts against
+    its walk's budget: periodic events are kept, and counted, exactly when
+    periodic_ends; the others are kept on target, and counted unless
+    periodic_ends."""
+    if kind == KIND_PERIODIC:
+        return periodic_ends, periodic_ends
+    return b == target, b == target and not periodic_ends
 
-    The warnings raised in the walk come out after it, stream by stream and
-    each in its own order, as a walk of one stream after another raises them.
+
+def _walk_by_tau(
+    dec: SpectralDecomposition, walks: list, cfg: DetectionConfig, method: str, periodic_ends: bool, known: dict
+) -> list[list[FrCertificate]]:
+    """The certificates each walk (a, entries, budget) keeps (_counts) over
+    its increasing entries (tau, target), all of them merged by tau, ties by
+    walk; a walk goes on until budget certificates that count are kept. An
+    entry whose (a, tau) is in known takes that certificate unjudged.
+
+    Each walk reads its entries in runs of 2, 4, 8, ... and the merged
+    entries are judged in blocks (_judge), as many as a sixteenth of
+    _STACK_BYTES holds as columns. A walk's next run waits for the block
+    that holds the end of its last, and so does every later time, so a walk
+    that ends there forms no column past its end and the blocks still come
+    in order of tau. Only the rows that pass reach the oracle: when the
+    window lacks the time of the next one, one stack forms the next
+    distinct times that the block's passing rows need, up to each walk's
+    end and as many as the window holds, and _gate compares the block's
+    rows at those times at once. So each time is formed once.
+
+    The warnings raised in the walk come out after it, walk by walk and each
+    in its own order, as a walk of one after another raises them.
     """
-    its = [iter(s) for s in streams]
-    held: list[list] = [[] for _ in its]
-    heap: list = []
+    sources, its = [a for a, _, _ in walks], [iter(entries) for _, entries, _ in walks]
+    left, certs, held = [budget for _, _, budget in walks], [[] for _ in walks], [[] for _ in walks]
+    cap, room, heap = max(1, _STACK_BYTES // (256 * dec.order)), _window_size(dec), []
+    run, read = [2] * len(walks), [0] * len(walks)  # each walk's run, and the entries read of it
 
-    def read_on(i: int) -> None:  # the next entry of stream i onto the heap
-        for x in itertools.islice(its[i], 1):
-            heapq.heappush(heap, (x, i))
+    def read_on(i: int) -> tuple | None:  # the next entry of walk i
+        entry = next(its[i], None)
+        return None if entry is None else (entry[0], i, entry[1])
+
+    def gate(k: int) -> None:  # the oracle differences of the block from row k on, one stack of times
+        times, ends = [], {}
+        for (tau, i, target, cert), row in zip(block[k:], rows[k:]):
+            if not ends.get(i, left[i]) or (cert or row) is None:
+                continue
+            if row is not None and tau not in times:
+                if len(times) == room:
+                    break
+                times.append(tau)
+            kind, b = (cert.kind, cert.b) if cert else row[:2]
+            ends[i] = ends.get(i, left[i]) - _counts(kind, b, target, periodic_ends)[1]
+        exps = dict(zip(times, _oracle_exps(dec, times)))
+        todo = [j for j in range(k, len(block)) if rows[j] is not None and block[j][0] in exps]
+        at = [block[j] for j in todo]
+        found = _gate([sources[i] for _, i, _, _ in at], [exps[t] for t, _, _, _ in at], cols[[col[j] for j in todo]])
+        for j, diff in zip(todo, found):
+            diffs[j] = diff
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for i in range(len(its)):
-            read_on(i)
+        waiting = {}
+        for i in range(len(walks)):
+            waiting[i] = read_on(i)
             held[i].extend(caught)
             caught.clear()
-        while heap:
-            x, i = heapq.heappop(heap)
-            if judge(i, x):
-                read_on(i)
-            held[i].extend(caught)
-            caught.clear()
+        while True:
+            for i, entry in waiting.items():
+                if entry is not None and left[i]:
+                    heapq.heappush(heap, entry)
+            if not heap:
+                break
+            block, waiting, limit, entry = [], {}, math.inf, None  # (tau, walk, target, its known certificate)
+            while len(block) < cap and (entry or heap):
+                entry = entry or heapq.heappop(heap)
+                if entry[0] > limit:
+                    break
+                (tau, i, target), entry = entry, None
+                if not left[i]:  # the walk ended in an earlier block
+                    continue
+                block.append((tau, i, target, known.get((sources[i], tau)) if known else None))
+                read[i] += 1
+                after = read_on(i)
+                if read[i] == run[i]:  # the end of its run: the next waits for this block
+                    read[i], run[i], waiting[i] = 0, min(2 * run[i], cap), after
+                    limit = min(limit, math.inf if after is None else after[0])
+                elif after is not None and heap and heap[0] < after:
+                    heapq.heappush(heap, after)
+                else:  # still the first of all: taken next, past the heap
+                    entry = after
+                if caught:
+                    held[i].extend(caught)
+                    caught.clear()
+            if entry:
+                heapq.heappush(heap, entry)
+            rows, diffs, col = [None] * len(block), [None] * len(block), [0] * len(block)
+            fresh = [j for j, entry in enumerate(block) if entry[3] is None]
+            if fresh:
+                judged, cols = _judge(dec, [sources[block[j][1]] for j in fresh], [block[j][0] for j in fresh], cfg)
+                for r, (j, row) in enumerate(zip(fresh, judged)):
+                    rows[j], col[j] = row, r
+            for j, (tau, i, target, cert) in enumerate(block):
+                if not left[i]:
+                    continue
+                if rows[j] is not None:
+                    if diffs[j] is None:
+                        gate(j)
+                    cert = _certificate(sources[i], tau, rows[j], diffs[j], cfg, method)
+                if cert is not None:
+                    kept, counted = _counts(cert.kind, cert.b, target, periodic_ends)
+                    if kept:
+                        certs[i].append(cert)
+                        left[i] -= counted
+                    elif periodic_ends:
+                        logger.debug(
+                            "grid time %r concentrated on %d, not the profiled partner %d", tau, cert.b, target
+                        )
+                if caught:
+                    held[i].extend(caught)
+                    caught.clear()
     for w in itertools.chain.from_iterable(held):
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+    return certs
 
 
 @dataclass(frozen=True)
@@ -510,8 +652,9 @@ def certify_pairs(
     including the first periodic time, after which the pattern repeats up to
     a global phase. When both parts are singletons (tau_step None) the grid
     is unconstrained and the gap times of the two-level pair are walked
-    instead. The grids of all the pairs run as one walk by tau, so the pairs
-    that share a tau_step share each oracle exponential; each pair's
+    instead. The grids of all the pairs run as one walk by tau, judged a
+    block at a time as detect_at judges one time (_walk_by_tau), so the
+    pairs that share a tau_step share each oracle exponential; each pair's
     certificates are those of its own walk.
     """
     out: list[PairCertification] = []
@@ -535,21 +678,8 @@ def certify_pairs(
         grids.append((prof, shared[parts]))
         failure = cls if isinstance(cls, str) else None
         out.append(PairCertification(prof, None if failure else cls, True, step, (), failure, None))
-    certs: list[list[FrCertificate]] = [[] for _ in grids]
-
-    def judge(i: int, tau: float) -> bool:
-        prof = grids[i][0]
-        cert = detect_at(dec, prof.a, tau, cfg, method="equiv_cond_solve")
-        if cert is None:
-            return True
-        if cert.kind != KIND_PERIODIC and cert.b != prof.b:
-            logger.debug("grid time %r concentrated on %d, not the profiled partner %d", tau, cert.b, prof.b)
-            return True
-        certs[i].append(cert)
-        return cert.kind != KIND_PERIODIC
-
-    _walk_by_tau([taus for _, taus in grids], judge)
-    walked = iter(certs)
+    walks = [(prof.a, zip(taus, itertools.repeat(prof.b)), 1) for prof, taus in grids]
+    walked = iter(_walk_by_tau(dec, walks, cfg, "equiv_cond_solve", True, {}))
     return [replace(pc, certificates=tuple(next(walked))) if pc.has_lattice else pc for pc in out]
 
 
@@ -625,7 +755,7 @@ def _revival_times(dec: SpectralDecomposition, a: int, b: int, cfg: DetectionCon
     theta = dec.eigenvalues[sup]
     c = dec.entries(a, b)[sup] / e_aa[sup]
     order = np.argsort(-c, kind="stable")
-    cut = np.flatnonzero(np.diff(c[order]) < -_CLASS_TOL) + 1
+    cut = np.flatnonzero(np.diff(c[order]) < -CLASS_TOL) + 1
     if len(cut) != 1:
         logger.debug("no revival from %d to %d: c_r takes %d values, not 2", a, b, len(cut) + 1)
         return
@@ -640,7 +770,7 @@ def _revival_times(dec: SpectralDecomposition, a: int, b: int, cfg: DetectionCon
         beta = np.abs(np.exp(-1j * taus * theta[plus[0]]) - np.exp(-1j * taus * theta[minus[0]])) / spread
         # detect_at names b only when |U(tau)_ba| = |beta| exceeds beta_min;
         # half of it leaves room for the rounding of the predicted beta
-        yield from taus[beta >= cfg.beta_min / 2].tolist()
+        yield from map(float, taus[beta >= cfg.beta_min / 2])
 
 
 def scan_fr(
@@ -655,10 +785,10 @@ def scan_fr(
     Only a parallel partner of a can receive revival, and the row of a in
     spectral.parallel_pairs keeps every partner detect_at can accept; the
     scan takes each of them (only b, when given) and the times
-    _revival_times solves for. detect_at, with its residual and oracle
-    gates, judges those times in order, and a source keeps its earliest
-    _SCAN_MAX_EVENTS events. The sources' times run as one walk by tau, so
-    the oracle window computes each time once. Certificates come source by
+    _revival_times solves for. Those times are judged as detect_at judges
+    them, with its residual and oracle gates, in blocks (_walk_by_tau), and
+    a source keeps its earliest _SCAN_MAX_EVENTS events. The sources' times
+    run as one walk by tau, so the oracle window computes each time once. Certificates come source by
     source, sorted by tau. Periodic events are not reported: the scan looks
     for genuine two-vertex transport, so b in sources is rejected. An empty
     result is bounded evidence, since lattice_step rationalizes eigenvalue
@@ -674,23 +804,14 @@ def scan_fr(
         raise ValueError("the scan target must differ from its source")
     judged = {(c.a, c.tau): c for c in known}
     partners = parallel_pairs(dec, (cfg.tol_walk / cfg.beta_min) ** 2, sources)
-    events = []  # per source: its (tau, partner) in increasing order, solved as the walk reads on
+    walks = []  # per source: its (tau, partner) in increasing order, solved as the walk reads on
     for a, row in zip(sources, partners):
         par = np.flatnonzero(row)
         if b is not None:
             par = par[par == b]
-        events.append(heapq.merge(*(zip(_revival_times(dec, a, p, cfg), itertools.repeat(p)) for p in par.tolist())))
-    found: list[list[FrCertificate]] = [[] for _ in sources]
-
-    def judge(i: int, event: tuple) -> bool:
-        a, (tau, p) = sources[i], event
-        cert = judged.get((a, tau)) or detect_at(dec, a, tau, cfg)
-        if cert is not None and cert.kind != KIND_PERIODIC and cert.b == p:
-            found[i].append(cert)
-        return len(found[i]) < _SCAN_MAX_EVENTS
-
-    _walk_by_tau(events, judge)
-    return [cert for certs in found for cert in certs]
+        events = heapq.merge(*(zip(_revival_times(dec, a, p, cfg), itertools.repeat(p)) for p in par.tolist()))
+        walks.append((a, events, _SCAN_MAX_EVENTS))
+    return [cert for certs in _walk_by_tau(dec, walks, cfg, "grid_scan", False, judged) for cert in certs]
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +853,7 @@ def check_symmetry(cert: FrCertificate, dec: SpectralDecomposition, cfg: Detecti
     col = transition_column(dec, cert.b, cert.tau)
     if abs(col[cert.b] - rev_alpha) > cfg.tol_walk:
         return False
-    return _residual(col, cert.b, rev_alpha, cert.a, cert.beta) <= cfg.tol_walk
+    return float(_residual(col[None], cert.b, rev_alpha, cert.a, cert.beta)[0]) <= cfg.tol_walk
 
 
 def check_gamma_consequences(
@@ -858,7 +979,7 @@ def verify_construction_union(
     overlay = union_overlay(x, y)
     dec_o = decompose(overlay)
     col = transition_column(dec_o, a, tau)
-    residual = _residual(col, a, gamma * (-1j * math.sin(tau)), b, gamma * math.cos(tau))
+    residual = float(_residual(col[None], a, gamma * (-1j * math.sin(tau)), b, gamma * math.cos(tau))[0])
     cert = detect_at(dec_o, a, tau, cfg, method="construction")
     report["transfer_phase"] = gamma
     report["amplitude_residual"] = residual
@@ -896,7 +1017,8 @@ def verify_construction_xtheta(
     dec_g = decompose(g)
     n = y.order
     col = transition_column(dec_g, a, tau)  # (0, a) sits at index a
-    residual = _residual(col, a, gamma * (-1j * math.sin(2 * theta)), n + b, gamma * (-1j * math.cos(2 * theta)))
+    alpha, beta = gamma * (-1j * math.sin(2 * theta)), gamma * (-1j * math.cos(2 * theta))
+    residual = float(_residual(col[None], a, alpha, n + b, beta)[0])
     report["transfer_phase"] = gamma
     report["alpha"] = complex(col[a])
     report["beta"] = complex(col[n + b])

@@ -1,5 +1,6 @@
 """Walk evaluation, detection, certification, scans, and angle consequences."""
 
+import functools
 import gc
 import hashlib
 import itertools
@@ -566,13 +567,13 @@ class TestScan:
         known = [c for a, b in strongly_cospectral_candidates(dec) for c in _certify(dec, a, b).certificates]
         plain = scan_fr(dec, range(dec.order), None, CFG)
         calls = []
-        detect = walks_mod.detect_at
+        judge = walks_mod._judge
 
-        def recording(dec_, a, tau, *args, **kwargs):
-            calls.append((a, tau))
-            return detect(dec_, a, tau, *args, **kwargs)
+        def recording(dec_, a, taus, *args):
+            calls.extend(zip(a, taus))
+            return judge(dec_, a, taus, *args)
 
-        monkeypatch.setattr(walks_mod, "detect_at", recording)
+        monkeypatch.setattr(walks_mod, "_judge", recording)
         reused = scan_fr(dec, range(dec.order), None, CFG, known=known)
         judged = {(c.a, c.tau) for c in known}
         assert known and not judged & set(calls)
@@ -590,15 +591,15 @@ class TestScan:
 
 
 def _count_detections(monkeypatch):
-    """Record the times of every detect_at call the scan makes."""
+    """Record every time the scan judges, a block at a time."""
     calls = []
-    detect = walks_mod.detect_at
+    judge = walks_mod._judge
 
-    def counting(dec_, a, tau, *args, **kwargs):
-        calls.append(tau)
-        return detect(dec_, a, tau, *args, **kwargs)
+    def counting(dec_, a, taus, *args):
+        calls.extend(taus)
+        return judge(dec_, a, taus, *args)
 
-    monkeypatch.setattr(walks_mod, "detect_at", counting)
+    monkeypatch.setattr(walks_mod, "_judge", counting)
     return calls
 
 
@@ -903,7 +904,32 @@ class TestHealthGate:
         assert any(issubclass(w.category, NumericalHealthWarning) for w in caught)
 
 
-def _grid_reference(dec, prof, tau_step, cfg):
+def _scalar_detect(dec, a, tau, cfg=CFG, method="grid_scan"):
+    """detect_at as it was before the block judgement, one column at a time:
+    the reference that _judge, _gate and _certificate equal bit for bit."""
+    col = transition_column(dec, a, tau)
+    alpha = complex(col[a])
+    off = np.abs(col) ** 2
+    off[a] = 0.0
+    hits = np.nonzero(np.sqrt(off) > cfg.beta_min)[0]
+    if len(hits) > 1:
+        return None
+    b, beta = (int(hits[0]), complex(col[hits[0]])) if len(hits) else (a, 0j)
+    diff = col.copy()
+    diff[a] -= alpha
+    diff[b] -= beta
+    residual = float(np.linalg.norm(diff))
+    if residual > cfg.tol_walk or (b == a and abs(abs(alpha) - 1.0) > cfg.tol_walk):
+        return None
+    if float(np.abs(col - matrix_exp_oracle(dec.matrix, tau)[:, a]).max()) > cfg.tol_walk:
+        return None
+    gz = walks_mod._gamma_zeta(alpha, beta, cfg.tol_walk)
+    gamma, zeta = gz if gz is not None else (None, None)
+    kind = walks_mod._kind_of(alpha, beta, cfg)
+    return FrCertificate(a, b, float(tau), alpha, beta, gamma, zeta, kind, residual, method)
+
+
+def _grid_reference(dec, prof, tau_step, cfg, detect=detect_at):
     """certify_pair's walk as one pair's own loop over its grid."""
     if tau_step is not None:
         taus = [k * tau_step for k in range(1, walks_mod.CERTIFY_GRID_K + 1)]
@@ -915,7 +941,7 @@ def _grid_reference(dec, prof, tau_step, cfg):
     for tau in taus:
         if tau * dec.norm > walks_mod.MAX_PHASE:
             break
-        cert = detect_at(dec, prof.a, tau, cfg, method="equiv_cond_solve")
+        cert = detect(dec, prof.a, tau, cfg, method="equiv_cond_solve")
         if cert is None or (cert.kind != KIND_PERIODIC and cert.b != prof.b):
             continue
         certs.append(cert)
@@ -924,7 +950,7 @@ def _grid_reference(dec, prof, tau_step, cfg):
     return certs
 
 
-def _scan_reference(dec, sources, b, cfg, known=()):
+def _scan_reference(dec, sources, b, cfg, known=(), detect=detect_at):
     """scan_fr as a loop over one source at a time, each over its own times."""
     judged = {(c.a, c.tau): c for c in known}
     partners = parallel_pairs(dec, (cfg.tol_walk / cfg.beta_min) ** 2, sources)
@@ -938,11 +964,105 @@ def _scan_reference(dec, sources, b, cfg, known=()):
         for tau, p in times:
             if found == walks_mod._SCAN_MAX_EVENTS:
                 break
-            cert = judged.get((a, tau)) or detect_at(dec, a, tau, cfg)
+            cert = judged.get((a, tau)) or detect(dec, a, tau, cfg)
             if cert is not None and cert.kind != KIND_PERIODIC and cert.b == p:
                 certs.append(cert)
                 found += 1
     return certs
+
+
+#: graphs whose columns concentrate on the lattice times of their pairs
+_BLOCK_SPECS = ("cycle:6", "cycle:8", "path:3", "path:4", "cube:3", "cocktail:4", "cone2:cycle:5", "prod(path:3,path:2)")
+
+
+@functools.cache
+def _block_steps(spec):
+    """The lattice steps of spec's strongly cospectral pairs, and a quarter
+    and an eighth turn, where columns spread."""
+    dec = decompose(parse_graph_spec(spec))
+    steps = {pc.tau_step for pc in certify_pairs(dec, pair_profiles(dec, strongly_cospectral_candidates(dec)), CFG)}
+    return sorted(x for x in steps | {math.pi / 2, math.pi / 4} if x is not None)
+
+
+@st.composite
+def _judged_blocks(draw):
+    """A graph, and a block of (source, time): one source for all times or
+    one each, times on its lattices (multiples up to 8) or anywhere in
+    (0, 20], in any order and possibly repeated."""
+    spec = draw(st.sampled_from(_BLOCK_SPECS))
+    n = parse_graph_spec(spec).order
+    lattice = st.builds(lambda k, step: k * step, st.integers(1, 8), st.sampled_from(_block_steps(spec)))
+    taus = draw(st.lists(st.one_of(lattice, st.floats(0.01, 20.0)), min_size=1, max_size=12))
+    vertex = st.integers(0, n - 1)
+    each = st.lists(vertex, min_size=len(taus), max_size=len(taus))
+    sources = draw(st.one_of(vertex.map(lambda a: [a] * len(taus)), each))
+    return spec, sources, taus
+
+
+def _block_detect(dec, sources, taus, cfg=CFG):
+    """detect_at of each (source, time) judged as one block: _judge once,
+    then the oracle and _gate time by time, over all the rows at that time."""
+    rows, cols = walks_mod._judge(dec, sources, taus, cfg)
+    out = [None] * len(taus)
+    for tau in sorted(set(taus)):
+        at = [k for k, t in enumerate(taus) if t == tau and rows[k] is not None]
+        if not at:
+            continue
+        exps = walks_mod._oracle_exps(dec, [tau]) * len(at)
+        for k, diff in zip(at, walks_mod._gate([sources[k] for k in at], exps, cols[at])):
+            out[k] = walks_mod._certificate(sources[k], tau, rows[k], diff, cfg, "grid_scan")
+    return out
+
+
+class TestBlockJudgement:
+    """A block of times, or of (source, time) pairs, judged at once equals
+    detect_at one column at a time, as it was before blocks, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_judged_blocks())
+    def test_block_equals_the_scalar_detection(self, block):
+        spec, sources, taus = block
+        dec = decompose(parse_graph_spec(spec))
+        want = [repr(_scalar_detect(dec, a, tau)) for a, tau in zip(sources, taus)]
+        assert [repr(c) for c in _block_detect(dec, sources, taus)] == want
+        assert [repr(detect_at(dec, a, tau, CFG)) for a, tau in zip(sources, taus)] == want
+
+    def test_ambiguous_column_inside_a_block(self):
+        # cube:3 from 0: a flat row at pi/4, transfer at pi/2, periodic at pi
+        dec = decompose(G.hypercube(3))
+        taus = [math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi]
+        got = _block_detect(dec, [0] * 4, taus)
+        assert got[0] is None and got[2] is None
+        assert [c.kind for c in got[1::2]] == [KIND_PST, KIND_PERIODIC]
+        assert [repr(c) for c in got] == [repr(_scalar_detect(dec, 0, tau)) for tau in taus]
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["cycle:6", "cube:4", "cube:5", "cocktail:20", "cone2:cocktail:10", "prod(star:16,path:2)", "path:4", "cone2:cycle:5"],
+    )
+    def test_walks_equal_the_scalar_detection(self, spec):
+        # every pair's grid, whose runs of 2, 4, 8, ... times straddle its
+        # first periodic time, and every source's scan, in merged blocks
+        g = parse_graph_spec(spec)
+        dec = decompose(g)
+        profiles = [p for p in pair_profiles(dec, strongly_cospectral_candidates(dec)) if p.strongly_cospectral]
+        fresh = decompose(g)
+        for prof, pc in zip(profiles, certify_pairs(dec, profiles, CFG)):
+            want = _grid_reference(fresh, prof, pc.tau_step, CFG, _scalar_detect)
+            assert [repr(c) for c in pc.certificates] == [repr(c) for c in want], (prof.a, prof.b)
+        want = _scan_reference(fresh, list(range(g.order)), None, CFG, detect=_scalar_detect)
+        assert [repr(c) for c in scan_fr(dec, range(g.order), None, CFG)] == [repr(c) for c in want]
+
+    @pytest.mark.parametrize("spec, per_pair", [("cube:7", 2), ("cycle:6", 6)])
+    def test_a_walk_judges_its_runs_up_to_its_end(self, monkeypatch, spec, per_pair):
+        # a cube:7 pair turns periodic at its second time, the end of its
+        # first run, and forms two columns, as one column at a time does; a
+        # cycle:6 pair at its third, inside its second run of 4
+        calls = _count_detections(monkeypatch)
+        dec = decompose(parse_graph_spec(spec))
+        profiles = [p for p in pair_profiles(dec, strongly_cospectral_candidates(dec)) if p.strongly_cospectral]
+        certify_pairs(dec, profiles, CFG)
+        assert len(calls) == per_pair * len(profiles)
 
 
 class TestTimeWalk:
@@ -953,14 +1073,16 @@ class TestTimeWalk:
         profiles = [p for p in pair_profiles(dec, strongly_cospectral_candidates(dec)) if p.strongly_cospectral]
         plain = certify_pairs(dec, profiles, CFG)
         bad = next(c.tau for c in plain[0].certificates if c.kind == KIND_PERIODIC)
-        single = walks_mod.matrix_exp_oracle
+        stack = walks_mod._oracle_stack
 
-        # the oracle is off by 1e-6 at the first pair's first periodic time
-        def off_single(a, t):
-            u = single(a, t)
-            return u + 1e-6 if t == bad else u
+        # the oracle is off by 1e-6 at the first pair's first periodic time,
+        # in whichever stack forms it
+        def off_stack(m, times):
+            u = stack(m, times)
+            u[times == bad] += 1e-6
+            return u
 
-        monkeypatch.setattr(walks_mod, "matrix_exp_oracle", off_single)
+        monkeypatch.setattr(walks_mod, "_oracle_stack", off_stack)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", NumericalHealthWarning)
             got = certify_pairs(decompose(g), profiles, CFG)
@@ -1001,8 +1123,8 @@ class TestTimeWalk:
         dec = decompose(g)
         profiles = [p for p in pair_profiles(dec, strongly_cospectral_candidates(dec)) if p.strongly_cospectral]
         steps = [pc.tau_step for pc in certify_pairs(dec, profiles, CFG)]
-        single = walks_mod.matrix_exp_oracle
-        monkeypatch.setattr(walks_mod, "matrix_exp_oracle", lambda a, t: single(a, t) + 1e-6)
+        stack = walks_mod._oracle_stack
+        monkeypatch.setattr(walks_mod, "_oracle_stack", lambda m, times: stack(m, times) + 1e-6)
 
         def messages(run):
             with warnings.catch_warnings(record=True) as caught:
