@@ -634,9 +634,7 @@ def run_analysis(
         rows = _rows(grid)
         if do_scan:
             t0 = time.perf_counter()
-            # the grid's certificates stand for the scan's events at their
-            # (a, tau), which _distinct would drop as duplicates
-            rows = np.concatenate([rows, _rows(scan_fr(dec, range(n), None, cfg, known=grid))])
+            rows = np.concatenate([rows, _rows(scan_fr(dec, range(n), None, cfg))])
             timing["scan"] = (time.perf_counter() - t0) * 1000.0
         del grid
 
@@ -778,6 +776,7 @@ def cmd_quotient(args) -> int:
     pins = [_resolve_vertex(graph, p) for p in args.pin]
     if len(set(pins)) != len(pins):
         raise ParseError("pinned vertices must be distinct")
+    _check_out(args.json, "--json")
     rest = [v for v in range(graph.order) if v not in pins]
     seed = [[p] for p in pins] + ([rest] if rest else [])
     part = G.coarsest_equitable_refinement(graph, seed)
@@ -785,7 +784,6 @@ def cmd_quotient(args) -> int:
         q = G.quotient(graph, part)
     except ValueError as exc:
         raise ParseError(f"quotient of {graph.name}: {exc}") from None
-    _check_out(args.json, "--json")
 
     lines = [f"quotient of {graph.name} has {q.order} cells:"]
     for i, cell in enumerate(part.cells):

@@ -5,9 +5,10 @@ mixing; solves for revival times on the lattice of eigenvalue differences,
 for strongly cospectral pairs and, in scan_fr, for every parallel pair;
 verifies the product / overlay / rotation constructions and quotient
 transport. Every certificate is double-checked against an eigensolver-free
-matrix exponential before being reported; the callers walk their times in
-increasing order, so that exponential is computed once per decomposition and
-time.
+matrix exponential before being reported. certify_pairs and scan_fr each walk
+their times in increasing order, so one call computes that exponential once
+per time; the decomposition keeps only a window of the latest, so a later
+call may compute a time again.
 """
 
 from __future__ import annotations
@@ -502,104 +503,79 @@ def _counts(kind: str, b: int, target: int, periodic_ends: bool) -> tuple[bool, 
 
 
 def _walk_by_tau(
-    dec: SpectralDecomposition, walks: list, cfg: DetectionConfig, method: str, periodic_ends: bool, known: dict
+    dec: SpectralDecomposition, walks: list, cfg: DetectionConfig, method: str, periodic_ends: bool
 ) -> list[list[FrCertificate]]:
     """The certificates each walk (a, entries, budget) keeps (_counts) over
     its increasing entries (tau, target), all of them merged by tau, ties by
-    walk; a walk goes on until budget certificates that count are kept. An
-    entry whose (a, tau) is in known takes that certificate unjudged.
+    walk; a walk goes on until budget certificates that count are kept.
 
-    Each walk reads its entries in runs of 2, 4, 8, ... and the merged
-    entries are judged in blocks (_judge), as many as a sixteenth of
-    _STACK_BYTES holds as columns. A walk's next run waits for the block
-    that holds the end of its last, and so does every later time, so a walk
-    that ends there forms no column past its end and the blocks still come
-    in order of tau. Only the rows that pass reach the oracle: when the
-    window lacks the time of the next one, one stack forms the next
-    distinct times that the block's passing rows need, up to each walk's
-    end and as many as the window holds, and _gate compares the block's
-    rows at those times at once. So each time is formed once.
+    The walks go in rounds. Each walk reads on until it holds its next run
+    of 2, 4, 8, ... entries, capped at one block. A round takes the entries
+    up to its horizon, the earliest last-read tau of the walks that may read
+    on; the later ones wait for the next round, so the rounds come in order
+    of tau. A round's entries are judged (_judge) a block at a time, as many
+    as a sixteenth of _STACK_BYTES holds as columns, without the walks that
+    have ended. Only the rows that pass reach the oracle: those of a block up
+    to each walk's end, were they all to pass the oracle, are gated (_gate)
+    at their distinct times, one stack of the window's size at a time, and
+    a row past an end that the oracle voided is gated on its own. So each
+    time is formed once.
 
     The warnings raised in the walk come out after it, walk by walk and each
     in its own order, as a walk of one after another raises them.
     """
     sources, its = [a for a, _, _ in walks], [iter(entries) for _, entries, _ in walks]
     left, certs, held = [budget for _, _, budget in walks], [[] for _ in walks], [[] for _ in walks]
-    cap, room, heap = max(1, _STACK_BYTES // (256 * dec.order)), _window_size(dec), []
-    run, read = [2] * len(walks), [0] * len(walks)  # each walk's run, and the entries read of it
-
-    def read_on(i: int) -> tuple | None:  # the next entry of walk i
-        entry = next(its[i], None)
-        return None if entry is None else (entry[0], i, entry[1])
-
-    def gate(k: int) -> None:  # the oracle differences of the block from row k on, one stack of times
-        times, ends = [], {}
-        for (tau, i, target, cert), row in zip(block[k:], rows[k:]):
-            if not ends.get(i, left[i]) or (cert or row) is None:
-                continue
-            if row is not None and tau not in times:
-                if len(times) == room:
-                    break
-                times.append(tau)
-            kind, b = (cert.kind, cert.b) if cert else row[:2]
-            ends[i] = ends.get(i, left[i]) - _counts(kind, b, target, periodic_ends)[1]
-        exps = dict(zip(times, _oracle_exps(dec, times)))
-        todo = [j for j in range(k, len(block)) if rows[j] is not None and block[j][0] in exps]
-        at = [block[j] for j in todo]
-        found = _gate([sources[i] for _, i, _, _ in at], [exps[t] for t, _, _, _ in at], cols[[col[j] for j in todo]])
-        for j, diff in zip(todo, found):
-            diffs[j] = diff
-
+    cap, room = max(1, _STACK_BYTES // (256 * dec.order)), _window_size(dec)
+    # each walk's next run, its entries read and not yet judged, and whether its iterator may hold more
+    run, waiting, more = [2] * len(walks), [[] for _ in walks], [True] * len(walks)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        waiting = {}
-        for i in range(len(walks)):
-            waiting[i] = read_on(i)
-            held[i].extend(caught)
-            caught.clear()
         while True:
-            for i, entry in waiting.items():
-                if entry is not None and left[i]:
-                    heapq.heappush(heap, entry)
-            if not heap:
-                break
-            block, waiting, limit, entry = [], {}, math.inf, None  # (tau, walk, target, its known certificate)
-            while len(block) < cap and (entry or heap):
-                entry = entry or heapq.heappop(heap)
-                if entry[0] > limit:
-                    break
-                (tau, i, target), entry = entry, None
-                if not left[i]:  # the walk ended in an earlier block
-                    continue
-                block.append((tau, i, target, known.get((sources[i], tau)) if known else None))
-                read[i] += 1
-                after = read_on(i)
-                if read[i] == run[i]:  # the end of its run: the next waits for this block
-                    read[i], run[i], waiting[i] = 0, min(2 * run[i], cap), after
-                    limit = min(limit, math.inf if after is None else after[0])
-                elif after is not None and heap and heap[0] < after:
-                    heapq.heappush(heap, after)
-                else:  # still the first of all: taken next, past the heap
-                    entry = after
-                if caught:
+            for i, entries in enumerate(waiting):
+                if left[i] and more[i]:
+                    entries.extend(itertools.islice(its[i], run[i] - len(entries)))
+                    more[i], run[i] = len(entries) == run[i], min(2 * run[i], cap)
                     held[i].extend(caught)
                     caught.clear()
-            if entry:
-                heapq.heappush(heap, entry)
-            rows, diffs, col = [None] * len(block), [None] * len(block), [0] * len(block)
-            fresh = [j for j, entry in enumerate(block) if entry[3] is None]
-            if fresh:
-                judged, cols = _judge(dec, [sources[block[j][1]] for j in fresh], [block[j][0] for j in fresh], cfg)
-                for r, (j, row) in enumerate(zip(fresh, judged)):
-                    rows[j], col[j] = row, r
-            for j, (tau, i, target, cert) in enumerate(block):
-                if not left[i]:
+            live = [i for i in range(len(walks)) if left[i]]
+            horizon = min((waiting[i][-1][0] for i in live if more[i]), default=math.inf)
+            todo = []  # (tau, walk, target)
+            for i in live:
+                k = sum(tau <= horizon for tau, _ in waiting[i])
+                todo.extend((tau, i, target) for tau, target in waiting[i][:k])
+                del waiting[i][:k]
+            if not todo:
+                break
+            todo.sort()  # by tau, ties by walk, each walk's entries in order
+            for lo in range(0, len(todo), cap):
+                block = [entry for entry in todo[lo : lo + cap] if left[entry[1]]]
+                if not block:
                     continue
-                if rows[j] is not None:
-                    if diffs[j] is None:
-                        gate(j)
+                rows, cols = _judge(dec, [sources[i] for _, i, _ in block], [tau for tau, _, _ in block], cfg)
+                at, ends, diffs = {}, {}, {}  # the passing rows at each time, up to each walk's end
+                for j, ((tau, i, target), row) in enumerate(zip(block, rows)):
+                    if row is not None and ends.get(i, left[i]):
+                        ends[i] = ends.get(i, left[i]) - _counts(row[0], row[1], target, periodic_ends)[1]
+                        at.setdefault(tau, []).append(j)
+                times = list(at)
+                for t in range(0, len(times), room):
+                    chunk = times[t : t + room]
+                    js = [j for tau in chunk for j in at[tau]]
+                    us = [u for tau, u in zip(chunk, _oracle_exps(dec, chunk)) for _ in at[tau]]
+                    diffs.update(zip(js, _gate([sources[block[j][1]] for j in js], us, cols[js])))
+                    del us  # only the window holds the exponentials while the next are formed
+                for j, (tau, i, target) in enumerate(block):
+                    if not left[i] or rows[j] is None:
+                        continue
+                    if j not in diffs:  # past an end that the oracle voided
+                        diffs[j] = _gate([sources[i]], _oracle_exps(dec, [tau]), cols[j : j + 1])[0]
                     cert = _certificate(sources[i], tau, rows[j], diffs[j], cfg, method)
-                if cert is not None:
+                    if caught:
+                        held[i].extend(caught)
+                        caught.clear()
+                    if cert is None:
+                        continue
                     kept, counted = _counts(cert.kind, cert.b, target, periodic_ends)
                     if kept:
                         certs[i].append(cert)
@@ -608,9 +584,6 @@ def _walk_by_tau(
                         logger.debug(
                             "grid time %r concentrated on %d, not the profiled partner %d", tau, cert.b, target
                         )
-                if caught:
-                    held[i].extend(caught)
-                    caught.clear()
     for w in itertools.chain.from_iterable(held):
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
     return certs
@@ -652,10 +625,10 @@ def certify_pairs(
     including the first periodic time, after which the pattern repeats up to
     a global phase. When both parts are singletons (tau_step None) the grid
     is unconstrained and the gap times of the two-level pair are walked
-    instead. The grids of all the pairs run as one walk by tau, judged a
-    block at a time as detect_at judges one time (_walk_by_tau), so the
-    pairs that share a tau_step share each oracle exponential; each pair's
-    certificates are those of its own walk.
+    instead. The grids of all the pairs walk by tau in rounds, judged a
+    block at a time as detect_at judges one time (_walk_by_tau), so the call
+    forms each oracle exponential once, shared by the pairs whose grids hold
+    its time; each pair's certificates are those of its own walk.
     """
     out: list[PairCertification] = []
     grids: list = []
@@ -679,7 +652,7 @@ def certify_pairs(
         failure = cls if isinstance(cls, str) else None
         out.append(PairCertification(prof, None if failure else cls, True, step, (), failure, None))
     walks = [(prof.a, zip(taus, itertools.repeat(prof.b)), 1) for prof, taus in grids]
-    walked = iter(_walk_by_tau(dec, walks, cfg, "equiv_cond_solve", True, {}))
+    walked = iter(_walk_by_tau(dec, walks, cfg, "equiv_cond_solve", True))
     return [replace(pc, certificates=tuple(next(walked))) if pc.has_lattice else pc for pc in out]
 
 
@@ -778,7 +751,6 @@ def scan_fr(
     sources,
     b: int | None = None,
     cfg: DetectionConfig = DetectionConfig(),
-    known=(),
 ) -> list[FrCertificate]:
     """Revival from each vertex of sources, solved exactly pair by pair.
 
@@ -788,21 +760,17 @@ def scan_fr(
     _revival_times solves for. Those times are judged as detect_at judges
     them, with its residual and oracle gates, in blocks (_walk_by_tau), and
     a source keeps its earliest _SCAN_MAX_EVENTS events. The sources' times
-    run as one walk by tau, so the oracle window computes each time once. Certificates come source by
+    walk by tau in rounds, so the call forms each oracle exponential once; a
+    time that an earlier call formed, such as one of certify_pairs' grid, is
+    formed again once the window has dropped it. Certificates come source by
     source, sorted by tau. Periodic events are not reported: the scan looks
     for genuine two-vertex transport, so b in sources is rejected. An empty
     result is bounded evidence, since lattice_step rationalizes eigenvalue
     ratios with denominators up to numtheory.MAX_DEN.
-
-    known holds certificates the caller already has, such as
-    certify_pair's: detect_at's event at (cert.a, cert.tau) is that
-    certificate up to its method, so the scan takes it instead of judging
-    the column again.
     """
     sources = list(sources)
     if b is not None and b in sources:
         raise ValueError("the scan target must differ from its source")
-    judged = {(c.a, c.tau): c for c in known}
     partners = parallel_pairs(dec, (cfg.tol_walk / cfg.beta_min) ** 2, sources)
     walks = []  # per source: its (tau, partner) in increasing order, solved as the walk reads on
     for a, row in zip(sources, partners):
@@ -811,7 +779,7 @@ def scan_fr(
             par = par[par == b]
         events = heapq.merge(*(zip(_revival_times(dec, a, p, cfg), itertools.repeat(p)) for p in par.tolist()))
         walks.append((a, events, _SCAN_MAX_EVENTS))
-    return [cert for certs in _walk_by_tau(dec, walks, cfg, "grid_scan", False, judged) for cert in certs]
+    return [cert for certs in _walk_by_tau(dec, walks, cfg, "grid_scan", False) for cert in certs]
 
 
 # ---------------------------------------------------------------------------

@@ -931,7 +931,8 @@ class TestCommands:
 
         for name in ("run_analysis", "decompose", "scan_fr", "verify_quotient_transport"):
             monkeypatch.setattr(cli_mod, name, work)
-        monkeypatch.setattr(G, "write_graph", work)
+        for name in ("write_graph", "coarsest_equitable_refinement", "quotient"):
+            monkeypatch.setattr(G, name, work)
         path = tmp_path / "missing" / "x.out"
         assert main(argv + [str(path)]) == EXIT_PARSE
         out, err = capsys.readouterr()

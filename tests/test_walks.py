@@ -559,29 +559,6 @@ class TestScan:
         certs = scan_fr(dec, range(dec.order), None, CFG)
         assert len(certs) == len(calls) == 512
 
-    @pytest.mark.parametrize("spec", ["path:4", "cube:5", "cocktail:4"])
-    def test_known_certificates_are_not_judged_again(self, monkeypatch, spec):
-        # the grid's certificate at (a, tau) is detect_at's event there, so a
-        # scan given it skips that column and keeps the same events
-        dec = decompose(parse_graph_spec(spec))
-        known = [c for a, b in strongly_cospectral_candidates(dec) for c in _certify(dec, a, b).certificates]
-        plain = scan_fr(dec, range(dec.order), None, CFG)
-        calls = []
-        judge = walks_mod._judge
-
-        def recording(dec_, a, taus, *args):
-            calls.extend(zip(a, taus))
-            return judge(dec_, a, taus, *args)
-
-        monkeypatch.setattr(walks_mod, "_judge", recording)
-        reused = scan_fr(dec, range(dec.order), None, CFG, known=known)
-        judged = {(c.a, c.tau) for c in known}
-        assert known and not judged & set(calls)
-        assert len(calls) < len(plain)
-        assert [(c.a, c.b, c.tau, c.kind, c.alpha, c.beta) for c in reused] == [
-            (c.a, c.b, c.tau, c.kind, c.alpha, c.beta) for c in plain
-        ]
-
     def test_event_cap_keeps_the_earliest(self, monkeypatch):
         dec = decompose(G.cocktail_party(4))
         full = [scan_fr(dec, [a], None, CFG) for a in range(8)]
@@ -950,9 +927,8 @@ def _grid_reference(dec, prof, tau_step, cfg, detect=detect_at):
     return certs
 
 
-def _scan_reference(dec, sources, b, cfg, known=(), detect=detect_at):
+def _scan_reference(dec, sources, b, cfg, detect=detect_at):
     """scan_fr as a loop over one source at a time, each over its own times."""
-    judged = {(c.a, c.tau): c for c in known}
     partners = parallel_pairs(dec, (cfg.tol_walk / cfg.beta_min) ** 2, sources)
     certs = []
     for a, row in zip(sources, partners):
@@ -964,7 +940,7 @@ def _scan_reference(dec, sources, b, cfg, known=(), detect=detect_at):
         for tau, p in times:
             if found == walks_mod._SCAN_MAX_EVENTS:
                 break
-            cert = judged.get((a, tau)) or detect(dec, a, tau, cfg)
+            cert = detect(dec, a, tau, cfg)
             if cert is not None and cert.kind != KIND_PERIODIC and cert.b == p:
                 certs.append(cert)
                 found += 1
@@ -1103,11 +1079,9 @@ class TestTimeWalk:
             monkeypatch.setattr(walks_mod, "_SCAN_MAX_EVENTS", cap)
         g = parse_graph_spec(spec)
         dec = decompose(g)
-        pcs = certify_pairs(dec, pair_profiles(dec, strongly_cospectral_candidates(dec)), CFG)
-        known = [c for pc in pcs for c in pc.certificates]
-        for given_known in ((), known):
-            want = _scan_reference(decompose(g), list(range(g.order)), None, CFG, given_known)
-            assert scan_fr(dec, range(g.order), None, CFG, known=given_known) == want
+        certify_pairs(dec, pair_profiles(dec, strongly_cospectral_candidates(dec)), CFG)
+        want = _scan_reference(decompose(g), list(range(g.order)), None, CFG)
+        assert scan_fr(dec, range(g.order), None, CFG) == want
         if cap is None and spec != "cycle:12":
             assert want
         want = _scan_reference(decompose(g), [g.order - 1, 0], 1, CFG)
@@ -1190,6 +1164,25 @@ class TestTimeMemo:
         keys = _counting_oracle(monkeypatch)
         assert run_analysis(parse_graph_spec(spec), CFG, do_scan=scan).certificates
         assert len(keys) == len(set(keys)) == times
+
+    @pytest.mark.parametrize(
+        "spec, grid, scan",
+        [("cone2:cocktail:10", 11, 160), ("cone2:cube:4", 4, 80), ("prod(star:16,path:2)", 4, 48), ("cone2:cycle:5", 64, 52)],
+    )
+    def test_mixed_lattices_compute_each_time_once(self, monkeypatch, spec, grid, scan):
+        # the walks of these graphs run on different lattices, so a round's
+        # horizon holds back the entries a walk read past the others; one
+        # certify_pairs call and one scan over all sources each form every
+        # time once
+        g = parse_graph_spec(spec)
+        dec = decompose(g)
+        profiles = pair_profiles(dec, strongly_cospectral_candidates(dec))
+        keys = _counting_oracle(monkeypatch)
+        assert all(pc.certificates for pc in certify_pairs(dec, profiles, CFG))
+        assert len(keys) == len(set(keys)) == grid
+        keys.clear()
+        assert scan_fr(decompose(g), range(g.order), None, CFG)
+        assert len(keys) == len(set(keys)) == scan
 
     @pytest.mark.parametrize("spec", ["cycle:6", "cube:4", "cocktail:20", "cube:7", "path:5", "cone2:cycle:5"])
     def test_window_holds_one_stack(self, spec):
