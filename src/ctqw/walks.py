@@ -517,9 +517,10 @@ def _walk_by_tau(
     as a sixteenth of _STACK_BYTES holds as columns, without the walks that
     have ended. Only the rows that pass reach the oracle: those of a block up
     to each walk's end, were they all to pass the oracle, are gated (_gate)
-    at their distinct times, one stack of the window's size at a time, and
-    a row past an end that the oracle voided is gated on its own. So each
-    time is formed once.
+    at their distinct times, one stack of the window's size when the first
+    row at its times comes up, and a row past an end that the oracle voided
+    is gated on its own before the next stack is formed. So each time is
+    formed once.
 
     The warnings raised in the walk come out after it, walk by walk and each
     in its own order, as a walk of one after another raises them.
@@ -528,7 +529,7 @@ def _walk_by_tau(
     left, certs, held = [budget for _, _, budget in walks], [[] for _ in walks], [[] for _ in walks]
     cap, room = max(1, _STACK_BYTES // (256 * dec.order)), _window_size(dec)
     # each walk's next run, its entries read and not yet judged, and whether its iterator may hold more
-    run, waiting, more = [2] * len(walks), [[] for _ in walks], [True] * len(walks)
+    run, waiting, more = [min(2, cap)] * len(walks), [[] for _ in walks], [True] * len(walks)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         while True:
@@ -558,16 +559,16 @@ def _walk_by_tau(
                     if row is not None and ends.get(i, left[i]):
                         ends[i] = ends.get(i, left[i]) - _counts(row[0], row[1], target, periodic_ends)[1]
                         at.setdefault(tau, []).append(j)
-                times = list(at)
-                for t in range(0, len(times), room):
-                    chunk = times[t : t + room]
-                    js = [j for tau in chunk for j in at[tau]]
-                    us = [u for tau, u in zip(chunk, _oracle_exps(dec, chunk)) for _ in at[tau]]
-                    diffs.update(zip(js, _gate([sources[block[j][1]] for j in js], us, cols[js])))
-                    del us  # only the window holds the exponentials while the next are formed
+                times, t = list(at), 0  # the block's times, and the first not yet formed
                 for j, (tau, i, target) in enumerate(block):
                     if not left[i] or rows[j] is None:
                         continue
+                    if j not in diffs and t < len(times) and times[t] <= tau:  # the next stack of times
+                        chunk, t = times[t : t + room], t + room
+                        js = [k for time in chunk for k in at[time]]
+                        us = [u for time, u in zip(chunk, _oracle_exps(dec, chunk)) for _ in at[time]]
+                        diffs.update(zip(js, _gate([sources[block[k][1]] for k in js], us, cols[js])))
+                        del us  # only the window holds the exponentials while the next are formed
                     if j not in diffs:  # past an end that the oracle voided
                         diffs[j] = _gate([sources[i]], _oracle_exps(dec, [tau]), cols[j : j + 1])[0]
                     cert = _certificate(sources[i], tau, rows[j], diffs[j], cfg, method)

@@ -1070,6 +1070,55 @@ class TestTimeWalk:
         assert bad not in {c.tau for c in got[0].certificates}
         assert max(c.tau for c in got[0].certificates) > bad
 
+    def test_a_walk_past_a_voided_end_forms_no_time_twice(self, monkeypatch):
+        # at a stack of 2**16 bytes prod(star:16,path:2) keeps one time in
+        # its window and judges up to 7 rows a block, over more times than
+        # that; with the oracle off at 3 pi / 4, the sources that ended there
+        # walk on to a later time of the same block, one that other sources
+        # need too
+        monkeypatch.setattr(walks_mod, "_STACK_BYTES", 2**16)
+        monkeypatch.setattr(walks_mod, "_SCAN_MAX_EVENTS", 3)
+        g = parse_graph_spec("prod(star:16,path:2)")
+        plain = scan_fr(decompose(g), range(g.order), None, CFG)
+        bad = 3 * math.pi / 4
+        assert bad in {c.tau for c in plain}
+        keys = _counting_oracle(monkeypatch)
+        stack = walks_mod._oracle_stack
+
+        def off_stack(m, times):
+            u = stack(m, times)
+            u[times == bad] += 1e-6
+            return u
+
+        monkeypatch.setattr(walks_mod, "_oracle_stack", off_stack)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", NumericalHealthWarning)
+            got = scan_fr(decompose(g), range(g.order), None, CFG)
+            formed = list(keys)
+            want = _scan_reference(decompose(g), list(range(g.order)), None, CFG)
+        assert any(issubclass(w.category, NumericalHealthWarning) for w in caught)
+        assert got == want
+        assert bad not in {c.tau for c in got}
+        assert len(formed) == len(set(formed)) == 6
+
+    @pytest.mark.parametrize("spec", ["cone2:cube:4", "prod(star:16,path:2)"])
+    def test_blocks_of_one_row_equal_the_reference(self, monkeypatch, spec):
+        # at a stack of 256 n bytes a block holds one row, so each walk reads
+        # one entry a round; the walks of these graphs run on different
+        # lattices, so a walk may hold its entries past a round's horizon
+        g = parse_graph_spec(spec)
+        monkeypatch.setattr(walks_mod, "_STACK_BYTES", 256 * g.order)
+        dec = decompose(g)
+        profiles = pair_profiles(dec, strongly_cospectral_candidates(dec))
+        got = certify_pairs(dec, profiles, CFG)
+        fresh = decompose(g)
+        want = [_grid_reference(fresh, prof, pc.tau_step, CFG) for prof, pc in zip(profiles, got)]
+        assert all(want)
+        assert [list(pc.certificates) for pc in got] == want
+        want = _scan_reference(decompose(g), list(range(g.order)), None, CFG)
+        assert want
+        assert scan_fr(decompose(g), range(g.order), None, CFG) == want
+
     @pytest.mark.parametrize("cap", [None, 3])
     @pytest.mark.parametrize(
         "spec", ["cube:5", "cocktail:6", "path:4", "cone2:cycle:5", "prod(star:4,path:2)", "cycle:12"]
