@@ -214,18 +214,23 @@ def _fit_part(vals, delta: int) -> tuple[int, list[int]]:
     raise NotClassifiable(f"no (a, b, delta={delta}) fit for values {vals}")
 
 
-def classify(phi_plus_vals, phi_minus_vals, delta: int | None) -> EigenvalueClassification:
+def classify(phi_plus_vals, phi_minus_vals, delta: int | None, step: float | None = None) -> EigenvalueClassification:
     """Describe both support parts as integers or quadratic integers over
     lattice_step's delta; the revival times do not depend on it.
 
     Raises NotClassifiable when delta is None, when delta = 1 but some value
-    is not an integer, or when no (a, b_r) fit exists.
+    is not an integer, or when no (a, b_r) fit exists. A delta of None is
+    "undecided" when lattice_step's step 2 pi / g puts g^2 past its test.
     """
     plus = sorted((float(v) for v in phi_plus_vals), reverse=True)
     minus = sorted((float(v) for v in phi_minus_vals), reverse=True)
     if not plus or not minus:
         raise ValueError("both support parts must be nonempty")
     if delta is None:
+        g = 2.0 * math.pi / step if step else 0.0
+        if CLASS_TOL * g * g >= 0.5:  # where lattice_step's test stops; g * g may overflow to inf, past it too
+            bound = f"{0.5 / CLASS_TOL:g} = 1/(2 CLASS_TOL), the bound of the integer test"
+            raise NotClassifiable(f"undecided: the squared lattice generator {g * g:.6g} is past {bound}")
         raise NotClassifiable("the squared lattice generator is not an integer")
     if delta > 1:
         kind = "quadratic"

@@ -69,12 +69,7 @@ def _rel_close(x, y, tol=REL_TOL) -> bool:
 
 
 def _first_event(certs, kinds=None):
-    for c in certs:
-        if c.kind == KIND_PERIODIC:
-            continue
-        if kinds is None or c.kind in kinds:
-            return c
-    return None
+    return next((c for c in certs if c.kind != KIND_PERIODIC and (kinds is None or c.kind in kinds)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +462,8 @@ def _union_construction(cfg: DetectionConfig) -> dict:
 
 def collect_suite_certificates(cfg: DetectionConfig) -> list[tuple[str, SpectralDecomposition, FrCertificate]]:
     """All certificates the positive suite rows produce, with their decompositions."""
-    found: list[tuple[str, SpectralDecomposition, FrCertificate]] = []
-    for name, (dec, pc) in _positive_certifications(cfg).items():
-        for cert in pc.certificates:
-            found.append((name, dec, cert))
+    shared = _positive_certifications(cfg).items()
+    found = [(name, dec, cert) for name, (dec, pc) in shared for cert in pc.certificates]
 
     for omega in (0.5, 2.0, math.sqrt(2) - 1):
         g = weighted_p3(omega)
@@ -531,7 +524,7 @@ def theorem_property_rows(cfg: DetectionConfig) -> list[RowResult]:
                 if rep["pgst_max_fidelity"] < 0.99:
                     gamma_bad += 1
 
-    rows = [
+    return [
         _row("theorem-properties", f"normalization |a|^2+|b|^2=1 on {n_total} certificates", norm_bad == 0),
         _row("theorem-properties", "reverse revival holds on every two-vertex certificate", sym_bad == 0),
         _row("theorem-properties", "revival endpoints are parallel on every certificate", par_bad == 0),
@@ -546,7 +539,6 @@ def theorem_property_rows(cfg: DetectionConfig) -> list[RowResult]:
             gamma_bad == 0,
         ),
     ]
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -577,14 +569,10 @@ def classification_rows(cfg: DetectionConfig) -> list[RowResult]:
     )
     rows.append(_row("classification", "C6: all-integer support, candidate grid contains 2pi/3", ok6))
 
-    worst = 0.0
     cone_c5 = _cone_transport(G.cycle, 5, cfg)[2]
     results = [pc.classification for _, pc in shared.values()] + [cone_c5["source_classification"]]
-    classified = 0
-    for cls in results:
-        if cls is not None:
-            classified += 1
-            worst = max(worst, cls.residual)
+    residuals = [cls.residual for cls in results if cls is not None]
+    worst, classified = max(residuals, default=0.0), len(residuals)
     rows.append(
         _row(
             "classification",

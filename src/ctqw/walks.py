@@ -5,10 +5,10 @@ mixing; solves for revival times on the lattice of eigenvalue differences,
 for strongly cospectral pairs and, in scan_fr, for every parallel pair;
 verifies the product / overlay / rotation constructions and quotient
 transport. Every certificate is double-checked against an eigensolver-free
-matrix exponential before being reported. certify_pairs and scan_fr each walk
-their times in increasing order, so one call computes that exponential once
-per time; the decomposition keeps only a window of the latest, so a later
-call may compute a time again.
+matrix exponential before being reported. certify_pairs and scan_fr are the
+halves of one walk by tau (_certify), which analyze makes once with or
+without --scan: a call forms each exponential once, and a later call forms
+it again once the decomposition's window of the latest has dropped it.
 """
 
 from __future__ import annotations
@@ -200,7 +200,7 @@ def _oracle_stack(m: np.ndarray, times: np.ndarray) -> np.ndarray:
     """matrix_exp_oracle of the matrix m at a 1-D array of times."""
     if times.ndim != 1:
         raise ValueError("expected a time or a 1-D array of times")
-    step = max(1, _STACK_BYTES // (56 * max(1, m.size)))
+    step = _stack_size(m)
     ts = times.tolist()
     if 0 < len(ts) <= step:  # one stack, kept without a copy
         return _taylor_exp(m, ts).reshape(times.shape + m.shape)
@@ -208,6 +208,11 @@ def _oracle_stack(m: np.ndarray, times: np.ndarray) -> np.ndarray:
     for lo in range(0, len(ts), step):
         out[lo : lo + step] = _taylor_exp(m, ts[lo : lo + step])
     return out
+
+
+def _stack_size(m: np.ndarray) -> int:
+    """The times of m in one stack of _STACK_BYTES, and in the oracle window."""
+    return max(1, _STACK_BYTES // (56 * max(1, m.size)))
 
 
 def _taylor_exp(m: np.ndarray, ts: list[float]) -> np.ndarray:
@@ -360,16 +365,12 @@ def _oracle_exps(dec: SpectralDecomposition, taus: list[float]) -> list[np.ndarr
             window[t] = window.pop(t)
     missing = [t for t in taus if t not in window]
     if missing:
-        while window and len(window) + len(missing) > _window_size(dec):
+        while window and len(window) + len(missing) > _stack_size(dec.matrix):
             del window[next(iter(window))]
         for t, u in zip(missing, _oracle_stack(dec.matrix, np.array(missing))):
             u.setflags(write=False)
             window[t] = u
     return [window[t] for t in taus]
-
-
-def _window_size(dec: SpectralDecomposition) -> int:
-    return max(1, _STACK_BYTES // (56 * dec.matrix.size))
 
 
 def _judge(
@@ -502,12 +503,11 @@ def _counts(kind: str, b: int, target: int, periodic_ends: bool) -> tuple[bool, 
     return b == target, b == target and not periodic_ends
 
 
-def _walk_by_tau(
-    dec: SpectralDecomposition, walks: list, cfg: DetectionConfig, method: str, periodic_ends: bool
-) -> list[list[FrCertificate]]:
-    """The certificates each walk (a, entries, budget) keeps (_counts) over
-    its increasing entries (tau, target), all of them merged by tau, ties by
-    walk; a walk goes on until budget certificates that count are kept.
+def _walk_by_tau(dec: SpectralDecomposition, walks: list, cfg: DetectionConfig) -> list[list[FrCertificate]]:
+    """The certificates each walk (a, entries, budget, method) keeps (_counts)
+    over its increasing entries (tau, target), all merged by tau, ties by
+    walk; a walk goes on until budget certificates that count are kept. A
+    walk of the grid's method, equiv_cond_solve, ends at a periodic event.
 
     The walks go in rounds. Each walk reads on until it holds its next run
     of 2, 4, 8, ... entries, capped at one block. A round takes the entries
@@ -525,9 +525,10 @@ def _walk_by_tau(
     The warnings raised in the walk come out after it, walk by walk and each
     in its own order, as a walk of one after another raises them.
     """
-    sources, its = [a for a, _, _ in walks], [iter(entries) for _, entries, _ in walks]
-    left, certs, held = [budget for _, _, budget in walks], [[] for _ in walks], [[] for _ in walks]
-    cap, room = max(1, _STACK_BYTES // (256 * dec.order)), _window_size(dec)
+    sources, its = [a for a, *_ in walks], [iter(entries) for _, entries, *_ in walks]
+    left, methods = [budget for *_, budget, _ in walks], [method for *_, method in walks]
+    periodic_ends, certs, held = [m == "equiv_cond_solve" for m in methods], [[] for _ in walks], [[] for _ in walks]
+    cap, room = max(1, _STACK_BYTES // (256 * dec.order)), _stack_size(dec.matrix)
     # each walk's next run, its entries read and not yet judged, and whether its iterator may hold more
     run, waiting, more = [min(2, cap)] * len(walks), [[] for _ in walks], [True] * len(walks)
     with warnings.catch_warnings(record=True) as caught:
@@ -557,7 +558,7 @@ def _walk_by_tau(
                 at, ends, diffs = {}, {}, {}  # the passing rows at each time, up to each walk's end
                 for j, ((tau, i, target), row) in enumerate(zip(block, rows)):
                     if row is not None and ends.get(i, left[i]):
-                        ends[i] = ends.get(i, left[i]) - _counts(row[0], row[1], target, periodic_ends)[1]
+                        ends[i] = ends.get(i, left[i]) - _counts(row[0], row[1], target, periodic_ends[i])[1]
                         at.setdefault(tau, []).append(j)
                 times, t = list(at), 0  # the block's times, and the first not yet formed
                 for j, (tau, i, target) in enumerate(block):
@@ -571,17 +572,17 @@ def _walk_by_tau(
                         del us  # only the window holds the exponentials while the next are formed
                     if j not in diffs:  # past an end that the oracle voided
                         diffs[j] = _gate([sources[i]], _oracle_exps(dec, [tau]), cols[j : j + 1])[0]
-                    cert = _certificate(sources[i], tau, rows[j], diffs[j], cfg, method)
+                    cert = _certificate(sources[i], tau, rows[j], diffs[j], cfg, methods[i])
                     if caught:
                         held[i].extend(caught)
                         caught.clear()
                     if cert is None:
                         continue
-                    kept, counted = _counts(cert.kind, cert.b, target, periodic_ends)
+                    kept, counted = _counts(cert.kind, cert.b, target, periodic_ends[i])
                     if kept:
                         certs[i].append(cert)
                         left[i] -= counted
-                    elif periodic_ends:
+                    elif periodic_ends[i]:
                         logger.debug(
                             "grid time %r concentrated on %d, not the profiled partner %d", tau, cert.b, target
                         )
@@ -629,32 +630,10 @@ def certify_pairs(
     instead. The grids of all the pairs walk by tau in rounds, judged a
     block at a time as detect_at judges one time (_walk_by_tau), so the call
     forms each oracle exponential once, shared by the pairs whose grids hold
-    its time; each pair's certificates are those of its own walk.
+    its time; each pair's certificates are those of its own walk. It is the
+    grid half of _certify, the one walk of analyze, with or without --scan.
     """
-    out: list[PairCertification] = []
-    grids: list = []
-    shared: dict = {}  # the grid of each part pair
-    theta = dec.eigenvalues
-    for prof in profiles:
-        if not prof.strongly_cospectral:
-            out.append(PairCertification(prof, None, False, None, (), "not strongly cospectral", None))
-            continue
-        parts = (tuple(sorted(prof.phi_plus)), tuple(sorted(prof.phi_minus)))
-        lattice, cls = _lattice(dec, *parts)
-        if isinstance(lattice, NotClassifiable):
-            out.append(PairCertification(prof, None, False, None, (), lattice.reason, lattice.witness))
-            continue
-        step = lattice[0]
-        if parts not in shared:
-            stop = math.inf if step is None else CERTIFY_GRID_K * step
-            times = _lattice_times(dec, step, abs(float(theta[parts[0][0]] - theta[parts[1][0]])), stop)
-            shared[parts] = [tau for taus in times for tau in taus.tolist()]
-        grids.append((prof, shared[parts]))
-        failure = cls if isinstance(cls, str) else None
-        out.append(PairCertification(prof, None if failure else cls, True, step, (), failure, None))
-    walks = [(prof.a, zip(taus, itertools.repeat(prof.b)), 1) for prof, taus in grids]
-    walked = iter(_walk_by_tau(dec, walks, cfg, "equiv_cond_solve", True))
-    return [replace(pc, certificates=tuple(next(walked))) if pc.has_lattice else pc for pc in out]
+    return _certify(dec, profiles, (), None, cfg)[0]
 
 
 def _lattice(dec: SpectralDecomposition, plus: tuple, minus: tuple) -> tuple:
@@ -675,7 +654,7 @@ def _lattice(dec: SpectralDecomposition, plus: tuple, minus: tuple) -> tuple:
             memo[key] = (exc.with_traceback(None), None)
         else:
             try:
-                memo[key] = (lattice, classify(theta_plus, theta_minus, lattice[1]))
+                memo[key] = (lattice, classify(theta_plus, theta_minus, lattice[1], lattice[0]))
             except NotClassifiable as exc:
                 memo[key] = (lattice, exc.reason)
     return memo[key]
@@ -761,26 +740,56 @@ def scan_fr(
     _revival_times solves for. Those times are judged as detect_at judges
     them, with its residual and oracle gates, in blocks (_walk_by_tau), and
     a source keeps its earliest _SCAN_MAX_EVENTS events. The sources' times
-    walk by tau in rounds, so the call forms each oracle exponential once; a
-    time that an earlier call formed, such as one of certify_pairs' grid, is
-    formed again once the window has dropped it. Certificates come source by
-    source, sorted by tau. Periodic events are not reported: the scan looks
-    for genuine two-vertex transport, so b in sources is rejected. An empty
-    result is bounded evidence, since lattice_step rationalizes eigenvalue
-    ratios with denominators up to numtheory.MAX_DEN.
+    walk by tau in rounds, so the call forms each oracle exponential once; it
+    is the scan half of _certify, which analyze --scan calls once for its
+    grid and its scan. Certificates come source by source, sorted by tau.
+    Periodic events are not reported: the scan looks for genuine two-vertex
+    transport, so b in sources is rejected. An empty result is bounded
+    evidence, since lattice_step rationalizes eigenvalue ratios with
+    denominators up to numtheory.MAX_DEN.
     """
     sources = list(sources)
     if b is not None and b in sources:
         raise ValueError("the scan target must differ from its source")
-    partners = parallel_pairs(dec, (cfg.tol_walk / cfg.beta_min) ** 2, sources)
-    walks = []  # per source: its (tau, partner) in increasing order, solved as the walk reads on
-    for a, row in zip(sources, partners):
+    return _certify(dec, (), sources, b, cfg)[1]
+
+
+def _certify(dec: SpectralDecomposition, profiles, sources, b: int | None, cfg: DetectionConfig) -> tuple[list, list]:
+    """(certify_pairs of profiles, scan_fr of sources toward b) as one
+    _walk_by_tau, which forms each oracle exponential once for both. Each
+    walk keeps and warns as in its own call, the grids' walks first."""
+    out: list[PairCertification] = []
+    walks: list = []  # per pair its grid, then per source its (tau, partner), in increasing order
+    shared: dict = {}  # the grid of each part pair
+    theta = dec.eigenvalues
+    for prof in profiles:
+        if not prof.strongly_cospectral:
+            out.append(PairCertification(prof, None, False, None, (), "not strongly cospectral", None))
+            continue
+        parts = (tuple(sorted(prof.phi_plus)), tuple(sorted(prof.phi_minus)))
+        lattice, cls = _lattice(dec, *parts)
+        if isinstance(lattice, NotClassifiable):
+            out.append(PairCertification(prof, None, False, None, (), lattice.reason, lattice.witness))
+            continue
+        step = lattice[0]
+        if parts not in shared:
+            stop = math.inf if step is None else CERTIFY_GRID_K * step
+            times = _lattice_times(dec, step, abs(float(theta[parts[0][0]] - theta[parts[1][0]])), stop)
+            shared[parts] = [tau for taus in times for tau in taus.tolist()]
+        walks.append((prof.a, zip(shared[parts], itertools.repeat(prof.b)), 1, "equiv_cond_solve"))
+        failure = cls if isinstance(cls, str) else None
+        out.append(PairCertification(prof, None if failure else cls, True, step, (), failure, None))
+    sources = list(sources)
+    partners = parallel_pairs(dec, (cfg.tol_walk / cfg.beta_min) ** 2, sources) if sources else []
+    for a, row in zip(sources, partners):  # the revival times are solved as the walk reads on
         par = np.flatnonzero(row)
         if b is not None:
             par = par[par == b]
         events = heapq.merge(*(zip(_revival_times(dec, a, p, cfg), itertools.repeat(p)) for p in par.tolist()))
-        walks.append((a, events, _SCAN_MAX_EVENTS))
-    return [cert for certs in _walk_by_tau(dec, walks, cfg, "grid_scan", False) for cert in certs]
+        walks.append((a, events, _SCAN_MAX_EVENTS, "grid_scan"))
+    walked = iter(_walk_by_tau(dec, walks, cfg))  # the grids' walks first
+    certified = [replace(pc, certificates=tuple(next(walked))) if pc.has_lattice else pc for pc in out]
+    return certified, [cert for certs in walked for cert in certs]
 
 
 # ---------------------------------------------------------------------------

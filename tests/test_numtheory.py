@@ -185,6 +185,23 @@ class TestClassify:
         # never read as an integer, even 9e6, and its square may overflow
         assert lattice_step([g / 2, -g / 2], [0.0]) == (2 * math.pi / g, None)
 
+    @pytest.mark.parametrize("g", [4 * 1234.5678, 3000.0, 4e150, 4e200])
+    def test_untested_generator_is_undecided(self, g):
+        # lattice_step's delta of None past its bound is not a verdict: with
+        # the step, classify says undecided and names the bound
+        step, delta = lattice_step([g / 2, -g / 2], [0.0])
+        with pytest.raises(NotClassifiable, match=r"^undecided: .* is past 5e\+06 = 1/\(2 CLASS_TOL\)"):
+            classify([g / 2, -g / 2], [0.0], delta, step)
+        with pytest.raises(NotClassifiable, match="is not an integer"):
+            classify([g / 2, -g / 2], [0.0], delta)
+
+    def test_tested_generator_is_not_an_integer(self):
+        # g^2 = 89.45^2 = 8001.3025 lies inside the bound: the test ran, and says no
+        step, delta = lattice_step([44.725, -44.725], [0.0])
+        assert delta is None
+        with pytest.raises(NotClassifiable, match="^the squared lattice generator is not an integer$"):
+            classify([44.725, -44.725], [0.0], delta, step)
+
     def test_singleton_irrational_rejected(self):
         # singletons constrain no time, so there is a lattice but no description
         assert lattice_step([math.sqrt(3)], [0.0]) == (None, 1)

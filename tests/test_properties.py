@@ -281,6 +281,23 @@ class TestMetamorphic:
         # the lattice of eigenvalue differences scales with A, integral or not
         _assert_scaling_divides_certified_times(spec, c)
 
+    @pytest.mark.parametrize(
+        "spec", METAMORPHIC_SPECS + ("cycle:4", "cube:4", "prod(path:3,path:2)", "cone2:cycle:5", "prod(star:16,path:2)")
+    )
+    def test_integer_scaling_keeps_the_label_or_is_undecided(self, spec):
+        # scaled by 10^3, g^2 passes the bound of lattice_step's integer test
+        # on most of these graphs: a label may then be undecided, never false
+        g = parse_graph_spec(spec)
+        labels = [
+            {k: v["classification"] for k, v in run_analysis(h).predicates.items() if k.startswith("pair(")}
+            for h in (g, G.scale_weights(g, 1e3))
+        ]
+        assert labels[0] and labels[0].keys() == labels[1].keys()
+        for pair, label in labels[1].items():
+            assert label == labels[0][pair] or label.startswith("undecided: "), (pair, label, labels[0][pair])
+        if spec in ("cube:3", "cycle:6"):  # integer eigenvalues, read all_integer unscaled
+            assert all(label.startswith("undecided: ") and "5e+06" in label for label in labels[1].values())
+
     @pytest.mark.parametrize("c", (-0.75, 0.5, math.sqrt(2)))
     @pytest.mark.parametrize("spec", METAMORPHIC_SPECS)
     def test_shift_moves_only_zeta(self, spec, c):

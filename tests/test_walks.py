@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctqw import cli as cli_mod
 from ctqw import graphs as G
 from ctqw import walks as walks_mod
 from ctqw.cli import parse_graph_spec, run_analysis
@@ -1213,6 +1214,39 @@ class TestTimeMemo:
         keys = _counting_oracle(monkeypatch)
         assert run_analysis(parse_graph_spec(spec), CFG, do_scan=scan).certificates
         assert len(keys) == len(set(keys)) == times
+
+    @pytest.mark.parametrize("spec, times", [("cocktail:20", 304), ("cone2:cocktail:10", 161)])
+    def test_scanned_analysis_forms_each_time_once(self, monkeypatch, spec, times):
+        # the grid and the scan are one walk: a grid time the scan judges
+        # again is not formed twice, and the report is the one that certify_pairs,
+        # then scan_fr, then cli._distinct give
+        g = parse_graph_spec(spec)
+        keys = _counting_oracle(monkeypatch)
+        report = run_analysis(g, CFG, do_scan=True)
+        assert len(keys) == len(set(keys)) == times
+        dec = decompose(g)
+        profiles = [p for p in pair_profiles(dec, strongly_cospectral_candidates(dec)) if p.strongly_cospectral]
+        grid = [c for pc in certify_pairs(dec, profiles, CFG) for c in pc.certificates]
+        rows = cli_mod._distinct(cli_mod._rows(grid + scan_fr(dec, range(g.order), None, CFG)))
+        assert len(rows) == len(report.certificates) > len(grid)
+        assert report.certificates.rows.tolist() == rows.tolist()
+
+    def test_scanned_analysis_warns_walk_by_walk(self, monkeypatch):
+        # every certificate of the tampered C6 fails the oracle: the health
+        # messages come as certify_pairs' and then scan_fr's would, each in order
+        good = decompose(G.cycle(6))
+        monkeypatch.setattr(cli_mod, "decompose", lambda graph: _tampered_c6(good))
+        report = run_analysis(G.cycle(6), CFG, do_scan=True)
+        dec = _tampered_c6(good)
+        profiles = pair_profiles(dec, strongly_cospectral_candidates(dec))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            grid = certify_pairs(dec, profiles, CFG)
+            split = len(caught)
+            scanned = scan_fr(dec, range(6), None, CFG)
+        assert not scanned and not any(pc.certificates for pc in grid)
+        assert 0 < split < len(caught)
+        assert report.health_warnings == [str(w.message) for w in caught]
 
     @pytest.mark.parametrize(
         "spec, grid, scan",
