@@ -660,7 +660,7 @@ def run_analysis(
 
 
 def _config_from_args(args) -> DetectionConfig:
-    given = {"tol_walk": args.tol, "t_max": args.tmax, "grid_points": args.grid}
+    given = {"tol_walk": args.tol, "t_max": args.tmax}
     try:
         return DetectionConfig(**{k: v for k, v in given.items() if v is not None})
     except ValueError as exc:
@@ -854,8 +854,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, report=True):
         p.add_argument("--tmax", type=float, default=None, help="scan horizon (default 50)")
         p.add_argument("--tol", type=float, default=None, help="walk residual tolerance (default 1e-8)")
-        p.add_argument("--grid", type=int, default=None,
-                       help="kept in the report's config; no longer changes results (default 20000)")
         if report:
             p.add_argument("--json", type=str, default=None, help="write the JSON report to this file")
 
@@ -912,7 +910,9 @@ def _log_to_stderr(level: str):
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # one line, as the other parse errors, not argparse's usage block
+        parser.exit(EXIT_PARSE, f"parse error: unrecognized arguments: {' '.join(extra)}\n")
     with _log_to_stderr(args.log_level):
         try:
             return args.func(args)

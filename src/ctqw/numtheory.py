@@ -147,7 +147,7 @@ def lattice_step(phi_plus_vals, phi_minus_vals) -> tuple[float | None, int | Non
     for name, vals in (("plus", plus), ("minus", minus)):
         rep = ratio_condition(vals)
         if not rep.holds:
-            raise NotClassifiable(f"ratio condition fails on the {name} part", witness=rep)
+            raise NotClassifiable(f"ratio condition fails on the {name} part: no ratio p/q with q <= {MAX_DEN}", witness=rep)
         if rep.generator:
             gens.append(rep.generator)
     if not gens:

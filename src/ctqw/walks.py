@@ -83,14 +83,11 @@ class NumericalHealthWarning(UserWarning):
 
 @dataclass(frozen=True)
 class DetectionConfig:
-    """Tolerances and time horizon for transport detection; grid_points and
-    refine_iters are validated and reported but no longer read."""
+    """Tolerances and time horizon for transport detection."""
 
     tol_walk: float = 1e-8
     beta_min: float = 1e-6
     t_max: float = 50.0
-    grid_points: int = 20000
-    refine_iters: int = 60
 
     def __post_init__(self) -> None:
         if not all(0 < x < math.inf for x in (self.tol_walk, self.beta_min, self.t_max)):
@@ -98,10 +95,6 @@ class DetectionConfig:
         # a looser tol_walk would accept columns with off-pair entries beyond beta_min
         if self.tol_walk >= self.beta_min:
             raise ValueError(f"tol_walk must be below beta_min ({self.beta_min:g})")
-        if not 100 <= self.grid_points <= 10**6:
-            raise ValueError("grid_points must be between 100 and 1000000")
-        if self.refine_iters < 1:
-            raise ValueError("refine_iters must be positive")
 
 
 @dataclass(frozen=True)
@@ -153,10 +146,8 @@ def transition_matrix(dec: SpectralDecomposition, t) -> np.ndarray:
 
 
 def transition_column(dec: SpectralDecomposition, a: int, t: float) -> np.ndarray:
-    """U(t) e_a = V (exp(-i t theta) * V^T e_a): walk_columns at one time."""
-    coef = np.exp(-1j * t * dec.eigenvalues)[dec.group_of]
-    coef *= dec.vectors[a]
-    return (dec.vectors @ coef.view(float).reshape(-1, 2)).view(complex)[:, 0]
+    """U(t) e_a: walk_columns at one time."""
+    return walk_columns(dec, a, np.array([t], dtype=float))[0]
 
 
 def walk_columns(dec: SpectralDecomposition, a, times: np.ndarray) -> np.ndarray:
@@ -167,14 +158,13 @@ def walk_columns(dec: SpectralDecomposition, a, times: np.ndarray) -> np.ndarray
     The complex coefficients are read as (n, 2) real matrices, real and
     imaginary parts side by side, so one stacked (n, n) @ (T, n, 2) real
     product applies V without a complex copy of it. Each slice of the stack
-    is the (n, n) @ (n, 2) product transition_column takes, so row k equals
-    transition_column(dec, a_k, times[k]) bit for bit; one time is kept
-    2-D, where numpy dispatches the same product with less overhead.
+    is the same (n, n) @ (n, 2) product, so row k is the walk at times[k]
+    alone, bit for bit.
     """
     coef = np.exp(-1j * times[:, None] * dec.eigenvalues).take(dec.group_of, axis=1)
     coef *= dec.vectors[a]
     pairs = coef.view(float).reshape(len(times), -1, 2)
-    return (dec.vectors @ (pairs if len(times) > 1 else pairs[0])).view(complex).reshape(len(times), -1)
+    return (dec.vectors @ pairs).view(complex).reshape(len(times), -1)
 
 
 def matrix_exp_oracle(a, t) -> np.ndarray:
@@ -184,16 +174,16 @@ def matrix_exp_oracle(a, t) -> np.ndarray:
     spectral path beyond the input matrix. With s the smallest integer for
     which X = tA / 2^s has |t| ||A||_inf / 2^s <= 1/2, the degree-19 Taylor
     polynomial of exp(-iX) is evaluated in real arithmetic (_taylor_exp) and
-    squared s times. A time t gives the (n, n) exponential; a 1-D array of
-    times gives their (T, n, n) stack in its order, each slice bit-equal to
-    the call at that time alone. The times run in stacks of at most
+    squared s times. A 1-D array of times gives their (T, n, n) stack in its
+    order, each slice bit-equal to the call at that time alone, and a time t
+    the (n, n) slice of its stack of one. The times run in stacks of at most
     _STACK_BYTES of working set.
     """
     m = a.weights if isinstance(a, WeightedGraph) else np.asarray(a, dtype=float)
-    # a float (numpy's float64 too) skips np.ndim, a tenth of a small call
-    if isinstance(t, float) or np.ndim(t) == 0:
-        return _taylor_exp(m, [float(t)])
-    return _oracle_stack(m, np.asarray(t, dtype=float))
+    times = np.asarray(t, dtype=float)
+    if times.ndim == 0:
+        return _oracle_stack(m, times.reshape(1))[0]
+    return _oracle_stack(m, times)
 
 
 def _oracle_stack(m: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -216,8 +206,8 @@ def _stack_size(m: np.ndarray) -> int:
 
 
 def _taylor_exp(m: np.ndarray, ts: list[float]) -> np.ndarray:
-    """exp(-i t m) for each of the times ts: the (n, n) exponential for one
-    time, else their (T, n, n) stack in its order.
+    """exp(-i t m) for each of the times ts, as their (T, n, n) stack in its
+    order.
 
     With X = t m / 2^s, sum_{k <= 19} (-iX)^k / k! = C - iS: the even terms
     give C and the odd ones S = X q(Y), and C and q are both degree 9 in Y =
@@ -232,7 +222,8 @@ def _taylor_exp(m: np.ndarray, ts: list[float]) -> np.ndarray:
     time holds at most 7 n^2 floats: Y, Y^2, Y^3 and two (2n, n) Horner
     buffers. X is dropped once Y is formed and formed again for S. The times
     are sorted by s, largest first, so that each squaring is one product
-    over a prefix of the stack.
+    over a prefix of the stack. Each slice of a stack makes the BLAS calls of
+    its time alone.
     """
     count, n = len(ts), len(m)
     bound = float(np.add.reduce(np.abs(m), axis=1).max())  # ||A||_inf
@@ -242,28 +233,23 @@ def _taylor_exp(m: np.ndarray, ts: list[float]) -> np.ndarray:
         if not math.isfinite(norm):
             raise ValueError("t * A must be finite")
         s.append(0 if norm <= 0.5 else math.ceil(math.log2(norm / 0.5)))
-    if count > 1:
-        order = sorted(range(count), key=s.__getitem__, reverse=True)
-        ts, s = [ts[i] for i in order], [s[i] for i in order]
-    # one time is kept 2-D: numpy dispatches 2-D products with less
-    # overhead, and each slice of a stack makes the same BLAS call
-    lead = (count,) if count > 1 else ()
-    scaled = [t / 2.0**k for t, k in zip(ts, s)]
-    scaled = np.array(scaled)[:, None, None] if lead else scaled[0]
+    order = sorted(range(count), key=s.__getitem__, reverse=True)
+    ts, s = [ts[i] for i in order], [s[i] for i in order]
+    scaled = np.array([t / 2.0**k for t, k in zip(ts, s)])[:, None, None]
 
     # small products are dominated by call overhead: each view is named
     # once and every output passed positionally
     x = scaled * m
-    powers = np.empty((3, *lead, n, n))
+    powers = np.empty((3, count, n, n))
     y, y2, y3 = powers[0], powers[1], powers[2]
     np.matmul(x, x, y)
     del x
     np.matmul(y, y, y2)
     np.matmul(y2, y, y3)
-    flat = powers.reshape(3, count, n * n).transpose(1, 0, 2) if lead else powers.reshape(3, n * n)
-    horner = np.empty((2, *lead, 2 * n, n))  # C over q, twice
+    flat = powers.reshape(3, count, n * n).transpose(1, 0, 2)
+    horner = np.empty((2, count, 2 * n, n))  # C over q, twice
     h0, h1 = horner[0], horner[1]
-    rows = horner.reshape(2, *lead, 2, n * n)  # C and q of each time as rows
+    rows = horner.reshape(2, count, 2, n * n)  # C and q of each time as rows
     d_0, d_1, d_2 = _TAYLOR_BLOCKS
     np.matmul(d_2, flat, rows[0])
     np.matmul(h0, y3, h1)
@@ -279,15 +265,11 @@ def _taylor_exp(m: np.ndarray, ts: list[float]) -> np.ndarray:
     x = scaled * m
     np.matmul(x, h0[..., n:, :], h1[..., :n, :])
     del x
-    u = np.empty((*lead, n, n), dtype=complex)
+    u = np.empty((count, n, n), dtype=complex)
     u.real = h0[..., :n, :]
     u.imag = h1[..., :n, :]
     del horner, h0, h1
 
-    if count == 1:
-        for _ in range(s[0]):
-            u = u @ u
-        return u
     done = []  # the times squared often enough, the last first
     for k in range(s[0]):
         head = len(u)
@@ -481,9 +463,6 @@ def _norms(x: np.ndarray) -> np.ndarray:
     """The norm of each row of the (T, n) complex x, as np.linalg.norm takes
     it, bit for bit: the BLAS dot products of its real and of its imaginary
     part, each a (1, n) @ (n, 1) slice of a stacked product."""
-    if len(x) == 1:  # the same dot products, with less overhead
-        re, im = x[0].real, x[0].imag
-        return np.array([math.sqrt(re.dot(re) + im.dot(im))])
     re, im = x.real[:, None], x.imag[:, None]
     return np.sqrt(np.matmul(re, re.swapaxes(1, 2)) + np.matmul(im, im.swapaxes(1, 2))).reshape(len(x))
 

@@ -1,5 +1,6 @@
 """Graph-spec parsing, report schema, subcommands, exit codes."""
 
+import dataclasses
 import json
 import logging
 import math
@@ -114,6 +115,17 @@ class TestReports:
             "graph", "a", "b", "tau", "alpha", "beta", "gamma", "zeta", "kind", "residual", "method",
         }
         assert isinstance(cert["alpha"], list) and len(cert["alpha"]) == 2
+
+    def test_config_holds_the_three_detection_fields(self):
+        payload = run_analysis(parse_graph_spec("path:3"), DetectionConfig()).payload()
+        assert list(payload["config"]) == ["tol_walk", "beta_min", "t_max"]
+        assert [f.name for f in dataclasses.fields(DetectionConfig)] == ["tol_walk", "beta_min", "t_max"]
+
+    def test_config_with_a_retired_key_fails_validation(self):
+        loaded = json.loads(run_analysis(parse_graph_spec("cycle:6"), DetectionConfig()).to_json())
+        assert validate_report(loaded)
+        loaded["config"]["grid_points"] = 20000
+        assert not validate_report(loaded)
 
     def test_certificates_revalidate_on_load(self):
         rep = run_analysis(parse_graph_spec("path:4"), DetectionConfig())
@@ -700,13 +712,13 @@ class TestCommands:
         assert np.array_equal(g.weights, G.cycle(6).weights)
 
     def test_scan_command(self, capsys):
-        code = main(["scan", "cycle:4", "--source", "0", "--tmax", "8", "--grid", "4000"])
+        code = main(["scan", "cycle:4", "--source", "0", "--tmax", "8"])
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert any(c["kind"] == "perfect_state_transfer" for c in payload["certificates"])
 
     def test_scan_json_file_matches_stdout(self, tmp_path, capsys):
-        argv = ["scan", "cycle:4", "--source", "0", "--tmax", "8", "--grid", "4000"]
+        argv = ["scan", "cycle:4", "--source", "0", "--tmax", "8"]
         assert main(argv) == EXIT_OK
         printed = capsys.readouterr().out
         out = tmp_path / "scan.json"
@@ -781,7 +793,6 @@ class TestCommands:
         [
             ("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "1e-5"),
             ("--tmax", "0"), ("--tmax", "inf"),
-            ("--grid", "0"), ("--grid", "50"), ("--grid", "100000000"),
         ],
     )
     def test_bad_numeric_options(self, capsys, option, value):
@@ -789,10 +800,19 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("parse error:") and err.count("\n") == 1
 
+    def test_unknown_option_exits_2_on_one_line(self):
+        src = str(Path(cli_mod.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "ctqw.cli", "analyze", "path:3", "--grid", "100"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (proc.returncode, proc.stdout) == (EXIT_PARSE, "")
+        assert proc.stderr.splitlines() == ["parse error: unrecognized arguments: --grid 100"]
+
     def test_numeric_options_reach_config(self, capsys):
-        assert main(["analyze", "path:2", "--tol", "1e-7", "--tmax", "7", "--grid", "100"]) == EXIT_OK
+        assert main(["analyze", "path:2", "--tol", "1e-7", "--tmax", "7"]) == EXIT_OK
         config = json.loads(capsys.readouterr().out)["config"]
-        assert (config["tol_walk"], config["t_max"], config["grid_points"]) == (1e-7, 7.0, 100)
+        assert (config["tol_walk"], config["t_max"]) == (1e-7, 7.0)
 
     def test_weighted_c4_certifies_pst(self, tmp_path, capsys):
         # C4 with weight w has PST between antipodes at pi / (2 w); with w =

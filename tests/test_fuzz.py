@@ -172,7 +172,7 @@ class TestExitCodes:
         if command == "paper-suite":
             # one group at most: the whole suite takes a few hundred ms
             argv += ["--only", data.draw(st.sampled_from(["cycles", "weighted-p3", "classification", "nope", ""]))]
-            options = ["--json", "x.json", "--tol", "nan", "--tmax", "1e308", "--grid", "0", "--log-level", "info"]
+            options = ["--json", "x.json", "--tol", "nan", "--tmax", "1e308", "--log-level", "info"]
             argv += data.draw(st.lists(st.sampled_from(options), max_size=3))
         elif command == "construct":
             argv.append(data.draw(st.one_of(_token_specs, _grammar_specs)))
@@ -220,11 +220,11 @@ class TestTamperedReports:
                 if data.draw(st.booleans()):
                     del target[key]
                 else:
-                    target[key] = data.draw(st.sampled_from(_JUNK))
+                    target[key] = copy.deepcopy(data.draw(st.sampled_from(_JUNK)))
             elif isinstance(target, list) and target:
                 # truncated, or one item replaced
                 if data.draw(st.booleans()):
                     del target[data.draw(st.integers(0, len(target) - 1)) :]
                 else:
-                    target[data.draw(st.integers(0, len(target) - 1))] = data.draw(st.sampled_from(_JUNK))
+                    target[data.draw(st.integers(0, len(target) - 1))] = copy.deepcopy(data.draw(st.sampled_from(_JUNK)))
         assert validate_report(payload) in (True, False)

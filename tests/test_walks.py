@@ -483,13 +483,13 @@ class TestScan:
 
     def test_p5_scan_empty(self):
         dec = decompose(G.path(5))
-        cfg = DetectionConfig(t_max=100.0, grid_points=20000)
+        cfg = DetectionConfig(t_max=100.0)
         for a in range(5):
             assert scan_fr(dec, [a], None, cfg) == []
 
     def test_c4_scan_finds_transfer(self):
         dec = decompose(G.cycle(4))
-        certs = scan_fr(dec, [0], 2, DetectionConfig(t_max=10.0, grid_points=4000))
+        certs = scan_fr(dec, [0], 2, DetectionConfig(t_max=10.0))
         assert any(c.kind == KIND_PST and c.tau == pytest.approx(math.pi / 2, abs=1e-6) for c in certs)
 
     def test_target_equal_to_source_rejected(self):
@@ -1322,7 +1322,7 @@ class TestTimeMemo:
     def test_memo_entries_read_only(self):
         dec = decompose(G.cycle(6))
         detect_at(dec, 0, 2 * math.pi / 3, CFG)
-        scan_fr(dec, [0], None, DetectionConfig(t_max=10.0, grid_points=2000))
+        scan_fr(dec, [0], None, DetectionConfig(t_max=10.0))
         # the scan keeps only its lattices, immutable tuples, and the oracle
         # window of its last time, read-only
         assert list(dec._time_memo) == ["oracle", "lattice"]
@@ -1338,7 +1338,7 @@ class TestTimeMemo:
         gc.disable()
         try:
             dec = decompose(G.path(6))
-            assert _certify(dec, 0, 5).failure == "ratio condition fails on the plus part"
+            assert _certify(dec, 0, 5).failure == "ratio condition fails on the plus part: no ratio p/q with q <= 1000000"
             scan_fr(dec, range(6), None, CFG)
             assert any(isinstance(lattice, Exception) for lattice, _ in dec._time_memo["lattice"].values())
             ref = weakref.ref(dec)
@@ -1348,8 +1348,8 @@ class TestTimeMemo:
             gc.enable()
 
     def test_scan_on_warm_decomposition(self):
-        small = DetectionConfig(t_max=10.0, grid_points=2000)
-        other = DetectionConfig(t_max=12.0, grid_points=3000)
+        small = DetectionConfig(t_max=10.0)
+        other = DetectionConfig(t_max=12.0)
         warm = decompose(G.cycle(6))
         for cfg in (small, other, small):
             fresh = scan_fr(decompose(G.cycle(6)), range(6), None, cfg)
