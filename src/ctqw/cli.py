@@ -21,7 +21,6 @@ import math
 import os
 import sys
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -39,12 +38,10 @@ from ctqw.walks import (
     VALID_KINDS,
     DetectionConfig,
     FrCertificate,
-    NumericalHealthWarning,
     _STACK_BYTES,
     _certify,
     _kind_of,
     _residual,
-    scan_fr,
     verify_quotient_transport,
     walk_columns,
 )
@@ -567,16 +564,6 @@ def validate_report(payload: dict, graph: WeightedGraph | None = None) -> bool:
     return True
 
 
-@contextmanager
-def _health_capture():
-    """Collect the messages of NumericalHealthWarnings raised in the block."""
-    health: list[str] = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", NumericalHealthWarning)
-        yield health
-    health.extend(str(w.message) for w in caught if issubclass(w.category, NumericalHealthWarning))
-
-
 def run_analysis(
     graph: WeightedGraph,
     cfg: DetectionConfig = DetectionConfig(),
@@ -587,54 +574,53 @@ def run_analysis(
     The pairs that strongly_cospectral_candidates keeps are profiled in one
     pair_profiles call; the screen never drops a pair that pair_profile
     would accept. Their grids and, with do_scan, the scan from every vertex
-    are one walk (walks._certify), which forms each oracle time once; timing
-    has one certify entry for both. Predicates are built JSON-ready, floats
-    through _round_float.
+    are one walk (walks._certify), which forms each oracle time once and
+    returns, unwarned, the report's health_warnings; timing has one certify
+    entry for both. Predicates are JSON-ready, floats through _round_float.
     """
     timing: dict[str, float] = {}
     predicates: dict[str, dict] = {}
-    with _health_capture() as health:
-        t0 = time.perf_counter()
-        dec = decompose(graph)
-        timing["decompose"] = (time.perf_counter() - t0) * 1000.0
+    t0 = time.perf_counter()
+    dec = decompose(graph)
+    timing["decompose"] = (time.perf_counter() - t0) * 1000.0
 
-        predicates["connected"] = {"holds": G.is_connected(graph)}
-        predicates["signed"] = {"holds": graph.signed}
-        if dec.ambiguous_clustering:
-            predicates["ambiguous_clustering"] = {"holds": True}
+    predicates["connected"] = {"holds": G.is_connected(graph)}
+    predicates["signed"] = {"holds": graph.signed}
+    if dec.ambiguous_clustering:
+        predicates["ambiguous_clustering"] = {"holds": True}
 
-        t0 = time.perf_counter()
-        n = graph.order
-        pairs = strongly_cospectral_candidates(dec)
-        logger.debug("screened %d pairs to %d candidates", n * (n - 1) // 2, len(pairs))
-        profiles = [prof for prof in pair_profiles(dec, pairs) if prof.strongly_cospectral]
-        certified, scanned = _certify(dec, profiles, range(n) if do_scan else (), None, cfg)
-        for prof, pc in zip(profiles, certified):
-            entry: dict = {
-                "strongly_cospectral": True,
-                "parallel": prof.parallel,
-                "cospectral": prof.cospectral,
-                "perron_anchor_valid": prof.perron_anchor_valid,
-                "phi_plus": sorted(prof.phi_plus),
-                "phi_minus": sorted(prof.phi_minus),
-            }
-            if pc.classification is not None:
-                entry["classification"] = pc.classification.kind
-                entry["delta"] = pc.classification.delta
-            elif pc.failure.startswith("undecided"):
-                entry["classification"] = pc.failure
-            elif pc.has_lattice:
-                entry["classification"] = f"no quadratic-integer description: {pc.failure}"
-            else:
-                entry["classification"] = f"not classifiable: {pc.failure}"
-                if pc.witness is not None and pc.witness.witness_ratio is not None:
-                    entry["witness_ratio"] = _round_float(pc.witness.witness_ratio)
-            if pc.has_lattice:
-                entry["tau_step"] = None if pc.tau_step is None else _round_float(pc.tau_step)
-            predicates[f"pair({prof.a},{prof.b})"] = entry
-        timing["certify"] = (time.perf_counter() - t0) * 1000.0
-        rows = _rows(itertools.chain((c for pc in certified for c in pc.certificates), scanned))
-        del certified, scanned  # packed: 97 bytes a row against about 330 a certificate
+    t0 = time.perf_counter()
+    n = graph.order
+    pairs = strongly_cospectral_candidates(dec)
+    logger.debug("screened %d pairs to %d candidates", n * (n - 1) // 2, len(pairs))
+    profiles = [prof for prof in pair_profiles(dec, pairs) if prof.strongly_cospectral]
+    certified, scanned, health = _certify(dec, profiles, range(n) if do_scan else (), None, cfg)
+    for prof, pc in zip(profiles, certified):
+        entry: dict = {
+            "strongly_cospectral": True,
+            "parallel": prof.parallel,
+            "cospectral": prof.cospectral,
+            "perron_anchor_valid": prof.perron_anchor_valid,
+            "phi_plus": sorted(prof.phi_plus),
+            "phi_minus": sorted(prof.phi_minus),
+        }
+        if pc.classification is not None:
+            entry["classification"] = pc.classification.kind
+            entry["delta"] = pc.classification.delta
+        elif pc.failure.startswith("undecided"):
+            entry["classification"] = pc.failure
+        elif pc.has_lattice:
+            entry["classification"] = f"no quadratic-integer description: {pc.failure}"
+        else:
+            entry["classification"] = f"not classifiable: {pc.failure}"
+            if pc.witness is not None and pc.witness.witness_ratio is not None:
+                entry["witness_ratio"] = _round_float(pc.witness.witness_ratio)
+        if pc.has_lattice:
+            entry["tau_step"] = None if pc.tau_step is None else _round_float(pc.tau_step)
+        predicates[f"pair({prof.a},{prof.b})"] = entry
+    timing["certify"] = (time.perf_counter() - t0) * 1000.0
+    rows = _rows(itertools.chain((c for pc in certified for c in pc.certificates), scanned))
+    del certified, scanned  # packed: 97 bytes a row against about 330 a certificate
 
     return RunReport(
         input_spec=graph.name,
@@ -746,8 +732,7 @@ def cmd_scan(args) -> int:
     _check_out(args.json, "--json")
     dec = decompose(graph)
     sources = [args.source] if args.source is not None else [a for a in range(graph.order) if a != args.target]
-    with _health_capture() as health:
-        certs = scan_fr(dec, sources, args.target, cfg)
+    _, certs, health = _certify(dec, (), sources, args.target, cfg)
     payload = {
         "input_spec": graph.name,
         "certificates": Certificates(certs, graph.name),
@@ -840,8 +825,15 @@ def cmd_paper_suite(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_SUITE
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors, and its subparsers', are one line."""
+
+    def error(self, message: str):
+        self.exit(EXIT_PARSE, f"parse error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ctqw",
         description="Analyze continuous-time quantum walks and certify transport events.",
     )
@@ -909,10 +901,7 @@ def _log_to_stderr(level: str):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args, extra = parser.parse_known_args(argv)
-    if extra:  # one line, as the other parse errors, not argparse's usage block
-        parser.exit(EXIT_PARSE, f"parse error: unrecognized arguments: {' '.join(extra)}\n")
+    args = build_parser().parse_args(argv)
     with _log_to_stderr(args.log_level):
         try:
             return args.func(args)

@@ -408,23 +408,19 @@ def _gate(a: list[int], exps: list[np.ndarray], cols: np.ndarray) -> list[float]
     return np.abs(cols - np.array([u[:, s] for s, u in zip(a, exps)])).max(axis=1).tolist()
 
 
-def _certificate(
-    a: int, tau: float, row: tuple, diff: float, cfg: DetectionConfig, method: str
-) -> FrCertificate | None:
-    """The certificate of a row that passed _judge at tau, diff its distance
-    from the oracle's column (_gate): None, with a NumericalHealthWarning,
-    when that exceeds tol_walk."""
-    if diff > cfg.tol_walk:
-        warnings.warn(
-            f"spectral/oracle disagreement {diff:.3e} at tau={tau!r}, vertex {a}",
-            NumericalHealthWarning,
-            stacklevel=3,
-        )
-        return None
+def _certificate(a: int, tau: float, row: tuple, cfg: DetectionConfig, method: str) -> FrCertificate:
+    """The certificate of a row that passed _judge at tau and the oracle's
+    gate (_gate within tol_walk)."""
     kind, b, alpha, beta, residual = row
     gz = _gamma_zeta(alpha, beta, cfg.tol_walk)
     gamma, zeta = gz if gz is not None else (None, None)
     return FrCertificate(a, b, float(tau), alpha, beta, gamma, zeta, kind, residual, method)
+
+
+def _disagreement(a: int, tau: float, diff: float) -> str:
+    """The health message of the walk from a at tau, diff (_gate) from the
+    oracle's column, beyond tol_walk."""
+    return f"spectral/oracle disagreement {diff:.3e} at tau={tau!r}, vertex {a}"
 
 
 def detect_at(
@@ -439,14 +435,19 @@ def detect_at(
 
     Returns a certificate when the column mass sits on {a} and at most one
     other vertex within tol_walk; an ambiguous column (two off-vertices above
-    beta_min) yields None.
+    beta_min) yields None, and so does, with a NumericalHealthWarning, a
+    column more than tol_walk from the oracle's.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
     (row,), col = _judge(dec, [a], [tau], cfg)
     if row is None:
         return None
-    return _certificate(a, tau, row, _gate([a], _oracle_exps(dec, [float(tau)]), col)[0], cfg, method)
+    diff = _gate([a], _oracle_exps(dec, [float(tau)]), col)[0]
+    if diff > cfg.tol_walk:
+        warnings.warn(_disagreement(a, tau, diff), NumericalHealthWarning, stacklevel=2)
+        return None
+    return _certificate(a, tau, row, cfg, method)
 
 
 def _residual(cols: np.ndarray, a: int, alpha, b, beta) -> np.ndarray:
@@ -482,11 +483,13 @@ def _counts(kind: str, b: int, target: int, periodic_ends: bool) -> tuple[bool, 
     return b == target, b == target and not periodic_ends
 
 
-def _walk_by_tau(dec: SpectralDecomposition, walks: list, cfg: DetectionConfig) -> list[list[FrCertificate]]:
-    """The certificates each walk (a, entries, budget, method) keeps (_counts)
-    over its increasing entries (tau, target), all merged by tau, ties by
-    walk; a walk goes on until budget certificates that count are kept. A
-    walk of the grid's method, equiv_cond_solve, ends at a periodic event.
+def _walk_by_tau(dec: SpectralDecomposition, walks: list, cfg: DetectionConfig) -> tuple[list, list]:
+    """(certificates, messages) of each walk (a, entries, budget, method): the
+    certificates it keeps (_counts) over its increasing entries (tau,
+    target), all merged by tau, ties by walk, and the message (_disagreement)
+    of each row the oracle voids, in its order; a walk goes on until budget
+    certificates that count are kept. A walk of the grid's method,
+    equiv_cond_solve, ends at a periodic event.
 
     The walks go in rounds. Each walk reads on until it holds its next run
     of 2, 4, 8, ... entries, capped at one block. A round takes the entries
@@ -500,74 +503,60 @@ def _walk_by_tau(dec: SpectralDecomposition, walks: list, cfg: DetectionConfig) 
     row at its times comes up, and a row past an end that the oracle voided
     is gated on its own before the next stack is formed. So each time is
     formed once.
-
-    The warnings raised in the walk come out after it, walk by walk and each
-    in its own order, as a walk of one after another raises them.
     """
     sources, its = [a for a, *_ in walks], [iter(entries) for _, entries, *_ in walks]
     left, methods = [budget for *_, budget, _ in walks], [method for *_, method in walks]
-    periodic_ends, certs, held = [m == "equiv_cond_solve" for m in methods], [[] for _ in walks], [[] for _ in walks]
+    periodic_ends, certs, messages = [m == "equiv_cond_solve" for m in methods], [[] for _ in walks], [[] for _ in walks]
     cap, room = max(1, _STACK_BYTES // (256 * dec.order)), _stack_size(dec.matrix)
     # each walk's next run, its entries read and not yet judged, and whether its iterator may hold more
     run, waiting, more = [min(2, cap)] * len(walks), [[] for _ in walks], [True] * len(walks)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        while True:
-            for i, entries in enumerate(waiting):
-                if left[i] and more[i]:
-                    entries.extend(itertools.islice(its[i], run[i] - len(entries)))
-                    more[i], run[i] = len(entries) == run[i], min(2 * run[i], cap)
-                    held[i].extend(caught)
-                    caught.clear()
-            live = [i for i in range(len(walks)) if left[i]]
-            horizon = min((waiting[i][-1][0] for i in live if more[i]), default=math.inf)
-            todo = []  # (tau, walk, target)
-            for i in live:
-                k = sum(tau <= horizon for tau, _ in waiting[i])
-                todo.extend((tau, i, target) for tau, target in waiting[i][:k])
-                del waiting[i][:k]
-            if not todo:
-                break
-            todo.sort()  # by tau, ties by walk, each walk's entries in order
-            for lo in range(0, len(todo), cap):
-                block = [entry for entry in todo[lo : lo + cap] if left[entry[1]]]
-                if not block:
+    while True:
+        for i, entries in enumerate(waiting):
+            if left[i] and more[i]:
+                entries.extend(itertools.islice(its[i], run[i] - len(entries)))
+                more[i], run[i] = len(entries) == run[i], min(2 * run[i], cap)
+        live = [i for i in range(len(walks)) if left[i]]
+        horizon = min((waiting[i][-1][0] for i in live if more[i]), default=math.inf)
+        todo = []  # (tau, walk, target)
+        for i in live:
+            k = sum(tau <= horizon for tau, _ in waiting[i])
+            todo.extend((tau, i, target) for tau, target in waiting[i][:k])
+            del waiting[i][:k]
+        if not todo:
+            return certs, messages
+        todo.sort()  # by tau, ties by walk, each walk's entries in order
+        for lo in range(0, len(todo), cap):
+            block = [entry for entry in todo[lo : lo + cap] if left[entry[1]]]
+            if not block:
+                continue
+            rows, cols = _judge(dec, [sources[i] for _, i, _ in block], [tau for tau, _, _ in block], cfg)
+            at, ends, diffs = {}, {}, {}  # the passing rows at each time, up to each walk's end
+            for j, ((tau, i, target), row) in enumerate(zip(block, rows)):
+                if row is not None and ends.get(i, left[i]):
+                    ends[i] = ends.get(i, left[i]) - _counts(row[0], row[1], target, periodic_ends[i])[1]
+                    at.setdefault(tau, []).append(j)
+            times, t = list(at), 0  # the block's times, and the first not yet formed
+            for j, (tau, i, target) in enumerate(block):
+                if not left[i] or rows[j] is None:
                     continue
-                rows, cols = _judge(dec, [sources[i] for _, i, _ in block], [tau for tau, _, _ in block], cfg)
-                at, ends, diffs = {}, {}, {}  # the passing rows at each time, up to each walk's end
-                for j, ((tau, i, target), row) in enumerate(zip(block, rows)):
-                    if row is not None and ends.get(i, left[i]):
-                        ends[i] = ends.get(i, left[i]) - _counts(row[0], row[1], target, periodic_ends[i])[1]
-                        at.setdefault(tau, []).append(j)
-                times, t = list(at), 0  # the block's times, and the first not yet formed
-                for j, (tau, i, target) in enumerate(block):
-                    if not left[i] or rows[j] is None:
-                        continue
-                    if j not in diffs and t < len(times) and times[t] <= tau:  # the next stack of times
-                        chunk, t = times[t : t + room], t + room
-                        js = [k for time in chunk for k in at[time]]
-                        us = [u for time, u in zip(chunk, _oracle_exps(dec, chunk)) for _ in at[time]]
-                        diffs.update(zip(js, _gate([sources[block[k][1]] for k in js], us, cols[js])))
-                        del us  # only the window holds the exponentials while the next are formed
-                    if j not in diffs:  # past an end that the oracle voided
-                        diffs[j] = _gate([sources[i]], _oracle_exps(dec, [tau]), cols[j : j + 1])[0]
-                    cert = _certificate(sources[i], tau, rows[j], diffs[j], cfg, methods[i])
-                    if caught:
-                        held[i].extend(caught)
-                        caught.clear()
-                    if cert is None:
-                        continue
-                    kept, counted = _counts(cert.kind, cert.b, target, periodic_ends[i])
-                    if kept:
-                        certs[i].append(cert)
-                        left[i] -= counted
-                    elif periodic_ends[i]:
-                        logger.debug(
-                            "grid time %r concentrated on %d, not the profiled partner %d", tau, cert.b, target
-                        )
-    for w in itertools.chain.from_iterable(held):
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
-    return certs
+                if j not in diffs and t < len(times) and times[t] <= tau:  # the next stack of times
+                    chunk, t = times[t : t + room], t + room
+                    js = [k for time in chunk for k in at[time]]
+                    us = [u for time, u in zip(chunk, _oracle_exps(dec, chunk)) for _ in at[time]]
+                    diffs.update(zip(js, _gate([sources[block[k][1]] for k in js], us, cols[js])))
+                    del us  # only the window holds the exponentials while the next are formed
+                if j not in diffs:  # past an end that the oracle voided
+                    diffs[j] = _gate([sources[i]], _oracle_exps(dec, [tau]), cols[j : j + 1])[0]
+                if diffs[j] > cfg.tol_walk:
+                    messages[i].append(_disagreement(sources[i], tau, diffs[j]))
+                    continue
+                cert = _certificate(sources[i], tau, rows[j], cfg, methods[i])
+                kept, counted = _counts(cert.kind, cert.b, target, periodic_ends[i])
+                if kept:
+                    certs[i].append(cert)
+                    left[i] -= counted
+                elif periodic_ends[i]:
+                    logger.debug("grid time %r concentrated on %d, not the profiled partner %d", tau, cert.b, target)
 
 
 @dataclass(frozen=True)
@@ -611,8 +600,13 @@ def certify_pairs(
     forms each oracle exponential once, shared by the pairs whose grids hold
     its time; each pair's certificates are those of its own walk. It is the
     grid half of _certify, the one walk of analyze, with or without --scan.
+    Each row the oracle voids is then warned as a NumericalHealthWarning,
+    pair by pair, each pair's in order of tau.
     """
-    return _certify(dec, profiles, (), None, cfg)[0]
+    certified, _, messages = _certify(dec, profiles, (), None, cfg)
+    for message in messages:
+        warnings.warn(message, NumericalHealthWarning, stacklevel=2)
+    return certified
 
 
 def _lattice(dec: SpectralDecomposition, plus: tuple, minus: tuple) -> tuple:
@@ -721,22 +715,27 @@ def scan_fr(
     a source keeps its earliest _SCAN_MAX_EVENTS events. The sources' times
     walk by tau in rounds, so the call forms each oracle exponential once; it
     is the scan half of _certify, which analyze --scan calls once for its
-    grid and its scan. Certificates come source by source, sorted by tau.
-    Periodic events are not reported: the scan looks for genuine two-vertex
-    transport, so b in sources is rejected. An empty result is bounded
-    evidence, since lattice_step rationalizes eigenvalue ratios with
-    denominators up to numtheory.MAX_DEN.
+    grid and its scan. Certificates come source by source, sorted by tau;
+    each row the oracle voids is warned as a NumericalHealthWarning, source
+    by source, each in order of tau. Periodic events are not reported: the
+    scan looks for genuine two-vertex transport, so b in sources is
+    rejected. An empty result is bounded evidence, since lattice_step
+    rationalizes eigenvalue ratios with denominators up to numtheory.MAX_DEN.
     """
     sources = list(sources)
     if b is not None and b in sources:
         raise ValueError("the scan target must differ from its source")
-    return _certify(dec, (), sources, b, cfg)[1]
+    _, scanned, messages = _certify(dec, (), sources, b, cfg)
+    for message in messages:
+        warnings.warn(message, NumericalHealthWarning, stacklevel=2)
+    return scanned
 
 
-def _certify(dec: SpectralDecomposition, profiles, sources, b: int | None, cfg: DetectionConfig) -> tuple[list, list]:
-    """(certify_pairs of profiles, scan_fr of sources toward b) as one
-    _walk_by_tau, which forms each oracle exponential once for both. Each
-    walk keeps and warns as in its own call, the grids' walks first."""
+def _certify(dec: SpectralDecomposition, profiles, sources, b: int | None, cfg: DetectionConfig) -> tuple:
+    """(certify_pairs of profiles, scan_fr of sources toward b, the health
+    messages they would warn) as one _walk_by_tau, which forms each oracle
+    exponential once for both. Each walk keeps as in its own call, and its
+    messages come walk by walk, the grids' walks first. Nothing is warned."""
     out: list[PairCertification] = []
     walks: list = []  # per pair its grid, then per source its (tau, partner), in increasing order
     shared: dict = {}  # the grid of each part pair
@@ -766,9 +765,9 @@ def _certify(dec: SpectralDecomposition, profiles, sources, b: int | None, cfg: 
             par = par[par == b]
         events = heapq.merge(*(zip(_revival_times(dec, a, p, cfg), itertools.repeat(p)) for p in par.tolist()))
         walks.append((a, events, _SCAN_MAX_EVENTS, "grid_scan"))
-    walked = iter(_walk_by_tau(dec, walks, cfg))  # the grids' walks first
+    walked, messages = map(iter, _walk_by_tau(dec, walks, cfg))  # the grids' walks first
     certified = [replace(pc, certificates=tuple(next(walked))) if pc.has_lattice else pc for pc in out]
-    return certified, [cert for certs in walked for cert in certs]
+    return certified, [cert for certs in walked for cert in certs], [m for walk in messages for m in walk]
 
 
 # ---------------------------------------------------------------------------

@@ -759,32 +759,33 @@ class TestCommands:
 
         sources = []
 
-        def recording_scan(dec, srcs, b, cfg):
+        def recording_scan(dec, profiles, srcs, b, cfg):
             sources.extend((a, b) for a in srcs)
-            return []
+            return [], [], []
 
-        monkeypatch.setattr(cli_mod, "scan_fr", recording_scan)
+        monkeypatch.setattr(cli_mod, "_certify", recording_scan)
         assert main(["scan", "cycle:6", "--target", "3"]) == EXIT_OK
         assert sources == [(a, 3) for a in (0, 1, 2, 4, 5)]
 
     def test_scan_ignores_non_health_warnings(self, capsys, monkeypatch):
+        # another warning does not set the health exit, and reaches the caller
         from ctqw import cli as cli_mod
 
-        def noisy_scan(dec, a, b, cfg):
+        def noisy_scan(dec, profiles, a, b, cfg):
             warnings.warn("overflow in something", RuntimeWarning)
-            return []
+            return [], [], []
 
-        monkeypatch.setattr(cli_mod, "scan_fr", noisy_scan)
-        assert main(["scan", "cycle:4", "--source", "0"]) == EXIT_OK
+        monkeypatch.setattr(cli_mod, "_certify", noisy_scan)
+        with pytest.warns(RuntimeWarning, match="overflow in something"):
+            assert main(["scan", "cycle:4", "--source", "0"]) == EXIT_OK
 
     def test_scan_health_warning_exit(self, capsys, monkeypatch):
         from ctqw import cli as cli_mod
 
-        def unhealthy_scan(dec, a, b, cfg):
-            warnings.warn("spectral/oracle disagreement", NumericalHealthWarning)
-            return []
+        def unhealthy_scan(dec, profiles, a, b, cfg):
+            return [], [], ["spectral/oracle disagreement"]
 
-        monkeypatch.setattr(cli_mod, "scan_fr", unhealthy_scan)
+        monkeypatch.setattr(cli_mod, "_certify", unhealthy_scan)
         assert main(["scan", "cycle:4", "--source", "0"]) == EXIT_HEALTH
         assert "numerical health: spectral/oracle disagreement" in capsys.readouterr().err
 
@@ -808,6 +809,36 @@ class TestCommands:
         )
         assert (proc.returncode, proc.stdout) == (EXIT_PARSE, "")
         assert proc.stderr.splitlines() == ["parse error: unrecognized arguments: --grid 100"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "path:3", "--tol", "abc"], ["analyze"], ["frobnicate"],
+            ["paper-suite", "--only", "nope"], ["analyze", "path:3", "--bogus"], [],
+        ],
+        ids=["bad-value", "missing-graph", "unknown-command", "bad-choice", "unknown-option", "bare"],
+    )
+    def test_argparse_errors_exit_2_on_one_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (EXIT_PARSE, "")
+        assert len(err.splitlines()) == 1 and err.startswith("parse error: ")
+        assert "usage:" not in err
+
+    def test_non_health_warnings_reach_the_caller(self, monkeypatch):
+        # a RuntimeWarning raised inside the analysis is the caller's to see,
+        # and does not become a health finding
+        real = cli_mod.decompose
+
+        def noisy_decompose(graph):
+            warnings.warn("overflow in something", RuntimeWarning)
+            return real(graph)
+
+        monkeypatch.setattr(cli_mod, "decompose", noisy_decompose)
+        with pytest.warns(RuntimeWarning, match="overflow in something"):
+            report = run_analysis(G.cycle(6), do_scan=True)
+        assert report.certificates and report.health_warnings == []
 
     def test_numeric_options_reach_config(self, capsys):
         assert main(["analyze", "path:2", "--tol", "1e-7", "--tmax", "7"]) == EXIT_OK
@@ -949,7 +980,7 @@ class TestCommands:
         def work(*args, **kwargs):
             raise AssertionError("the command worked before it checked its output path")
 
-        for name in ("run_analysis", "decompose", "scan_fr", "verify_quotient_transport"):
+        for name in ("run_analysis", "decompose", "_certify", "verify_quotient_transport"):
             monkeypatch.setattr(cli_mod, name, work)
         for name in ("write_graph", "coarsest_equitable_refinement", "quotient"):
             monkeypatch.setattr(G, name, work)
@@ -978,7 +1009,7 @@ class TestCommands:
             raise stop("stopped in the analysis")
 
         monkeypatch.setattr(cli_mod, "run_analysis", work)
-        monkeypatch.setattr(cli_mod, "scan_fr", work)
+        monkeypatch.setattr(cli_mod, "_certify", work)
         for argv in (["analyze", "--scan", "cocktail:20"], ["scan", "cube:3"]):
             out = tmp_path / f"{argv[0]}.json"
             with pytest.raises(stop):

@@ -987,7 +987,8 @@ def _block_detect(dec, sources, taus, cfg=CFG):
             continue
         exps = walks_mod._oracle_exps(dec, [tau]) * len(at)
         for k, diff in zip(at, walks_mod._gate([sources[k] for k in at], exps, cols[at])):
-            out[k] = walks_mod._certificate(sources[k], tau, rows[k], diff, cfg, "grid_scan")
+            if diff <= cfg.tol_walk:
+                out[k] = walks_mod._certificate(sources[k], tau, rows[k], cfg, "grid_scan")
     return out
 
 
@@ -1165,6 +1166,27 @@ class TestTimeWalk:
         got = messages(lambda: scan_fr(decompose(g), sources, None, CFG))
         assert got == messages(lambda: _scan_reference(decompose(g), sources, None, CFG))
         assert len({m.rsplit("vertex", 1)[1] for m in got}) > 1
+
+    @pytest.mark.parametrize("spec", ["cocktail:4", "cube:3", "cycle:6"])
+    def test_certify_returns_the_messages_it_does_not_warn(self, monkeypatch, spec):
+        # an oracle off at every time: _certify warns nothing, and its
+        # messages are those certify_pairs and then scan_fr warn, in order
+        g = parse_graph_spec(spec)
+        dec = decompose(g)
+        profiles = [p for p in pair_profiles(dec, strongly_cospectral_candidates(dec)) if p.strongly_cospectral]
+        stack = walks_mod._oracle_stack
+        monkeypatch.setattr(walks_mod, "_oracle_stack", lambda m, times: stack(m, times) + 1e-6)
+        sources = list(range(g.order))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            certified, scanned, messages = walks_mod._certify(decompose(g), profiles, sources, None, CFG)
+        assert not scanned and not any(pc.certificates for pc in certified)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            certify_pairs(decompose(g), profiles, CFG)
+            scan_fr(decompose(g), sources, None, CFG)
+        assert all(w.category is NumericalHealthWarning for w in caught)
+        assert messages == [str(w.message) for w in caught] != []
 
     def test_scan_at_a_long_horizon_holds_a_chunk_per_source(self, monkeypatch):
         # cube:5 to t_max = 3000: each of the 32 sources has 955 solved times.
