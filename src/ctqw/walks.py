@@ -279,7 +279,8 @@ def _taylor_exp(m: np.ndarray, ts: list[float]) -> np.ndarray:
             done.append(u[head:].copy())
             u = u[:head]
         u = u @ u
-    return np.concatenate([u, *done[::-1]])[np.argsort(order)]
+    u = np.concatenate([u, *done[::-1]]) if done else u
+    return u if order == sorted(order) else u[np.argsort(order)]
 
 
 # ---------------------------------------------------------------------------
@@ -364,41 +365,36 @@ def _judge(
     beta = 0 for a column on a alone); and the (T, n) columns.
 
     One walk_columns product gives the columns, each bit-equal to
-    transition_column at its source and time. The mass off a, the vertices
-    above beta_min and the residual are found for the whole block; each row
-    is then read as detect_at reads its column, with Python's abs.
+    transition_column at its source and time. One count of the vertices
+    above beta_min other than a gives each row's partner b, the first of
+    them or a, and _residual its residual; each row is then read as
+    detect_at reads its column, with Python's abs.
     """
     taus, src = np.asarray(taus, dtype=float), np.asarray(a)
     cols, rows = walk_columns(dec, src, taus), np.arange(len(taus))
     mass = np.abs(cols)  # |col_j|^2, then its root, as detect_at took them
     mass *= mass
     hit = np.sqrt(mass, out=mass) > cfg.beta_min
-    hit[rows, src] = True  # not a partner, but left out of the residual as they are
-    off = np.where(hit, 0.0, cols)
-    hits: list[list] = [[] for _ in rows]
-    for k, j in zip(*(x.tolist() for x in np.nonzero(hit))):
-        hits[k].append(j)
+    hit[rows, src] = False  # the source is not its own partner
+    count = np.count_nonzero(hit, axis=1)
+    b = np.where(count > 0, hit.argmax(axis=1), src)
+    alpha, beta = cols[rows, src], np.where(count == 1, cols[rows, b], 0)
+    residual = _residual(cols, src, alpha, b, beta)
     out: list = []
-    for k, (on, s, alpha, residual) in enumerate(
-        zip(hits, src.tolist(), cols[rows, src].tolist(), _norms(off).tolist())
-    ):
-        on.remove(s)
-        if len(on) > 1:
+    per_row = (x.tolist() for x in (count > 1, src, b, alpha, beta, residual))
+    for k, (ambiguous, s, p, al, be, res) in enumerate(zip(*per_row)):
+        if ambiguous:
             if logger.isEnabledFor(logging.DEBUG):
-                spread = mass[k].copy()
-                spread[s] = 0.0
-                top = np.argsort(spread)[::-1][:2]
+                top = np.argsort(mass[k] * hit[k])[::-1][:2]
                 logger.debug(
                     "ambiguous concentration at tau=%r from %d: vertices %s carry %s",
-                    taus[k].item(), s, top.tolist(), spread[top].tolist(),
+                    taus[k].item(), s, top.tolist(), mass[k, top].tolist(),
                 )
             out.append(None)
-            continue
-        b, beta = (on[0], complex(cols[k, on[0]])) if on else (s, 0j)
-        if residual > cfg.tol_walk or (b == s and abs(abs(alpha) - 1.0) > cfg.tol_walk):
+        elif res > cfg.tol_walk or (p == s and abs(abs(al) - 1.0) > cfg.tol_walk):
             out.append(None)
         else:
-            out.append((_kind_of(alpha, beta, cfg), b, alpha, beta, residual))
+            out.append((_kind_of(al, be, cfg), p, al, be, res))
     return out, cols
 
 
@@ -450,22 +446,17 @@ def detect_at(
     return _certificate(a, tau, row, cfg, method)
 
 
-def _residual(cols: np.ndarray, a: int, alpha, b, beta) -> np.ndarray:
+def _residual(cols: np.ndarray, a, alpha, b, beta) -> np.ndarray:
     """||col - alpha e_a - beta e_b|| of each row col of the (T, n) cols, left
     untouched, with a, b, alpha and beta one for all rows or one per row;
-    beta = 0 where b == a."""
+    beta = 0 where b == a. Each norm is np.linalg.norm's, bit for bit: the
+    BLAS dot products of the real and of the imaginary part of its row, each
+    a (1, n) @ (n, 1) slice of a stacked product."""
     diff, rows = cols.copy(), np.arange(len(cols))
     diff[rows, a] -= alpha
     diff[rows, b] -= beta
-    return _norms(diff)
-
-
-def _norms(x: np.ndarray) -> np.ndarray:
-    """The norm of each row of the (T, n) complex x, as np.linalg.norm takes
-    it, bit for bit: the BLAS dot products of its real and of its imaginary
-    part, each a (1, n) @ (n, 1) slice of a stacked product."""
-    re, im = x.real[:, None], x.imag[:, None]
-    return np.sqrt(np.matmul(re, re.swapaxes(1, 2)) + np.matmul(im, im.swapaxes(1, 2))).reshape(len(x))
+    re, im = diff.real[:, None], diff.imag[:, None]
+    return np.sqrt(np.matmul(re, re.swapaxes(1, 2)) + np.matmul(im, im.swapaxes(1, 2))).reshape(len(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -550,13 +541,12 @@ def _walk_by_tau(dec: SpectralDecomposition, walks: list, cfg: DetectionConfig) 
                 if diffs[j] > cfg.tol_walk:
                     messages[i].append(_disagreement(sources[i], tau, diffs[j]))
                     continue
-                cert = _certificate(sources[i], tau, rows[j], cfg, methods[i])
-                kept, counted = _counts(cert.kind, cert.b, target, periodic_ends[i])
+                kept, counted = _counts(rows[j][0], rows[j][1], target, periodic_ends[i])
                 if kept:
-                    certs[i].append(cert)
+                    certs[i].append(_certificate(sources[i], tau, rows[j], cfg, methods[i]))
                     left[i] -= counted
                 elif periodic_ends[i]:
-                    logger.debug("grid time %r concentrated on %d, not the profiled partner %d", tau, cert.b, target)
+                    logger.debug("grid time %r concentrated on %d, not the profiled partner %d", tau, rows[j][1], target)
 
 
 @dataclass(frozen=True)

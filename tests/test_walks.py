@@ -5,6 +5,7 @@ import gc
 import hashlib
 import itertools
 import json
+import logging
 import math
 import tracemalloc
 import types
@@ -327,6 +328,22 @@ class TestDetect:
     def test_ambiguous_spread_returns_nothing(self):
         dec = decompose(G.hypercube(2))
         assert detect_at(dec, 0, math.pi / 4, CFG) is None  # flat row, four vertices
+
+    def test_ambiguous_column_logs_its_two_largest_vertices(self, caplog):
+        dec = decompose(parse_graph_spec("cube:3"))
+        with caplog.at_level(logging.DEBUG, logger="ctqw.walks"):
+            assert detect_at(dec, 0, math.pi / 4, CFG) is None
+        (record,) = [r for r in caplog.records if r.name == "ctqw.walks"]
+        *_, vertices, values = record.args
+        assert record.getMessage() == (
+            f"ambiguous concentration at tau=0.7853981633974483 from 0: vertices {vertices} carry {values}"
+        )
+        assert len(set(vertices)) == 2 and 0 not in vertices
+        off = np.abs(transition_column(dec, 0, math.pi / 4))
+        off[0] = 0.0
+        # the two values part in the last bit, so their order is not asserted
+        assert sorted(values) == pytest.approx(np.sort(off)[-2:].tolist(), abs=1e-12)
+        assert values == pytest.approx(off[vertices].tolist(), abs=1e-12)
 
     def test_gamma_zeta_when_cospectral_form(self):
         dec = decompose(G.cycle(6))
